@@ -32,7 +32,6 @@ from .descriptors import (
 )
 from .counting import (
     QPolynomial,
-    SignedPermutation,
     brute_force_count,
     dimension,
     point_count,

@@ -56,7 +56,10 @@ def _parse_variety(text: str) -> FiniteFlagVariety:
 
 
 def _variety_from_flags(args) -> FiniteFlagVariety:
-    dims = [int(d) for d in str(args.dims).split(",") if str(d).strip()]
+    try:
+        dims = [int(d) for d in str(args.dims).split(",") if d.strip()]
+    except ValueError as exc:
+        raise ValidationError(f"bad --dims {args.dims!r}: {exc}")
     return finite_flag_variety(args.type.upper(), args.ambient, dims)
 
 

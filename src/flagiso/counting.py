@@ -1,34 +1,39 @@
 """Point counts of finite flag varieties over F_q, by two independent routes.
 
-The main route enumerates the Weyl group of the variety as (signed)
-permutations, filters minimal coset representatives of the parabolic fixed by
-the dimension sequence via the descent criterion, and accumulates q^length;
-the resulting polynomial counts F_q points and its degree is the dimension.
+The main route is the closed form P_{G/P}(q) = W(q) / W_P(q) of Chevalley and
+Solomon: the Poincare polynomial of the Weyl group W is a product of
+q-integers [k]_q = 1 + q + ... + q^(k-1) over its degrees, and so is that of
+the Weyl group W_P of the Levi of the parabolic fixed by the dimension
+sequence.  The quotient equals the sum of q^length over minimal coset
+representatives; it counts F_q points and its degree is the dimension.  The
+enumeration of those representatives as signed permutations lives in the test
+oracles (``tests/oracles.py``), where it checks the closed form.
 
 The second route, :func:`brute_force_count`, enumerates actual flags over a
 small prime field by row-reduced echelon bases, filtering by isotropy for the
 split forms.  It exists purely as a ground-truth cross-check of the first.
 
-Conventions.  Signed permutations act on positions 1..m with the special
-generator at the last position (sign flip at m for types B/C, flip-and-swap of
-the last two positions for type D).  For type D a variety with a Lagrangian
-member means one connected component, the one containing the span of the first
-m coordinates; the Weyl route uses the D_m group (not B_m) and the brute-force
-route filters Lagrangians by the parity of their intersection with that
-reference.
+Conventions.  For type D a variety with a Lagrangian member means one
+connected component, the one containing the span of the first m coordinates:
+its Levi is the type-A part alone (the group is D_m, not B_m), and the
+brute-force route filters Lagrangians by the parity of their intersection with
+that reference.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import linalg as la
 from .descriptors import FiniteFlagVariety, require_valid_variety
 from .errors import ResourceLimitError, ValidationError
+from .linalg import PrimeField
+from .witness import split_antisymmetric_form, split_symmetric_form
 
-DEFAULT_MAX_RANK = 8
+DEFAULT_MAX_RANK = 96
 _RANK_ENV = "FLAGISO_MAX_RANK"
 
 
@@ -115,145 +120,40 @@ class QPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Signed permutations.
+# Closed form: products and quotients of q-integers [k]_q = 1 + q + ... + q^(k-1).
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
-    """Images of 1..n as nonzero integers whose absolute values are a permutation.
-
-    kind "A" requires all images positive, kind "D" an even number of negative
-    ones, kind "BC" allows any signs.
-    """
-
-    images: tuple
-    kind: str = "BC"
-
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if self.kind not in ("A", "BC", "D"):
-            raise ValidationError(f"unknown kind {self.kind!r}")
-        n = len(self.images)
-        if sorted(abs(a) for a in self.images) != list(range(1, n + 1)):
-            raise ValidationError("absolute images must be a permutation of 1..n")
-        negatives = sum(1 for a in self.images if a < 0)
-        if self.kind == "A" and negatives:
-            raise ValidationError("type A permutations take no signs")
-        if self.kind == "D" and negatives % 2 == 1:
-            raise ValidationError("type D requires an even number of sign changes")
-
-    def length(self) -> int:
-        if self.kind == "A":
-            return _inversions(self.images)
-        a, b = _signed_root_flips(self.images)
-        if self.kind == "D":
-            return a + b
-        return a + b + sum(1 for x in self.images if x < 0)
+def _times_bracket(coeffs, k):
+    """coeffs * [k]_q: each output coefficient is a window sum of k inputs."""
+    out, window = [], 0
+    for i in range(len(coeffs) + k - 1):
+        if i < len(coeffs):
+            window += coeffs[i]
+        if i >= k:
+            window -= coeffs[i - k]
+        out.append(window)
+    return out
 
 
-def _inversions(w) -> int:
-    n = len(w)
-    total = 0
-    for i in range(n):
-        wi = w[i]
-        for j in range(i + 1, n):
-            if wi > w[j]:
-                total += 1
-    return total
+def _over_bracket(coeffs, k):
+    """coeffs / [k]_q, raising ArithmeticError unless the remainder is zero."""
+    out, window = [], 0  # window: sum of the last k - 1 quotient coefficients
+    for i, c in enumerate(coeffs):
+        out.append(c - window)
+        window += out[-1]
+        if i >= k - 1:
+            window -= out[i - k + 1]
+    keep = len(coeffs) - k + 1
+    if keep < 1 or any(out[keep:]):
+        raise ArithmeticError(f"[{k}]_q does not divide the polynomial")
+    return out[:keep]
 
 
-def _signed_root_flips(w):
-    """Counts of flipped roots e_i - e_j and e_i + e_j (i < j)."""
-    a = b = 0
-    n = len(w)
-    for i in range(n):
-        wi = w[i]
-        for j in range(i + 1, n):
-            wj = w[j]
-            if wi < 0:
-                if wj > 0:
-                    a += 1
-                    if wi + wj > 0:
-                        b += 1
-                else:
-                    if wi > wj:
-                        a += 1
-                    b += 1
-            else:
-                if wj > 0:
-                    if wi > wj:
-                        a += 1
-                else:
-                    if wi + wj > 0:
-                        b += 1
-    return a, b
-
-
-def _length(w, kind) -> int:
-    if kind == "A":
-        return _inversions(w)
-    a, b = _signed_root_flips(w)
-    if kind == "D":
-        return a + b
-    return a + b + sum(1 for x in w if x < 0)
-
-
-def _adjacent_descent(wi, wj) -> bool:
-    """Right descent at the swap of two adjacent positions with images wi, wj."""
-    if wi < 0 < wj:
-        return True
-    if (wi < 0) == (wj < 0):
-        return wi > wj
-    return False
-
-
-def _is_minimal_rep(w, kind, adjacent, special) -> bool:
-    for i in adjacent:  # 0-based position: generator swaps i, i+1
-        if _adjacent_descent(w[i], w[i + 1]):
-            return False
-    if special:
-        if kind == "BC":
-            if w[-1] < 0:
-                return False
-        else:  # D: root e_{m-1} + e_m
-            a, b = w[-2], w[-1]
-            if a < 0 and b < 0:
-                return False
-            if (a < 0) != (b < 0) and a + b > 0:
-                return False
-    return True
-
-
-def _weyl_elements(kind, m):
-    if kind == "A":
-        yield from itertools.permutations(range(1, m + 1))
-        return
-    for perm in itertools.permutations(range(1, m + 1)):
-        for signs in itertools.product((1, -1), repeat=m):
-            if kind == "D" and signs.count(-1) % 2 == 1:
-                continue
-            yield tuple(s * p for s, p in zip(signs, perm))
-
-
-def weyl_group(v: FiniteFlagVariety):
-    """The Weyl elements behind the variety, wrapped for inspection."""
-    kind, m, _, _ = _parabolic_data(v)
-    return (SignedPermutation(w, kind) for w in _weyl_elements(kind, m))
-
-
-def _parabolic_data(v: FiniteFlagVariety):
-    """(kind, m, adjacent generators kept, keep-special) for the stabilizer."""
-    t, n, dims = v.lie_type, v.ambient_dim, v.dims
-    if t == "A":
-        adjacent = tuple(i - 1 for i in range(1, n) if i not in dims)
-        return "A", n, adjacent, False
-    m = n // 2
-    adjacent = tuple(i - 1 for i in range(1, m) if i not in dims)
-    if t == "D":
-        special = max(dims) <= m - 2
-        return "D", m, adjacent, special
-    special = m not in dims
-    return "BC", m, adjacent, special
+def _weyl_degrees(lie_type, m):
+    """The k with W(q) = prod [k]_q for the Weyl group of type B/C/D, rank m."""
+    if lie_type == "D":
+        return [m] + [2 * i for i in range(1, m)] if m else []
+    return [2 * i for i in range(1, m + 1)]
 
 
 def _rank(v: FiniteFlagVariety) -> int:
@@ -265,26 +165,37 @@ def _check_rank(v: FiniteFlagVariety):
     cap = max_rank()
     if r > cap:
         raise ResourceLimitError(
-            f"rank {r} exceeds the enumeration bound {cap} "
-            f"(set {_RANK_ENV} to raise it)"
+            f"rank {r} exceeds the rank cap {cap} (set {_RANK_ENV} to raise it)"
         )
 
 
 @lru_cache(maxsize=None)
 def _poincare_cached(lie_type, ambient_dim, dims):
-    v = FiniteFlagVariety(lie_type, ambient_dim, dims)
-    kind, m, adjacent, special = _parabolic_data(v)
-    coeffs = {}
-    for w in _weyl_elements(kind, m):
-        if not _is_minimal_rep(w, kind, adjacent, special):
-            continue
-        l = _length(w, kind)
-        coeffs[l] = coeffs.get(l, 0) + 1
-    return QPolynomial.from_dict(coeffs)
+    """W(q) / W_P(q), with W_P the Weyl group of the Levi: type-A blocks of the
+    gaps between members, and for B/C/D the group of the same type on the
+    m - d_k coordinates left over above the top member."""
+    if lie_type == "A":
+        num = range(1, ambient_dim + 1)
+        cuts = (0,) + dims + (ambient_dim,)
+        rest = []
+    else:
+        m = ambient_dim // 2
+        num = _weyl_degrees(lie_type, m)
+        cuts = (0,) + dims
+        rest = _weyl_degrees(lie_type, m - dims[-1])
+    den = [k for a, b in zip(cuts, cuts[1:]) for k in range(1, b - a + 1)] + rest
+    num, den = Counter(num), Counter(den)
+    coeffs = [1]
+    for k in (num - den).elements():
+        coeffs = _times_bracket(coeffs, k)
+    for k in (den - num).elements():
+        coeffs = _over_bracket(coeffs, k)
+    return QPolynomial(tuple(coeffs))
 
 
 def poincare_polynomial(v: FiniteFlagVariety) -> QPolynomial:
-    """Sum of q^length over minimal coset representatives of the parabolic."""
+    """Sum of q^length over minimal coset representatives of the parabolic,
+    computed as the quotient W(q) / W_P(q) of Weyl group Poincare polynomials."""
     require_valid_variety(v)
     _check_rank(v)
     return _poincare_cached(v.lie_type, v.ambient_dim, tuple(v.dims))
@@ -305,21 +216,6 @@ def dimension(v: FiniteFlagVariety) -> int:
 
 BRUTE_MAX_AMBIENT = 6
 _BRUTE_PRIMES = (2, 3)
-
-
-def standard_gram(lie_type: str, n: int, q: int):
-    """The split bilinear form pairing coordinate i with coordinate n+1-i."""
-    gram = [[0] * n for _ in range(n)]
-    if lie_type == "C":
-        m = n // 2
-        for i in range(m):
-            gram[i][n - 1 - i] = 1
-            gram[n - 1 - i][i] = (-1) % q
-    else:
-        for i in range(n):
-            gram[i][n - 1 - i] = 1 % q
-        # odd ambient: the middle coordinate pairs with itself
-    return tuple(tuple(row) for row in gram)
 
 
 def _dot(u, gram, v, q):
@@ -380,30 +276,16 @@ def _rref_mod(rows, q):
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
-def _echelon_subspaces(n, d, q):
-    """All d-dimensional subspaces of F_q^n as (rref rows, pivot columns)."""
-    for pivots in itertools.combinations(range(n), d):
-        free = [
-            (i, c)
-            for i in range(d)
-            for c in range(pivots[i] + 1, n)
-            if c not in pivots
-        ]
-        base = [[0] * n for _ in range(d)]
-        for i, c in enumerate(pivots):
-            base[i][c] = 1
-        for values in itertools.product(range(q), repeat=len(free)):
-            rows = [row[:] for row in base]
-            for (i, c), val in zip(free, values):
-                rows[i][c] = val
-            yield tuple(tuple(r) for r in rows), pivots
+def _pivots(rows):
+    return tuple(next(c for c, x in enumerate(row) if x) for row in rows)
 
 
-def _extensions(rows, pivots, n, e, q):
+def _extensions(rows, pivots, n, e, field):
     """All subspaces of dimension e containing the given one, via the quotient."""
+    q = field.p
     d = len(rows)
     free_cols = [c for c in range(n) if c not in pivots]
-    for qrows, _ in _echelon_subspaces(len(free_cols), e - d, q):
+    for qrows in la.enumerate_subspaces(len(free_cols), e - d, field):
         lifted = []
         for qrow in qrows:
             vec = [0] * n
@@ -435,11 +317,13 @@ def brute_force_count(v: FiniteFlagVariety, q: int, form=None) -> int:
     if q not in _BRUTE_PRIMES:
         raise ValidationError(f"brute-force oracle needs a prime q in {_BRUTE_PRIMES}")
 
+    field = PrimeField(q)
     quadratic = None
     gram = None
     if t != "A":
         if form is None:
-            gram = standard_gram(t, n, q)
+            split_form = split_antisymmetric_form if t == "C" else split_symmetric_form
+            gram = split_form(n, field)
             if t in ("B", "D"):
                 if t == "B" and q == 2:
                     raise ValidationError("type B oracle requires odd q")
@@ -481,8 +365,8 @@ def brute_force_count(v: FiniteFlagVariety, q: int, form=None) -> int:
     total = 0
     first = dims[0]
     stack = [
-        (rows, pivots, 0)
-        for rows, pivots in _echelon_subspaces(n, first, q)
+        (rows, _pivots(rows), 0)
+        for rows in la.enumerate_subspaces(n, first, field)
         if ok(rows, first)
     ]
     if len(dims) == 1:
@@ -490,7 +374,7 @@ def brute_force_count(v: FiniteFlagVariety, q: int, form=None) -> int:
     while stack:
         rows, pivots, level = stack.pop()
         next_dim = dims[level + 1]
-        for grown, gpiv in _extensions(rows, pivots, n, next_dim, q):
+        for grown, gpiv in _extensions(rows, pivots, n, next_dim, field):
             if not ok(grown, next_dim):
                 continue
             if level + 1 == len(dims) - 1:

@@ -335,7 +335,7 @@ def _parse_middle(text: str):
         return MIDDLE_EMPTY
     if text == "inf":
         return INF
-    if text.isdigit() and int(text) >= 1:
+    if text.isascii() and text.isdigit() and int(text) >= 1:
         return int(text)
     raise ValidationError(f"bad middle {text!r}: expected empty, a positive integer, or inf")
 

@@ -140,11 +140,6 @@ def mat(rows, field):
     return tuple(tuple(field.of(x) for x in row) for row in rows)
 
 
-def zeros(r, c, field):
-    z = field.zero()
-    return tuple((z,) * c for _ in range(r))
-
-
 def identity(n, field):
     one, z = field.one(), field.zero()
     return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))

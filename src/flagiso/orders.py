@@ -301,7 +301,7 @@ def _parse_size(tok: _Tokens):
     w = tok.word()
     if w == "inf":
         return INF
-    if w.isdigit():
+    if w.isascii() and w.isdigit():
         value = int(w)
         if value >= 1:
             return value

@@ -143,13 +143,13 @@ def criterion_3() -> CriterionResult:
                 expected = brute_force_count(v, q)
                 got = point_count(v, q)
                 if expected != got:
-                    return False, f"{v} at q={q}: enumeration {expected} != coset count {got}"
+                    return False, f"{v} at q={q}: enumeration {expected} != closed form {got}"
                 pairs += 1
         if pairs < 40:
             return False, f"only {pairs} variety/q pairs covered"
-        return True, f"coset counts match direct enumeration on {pairs} variety/q pairs"
+        return True, f"closed-form counts match direct enumeration on {pairs} variety/q pairs"
 
-    return _run("3 oracle equivalence (Weyl cosets vs enumeration)", 600.0, body)
+    return _run("3 oracle equivalence (closed form vs enumeration)", 600.0, body)
 
 
 def _decision_universe():

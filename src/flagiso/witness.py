@@ -914,20 +914,10 @@ def _unit_vector(i, length, field):
     return tuple(one if j == i else zero for j in range(length))
 
 
-def bd_alpha_step(n: int, l_point: FiniteFlagPoint) -> FiniteFlagPoint:
-    """Lagrangian L of the 2n-space to L + <e_(n+1)> one level up."""
-    field = l_point.field
-    rows = [_embed_coords(r, n, field) for r in l_point.subspaces[0]]
-    rows.append(_unit_vector(n, 2 * n + 2, field))
-    return flag_point(
-        field, 2 * n + 2, [rows], form=split_symmetric_form(2 * n + 2, field)
-    )
-
-
-def bd_beta_step(n: int, m_point: FiniteFlagPoint) -> FiniteFlagPoint:
-    """Isotropic M in the odd hyperplane of the 2n-space to M + <e_(n+1)>."""
-    field = m_point.field
-    rows = [_embed_coords(r, n, field) for r in m_point.subspaces[0]]
+def bd_step(n: int, point: FiniteFlagPoint) -> FiniteFlagPoint:
+    """Subspace U of the 2n-space to U + <e_(n+1)> one level up."""
+    field = point.field
+    rows = [_embed_coords(r, n, field) for r in point.subspaces[0]]
     rows.append(_unit_vector(n, 2 * n + 2, field))
     return flag_point(
         field, 2 * n + 2, [rows], form=split_symmetric_form(2 * n + 2, field)
@@ -1008,13 +998,19 @@ class SquareReport:
 
 
 def bd_square_check(n: int, sample) -> SquareReport:
-    """Verify phi_(n+1)(beta_n(M)) = alpha_n(phi_n(M)) for every sample point."""
+    """Verify phi_(n+1)(beta_n(M)) = alpha_n(phi_n(M)) for every sample point.
+
+    The exhaustion maps beta_n (isotropic M in the odd hyperplane) and alpha_n
+    (Lagrangian L) are one map, :func:`bd_step`: both embed the 2n-space with
+    e_(n+1) and its partner in the middle and add e_(n+1), and that embedding
+    carries the odd hyperplane W_n into W_(n+1).
+    """
     failures = []
     checked = 0
     for m_point in sample:
         checked += 1
-        left = bd_phi(n + 1, bd_beta_step(n, m_point))
-        right = bd_alpha_step(n, bd_phi(n, m_point))
+        left = bd_phi(n + 1, bd_step(n, m_point))
+        right = bd_step(n, bd_phi(n, m_point))
         if left.subspaces != right.subspaces:
             failures.append(m_point)
     return SquareReport(n, checked, tuple(failures))

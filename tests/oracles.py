@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own code paths: counts come
 from closed-form products or raw vector loops, polynomial identities from the
-Pascal-style recursion, and Coxeter lengths from breadth-first word search.
+Pascal-style recursion, Coxeter lengths from breadth-first word search, and
+Poincare polynomials from enumerating the Weyl group as signed permutations.
 """
 
 import itertools
@@ -118,6 +119,125 @@ def bfs_lengths(kind, m):
                     nxt.append(u)
         frontier = nxt
     return lengths
+
+
+# ---------------------------------------------------------------------------
+# Poincare polynomials by Weyl group enumeration.
+#
+# Signed permutations act on positions 1..m with the special generator at the
+# last position (sign flip at m for types B/C, flip-and-swap of the last two
+# positions for type D).  A type D variety with a Lagrangian member is the
+# component of the span of the first m coordinates, so its group is D_m.
+
+
+def inversions(w) -> int:
+    n = len(w)
+    total = 0
+    for i in range(n):
+        wi = w[i]
+        for j in range(i + 1, n):
+            if wi > w[j]:
+                total += 1
+    return total
+
+
+def signed_root_flips(w):
+    """Counts of flipped roots e_i - e_j and e_i + e_j (i < j)."""
+    a = b = 0
+    n = len(w)
+    for i in range(n):
+        wi = w[i]
+        for j in range(i + 1, n):
+            wj = w[j]
+            if wi < 0:
+                if wj > 0:
+                    a += 1
+                    if wi + wj > 0:
+                        b += 1
+                else:
+                    if wi > wj:
+                        a += 1
+                    b += 1
+            else:
+                if wj > 0:
+                    if wi > wj:
+                        a += 1
+                else:
+                    if wi + wj > 0:
+                        b += 1
+    return a, b
+
+
+def length(w, kind) -> int:
+    if kind == "A":
+        return inversions(w)
+    a, b = signed_root_flips(w)
+    if kind == "D":
+        return a + b
+    return a + b + sum(1 for x in w if x < 0)
+
+
+def adjacent_descent(wi, wj) -> bool:
+    """Right descent at the swap of two adjacent positions with images wi, wj."""
+    if wi < 0 < wj:
+        return True
+    if (wi < 0) == (wj < 0):
+        return wi > wj
+    return False
+
+
+def is_minimal_rep(w, kind, adjacent, special) -> bool:
+    for i in adjacent:  # 0-based position: generator swaps i, i+1
+        if adjacent_descent(w[i], w[i + 1]):
+            return False
+    if special:
+        if kind == "BC":
+            if w[-1] < 0:
+                return False
+        else:  # D: root e_{m-1} + e_m
+            a, b = w[-2], w[-1]
+            if a < 0 and b < 0:
+                return False
+            if (a < 0) != (b < 0) and a + b > 0:
+                return False
+    return True
+
+
+def weyl_elements(kind, m):
+    if kind == "A":
+        yield from itertools.permutations(range(1, m + 1))
+        return
+    for perm in itertools.permutations(range(1, m + 1)):
+        for signs in itertools.product((1, -1), repeat=m):
+            if kind == "D" and signs.count(-1) % 2 == 1:
+                continue
+            yield tuple(s * p for s, p in zip(signs, perm))
+
+
+def parabolic_data(v):
+    """(kind, m, adjacent generators kept, keep-special) for the stabilizer."""
+    t, n, dims = v.lie_type, v.ambient_dim, v.dims
+    if t == "A":
+        adjacent = tuple(i - 1 for i in range(1, n) if i not in dims)
+        return "A", n, adjacent, False
+    m = n // 2
+    adjacent = tuple(i - 1 for i in range(1, m) if i not in dims)
+    if t == "D":
+        special = max(dims) <= m - 2
+        return "D", m, adjacent, special
+    special = m not in dims
+    return "BC", m, adjacent, special
+
+
+def coset_poincare(v):
+    """Sum of q^length over the minimal coset representatives of the parabolic."""
+    kind, m, adjacent, special = parabolic_data(v)
+    coeffs = {}
+    for w in weyl_elements(kind, m):
+        if is_minimal_rep(w, kind, adjacent, special):
+            l = length(w, kind)
+            coeffs[l] = coeffs.get(l, 0) + 1
+    return QPolynomial.from_dict(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,34 +1,37 @@
 import itertools
+import math
 
 import pytest
 
 from flagiso.counting import (
     QPolynomial,
-    SignedPermutation,
-    _adjacent_descent,
-    _is_minimal_rep,
-    _length,
-    _parabolic_data,
-    _weyl_elements,
+    _over_bracket,
+    _times_bracket,
     brute_force_count,
     dimension,
     point_count,
     poincare_polynomial,
-    standard_gram,
 )
-from flagiso.descriptors import FiniteFlagVariety, finite_flag_variety
+from flagiso.descriptors import FiniteFlagVariety, finite_flag_variety, variety_violations
 from flagiso.errors import ResourceLimitError, ValidationError
+from flagiso.linalg import PrimeField
+from flagiso.witness import split_antisymmetric_form, split_symmetric_form
 
 from oracles import (
+    adjacent_descent,
     bfs_lengths,
+    coset_poincare,
     count_incident_line_hyperplane_f2,
     count_lines_f2,
     even_orthogonal_grassmannian_count,
     gaussian_binomial,
     gaussian_binomial_poly,
+    is_minimal_rep,
     lagrangian_component_count,
+    length,
     odd_orthogonal_grassmannian_count,
     symplectic_grassmannian_count,
+    weyl_elements,
 )
 
 
@@ -60,6 +63,16 @@ def test_qpolynomial_arithmetic():
     assert (p + QPolynomial((0, 0, 3))).coefficients == (1, 1, 3)
 
 
+def test_q_integer_products_and_exact_division():
+    assert _times_bracket([1, 2], 3) == [1, 3, 3, 2]
+    assert _over_bracket([1, 3, 3, 2], 3) == [1, 2]
+    assert _over_bracket([1, 2, 1], 2) == [1, 1]
+    with pytest.raises(ArithmeticError):
+        _over_bracket([1, 1, 1], 2)  # 1 + q + q^2 = (1 + q) q + 1
+    with pytest.raises(ArithmeticError):
+        _over_bracket([1], 2)
+
+
 # ---------------------------------------------------------------------------
 # Length functions and descents against word-length search.
 
@@ -71,31 +84,31 @@ def test_qpolynomial_arithmetic():
 def test_lengths_match_bfs(kind, m):
     expected = bfs_lengths(kind, m)
     seen = 0
-    for w in _weyl_elements(kind, m):
-        assert _length(w, kind) == expected[w], w
+    for w in weyl_elements(kind, m):
+        assert length(w, kind) == expected[w], w
         seen += 1
     assert seen == len(expected)
 
 
 @pytest.mark.parametrize("kind,m", [("A", 4), ("BC", 3), ("D", 3)])
 def test_descent_criterion_matches_length_drop(kind, m):
-    for w in _weyl_elements(kind, m):
-        lw = _length(w, kind)
+    for w in weyl_elements(kind, m):
+        lw = length(w, kind)
         for i in range(m - 1):
             u = list(w)
             u[i], u[i + 1] = u[i + 1], u[i]
-            drops = _length(tuple(u), kind) < lw
-            assert drops == _adjacent_descent(w[i], w[i + 1])
+            drops = length(tuple(u), kind) < lw
+            assert drops == adjacent_descent(w[i], w[i + 1])
         if kind == "BC":
             u = list(w)
             u[-1] = -u[-1]
-            drops = _length(tuple(u), kind) < lw
+            drops = length(tuple(u), kind) < lw
             assert drops == (w[-1] < 0)
         if kind == "D":
             u = list(w)
             u[-2], u[-1] = -w[-1], -w[-2]
-            drops = _length(tuple(u), kind) < lw
-            special_descent = not _is_minimal_rep(w, "D", (), True)
+            drops = length(tuple(u), kind) < lw
+            special_descent = not is_minimal_rep(w, "D", (), True)
             assert drops == special_descent
 
 
@@ -106,8 +119,8 @@ def test_full_group_poincare_products():
 
     for m in (2, 3):
         total = {}
-        for w in _weyl_elements("BC", m):
-            l = _length(w, "BC")
+        for w in weyl_elements("BC", m):
+            l = length(w, "BC")
             total[l] = total.get(l, 0) + 1
         expect = QPolynomial((1,))
         for i in range(1, m + 1):
@@ -115,25 +128,13 @@ def test_full_group_poincare_products():
         assert QPolynomial.from_dict(total) == expect
     for m in (2, 3, 4):
         total = {}
-        for w in _weyl_elements("D", m):
-            l = _length(w, "D")
+        for w in weyl_elements("D", m):
+            l = length(w, "D")
             total[l] = total.get(l, 0) + 1
         expect = bracket(m)
         for i in range(1, m):
             expect = expect * bracket(2 * i)
         assert QPolynomial.from_dict(total) == expect
-
-
-def test_signed_permutation_validation():
-    SignedPermutation((2, -1, 3), "BC")
-    SignedPermutation((2, -1, -3), "D")
-    with pytest.raises(ValidationError):
-        SignedPermutation((2, -1, 3), "D")
-    with pytest.raises(ValidationError):
-        SignedPermutation((1, -2), "A")
-    with pytest.raises(ValidationError):
-        SignedPermutation((1, 1), "BC")
-    assert SignedPermutation((2, 1, 3), "A").length() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -175,24 +176,76 @@ def test_projective_symplectic_polynomials_equal():
         )
 
 
+def valid_varieties(max_rank):
+    """Every valid variety of rank <= max_rank."""
+    for t in "ABCD":
+        for n in range(2, 2 * max_rank + 2):
+            if (n - 1 if t == "A" else n // 2) > max_rank:
+                continue
+            for r in range(1, n):
+                for dims in itertools.combinations(range(1, n), r):
+                    v = FiniteFlagVariety(t, n, dims)
+                    if not variety_violations(v):
+                        yield v
+
+
 def test_polynomials_palindromic_and_euler():
-    for v in [
-        V("A", 5, (1, 3)),
-        V("A", 6, (2, 4)),
-        V("B", 7, (1, 3)),
-        V("C", 6, (2,)),
-        V("D", 6, (1, 3)),
-        V("D", 8, (2, 4)),
-    ]:
+    universe = list(valid_varieties(5))
+    assert len(universe) == 213
+    for v in universe:
         p = poincare_polynomial(v)
         assert p.is_palindromic(), v
-        kind, m, adjacent, special = _parabolic_data(v)
-        reps = sum(
-            1
-            for w in _weyl_elements(kind, m)
-            if _is_minimal_rep(w, kind, adjacent, special)
-        )
-        assert p(1) == reps
+        assert p.coefficients == coset_poincare(v).coefficients, v
+
+
+def _weyl_order_and_roots(t, m):
+    """|W| and the number of positive roots: the symmetric group on m letters
+    for t == "A", else the Weyl group of type t and rank m."""
+    if t == "A":
+        return math.factorial(m), m * (m - 1) // 2
+    if t == "D":
+        return (2 ** (m - 1) if m else 1) * math.factorial(m), m * (m - 1)
+    return 2**m * math.factorial(m), m * m
+
+
+def _levi_order_and_roots(t, n, dims):
+    """|W_P| and the positive roots of the Levi: type-A blocks on the gaps, and
+    the same type on the coordinates left above the top member."""
+    cuts = (0,) + dims + ((n,) if t == "A" else ())
+    blocks = [("A", b - a) for a, b in zip(cuts, cuts[1:])]
+    if t != "A":
+        blocks.append((t, n // 2 - dims[-1]))
+    order, roots = 1, 0
+    for kind, m in blocks:
+        w, r = _weyl_order_and_roots(kind, m)
+        order, roots = order * w, roots + r
+    return order, roots
+
+
+@pytest.mark.parametrize(
+    "t,n,dims",
+    [
+        ("A", 21, (3, 10, 17)),
+        ("B", 41, (5, 12)),
+        ("C", 40, (20,)),
+        ("D", 40, (2, 9, 18)),
+        ("D", 40, (19, 20)),
+        ("A", 97, (48,)),
+        ("B", 193, (48,)),
+        ("C", 192, (1, 96)),
+        ("D", 192, (40, 96)),
+    ],
+)
+def test_closed_form_beyond_enumeration(monkeypatch, t, n, dims):
+    # ranks 20 and 96, which the Weyl group enumeration could never reach
+    monkeypatch.delenv("FLAGISO_MAX_RANK", raising=False)
+    p = poincare_polynomial(V(t, n, dims))
+    assert p.is_palindromic()
+    g_order, g_roots = _weyl_order_and_roots(t, n if t == "A" else n // 2)
+    l_order, l_roots = _levi_order_and_roots(t, n, dims)
+    assert g_order % l_order == 0
+    assert p(1) == g_order // l_order
+    assert p.degree == g_roots - l_roots
 
 
 def test_point_count_examples():
@@ -281,7 +334,8 @@ def test_brute_force_with_explicit_form():
     ]
     assert brute_force_count(v, 3, form=gram) == point_count(v, 3)
     v = V("B", 5, (1,))
-    assert brute_force_count(v, 3, form=standard_gram("B", 5, 3)) == point_count(v, 3)
+    form = split_symmetric_form(5, PrimeField(3))
+    assert brute_force_count(v, 3, form=form) == point_count(v, 3)
 
 
 def test_brute_force_guards():
@@ -292,7 +346,7 @@ def test_brute_force_guards():
     with pytest.raises(ValidationError):
         brute_force_count(V("B", 5, (1,)), 2)  # characteristic restriction
     with pytest.raises(ValidationError):
-        brute_force_count(V("A", 4, (1,)), 2, form=standard_gram("C", 4, 2))
+        brute_force_count(V("A", 4, (1,)), 2, form=split_antisymmetric_form(4, PrimeField(2)))
 
 
 def test_rank_cap(monkeypatch):

@@ -187,6 +187,12 @@ def test_parse_rejects_unknown_shapes():
         parse_descriptor("orth: half=seq[inf]; middle=maybe")
 
 
+@pytest.mark.parametrize("middle", ["²", "٣"])
+def test_parse_rejects_non_ascii_middle(middle):
+    with pytest.raises(ValidationError):
+        parse_descriptor(f"symp: half=seq[1]; middle={middle}")
+
+
 def test_json_round_trip():
     rng = random.Random(27)
     for _ in range(100):

@@ -181,6 +181,13 @@ def test_bad_sizes_rejected():
         omega(-1)
 
 
+@pytest.mark.parametrize("text", ["seq[²]", "seq[٣]", "omega(١)"])
+def test_non_ascii_digits_rejected(text):
+    # str.isdigit accepts these; int() rejects the first and reads the others
+    with pytest.raises(ValidationError):
+        parse_order(text)
+
+
 def test_parse_render_round_trip():
     rng = random.Random(17)
     for _ in range(200):
