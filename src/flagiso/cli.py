@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 
 from . import generate as G
@@ -40,6 +41,17 @@ from .linalg import QQ, PrimeField
 from .orders import INF, normalize, parse_order, render_order
 
 
+def integer(text: str) -> int:
+    """An ASCII decimal integer (``int`` alone also reads digits such as ``٣``)."""
+    if not re.fullmatch(r"-?[0-9]+", text.strip()):
+        raise ValidationError(f"{text!r} is not an integer")
+    return int(text)
+
+
+def integer_list(text: str) -> list:
+    return [integer(x) for x in text.split(",") if x.strip()]
+
+
 def _parse_variety(text: str) -> FiniteFlagVariety:
     parts = text.split(":")
     if len(parts) != 3:
@@ -47,20 +59,11 @@ def _parse_variety(text: str) -> FiniteFlagVariety:
             f"finite variety literal must look like A:6:1,3 (got {text!r})"
         )
     t, ambient, dims = parts
-    try:
-        return finite_flag_variety(
-            t.strip().upper(), int(ambient), [int(d) for d in dims.split(",") if d.strip()]
-        )
-    except ValueError as exc:
-        raise ValidationError(f"bad finite variety literal {text!r}: {exc}")
+    return finite_flag_variety(t.strip().upper(), integer(ambient), integer_list(dims))
 
 
 def _variety_from_flags(args) -> FiniteFlagVariety:
-    try:
-        dims = [int(d) for d in str(args.dims).split(",") if d.strip()]
-    except ValueError as exc:
-        raise ValidationError(f"bad --dims {args.dims!r}: {exc}")
-    return finite_flag_variety(args.type.upper(), args.ambient, dims)
+    return finite_flag_variety(args.type.upper(), args.ambient, integer_list(args.dims))
 
 
 def _variety_json(v: FiniteFlagVariety) -> dict:
@@ -300,10 +303,7 @@ def _cmd_witness_bd(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    numbers = None
-    if args.only:
-        numbers = {int(x) for x in args.only.split(",") if x.strip()}
-    results = st.run_all(numbers)
+    results = st.run_all(args.only)
     lock_ok, lock_detail = True, "skipped"
     if not args.skip_lockfile:
         lock_ok, lock_detail = st.check_lockfile(args.lockfile)
@@ -335,7 +335,7 @@ def _cmd_selftest(args) -> int:
 
 def _add_variety_flags(sub):
     sub.add_argument("--type", required=True, choices=["A", "B", "C", "D", "a", "b", "c", "d"])
-    sub.add_argument("--ambient", required=True, type=int)
+    sub.add_argument("--ambient", required=True, type=integer)
     sub.add_argument("--dims", required=True, help="comma-separated, e.g. 1,3")
 
 
@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("points", parents=[common], help="number of F_q points of a finite flag variety")
     _add_variety_flags(p)
-    p.add_argument("--q", required=True, type=int)
+    p.add_argument("--q", required=True, type=integer)
     p.add_argument("--brute-force", action="store_true", help="use the enumeration oracle")
     p.set_defaults(fn=_cmd_points)
 
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("truncate", parents=[common], help="finite flag variety sampled at a width")
     p.add_argument("descriptor")
-    p.add_argument("--width", required=True, type=int)
+    p.add_argument("--width", required=True, type=integer)
     p.set_defaults(fn=_cmd_truncate)
 
     p = sub.add_parser(
@@ -402,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="construct and verify a chain-stabilizing base change on a seeded instance",
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prime", type=int, default=None, help="work over F_p instead of Q")
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--prime", type=integer, default=None, help="work over F_p instead of Q")
     p.add_argument("--isotropic", action="store_true")
     p.set_defaults(fn=_cmd_witness_rebase)
 
@@ -412,17 +412,19 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="run the odd/even maximal orthogonal isomorphism and its exhaustion square",
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--prime", type=int, default=None)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--prime", type=integer, default=None)
     p.add_argument("--all", action="store_true", help="exhaust every source point")
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=integer, default=25)
+    p.add_argument("--seed", type=integer, default=0)
     p.set_defaults(fn=_cmd_witness_bd)
 
     p = sub.add_parser("selftest", parents=[common], help="run the acceptance suite")
     p.add_argument("--lockfile", default="derived_values.json")
     p.add_argument("--skip-lockfile", action="store_true")
-    p.add_argument("--only", default="", help="comma-separated criterion numbers")
+    p.add_argument(
+        "--only", type=integer_list, default=[], help="comma-separated criterion numbers"
+    )
     p.set_defaults(fn=_cmd_selftest)
 
     return parser

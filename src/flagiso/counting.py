@@ -10,8 +10,12 @@ enumeration of those representatives as signed permutations lives in the test
 oracles (``tests/oracles.py``), where it checks the closed form.
 
 The second route, :func:`brute_force_count`, enumerates actual flags over a
-small prime field by row-reduced echelon bases, filtering by isotropy for the
-split forms.  It exists purely as a ground-truth cross-check of the first.
+small prime field, filtering by isotropy for the split forms.  It grows each
+member into the next through the quotient: a subspace whose basis is
+invertible on a set P of columns meets the span of the other coordinates only
+in zero, so the subspaces of that span give each superspace once, and the
+grown basis is invertible on P together with the new pivots, with no
+re-reduction.  It exists purely as a ground-truth cross-check of the first.
 
 Conventions.  For type D a variety with a Lagrangian member means one
 connected component, the one containing the span of the first m coordinates:
@@ -31,7 +35,12 @@ from . import linalg as la
 from .descriptors import FiniteFlagVariety, require_valid_variety
 from .errors import ResourceLimitError, ValidationError
 from .linalg import PrimeField
-from .witness import split_antisymmetric_form, split_symmetric_form
+from .witness import (
+    bd_reference_lagrangian,
+    split_antisymmetric_form,
+    split_quadratic_value,
+    split_symmetric_form,
+)
 
 DEFAULT_MAX_RANK = 96
 _RANK_ENV = "FLAGISO_MAX_RANK"
@@ -227,25 +236,15 @@ def _dot(u, gram, v, q):
     return total % q
 
 
-def _quadratic_value(u, n, q):
-    """Q(u) for the split quadratic form refining the orthogonal gram."""
-    total = 0
-    for i in range(n // 2):
-        total += u[i] * u[n - 1 - i]
-    if n % 2 == 1:
-        mid = n // 2
-        if q == 2:
-            raise ValidationError("odd orthogonal oracle needs odd q")
-        total += pow(2, -1, q) * u[mid] * u[mid]
-    return total % q
-
-
 def _quadratic_from_gram(u, gram, q):
     """Q(u) = w(u,u)/2, valid for odd q."""
     return (_dot(u, gram, u, q) * pow(2, -1, q)) % q
 
 
 def _rows_isotropic(rows, gram, q, quadratic):
+    # Pairwise with an early exit, rather than witness.is_isotropic_subspace:
+    # its two full mat_muls per candidate made the benchmark's 80 brute-force
+    # counts about 5x slower in total and 8x at the slowest one.
     for i, u in enumerate(rows):
         if quadratic is not None and quadratic(u) != 0:
             return False
@@ -255,34 +254,19 @@ def _rows_isotropic(rows, gram, q, quadratic):
     return True
 
 
-def _rref_mod(rows, q):
-    mat = [list(r) for r in rows]
-    n_cols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] % q), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][c], -1, q)
-        mat[r] = [(x * inv) % q for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] % q:
-                f = mat[i][c]
-                mat[i] = [(x - f * y) % q for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
-
-
 def _pivots(rows):
     return tuple(next(c for c, x in enumerate(row) if x) for row in rows)
 
 
 def _extensions(rows, pivots, n, e, field):
-    """All subspaces of dimension e containing the given one, via the quotient."""
-    q = field.p
+    """All subspaces of dimension e containing the given one, via the quotient.
+
+    ``rows`` restricted to the columns ``pivots`` must be invertible.  Then the
+    coordinates outside ``pivots`` complement the row space, and each subspace
+    of them of dimension e - d, in echelon form, gives one superspace.  Its
+    lifted rows vanish on ``pivots`` and are echelon on their own pivots, so
+    the grown basis is block-triangular, hence invertible, on the union of
+    both pivot sets: the invariant holds one level up without reducing."""
     d = len(rows)
     free_cols = [c for c in range(n) if c not in pivots]
     for qrows in la.enumerate_subspaces(len(free_cols), e - d, field):
@@ -292,13 +276,8 @@ def _extensions(rows, pivots, n, e, field):
             for val, c in zip(qrow, free_cols):
                 vec[c] = val
             lifted.append(tuple(vec))
-        yield _rref_mod(rows + tuple(lifted), q)
-
-
-def _intersection_dim_mod(rows_a, rows_b, q):
-    dim_a, dim_b = len(rows_a), len(rows_b)
-    _, pivots = _rref_mod(rows_a + rows_b, q)
-    return dim_a + dim_b - len(pivots)
+        lifted = tuple(lifted)
+        yield rows + lifted, pivots + _pivots(lifted)
 
 
 def brute_force_count(v: FiniteFlagVariety, q: int, form=None) -> int:
@@ -327,7 +306,7 @@ def brute_force_count(v: FiniteFlagVariety, q: int, form=None) -> int:
             if t in ("B", "D"):
                 if t == "B" and q == 2:
                     raise ValidationError("type B oracle requires odd q")
-                quadratic = lambda u: _quadratic_value(u, n, q)
+                quadratic = lambda u: split_quadratic_value(u, field)
         else:
             gram = tuple(tuple(x % q for x in row) for row in form)
             if t in ("B", "D"):
@@ -350,15 +329,14 @@ def brute_force_count(v: FiniteFlagVariety, q: int, form=None) -> int:
         raise ValidationError(
             "component selection for a Lagrangian member needs the standard form"
         )
-    ref = tuple(
-        tuple(1 if j == i else 0 for j in range(n)) for i in range(m)
-    )
+    ref = bd_reference_lagrangian(m, field)
 
     def ok(rows, dim):
         if gram is not None and not _rows_isotropic(rows, gram, q, quadratic):
             return False
         if lagrangian_filter and dim == m:
-            if _intersection_dim_mod(rows, ref, q) % 2 != m % 2:
+            meet = len(rows) + m - la.rank(rows + ref, field)
+            if meet % 2 != m % 2:
                 return False
         return True
 

@@ -129,7 +129,7 @@ def random_split_isometry(rng, field, form, steps=6):
             c = field.of(rng.randint(1, 3))
             # e_i += c * partner(e_j), e_j -= +- c * partner(e_i)
             g[i][_pair_partner(j, n)] = c
-            g[j][_pair_partner(i, n)] = field.neg(c) if symmetric else c
+            g[j][_pair_partner(i, n)] = field.reduce(-c) if symmetric else c
         t = la.mat_mul(t, tuple(tuple(row) for row in g), field)
     check = la.mat_mul(la.mat_mul(t, form, field), la.transpose(t), field)
     if not la.mat_eq(check, form):
@@ -227,7 +227,7 @@ def _random_pairing_transform(rng, field, n, cuts, symplectic):
         t[n - 1 - i][n - 1 - i] = c2
     if n % 2 == 1:
         c = _random_unit(rng, field)
-        t[m][m] = field.mul(c, c) if rng.random() < 0.5 else field.one()
+        t[m][m] = field.reduce(c * c) if rng.random() < 0.5 else field.one()
     out = tuple(tuple(row) for row in t)
     # permute pairs inside a common gap (both in the lower half)
     bounds = [0] + list(cuts) + [m]
@@ -248,7 +248,7 @@ def _random_pairing_transform(rng, field, n, cuts, symplectic):
         perm = [list(row) for row in la.identity(n, field)]
         perm[i][i] = perm[j][j] = field.zero()
         perm[i][j] = field.one()
-        perm[j][i] = field.neg(field.one()) if symplectic else field.one()
+        perm[j][i] = field.reduce(-field.one()) if symplectic else field.one()
         out = la.mat_mul(out, tuple(tuple(r) for r in perm), field)
     return out
 
@@ -324,11 +324,7 @@ def random_strict_extension(
     w = v + 2 * ck
     make = split_antisymmetric_form if symplectic else split_symmetric_form
     fv, fw = make(v, field), make(w, field)
-    zero, one = field.zero(), field.one()
-
-    def unit(j):
-        return tuple(one if i == j else zero for i in range(w))
-
+    unit = la.identity(w, field)
     # source pairs on the outer ring of the target, complement pairs inside
     alpha_rows = []
     for i in range(v):
@@ -338,11 +334,11 @@ def random_strict_extension(
             tgt = w // 2
         else:
             tgt = w - 1 - (v - 1 - i)
-        alpha_rows.append(unit(tgt))
+        alpha_rows.append(unit[tgt])
     alpha = tuple(alpha_rows)
     complement = tuple(
-        [unit(p + i) for i in range(ck)]
-        + [unit(w - 1 - p - i) for i in reversed(range(ck))]
+        [unit[p + i] for i in range(ck)]
+        + [unit[w - 1 - p - i] for i in reversed(range(ck))]
     )
     filtration = [complement[:d] for d in kdims]
     t = random_split_isometry(rng, field, fw)
@@ -400,11 +396,7 @@ def perturb_triangle_top(rng, chi: StandardExtensionData):
     rows = []
     for _ in range(len(chi.alpha)):
         coeffs = [field.of(rng.randint(-2, 2)) for _ in m0]
-        rows.append(
-            tuple(
-                _dot_columns(coeffs, m0, field, col) for col in range(len(m0[0]))
-            )
-        )
+        rows.append(la.mat_mul((coeffs,), m0, field)[0])
     gamma = la.mat_add(chi.alpha, tuple(rows), field)
     if la.rank(gamma, field) != len(gamma):
         return None
@@ -419,13 +411,6 @@ def perturb_triangle_top(rng, chi: StandardExtensionData):
         chi.kappa,
         strict=True,
     )
-
-
-def _dot_columns(coeffs, rows, field, col):
-    total = field.zero()
-    for c, row in zip(coeffs, rows):
-        total = field.add(total, field.mul(c, row[col]))
-    return total
 
 
 def composable_pair(rng, field, with_forms=False):

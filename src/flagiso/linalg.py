@@ -5,6 +5,14 @@ right multiplication, so composition reads left to right as matrix product.
 Matrices are tuples of tuples of field elements.  Subspaces are row spaces,
 canonically represented by their reduced row echelon form, which makes
 equality of subspaces a structural comparison.
+
+A field has elements, ``Fraction`` on QQ and ``int`` in 0..p-1 on F_p.  Code
+combines them with Python's ``+ - *`` and passes the result of each operator
+expression through ``field.reduce`` (``x % p`` on F_p, the identity on QQ),
+so every stored entry is again an element.  ``of`` converts integers and
+fractions into the field, ``zero()``/``one()`` are its constants, ``inv``
+inverts (division is multiplication by ``inv``), and ``sqrt`` returns a
+square root or None.
 """
 
 from __future__ import annotations
@@ -36,25 +44,13 @@ class PrimeField:
     def one(self):
         return 1 % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
+    def reduce(self, x):
+        return x % self.p
 
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def sqrt(self, a):
         """A square root of a in F_p, or None."""
@@ -87,30 +83,14 @@ class Rationals:
     one = staticmethod(lambda: Fraction(1))
 
     @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
+    def reduce(x):
+        return x
 
     @staticmethod
     def inv(a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
-
-    @staticmethod
-    def div(a, b):
-        return Fraction(a) / b
 
     @staticmethod
     def sqrt(a):
@@ -153,32 +133,23 @@ def mat_mul(a, b, field):
     if not a:
         return ()
     bt = transpose(b)
-    out = []
-    for row in a:
-        out.append(
-            tuple(
-                _dot_row(row, col, field)
-                for col in bt
-            )
-        )
-    return tuple(out)
+    return tuple(tuple(_dot_row(row, col, field) for col in bt) for row in a)
 
 
 def _dot_row(u, v, field):
-    total = field.zero()
-    for x, y in zip(u, v):
-        total = field.add(total, field.mul(x, y))
-    return total
+    # Most left entries are zero, so skip them; the zero() start keeps QQ
+    # entries Fraction when every term is skipped.
+    return field.reduce(sum((x * y for x, y in zip(u, v) if x), field.zero()))
 
 
 def mat_add(a, b, field):
     return tuple(
-        tuple(field.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+        tuple(field.reduce(x + y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
     )
 
 
 def mat_scale(c, a, field):
-    return tuple(tuple(field.mul(c, x) for x in row) for row in a)
+    return tuple(tuple(field.reduce(c * x) for x in row) for row in a)
 
 
 def stack(*mats):
@@ -207,11 +178,11 @@ def rref(a, field):
             continue
         mat_[r], mat_[pivot_row] = mat_[pivot_row], mat_[r]
         inv = field.inv(mat_[r][c])
-        mat_[r] = [field.mul(inv, x) for x in mat_[r]]
+        mat_[r] = [field.reduce(inv * x) for x in mat_[r]]
         for i in range(len(mat_)):
             if i != r and mat_[i][c] != zero:
                 f = mat_[i][c]
-                mat_[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat_[i], mat_[r])]
+                mat_[i] = [field.reduce(x - f * y) for x, y in zip(mat_[i], mat_[r])]
         pivots.append(c)
         r += 1
         if r == len(mat_):
@@ -240,7 +211,7 @@ def in_rowspace(v, canonical, field):
         c = next(i for i, x in enumerate(row) if x != zero)
         if v[c] != zero:
             f = v[c]
-            v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, row)]
+            v = [field.reduce(x - f * y) for x, y in zip(v, row)]
     return all(x == zero for x in v)
 
 
@@ -265,7 +236,7 @@ def nullspace(a, field, ncols=None):
         vec = [zero] * n
         vec[fc] = one
         for row, pc in zip(reduced, pivots):
-            vec[pc] = field.neg(row[fc])
+            vec[pc] = field.reduce(-row[fc])
         basis.append(tuple(vec))
     return rowspace(tuple(basis), field)
 
@@ -309,20 +280,20 @@ def solve_left(m, b, field):
     return transpose(tuple(tuple(r) for r in xt))
 
 
-def random_matrix(rng, rows, cols, field, span=5):
+def random_matrix(rng, rows, cols, field):
     if isinstance(field, PrimeField):
         return tuple(
             tuple(rng.randrange(field.p) for _ in range(cols)) for _ in range(rows)
         )
     return tuple(
-        tuple(Fraction(rng.randint(-span, span)) for _ in range(cols))
+        tuple(Fraction(rng.randint(-5, 5)) for _ in range(cols))
         for _ in range(rows)
     )
 
 
-def random_invertible(rng, n, field, span=5):
+def random_invertible(rng, n, field):
     while True:
-        a = random_matrix(rng, n, n, field, span)
+        a = random_matrix(rng, n, n, field)
         if rank(a, field) == n:
             return a
 

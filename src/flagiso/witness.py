@@ -61,7 +61,7 @@ class FiniteFlagPoint:
 def _form_kind(form, field):
     ft = la.transpose(form)
     symmetric = la.mat_eq(form, ft)
-    antisymmetric = la.mat_eq(form, la.mat_scale(field.neg(field.one()), ft, field))
+    antisymmetric = la.mat_eq(form, la.mat_scale(field.reduce(-field.one()), ft, field))
     if not symmetric and not antisymmetric:
         raise WitnessError("form is neither symmetric nor antisymmetric")
     return "symmetric" if symmetric else "antisymmetric"
@@ -237,7 +237,7 @@ def rebase_automorphism(chain, basis_e, basis_e2, form=None):
                             f"gap class {g}: no unmatched self-paired vector in E'"
                         )
                     j = candidates[0]
-                    ratio = field.div(vals_e[i][i], vals_e2[j][j])
+                    ratio = field.reduce(vals_e[i][i] * field.inv(vals_e2[j][j]))
                     s = field.sqrt(ratio)
                     if s is None:
                         raise WitnessError(
@@ -256,14 +256,16 @@ def rebase_automorphism(chain, basis_e, basis_e2, form=None):
                 assigned[i] = (j, field.one())
                 taken[j] = True
                 # the partner is forced, with the scalar fixing the pairing value
-                scalar = field.div(vals_e[i][part_e[i]], vals_e2[j][part_e2[j]])
+                scalar = field.reduce(
+                    vals_e[i][part_e[i]] * field.inv(vals_e2[j][part_e2[j]])
+                )
                 assigned[part_e[i]] = (part_e2[j], scalar)
                 taken[part_e2[j]] = True
 
     rows = []
     for i in range(n):
         j, s = assigned[i]
-        rows.append(tuple(field.mul(s, x) for x in E2[j]))
+        rows.append(tuple(field.reduce(s * x) for x in E2[j]))
     alpha = la.mat_mul(la.inverse(E, field), tuple(rows), field)
 
     _verify_rebase(alpha, members, E, E2, form, field, n)
@@ -687,7 +689,7 @@ def check_triangle(phi, psi, chi) -> TriangleReport:
         messages.append("gamma collapses into the complement; not an embedding match")
         return TriangleReport(False, True, True, messages=tuple(messages))
     correction = la.mat_add(
-        gamma, la.mat_scale(field.neg(scalar), ab, field), field
+        gamma, la.mat_scale(field.reduce(-scalar), ab, field), field
     )  # = gamma - scalar * alpha.beta, rows inside M_{i0}
     proj = _projection_onto_source(phi)
     beta = la.mat_add(
@@ -750,7 +752,7 @@ def split_symmetric_form(n_ambient, field):
 
 def split_antisymmetric_form(n_ambient, field):
     one, zero = field.one(), field.zero()
-    minus = field.neg(one)
+    minus = field.reduce(-one)
     m = n_ambient // 2
     return tuple(
         tuple(
@@ -762,13 +764,14 @@ def split_antisymmetric_form(n_ambient, field):
 
 
 def split_quadratic_value(vec, field):
-    """Q(x) = sum x_i x_(pair of i) over the lower half; polarizes to the
-    split symmetric form in every characteristic (even ambient)."""
+    """Q(x) = sum x_i x_(pair of i) over the lower half, plus x_mid^2 / 2 at
+    odd length; polarizes to the split symmetric form, in every characteristic
+    at even length and in odd characteristic at odd length."""
     n = len(vec)
-    total = field.zero()
-    for i in range(n // 2):
-        total = field.add(total, field.mul(vec[i], vec[n - 1 - i]))
-    return total
+    total = sum((vec[i] * vec[n - 1 - i] for i in range(n // 2)), field.zero())
+    if n % 2:
+        total += field.inv(field.of(2)) * vec[n // 2] * vec[n // 2]
+    return field.reduce(total)
 
 
 def is_totally_singular(rows, field) -> bool:
@@ -784,25 +787,17 @@ def bd_hyperplane_basis(n, field):
     """Rows spanning the odd-dimensional subspace W_n = <e_1 + pair(e_1), e_2,
     pair(e_2), ..., e_n, pair(e_n)> of the 2n-dimensional split space."""
     N = 2 * n
-    one, zero = field.one(), field.zero()
-
-    def unit(i):
-        return tuple(one if j == i else zero for j in range(N))
-
-    first = tuple(
-        one if j in (0, N - 1) else zero for j in range(N)
-    )
-    rows = [first]
+    unit = la.identity(N, field)
+    rows = [la.mat_add((unit[0],), (unit[N - 1],), field)[0]]
     for i in range(1, n):
-        rows.append(unit(i))
-        rows.append(unit(N - 1 - i))
+        rows.append(unit[i])
+        rows.append(unit[N - 1 - i])
     return tuple(rows)
 
 
 def bd_reference_lagrangian(n, field):
-    N = 2 * n
-    one, zero = field.one(), field.zero()
-    return tuple(tuple(one if j == i else zero for j in range(N)) for i in range(n))
+    """The span of e_1..e_n in the 2n-dimensional split space."""
+    return la.identity(2 * n, field)[:n]
 
 
 def _lagrangian_component_matches(rows, n, field) -> bool:
@@ -815,35 +810,31 @@ def _singular_lines_in_plane(u1, u2, field):
     """The isotropic lines of the split quadratic restricted to <u1, u2>."""
     a = split_quadratic_value(u1, field)
     b = split_quadratic_value(u2, field)
-    usum = tuple(field.add(x, y) for x, y in zip(u1, u2))
-    c = field.sub(field.sub(split_quadratic_value(usum, field), a), b)
+    usum = la.mat_add((u1,), (u2,), field)[0]
+    c = field.reduce(split_quadratic_value(usum, field) - a - b)
     # Q(x u1 + y u2) = a x^2 + c xy + b y^2
     zero, one = field.zero(), field.one()
     lines = []
     if isinstance(field, PrimeField):
         candidates = [(one, field.of(t)) for t in field.elements()] + [(zero, one)]
         for x, y in candidates:
-            val = field.add(
-                field.add(field.mul(a, field.mul(x, x)), field.mul(b, field.mul(y, y))),
-                field.mul(c, field.mul(x, y)),
-            )
-            if val == zero:
+            if field.reduce(a * x * x + b * y * y + c * x * y) == zero:
                 lines.append((x, y))
         return lines
     if a == zero:
         lines.append((one, zero))
         # remaining: y (c x + b y) = 0 with y != 0
         if c != zero:
-            lines.append((field.neg(field.div(b, c)), one))
+            lines.append((field.reduce(-b * field.inv(c)), one))
         elif b == zero:
             raise WitnessError("quadratic vanishes identically; form is degenerate here")
         return lines
-    disc = field.sub(field.mul(c, c), field.mul(field.of(4), field.mul(a, b)))
+    disc = field.reduce(c * c - 4 * a * b)
     root = field.sqrt(disc)
     if root is None:
         raise WitnessError("the middle quadric does not split over the field")
-    for sgn in (root, field.neg(root)):
-        x = field.div(field.sub(sgn, c), field.mul(field.of(2), a))
+    for sgn in (root, field.reduce(-root)):
+        x = field.reduce((sgn - c) * field.inv(2 * a))
         lines.append((x, one))
     return list(dict.fromkeys(lines))
 
@@ -882,9 +873,7 @@ def bd_phi(n: int, m_point: FiniteFlagPoint) -> FiniteFlagPoint:
     u1, u2 = quotient
     candidates = []
     for x, y in _singular_lines_in_plane(u1, u2, field):
-        vec = tuple(
-            field.add(field.mul(x, a), field.mul(y, b)) for a, b in zip(u1, u2)
-        )
+        vec = la.mat_mul(((x, y),), (u1, u2), field)[0]
         rows = la.rowspace(la.stack(m_rows, (vec,)), field)
         if len(rows) == n and is_totally_singular(rows, field):
             candidates.append(rows)
@@ -909,16 +898,11 @@ def _embed_coords(vec, n, field):
     return tuple(vec[:n]) + (zero, zero) + tuple(vec[n:])
 
 
-def _unit_vector(i, length, field):
-    one, zero = field.one(), field.zero()
-    return tuple(one if j == i else zero for j in range(length))
-
-
 def bd_step(n: int, point: FiniteFlagPoint) -> FiniteFlagPoint:
     """Subspace U of the 2n-space to U + <e_(n+1)> one level up."""
     field = point.field
     rows = [_embed_coords(r, n, field) for r in point.subspaces[0]]
-    rows.append(_unit_vector(n, 2 * n + 2, field))
+    rows.append(la.identity(2 * n + 2, field)[n])
     return flag_point(
         field, 2 * n + 2, [rows], form=split_symmetric_form(2 * n + 2, field)
     )
@@ -926,6 +910,8 @@ def bd_step(n: int, point: FiniteFlagPoint) -> FiniteFlagPoint:
 
 def enumerate_bd_sources(n: int, field):
     """All isotropic (n-1)-subspaces of the odd hyperplane (finite fields)."""
+    if n < 2:
+        raise WitnessError("needs n >= 2")
     w_rows = bd_hyperplane_basis(n, field)
     form = split_symmetric_form(2 * n, field)
     for coeffs in la.enumerate_subspaces(2 * n - 1, n - 1, field):
@@ -946,6 +932,8 @@ def enumerate_component_lagrangians(n: int, field):
 
 def random_bd_source(rng, n: int, field) -> FiniteFlagPoint:
     """A random isotropic (n-1)-subspace of the odd hyperplane."""
+    if n < 2:
+        raise WitnessError("needs n >= 2")
     w_rows = la.rowspace(bd_hyperplane_basis(n, field), field)
     form = split_symmetric_form(2 * n, field)
     zero = field.zero()
@@ -961,10 +949,7 @@ def random_bd_source(rng, n: int, field) -> FiniteFlagPoint:
             else:
                 pool = w_rows
             coeffs = [field.of(rng.randrange(field.p)) for _ in pool]
-            vec = tuple(
-                # random combination of the pool rows
-                _linear_combination(coeffs, pool, field)
-            )
+            vec = la.mat_mul((coeffs,), pool, field)[0]
             if split_quadratic_value(vec, field) != zero:
                 continue
             cand = la.rowspace(la.stack(tuple(rows), (vec,)), field)
@@ -975,15 +960,6 @@ def random_bd_source(rng, n: int, field) -> FiniteFlagPoint:
             rows = list(cand)
         if len(rows) == n - 1:
             return flag_point(field, 2 * n, [tuple(rows)], form=form)
-
-
-def _linear_combination(coeffs, rows, field):
-    n = len(rows[0])
-    out = [field.zero()] * n
-    for c, row in zip(coeffs, rows):
-        for j, x in enumerate(row):
-            out[j] = field.add(out[j], field.mul(c, x))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -1116,15 +1092,11 @@ def exhaustion_step(descriptor, n: int) -> StandardExtensionData:
                 target_form=split_symmetric_form(w, field),
             )
 
-    zero, one = field.zero(), field.one()
-    alpha = tuple(
-        tuple(one if j == mapping[i] else zero for j in range(w)) for i in range(v)
-    )
+    unit = la.identity(w, field)
+    alpha = tuple(unit[mapping[i]] for i in range(v))
     used = set(mapping)
     added = [j for j in range(w) if j not in used]
-    complement = tuple(
-        tuple(one if j == a else zero for j in range(w)) for a in added
-    )
+    complement = tuple(unit[a] for a in added)
 
     if descriptor.form is FormType.GENERAL:
         s_sizes_l, t_sizes_l = s_sizes, t_sizes
@@ -1140,12 +1112,7 @@ def exhaustion_step(descriptor, n: int) -> StandardExtensionData:
     for cut in cuts_tgt:
         boundary = tgt_off[cut] if cut < len(t_sizes_l) else sum(t_sizes_l)
         kc = sum(1 for t in block_of if t < cut)
-        rows = tuple(
-            tuple(one if j == a else zero for j in range(w))
-            for a in added
-            if a < boundary
-        )
-        filtration.append(rows)
+        filtration.append(tuple(unit[a] for a in added if a < boundary))
         kappa.append(kc)
     return standard_extension(
         field,
@@ -1188,11 +1155,8 @@ def standard_point(descriptor, n: int) -> FiniteFlagPoint:
             if descriptor.form is FormType.SYMPLECTIC
             else split_symmetric_form(ambient, field)
         )
-    one, zero = field.one(), field.zero()
-    members = [
-        tuple(tuple(one if j == i else zero for j in range(ambient)) for i in range(d))
-        for d in dims
-    ]
+    unit = la.identity(ambient, field)
+    members = [unit[:d] for d in dims]
     return flag_point(field, ambient, members, form=form)
 
 

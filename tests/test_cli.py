@@ -12,12 +12,34 @@ from flagiso import cli
         ["normalize", "seq[²]"],
         ["normalize", "seq[٣]"],
         ["decide", "symp: half=seq[1]; middle=²", "gen: seq[1,inf]"],
+        ["dim", "--type", "A", "--ambient", "4", "--dims", "٣"],
+        ["decide-finite", "A:٤:1", "A:4:3"],
+        ["witness-bd", "--n", "0"],
+        ["witness-bd", "--n", "1"],
+        ["witness-bd", "--n", "1", "--all"],
     ],
 )
 def test_bad_input_exits_one_without_traceback(capsys, argv):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "--type", "A", "--ambient", "٣", "--dims", "1"],
+        ["witness-bd", "--n", "x"],
+        ["selftest", "--only", "x"],
+    ],
+)
+def test_bad_option_value_exits_one_without_traceback(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
     assert "Traceback" not in err
 
 

@@ -308,7 +308,9 @@ def test_brute_force_lagrangian_component():
 
 
 def test_brute_force_matches_point_count_samples():
-    cases = [
+    # hand-picked cases, ambient 6 included (extension steps at ambient 6 and
+    # the Lagrangian parity filter at odd m after an extension)
+    picked = [
         (V("A", 4, (1, 2, 3)), 2),
         (V("A", 5, (2, 4)), 3),
         (V("C", 6, (1, 3)), 2),
@@ -319,8 +321,20 @@ def test_brute_force_matches_point_count_samples():
         (V("B", 5, (1, 2)), 3),
         (V("D", 4, (1, 2)), 2),
     ]
+    # every valid variety of ambient <= 5 small enough to enumerate: all
+    # extension depths and the type-D Lagrangian parity filter
+    generated = [
+        (v, q)
+        for q in (2, 3)
+        for v in valid_varieties(4)
+        if v.ambient_dim <= 5
+        and not (v.lie_type == "B" and q == 2)
+        and point_count(v, q) <= 3000
+    ]
+    assert len(generated) == 54
+    cases = picked + [case for case in generated if case not in picked]
     for v, q in cases:
-        assert brute_force_count(v, q) == point_count(v, q), v
+        assert brute_force_count(v, q) == point_count(v, q), (v, q)
 
 
 def test_brute_force_with_explicit_form():

@@ -19,6 +19,10 @@ def test_prime_field_requires_prime():
 def test_prime_field_ops():
     f = PrimeField(5)
     assert f.of(Fraction(1, 2)) == 3
+    assert f.reduce(7) == 2
+    assert f.reduce(-1) == 4
+    assert f.reduce(3 * f.inv(3)) == 1
+    assert QQ.reduce(Fraction(-7, 3)) == Fraction(-7, 3)
     assert f.inv(3) == 2
     assert f.sqrt(4) in (2, 3)
     assert f.sqrt(2) is None  # 2 is not a square mod 5
@@ -102,6 +106,38 @@ def test_intersection(field):
         # dimension formula: dim(a) + dim(b) = dim(a+b) + dim(a^b)
         dim_sum = la.rank(la.stack(a, b), field)
         assert la.rank(a, field) + la.rank(b, field) == dim_sum + len(inter)
+
+
+def _assert_elements(m, field):
+    # equality cannot see an int 0 on QQ, because Fraction(0) == 0
+    for row in m:
+        for x in row:
+            if field == QQ:
+                assert type(x) is Fraction, (m, x)
+            else:
+                assert type(x) is int and 0 <= x < field.p, (m, x)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_kernels_return_field_elements(field):
+    rng = random.Random(46)
+    for _ in range(30):
+        r, c, k = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 3)
+        zeros = ((field.zero(),) * c,)
+        a = la.random_matrix(rng, r, c, field) + zeros
+        b = la.random_matrix(rng, c, k, field)
+        _assert_elements(la.mat_mul(a, b, field), field)
+        _assert_elements(la.mat_mul(zeros, b, field), field)
+        _assert_elements(la.mat_add(a, a, field), field)
+        _assert_elements(la.mat_scale(field.zero(), a, field), field)
+        _assert_elements(la.mat_scale(field.of(-2), a, field), field)
+        _assert_elements(la.rref(a, field)[0], field)
+        _assert_elements(la.nullspace(a, field, c), field)
+        _assert_elements(la.nullspace(zeros, field, c), field)
+        _assert_elements(la.inverse(la.random_invertible(rng, c, field), field), field)
+        x = la.random_matrix(rng, k, r + 1, field) + ((field.zero(),) * (r + 1),)
+        sol = la.solve_left(a, la.mat_mul(x, a, field), field)
+        _assert_elements(sol, field)
 
 
 def test_enumerate_subspaces_counts():

@@ -347,6 +347,11 @@ def test_bd_phi_rejects_bad_input():
         W.bd_phi(2, W.flag_point(QQ, 4, [unit_rows([0], 4)], form=form))
     with pytest.raises(W.WitnessError):  # wrong dimension
         W.bd_phi(2, W.flag_point(QQ, 4, [unit_rows([1, 2], 4)], form=form))
+    for n in (-1, 0, 1):  # the sources share bd_phi's bound
+        with pytest.raises(W.WitnessError, match="needs n >= 2"):
+            list(W.enumerate_bd_sources(n, F3))
+        with pytest.raises(W.WitnessError, match="needs n >= 2"):
+            W.random_bd_source(random.Random(0), n, F3)
 
 
 def test_bd_phi_bijection_f2_and_f3():
