@@ -45,7 +45,10 @@ def integer(text: str) -> int:
     """An ASCII decimal integer (``int`` alone also reads digits such as ``٣``)."""
     if not re.fullmatch(r"-?[0-9]+", text.strip()):
         raise ValidationError(f"{text!r} is not an integer")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        raise ValidationError(f"integer has too many digits ({len(text.strip())})") from None
 
 
 def integer_list(text: str) -> list:
@@ -250,7 +253,7 @@ def _cmd_witness_rebase(args) -> int:
 
 def _cmd_witness_bd(args) -> int:
     n = args.n
-    field = PrimeField(args.prime if args.prime else (2 if args.all else 5))
+    field = PrimeField((2 if args.all else 5) if args.prime is None else args.prime)
     transcript = []
     if args.all:
         sample = list(W.enumerate_bd_sources(n, field))
@@ -259,16 +262,14 @@ def _cmd_witness_bd(args) -> int:
         rng = random.Random(args.seed)
         sample = [W.random_bd_source(rng, n, field) for _ in range(args.samples)]
         sample_kind = f"{len(sample)} seeded random subspaces"
-    images = set()
-    for m in sample:
-        lag = W.bd_phi(n, m)
-        images.add(lag.subspaces)
+    # members are canonical row spaces, so equal subspaces have equal tuples
+    sources = {m.subspaces for m in sample}
+    images = {W.bd_phi(n, m).subspaces for m in sample}
+    detail = f"{len(images)} distinct Lagrangians from {len(sample)} sources"
+    if len(sources) != len(sample):
+        detail += f" ({len(sources)} distinct)"
     transcript.append(
-        W.transcript_entry(
-            "lagrangian-lift",
-            len(images) == len(sample),
-            f"{len(images)} distinct Lagrangians from {len(sample)} sources",
-        )
+        W.transcript_entry("lagrangian-lift", len(images) == len(sources), detail)
     )
     square = W.bd_square_check(n, sample)
     transcript.append(

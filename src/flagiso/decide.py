@@ -166,9 +166,11 @@ def decide_ind(x: FlagDescriptor, y: FlagDescriptor) -> DecisionResult:
     require_valid(y)
 
     if x.form is y.form is FormType.GENERAL:
-        if is_isomorphic(x.order, y.order):
+        nx, ny = normalize(x.order), normalize(y.order)
+        if nx == ny:
             return _yes(Reason.FLAG_ISO, "chains isomorphic as weighted orders")
-        if is_isomorphic(x.order, reverse(y.order)):
+        # normalize commutes with reverse
+        if nx == reverse(ny):
             return _yes(Reason.DUAL_FLAG_ISO, "one chain isomorphic to the dual of the other")
         return _no("neither chain isomorphism nor dual chain isomorphism holds")
 

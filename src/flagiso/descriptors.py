@@ -335,8 +335,13 @@ def _parse_middle(text: str):
         return MIDDLE_EMPTY
     if text == "inf":
         return INF
-    if text.isascii() and text.isdigit() and int(text) >= 1:
-        return int(text)
+    if text.isascii() and text.isdigit():
+        try:
+            value = int(text)
+        except ValueError:  # beyond sys.get_int_max_str_digits()
+            raise ValidationError(f"middle has too many digits ({len(text)})") from None
+        if value >= 1:
+            return value
     raise ValidationError(f"bad middle {text!r}: expected empty, a positive integer, or inf")
 
 

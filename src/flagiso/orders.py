@@ -13,6 +13,11 @@ of their blocks matching sizes; within this class that relation is decidable
 and :func:`normalize` computes a canonical representative.  The only semantic
 identities are ``1 + omega = omega`` and ``omegastar + 1 = omegastar`` at
 matching block size, which the rewrite rules absorb.
+
+:func:`rewrite_step` is the specification: one elementary rewrite (absorb a
+seq entry into an adjacent omega-type atom, or merge two adjacent seq atoms),
+each a block deletion or an identity on every truncation.  :func:`normalize`
+computes its fixed point in one pass, and :func:`is_normalized` tests for it.
 """
 
 from __future__ import annotations
@@ -201,12 +206,48 @@ def rewrite_step(x: WeightedOrder):
 
 
 def normalize(x: WeightedOrder) -> WeightedOrder:
-    """Canonical form; equal canonical forms characterize isomorphic orders."""
-    while True:
-        step = rewrite_step(x)
-        if step is None:
-            return x
-        x = step[0]
+    """Canonical form; equal canonical forms characterize isomorphic orders.
+
+    One left-to-right pass.  The entries of each maximal run of seq atoms are
+    collected; the run drops its leading entries equal to the size of an
+    omegastar atom just before it and its trailing entries equal to the size
+    of an omega atom just after it, and what is left is emitted as one seq
+    atom (nothing when empty).
+
+    This is the fixed point of :func:`rewrite_step`.  Absorptions only ever
+    remove an end entry of a run, at the end an omega-type atom touches;
+    merges only join atoms of one run; and a run emptied by absorptions leaves
+    two omega-type atoms adjacent, where no rule applies.  So each run is
+    rewritten on its own, and whatever order the steps take, a run loses the
+    longest prefix of entries equal to the omegastar size and the longest
+    suffix equal to the omega size: the two overlap only when together they
+    cover the whole run, which then vanishes.
+
+    An order that is already normal, as most short inputs are, is returned as
+    it is after one linear :func:`is_normalized` scan, which costs less than
+    rebuilding its atoms.
+    """
+    if is_normalized(x):
+        return x
+    out = []
+    run = []
+    for a in x.atoms + (None,):
+        if isinstance(a, Seq):
+            run.extend(a.sizes)
+            continue
+        lo, hi = 0, len(run)
+        if out and isinstance(out[-1], OmegaStar):
+            while lo < hi and run[lo] == out[-1].size:
+                lo += 1
+        if isinstance(a, Omega):
+            while hi > lo and run[hi - 1] == a.size:
+                hi -= 1
+        if lo < hi:
+            out.append(Seq(tuple(run[lo:hi])))
+        if a is not None:
+            out.append(a)
+        run = []
+    return WeightedOrder(tuple(out))
 
 
 def is_normalized(x: WeightedOrder) -> bool:
@@ -302,7 +343,10 @@ def _parse_size(tok: _Tokens):
     if w == "inf":
         return INF
     if w.isascii() and w.isdigit():
-        value = int(w)
+        try:
+            value = int(w)
+        except ValueError:  # beyond sys.get_int_max_str_digits()
+            tok.error(f"block size has too many digits ({len(w)})")
         if value >= 1:
             return value
     tok.error(f"bad block size {w!r}")

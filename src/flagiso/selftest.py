@@ -19,6 +19,7 @@ from . import witness as W
 from .counting import brute_force_count, dimension, point_count, poincare_polynomial
 from .decide import Reason, Verdict, decide_finite, decide_ind
 from .descriptors import FiniteFlagVariety, dual, finite_flag_variety, parse_descriptor
+from .errors import ValidationError
 from .linalg import QQ, PrimeField
 from .orders import normalize, is_isomorphic, rewrite_step, truncate
 
@@ -223,6 +224,8 @@ def criterion_5() -> CriterionResult:
                         if s_cur[:idx] + s_cur[idx + 1 :] != s_nxt:
                             return False, f"absorption not a block deletion on {cur!r} at width {n}"
                 cur = nxt
+            if cur != normalize(x):
+                return False, f"normalize differs from the rewrite fixed point on {x!r}"
         rng = random.Random(5152)
         for _ in range(1000):
             a = G.random_order(rng)
@@ -246,8 +249,9 @@ def criterion_5() -> CriterionResult:
                 return False, f"absorbable insertion changed a verdict: {x!r} vs {z!r}"
             checked += 1
         return True, (
-            "idempotence, per-step truncation soundness (widths 1..20), equivalence "
-            "laws, and absorption metamorphics each hold on 1000 seeded expressions"
+            "idempotence, per-step truncation soundness (widths 1..20), normalize "
+            "equal to the rewrite fixed point, equivalence laws, and absorption "
+            "metamorphics each hold on 1000 seeded expressions"
         )
 
     return _run("5 rewrite-system suite (1000 expressions per property)", 60.0, body)
@@ -342,6 +346,9 @@ ALL_CRITERIA = (
 
 
 def run_all(numbers=None):
+    for i in numbers or ():
+        if not 1 <= i <= len(ALL_CRITERIA):
+            raise ValidationError(f"unknown criterion {i}: criteria are 1..{len(ALL_CRITERIA)}")
     results = []
     for i, fn in enumerate(ALL_CRITERIA, start=1):
         if numbers and i not in numbers:

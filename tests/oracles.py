@@ -2,15 +2,16 @@
 
 Everything here deliberately avoids the library's own code paths: counts come
 from closed-form products or raw vector loops, polynomial identities from the
-Pascal-style recursion, Coxeter lengths from breadth-first word search, and
-Poincare polynomials from enumerating the Weyl group as signed permutations.
+Pascal-style recursion, Coxeter lengths from breadth-first word search,
+Poincare polynomials from enumerating the Weyl group as signed permutations,
+and order normal forms from iterating the single-step rewrite specification.
 """
 
 import itertools
 from functools import lru_cache
 
 from flagiso.counting import QPolynomial
-from flagiso.orders import INF, Omega, OmegaStar, Seq
+from flagiso.orders import INF, Omega, OmegaStar, Seq, rewrite_step
 
 
 # ---------------------------------------------------------------------------
@@ -282,3 +283,16 @@ def omega_shaped_iso(a, b, window=60):
         if front_blocks(a, k) != front_blocks(b, k):
             return False
     return tail_kind(a) == tail_kind(b)
+
+
+# ---------------------------------------------------------------------------
+# Order normal forms from the rewrite specification, one step at a time.
+
+
+def normalize_by_rewriting(x):
+    """Normal form as the fixed point of ``rewrite_step``, one step at a time."""
+    while True:
+        step = rewrite_step(x)
+        if step is None:
+            return x
+        x = step[0]

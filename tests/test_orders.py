@@ -1,11 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagiso.errors import ValidationError
-from flagiso.generate import insert_absorbable, random_order
+from flagiso.generate import insert_absorbable, random_order, random_size
 from flagiso.orders import (
     INF,
+    Omega,
+    OmegaStar,
     OrderParseError,
     Seq,
     WeightedOrder,
@@ -23,7 +27,18 @@ from flagiso.orders import (
     truncate,
 )
 
-from oracles import omega_shaped_iso
+from oracles import normalize_by_rewriting, omega_shaped_iso
+
+# derandomized and without an example database, so every run sees the same examples
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=400)
+
+_sizes = st.one_of(st.integers(1, 3), st.just(INF))
+_atoms = st.one_of(
+    st.lists(_sizes, min_size=1, max_size=4).map(lambda sizes: Seq(tuple(sizes))),
+    _sizes.map(Omega),
+    _sizes.map(OmegaStar),
+)
+_orders = st.lists(_atoms, max_size=12).map(lambda atoms: WeightedOrder(tuple(atoms)))
 
 
 def test_normalize_absorbs_prefix_block():
@@ -120,6 +135,65 @@ def test_normalize_idempotent():
         assert is_normalized(normalize(x))
 
 
+def _repetitive_order(rng, max_atoms):
+    """Atoms whose sizes are mostly one value d, so that absorption chains
+    and omegastar(d) + seq[d,...,d] + omega(d) runs occur often."""
+    d = random_size(rng)
+    sizes = [d, d, d, random_size(rng)]
+    atoms = []
+    for _ in range(rng.randint(1, max_atoms)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            atoms.append(Seq(tuple(rng.choice(sizes) for _ in range(rng.randint(1, 4)))))
+        elif kind == 1:
+            atoms.append(Omega(rng.choice(sizes)))
+        else:
+            atoms.append(OmegaStar(rng.choice(sizes)))
+    return WeightedOrder(tuple(atoms))
+
+
+def _vanishing_run(rng):
+    """omegastar(d) + seq[d,...,d] (split into seq atoms) + omega(d) inside
+    random context: the whole run is absorbed from both sides."""
+    d = random_size(rng)
+    run = [seq(*[d] * rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+    middle = omegastar(d) + sum(run, WeightedOrder(())) + omega(d)
+    return random_order(rng, 3) + middle + random_order(rng, 3)
+
+
+def _seq_entries(x):
+    return sum(len(a.sizes) for a in x.atoms if isinstance(a, Seq))
+
+
+def test_normalize_equals_rewrite_fixed_point():
+    rng = random.Random(18)
+    cases = [random_order(rng, 12) for _ in range(2000)]
+    cases += [_repetitive_order(rng, 12) for _ in range(2000)]
+    cases += [_vanishing_run(rng) for _ in range(500)]
+    chains = 0
+    for x in cases:
+        expected = normalize_by_rewriting(x)
+        assert normalize(x) == expected, x
+        # merges keep the seq entries, each absorption removes one
+        chains += _seq_entries(x) - _seq_entries(expected) >= 2
+    assert chains >= 1000
+
+
+def test_normalize_long_order_equals_rewrite_fixed_point():
+    rng = random.Random(19)
+    x = WeightedOrder(
+        sum((_repetitive_order(rng, 12).atoms for _ in range(250)), ())
+    )
+    assert len(x.atoms) >= 1000
+    assert normalize(x) == normalize_by_rewriting(x)
+
+
+@_PROPERTY
+@given(_orders)
+def test_normalize_property_equals_rewrite_fixed_point(x):
+    assert normalize(x) == normalize_by_rewriting(x)
+
+
 def test_rewrite_steps_are_block_deletions_on_truncations():
     rng = random.Random(14)
     for _ in range(300):
@@ -193,6 +267,31 @@ def test_parse_render_round_trip():
     for _ in range(200):
         x = random_order(rng)
         assert parse_order(render_order(x)) == x
+
+
+@_PROPERTY
+@given(_orders.filter(lambda x: x.atoms))
+def test_parse_render_round_trip_property(x):
+    assert parse_order(render_order(x)) == x
+
+
+@st.composite
+def _edited_render(draw):
+    """A rendered order with one span replaced by a few grammar characters."""
+    text = render_order(draw(_orders))
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 3)))
+    return text[:i] + draw(st.text("seqomgatrinf[](),+ 01239\t²٣", max_size=3)) + text[j:]
+
+
+@_PROPERTY
+@given(st.one_of(st.text(max_size=40), _edited_render()))
+def test_parse_arbitrary_text_succeeds_or_raises_validation_error(text):
+    try:
+        x = parse_order(text)
+    except ValidationError:
+        return
+    assert parse_order(render_order(x)) == x
 
 
 def test_parse_examples():
