@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
 
 from . import generate as G
-from . import linalg as la
 from . import selftest as st
 from . import witness as W
 from .counting import brute_force_count, dimension, point_count, poincare_polynomial
@@ -435,7 +435,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so the interpreter's
+        # final flush does not fail again (the pattern of the signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ResourceLimitError as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return 2

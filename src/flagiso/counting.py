@@ -35,12 +35,7 @@ from . import linalg as la
 from .descriptors import FiniteFlagVariety, require_valid_variety
 from .errors import ResourceLimitError, ValidationError
 from .linalg import PrimeField
-from .witness import (
-    bd_reference_lagrangian,
-    split_antisymmetric_form,
-    split_quadratic_value,
-    split_symmetric_form,
-)
+from .witness import bd_reference_lagrangian, split_form, split_quadratic_value
 
 DEFAULT_MAX_RANK = 96
 _RANK_ENV = "FLAGISO_MAX_RANK"
@@ -301,8 +296,7 @@ def brute_force_count(v: FiniteFlagVariety, q: int, form=None) -> int:
     gram = None
     if t != "A":
         if form is None:
-            split_form = split_antisymmetric_form if t == "C" else split_symmetric_form
-            gram = split_form(n, field)
+            gram = split_form(t, n, field)
             if t in ("B", "D"):
                 if t == "B" and q == 2:
                     raise ValidationError("type B oracle requires odd q")

@@ -12,7 +12,13 @@ structural and cannot be misstated.
 Trivial members (the zero subspace and the whole space) are never stored;
 proper members correspond to the internal cuts of the weighted order.
 
-Text format::
+The ind-variety is the direct limit of its finite truncations.
+:func:`truncation_layout` is the one definition of the truncation at width
+n: the Lie type, the ambient dimension, the member dimensions and the keyed
+blocks of the whole chain.  :func:`truncate_to_variety`, the exhaustion
+steps and the standard points of :mod:`flagiso.witness` all read it.
+
+Text format (an empty half is written as nothing)::
 
     gen: <order>
     orth: half=<order>; middle=<empty|d|inf>
@@ -25,6 +31,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .orders import (
@@ -267,50 +275,84 @@ def _truncated_middle(d: FlagDescriptor, n: int) -> int:
     return m
 
 
-def _truncation_shape(d: FlagDescriptor, n: int):
+class TruncationLayout(NamedTuple):
+    """How the chain of a valid descriptor lays out at width n.
+
+    ``dims`` are the dimensions of the listed members (every proper member
+    of a general chain, the isotropic members of an isotropic one) and
+    ``ambient`` is the sum of the block sizes of the whole chain.  ``keys``
+    and ``sizes`` are the :func:`flagiso.orders.truncate` sample of the
+    general chain or of the half, and ``middle`` is the size of the
+    isotropic middle block (0 when there is none); :meth:`blocks` lays the
+    whole chain out from them.
+    """
+
+    lie_type: str
+    ambient: int
+    dims: tuple
+    keys: tuple
+    sizes: tuple
+    middle: int
+
+    def blocks(self) -> tuple:
+        """The blocks of the whole chain in coordinate order, as ``(key, size)``
+        keyed as :func:`truncation_layout` describes."""
+        if self.lie_type == "A":
+            return tuple(zip(self.keys, self.sizes))
+        lo = [(("lo", k), s) for k, s in zip(self.keys, self.sizes)]
+        hi = [(("hi", k), s) for (_, k), s in reversed(lo)]
+        if self.middle:
+            lo.append((("mid",), self.middle))
+        return tuple(lo + hi)
+
+
+def truncation_layout(d: FlagDescriptor, n: int) -> TruncationLayout:
+    """The truncation of a valid descriptor at width n.
+
+    Block keys: a general chain keeps the ``(atom, entry)`` keys of
+    :func:`flagiso.orders.truncate`.  An isotropic chain is its half keyed
+    ``("lo", k)``, then the middle keyed ``("mid",)`` when it is nonempty,
+    then the mirrored half keyed ``("hi", k)``.  The keys of ``truncate`` at
+    width n are keys at width n + 1 with sizes that only grow, the middle
+    keeps its parity, and the two halves mirror each other, so every key at
+    width n is a key at width n + 1 with a block at least as large.  The
+    embedding of successive truncations
+    (:func:`flagiso.witness.exhaustion_step`) is read off these keys.
+    """
     if d.form is FormType.GENERAL:
-        sizes, _ = truncate(d.order, n)
-        ambient = sum(sizes)
-        dims = []
-        acc = 0
-        for s in sizes[:-1]:
-            acc += s
-            dims.append(acc)
-        return "A", ambient, tuple(dims)
-    half_sizes, _ = truncate(d.half, n)
+        sizes, keys = truncate(d.order, n)
+        dims = tuple(accumulate(sizes[:-1]))
+        return TruncationLayout("A", sum(sizes), dims, keys, sizes, 0)
+    sizes, keys = truncate(d.half, n)
     m = _truncated_middle(d, n)
-    s = sum(half_sizes)
-    ambient = 2 * s + m
-    dims = []
-    acc = 0
-    for b in half_sizes:
-        acc += b
-        dims.append(acc)
     if d.form is FormType.SYMPLECTIC:
         t = "C"
     else:
         t = "B" if m % 2 == 1 else "D"
-    return t, ambient, tuple(dims)
+    dims = tuple(accumulate(sizes))
+    return TruncationLayout(t, 2 * sum(sizes) + m, dims, keys, sizes, m)
+
+
+_MIN_AMBIENT = {
+    FormType.GENERAL: GENERAL_MIN_AMBIENT,
+    FormType.ORTHOGONAL: ORTHOGONAL_MIN_AMBIENT,
+    FormType.SYMPLECTIC: SYMPLECTIC_MIN_AMBIENT,
+}
 
 
 def min_truncation_width(d: FlagDescriptor) -> int:
-    """Smallest width at which the truncation meets the theorem hypotheses."""
+    """Smallest width n0 at which the truncation meets the theorem hypotheses."""
     require_valid(d)
     if d.form is FormType.GENERAL:
-        if block_count(d.order) == 1:
-            raise ValidationError("descriptor has no proper members; cannot truncate")
-        threshold = GENERAL_MIN_AMBIENT
+        memberless = block_count(d.order) == 1
     else:
-        if block_count(d.half) == 0:
-            raise ValidationError("descriptor has no proper members; cannot truncate")
-        threshold = (
-            SYMPLECTIC_MIN_AMBIENT
-            if d.form is FormType.SYMPLECTIC
-            else ORTHOGONAL_MIN_AMBIENT
-        )
+        memberless = block_count(d.half) == 0
+    if memberless:
+        raise ValidationError("descriptor has no proper members; cannot truncate")
+    threshold = _MIN_AMBIENT[d.form]
     for n in range(1, _WIDTH_SEARCH_CAP):
-        _, ambient, dims = _truncation_shape(d, n)
-        if ambient >= threshold and dims:
+        layout = truncation_layout(d, n)
+        if layout.dims and layout.ambient >= threshold:
             return n
     raise AssertionError("unreachable: truncated ambient is unbounded")
 
@@ -318,11 +360,13 @@ def min_truncation_width(d: FlagDescriptor) -> int:
 def truncate_to_variety(d: FlagDescriptor, n: int) -> FiniteFlagVariety:
     """The finite flag variety sampled from the descriptor at width n."""
     require_valid(d)
-    n0 = min_truncation_width(d)
-    if n < n0:
-        raise TruncationWidthError(n, n0)
-    t, ambient, dims = _truncation_shape(d, n)
-    return finite_flag_variety(t, ambient, dims)
+    # Blocks only grow and are only added as the width grows, so the width-n
+    # truncation meets the theorem hypotheses exactly when n >= n0.
+    if n >= 1:
+        layout = truncation_layout(d, n)
+        if layout.dims and layout.ambient >= _MIN_AMBIENT[d.form]:
+            return finite_flag_variety(layout.lie_type, layout.ambient, layout.dims)
+    raise TruncationWidthError(n, min_truncation_width(d))
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +387,11 @@ def _parse_middle(text: str):
         if value >= 1:
             return value
     raise ValidationError(f"bad middle {text!r}: expected empty, a positive integer, or inf")
+
+
+def _parse_half(text: str) -> WeightedOrder:
+    # render_order writes the empty order as no text at all
+    return parse_order(text) if text.strip() else EMPTY
 
 
 _FORM_TAGS = {
@@ -371,7 +420,7 @@ def parse_descriptor(text: str) -> FlagDescriptor:
             if not sep:
                 raise ValidationError(f"expected key=value, got {clause.strip()!r}")
             if key == "half":
-                half = parse_order(value)
+                half = _parse_half(value)
             elif key == "middle":
                 middle = _parse_middle(value)
             else:
@@ -409,13 +458,37 @@ def descriptor_to_json(d: FlagDescriptor) -> dict:
     }
 
 
+def _json_text(obj: dict, key: str) -> str:
+    value = obj.get(key)
+    if not isinstance(value, str):
+        raise ValidationError(
+            f"descriptor JSON needs a string {key!r}, got {type(value).__name__}"
+        )
+    return value
+
+
+_FORM_OF_VALUE = {f.value: f for f in FormType}
+
+
 def descriptor_from_json(obj: dict) -> FlagDescriptor:
-    form = FormType(obj["form"])
+    """Inverse of :func:`descriptor_to_json`; malformed input raises
+    :class:`ValidationError`."""
+    if not isinstance(obj, dict):
+        raise ValidationError(
+            f"descriptor JSON must be an object, got {type(obj).__name__}"
+        )
+    form = _FORM_OF_VALUE.get(_json_text(obj, "form"))
+    if form is None:
+        raise ValidationError(
+            f"unknown form {obj['form']!r} (expected general, orthogonal, symplectic)"
+        )
     if form is FormType.GENERAL:
-        d = general_flags(parse_order(obj["order"]))
+        d = general_flags(parse_order(_json_text(obj, "order")))
     else:
         d = FlagDescriptor(
-            form, half=parse_order(obj["half"]), middle=_parse_middle(obj["middle"])
+            form,
+            half=_parse_half(_json_text(obj, "half")),
+            middle=_parse_middle(_json_text(obj, "middle")),
         )
     require_valid(d)
     return d

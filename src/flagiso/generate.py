@@ -8,21 +8,18 @@ from __future__ import annotations
 
 from .errors import ValidationError
 from . import linalg as la
-from .linalg import QQ, PrimeField
+from .linalg import PrimeField
 from .orders import INF, Omega, OmegaStar, Seq, WeightedOrder
 from .descriptors import (
     FlagDescriptor,
     FormType,
     general_flags,
-    orthogonal_flags,
-    symplectic_flags,
     validate,
 )
 from .witness import (
     FiniteFlagPoint,
     StandardExtensionData,
     flag_point,
-    form_values,
     split_antisymmetric_form,
     split_symmetric_form,
     standard_extension,

@@ -18,7 +18,7 @@ from . import linalg as la
 from . import witness as W
 from .counting import brute_force_count, dimension, point_count, poincare_polynomial
 from .decide import Reason, Verdict, decide_finite, decide_ind
-from .descriptors import FiniteFlagVariety, dual, finite_flag_variety, parse_descriptor
+from .descriptors import dual, finite_flag_variety, parse_descriptor
 from .errors import ValidationError
 from .linalg import QQ, PrimeField
 from .orders import normalize, is_isomorphic, rewrite_step, truncate
@@ -51,10 +51,6 @@ def _run(name, limit, fn) -> CriterionResult:
     return CriterionResult(name, ok, detail, elapsed, limit)
 
 
-def _variety(t, n, dims):
-    return finite_flag_variety(t, n, dims)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -66,8 +62,8 @@ def criterion_1() -> CriterionResult:
         if not (res.verdict is Verdict.ISOMORPHIC and res.reason is Reason.EXCEPTIONAL_PROJ_SYMP):
             return False, f"unexpected verdict {res.to_json()}"
         for n in (2, 3, 4):
-            pa = poincare_polynomial(_variety("A", 2 * n, (1,)))
-            pc = poincare_polynomial(_variety("C", 2 * n, (1,)))
+            pa = poincare_polynomial(finite_flag_variety("A", 2 * n, (1,)))
+            pc = poincare_polynomial(finite_flag_variety("C", 2 * n, (1,)))
             if pa != pc:
                 return False, f"projective/symplectic polynomials differ at ambient {2 * n}"
         return True, "projective/symplectic pair recognized; polynomials agree for ambient 4, 6, 8"
@@ -83,20 +79,20 @@ def criterion_2() -> CriterionResult:
         if not (res.verdict is Verdict.ISOMORPHIC and res.reason is Reason.EXCEPTIONAL_BD):
             return False, f"unexpected verdict {res.to_json()}"
         for n in range(2, 6):
-            pb = poincare_polynomial(_variety("B", 2 * n - 1, (n - 1,)))
-            pd = poincare_polynomial(_variety("D", 2 * n, (n,)))
+            pb = poincare_polynomial(finite_flag_variety("B", 2 * n - 1, (n - 1,)))
+            pd = poincare_polynomial(finite_flag_variety("D", 2 * n, (n,)))
             if pb != pd:
                 return False, f"odd/even maximal grassmannian polynomials differ at n={n}"
         f3 = PrimeField(3)
         for n in (2, 3):
             sources = list(W.enumerate_bd_sources(n, f3))
-            expect_src = point_count(_variety("B", 2 * n - 1, (n - 1,)), 3)
+            expect_src = point_count(finite_flag_variety("B", 2 * n - 1, (n - 1,)), 3)
             if len(sources) != expect_src:
                 return False, f"n={n}: found {len(sources)} sources, expected {expect_src}"
             images = {W.bd_phi(n, s).subspaces for s in sources}
             if len(images) != len(sources):
                 return False, f"n={n}: the Lagrangian map is not injective over F_3"
-            expect_tgt = point_count(_variety("D", 2 * n, (n,)), 3)
+            expect_tgt = point_count(finite_flag_variety("D", 2 * n, (n,)), 3)
             if len(images) != expect_tgt:
                 return False, f"n={n}: image size {len(images)} != component size {expect_tgt}"
             if n == 2:
@@ -127,13 +123,13 @@ def _oracle_universe():
     for n in range(2, 6):
         for r in range(1, n):
             for dims in itertools.combinations(range(1, n), r):
-                yield _variety("A", n, dims), (2, 3)
+                yield finite_flag_variety("A", n, dims), (2, 3)
     for dims in [(1,), (2,), (1, 2)]:
-        yield _variety("C", 4, dims), (2, 3)
+        yield finite_flag_variety("C", 4, dims), (2, 3)
     for dims in [(2,), (1, 2)]:
-        yield _variety("D", 4, dims), (2, 3)
+        yield finite_flag_variety("D", 4, dims), (2, 3)
     for dims in [(1,), (2,), (1, 2)]:
-        yield _variety("B", 5, dims), (3,)
+        yield finite_flag_variety("B", 5, dims), (3,)
 
 
 def criterion_3() -> CriterionResult:
@@ -158,20 +154,20 @@ def _decision_universe():
     for n in range(2, 9):
         for r in range(1, n):
             for dims in itertools.combinations(range(1, n), r):
-                out.append(_variety("A", n, dims))
+                out.append(finite_flag_variety("A", n, dims))
     for n in (5, 7):
         m = n // 2
         for r in range(1, m + 1):
             for dims in itertools.combinations(range(1, m + 1), r):
-                out.append(_variety("B", n, dims))
+                out.append(finite_flag_variety("B", n, dims))
     for n in (6, 8):
         m = n // 2
         for r in range(1, m + 1):
             for dims in itertools.combinations(range(1, m + 1), r):
-                out.append(_variety("C", n, dims))
+                out.append(finite_flag_variety("C", n, dims))
                 if m - 1 in dims and m not in dims:
                     continue
-                out.append(_variety("D", n, dims))
+                out.append(finite_flag_variety("D", n, dims))
     return out
 
 
@@ -375,7 +371,7 @@ def derived_values() -> dict:
     ]
     for t, n, dims, q in brute_cases:
         key = f"brute_force:{t}:{n}:{','.join(map(str, dims))}:q={q}"
-        values[key] = brute_force_count(_variety(t, n, dims), q)
+        values[key] = brute_force_count(finite_flag_variety(t, n, dims), q)
     poly_cases = [
         ("A", 4, (2,)),
         ("B", 5, (2,)),
@@ -386,7 +382,7 @@ def derived_values() -> dict:
     ]
     for t, n, dims in poly_cases:
         key = f"poincare:{t}:{n}:{','.join(map(str, dims))}"
-        values[key] = poincare_polynomial(_variety(t, n, dims)).render()
+        values[key] = poincare_polynomial(finite_flag_variety(t, n, dims)).render()
     f3 = PrimeField(3)
     for n in (2, 3):
         values[f"bd:sources:n={n}:q=3"] = sum(1 for _ in W.enumerate_bd_sources(n, f3))

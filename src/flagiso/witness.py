@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .descriptors import min_truncation_width, require_valid, truncation_layout
 from .errors import ValidationError
 from . import linalg as la
 from .linalg import QQ, PrimeField
@@ -157,15 +158,14 @@ def _gap_classes(chain, basis, field, label):
 
     Raises with the offending member when some member is not spanned by basis
     vectors."""
-    canon = [s for s in chain]
     gaps = []
     for row in basis:
         g = next(
-            (i for i, s in enumerate(canon) if la.in_rowspace(row, s, field)),
-            len(canon),
+            (i for i, s in enumerate(chain) if la.in_rowspace(row, s, field)),
+            len(chain),
         )
         gaps.append(g)
-    for i, s in enumerate(canon):
+    for i, s in enumerate(chain):
         inside = sum(1 for g in gaps if g <= i)
         if inside != len(s):
             raise WitnessError(
@@ -446,12 +446,9 @@ def _dual_conjugate(d: StandardExtensionData) -> StandardExtensionData:
     field = d.field
     if d.source_form is not None:
         raise WitnessError("duality conjugation is general-type only")
-    v, w = d.source_dim, d.target_dim
+    w = d.target_dim
     k, m = d.source_members, d.slots
-    square = la.stack(d.alpha, d.complement)
-    inv = la.inverse(square, field)
-    proj = tuple(row[:v] for row in inv)  # w x v, alpha . proj = identity
-    alpha_d = la.transpose(proj)
+    alpha_d = la.transpose(_projection_onto_source(d))  # alpha . proj = identity
     complement_d = la.nullspace(d.alpha, field, w)
     filtration_d = tuple(
         la.nullspace(la.stack(d.alpha, d.filtration[m - j]), field, w)
@@ -763,6 +760,16 @@ def split_antisymmetric_form(n_ambient, field):
     )
 
 
+def split_form(lie_type, n_ambient, field):
+    """The split form of a finite flag variety of the given Lie type:
+    antisymmetric for C, symmetric for B and D, none for A."""
+    if lie_type == "A":
+        return None
+    if lie_type == "C":
+        return split_antisymmetric_form(n_ambient, field)
+    return split_symmetric_form(n_ambient, field)
+
+
 def split_quadratic_value(vec, field):
     """Q(x) = sum x_i x_(pair of i) over the lower half, plus x_mid^2 / 2 at
     odd length; polarizes to the split symmetric form, in every characteristic
@@ -997,167 +1004,68 @@ def bd_square_check(n: int, sample) -> SquareReport:
 # width n into the truncation at width n + 1.
 
 
-def _block_layout(sizes):
-    offsets = []
-    acc = 0
-    for s in sizes:
-        offsets.append(acc)
-        acc += s
-    return offsets, acc
+def _coordinate_keys(blocks):
+    """One key per coordinate of a truncation layout, in coordinate order.
 
-
-def _half_coordinate_map(src_sizes, src_keys, tgt_sizes, tgt_keys):
-    """Position map for the lower-half (or general) coordinates: prefix
-    embedding block by block, aligned by truncation keys."""
-    tgt_index = {key: i for i, key in enumerate(tgt_keys)}
-    src_off, src_total = _block_layout(src_sizes)
-    tgt_off, _ = _block_layout(tgt_sizes)
-    mapping = [None] * src_total
-    block_of = []
-    for i, key in enumerate(src_keys):
-        t = tgt_index[key]
-        block_of.append(t)
-        if src_sizes[i] > tgt_sizes[t]:
-            raise WitnessError("truncation blocks may only grow with the width")
-        for r in range(src_sizes[i]):
-            mapping[src_off[i] + r] = tgt_off[t] + r
-    return mapping, block_of
-
-
-def _middle_coordinate_map(src_m, tgt_m, src_base, tgt_base):
-    pairs = []
-    half = src_m // 2
-    for t in range(src_m):
-        if t < half:
-            t2 = t
-        elif src_m % 2 == 1 and t == half:
-            t2 = tgt_m // 2
+    A block counts its coordinates from the bottom, a mirrored ``hi`` block
+    from the top (so coordinate r of ``("hi", k)`` pairs with coordinate r of
+    ``("lo", k)`` under the split form), and the middle keeps its lower half,
+    its centre at odd size, and its upper half counted from the top.  Blocks
+    only grow with the width, so a coordinate keeps its key."""
+    keys = []
+    for key, size in blocks:
+        if key[0] == "hi":
+            subs = range(size - 1, -1, -1)
+        elif key[0] == "mid":
+            half = size // 2
+            subs = [*range(half), *(["centre"] * (size % 2)), *range(-half, 0)]
         else:
-            t2 = t + (tgt_m - src_m)
-        pairs.append((src_base + t, tgt_base + t2))
-    return pairs
+            subs = range(size)
+        keys.extend((key, r) for r in subs)
+    return keys
 
 
 def exhaustion_step(descriptor, n: int) -> StandardExtensionData:
     """Strict standard extension embedding the truncation at width n into the
-    truncation at width n + 1."""
-    from .descriptors import (
-        FormType,
-        _truncated_middle,
-        min_truncation_width,
-        require_valid,
-    )
-    from .orders import truncate
-
-    require_valid(descriptor)
+    truncation at width n + 1: alpha sends each coordinate to the coordinate
+    with the same key, and the new coordinates span the complement."""
     n0 = min_truncation_width(descriptor)
     if n < n0:
         raise WitnessError(f"width {n} is below the smallest admissible width {n0}")
     field = QQ
-
-    if descriptor.form is FormType.GENERAL:
-        s_sizes, s_keys = truncate(descriptor.order, n)
-        t_sizes, t_keys = truncate(descriptor.order, n + 1)
-        mapping, block_of = _half_coordinate_map(s_sizes, s_keys, t_sizes, t_keys)
-        v, w = sum(s_sizes), sum(t_sizes)
-        cuts_src = list(range(1, len(s_sizes)))
-        cuts_tgt = list(range(1, len(t_sizes)))
-        forms = {}
-    else:
-        s_half, s_keys = truncate(descriptor.half, n)
-        t_half, t_keys = truncate(descriptor.half, n + 1)
-        sm = _truncated_middle(descriptor, n)
-        tm = _truncated_middle(descriptor, n + 1)
-        half_map, block_of = _half_coordinate_map(s_half, s_keys, t_half, t_keys)
-        s_lower, v_half = _block_layout(s_half)
-        t_lower, w_half = _block_layout(t_half)
-        v = 2 * v_half + sm
-        w = 2 * w_half + tm
-        mapping = [None] * v
-        for c, c2 in enumerate(half_map):
-            mapping[c] = c2
-            mapping[v - 1 - c] = w - 1 - c2
-        for c, c2 in _middle_coordinate_map(sm, tm, v_half, w_half):
-            mapping[c] = c2
-        cuts_src = list(range(1, len(s_half) + 1))
-        cuts_tgt = list(range(1, len(t_half) + 1))
-        if descriptor.form is FormType.SYMPLECTIC:
-            forms = dict(
-                source_form=split_antisymmetric_form(v, field),
-                target_form=split_antisymmetric_form(w, field),
-            )
-        else:
-            forms = dict(
-                source_form=split_symmetric_form(v, field),
-                target_form=split_symmetric_form(w, field),
-            )
-
-    unit = la.identity(w, field)
-    alpha = tuple(unit[mapping[i]] for i in range(v))
+    src = truncation_layout(descriptor, n)
+    tgt = truncation_layout(descriptor, n + 1)
+    position = {key: c for c, key in enumerate(_coordinate_keys(tgt.blocks()))}
+    mapping = [position[key] for key in _coordinate_keys(src.blocks())]
+    unit = la.identity(tgt.ambient, field)
     used = set(mapping)
-    added = [j for j in range(w) if j not in used]
-    complement = tuple(unit[a] for a in added)
-
-    if descriptor.form is FormType.GENERAL:
-        s_sizes_l, t_sizes_l = s_sizes, t_sizes
-        src_off, _ = _block_layout(s_sizes_l)
-        tgt_off, _ = _block_layout(t_sizes_l)
-    else:
-        s_sizes_l, t_sizes_l = s_half, t_half
-        src_off, _ = _block_layout(s_sizes_l)
-        tgt_off, _ = _block_layout(t_sizes_l)
-
-    filtration = []
-    kappa = []
-    for cut in cuts_tgt:
-        boundary = tgt_off[cut] if cut < len(t_sizes_l) else sum(t_sizes_l)
-        kc = sum(1 for t in block_of if t < cut)
-        filtration.append(tuple(unit[a] for a in added if a < boundary))
-        kappa.append(kc)
+    added = [c for c in range(tgt.ambient) if c not in used]
+    # The source members, plus the whole source space for a general chain,
+    # as coordinate prefixes; kappa counts those whose image lies below the
+    # target member.
+    tops = src.dims + (src.ambient,) if src.lie_type == "A" else src.dims
+    kappa = [sum(1 for top in tops if max(mapping[:top]) < dim) for dim in tgt.dims]
+    filtration = [[unit[c] for c in added if c < dim] for dim in tgt.dims]
     return standard_extension(
         field,
-        len(cuts_src),
-        alpha,
-        complement,
-        tuple(filtration),
-        tuple(kappa),
+        len(src.dims),
+        [unit[c] for c in mapping],
+        [unit[c] for c in added],
+        filtration,
+        kappa,
         strict=True,
-        **forms,
+        source_form=split_form(src.lie_type, src.ambient, field),
+        target_form=split_form(tgt.lie_type, tgt.ambient, field),
     )
 
 
 def standard_point(descriptor, n: int) -> FiniteFlagPoint:
     """The coordinate flag of the truncation at width n."""
-    from .descriptors import FormType, _truncated_middle, require_valid
-    from .orders import truncate
-
     require_valid(descriptor)
-    field = QQ
-    if descriptor.form is FormType.GENERAL:
-        sizes, _ = truncate(descriptor.order, n)
-        ambient = sum(sizes)
-        dims = []
-        acc = 0
-        for s in sizes[:-1]:
-            acc += s
-            dims.append(acc)
-        form = None
-    else:
-        sizes, _ = truncate(descriptor.half, n)
-        ambient = 2 * sum(sizes) + _truncated_middle(descriptor, n)
-        dims = []
-        acc = 0
-        for s in sizes:
-            acc += s
-            dims.append(acc)
-        form = (
-            split_antisymmetric_form(ambient, field)
-            if descriptor.form is FormType.SYMPLECTIC
-            else split_symmetric_form(ambient, field)
-        )
-    unit = la.identity(ambient, field)
-    members = [unit[:d] for d in dims]
-    return flag_point(field, ambient, members, form=form)
+    layout = truncation_layout(descriptor, n)
+    unit = la.identity(layout.ambient, QQ)
+    form = split_form(layout.lie_type, layout.ambient, QQ)
+    return flag_point(QQ, layout.ambient, [unit[:d] for d in layout.dims], form=form)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import flagiso
 from flagiso import cli
 
 
@@ -99,3 +104,31 @@ def test_witness_bd_all_output_unchanged(capsys, n, points):
             "pass": True,
         },
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest", "--only", "7", "--skip-lockfile"],
+        ["witness-bd", "--n", "3", "--all", "--json"],
+    ],
+)
+def test_closed_stdout_exits_one_without_traceback(argv):
+    # stdout is a pipe whose only reader is closed before the command starts
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(pathlib.Path(flagiso.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flagiso", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagiso.descriptors import (
     DescriptorError,
@@ -28,7 +30,7 @@ from flagiso.descriptors import (
 )
 from flagiso.errors import ValidationError
 from flagiso.generate import random_descriptor
-from flagiso.orders import INF, omega, omegastar, reverse, normalize, seq
+from flagiso.orders import EMPTY, INF, omega, omegastar, reverse, normalize, seq
 from flagiso.witness import exhaustion_step
 
 
@@ -147,7 +149,7 @@ def test_truncation_monotone_with_exhaustion_data():
             step = exhaustion_step(d, n)
             assert step.source_members == len(v.dims)
             assert step.slots == len(w.dims)
-            assert step.source_dim == (v.ambient_dim if v.lie_type == "A" else v.ambient_dim)
+            assert step.source_dim == v.ambient_dim
             src_dims = (0,) + v.dims + (v.ambient_dim,)
             for j, q in enumerate(w.dims, start=1):
                 c = step.kappa[j - 1]
@@ -200,6 +202,79 @@ def test_json_round_trip():
         obj = descriptor_to_json(d)
         assert set(obj) <= {"form", "half", "middle", "order"}
         assert descriptor_from_json(obj) == d
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        {"form": "bogus"},
+        {"form": ["general"]},
+        {"form": "general", "order": 5},
+        {"form": "general"},
+        {"form": "symplectic", "half": "seq[1]", "middle": None},
+        {"form": "symplectic", "half": None, "middle": "inf"},
+        {"form": "orthogonal", "half": "seq[1]", "middle": "2"},
+        "gen: seq[inf]",
+        None,
+    ],
+)
+def test_json_rejects_malformed_input(obj):
+    with pytest.raises(ValidationError):
+        descriptor_from_json(obj)
+
+
+# derandomized and without an example database, so every run sees the same examples
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=400)
+
+_sizes = st.one_of(st.integers(1, 3), st.just(INF))
+_orders = st.lists(
+    st.one_of(
+        st.lists(_sizes, min_size=1, max_size=3).map(lambda sizes: seq(*sizes)),
+        _sizes.map(omega),
+        _sizes.map(omegastar),
+    ),
+    max_size=5,
+).map(lambda parts: sum(parts, EMPTY))
+_middles = st.one_of(st.integers(0, 5), st.just(INF))
+_descriptors = st.one_of(
+    _orders.map(general_flags),
+    st.builds(orthogonal_flags, _orders, _middles),
+    st.builds(symplectic_flags, _orders, _middles),
+).filter(lambda d: not validate(d))
+
+
+def test_empty_half_round_trips():
+    d = orthogonal_flags(EMPTY, INF)
+    assert render_descriptor(d) == "orth: half=; middle=inf"
+    assert parse_descriptor(render_descriptor(d)) == d
+    assert descriptor_from_json(descriptor_to_json(d)) == d
+
+
+@_PROPERTY
+@given(_descriptors)
+def test_text_and_json_round_trip_property(d):
+    assert parse_descriptor(render_descriptor(d)) == d
+    assert descriptor_from_json(descriptor_to_json(d)) == d
+
+
+@st.composite
+def _edited_render(draw):
+    """A rendered descriptor with one span replaced by a few grammar characters."""
+    text = render_descriptor(draw(_descriptors))
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 3)))
+    return text[:i] + draw(st.text("genorthsympalfmidyx:;=[](),+ 01239²٣", max_size=3)) + text[j:]
+
+
+@_PROPERTY
+@given(st.one_of(st.text(max_size=60), _edited_render()))
+def test_parse_arbitrary_text_succeeds_or_raises_validation_error(text):
+    try:
+        d = parse_descriptor(text)
+    except ValidationError:
+        return
+    assert parse_descriptor(render_descriptor(d)) == d
 
 
 def test_variety_validation():

@@ -406,6 +406,10 @@ def test_bd_over_rationals():
         "orth: half=seq[inf]; middle=1",
         "orth: half=seq[inf,1]; middle=empty",
         "orth: half=omega(1); middle=inf",
+        # finite middles above 1: the middle keeps its halves and odd centre
+        "orth: half=seq[1] + omega(1); middle=3",
+        "orth: half=seq[1] + omega(1); middle=4",
+        "symp: half=omega(2); middle=4",
     ],
 )
 def test_exhaustion_step_matches_standard_points(text):
