@@ -8,7 +8,6 @@ from .decide import (
     Verdict,
     decide_finite,
     decide_ind,
-    decide_ind_grassmannian,
 )
 from .descriptors import (
     FiniteFlagVariety,

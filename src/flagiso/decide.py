@@ -23,8 +23,6 @@ from .descriptors import (
     GENERAL_MIN_AMBIENT,
     ORTHOGONAL_MIN_AMBIENT,
     SYMPLECTIC_MIN_AMBIENT,
-    middle_codim,
-    pic_rank,
     require_valid,
     require_valid_variety,
 )
@@ -152,15 +150,6 @@ def decide_finite(x: FiniteFlagVariety, y: FiniteFlagVariety) -> DecisionResult:
     return _no("no classification rule matches the pair")
 
 
-def _gr_dims(order):
-    """(dim F, codim F) for a one-cut general chain, from its normal form."""
-    norm = normalize(order)
-    blocks = [s for atom in norm.atoms for s in atom.sizes]
-    if len(blocks) != 2:
-        raise ValidationError("descriptor does not have exactly one proper member")
-    return blocks[0], blocks[1]
-
-
 def decide_ind(x: FlagDescriptor, y: FlagDescriptor) -> DecisionResult:
     require_valid(x)
     require_valid(y)
@@ -206,55 +195,3 @@ def decide_ind(x: FlagDescriptor, y: FlagDescriptor) -> DecisionResult:
         return _no("general and symplectic descriptors match no exceptional pair")
 
     return _no("orthogonal descriptors are never isomorphic to the other types")
-
-
-def decide_ind_grassmannian(x: FlagDescriptor, y: FlagDescriptor) -> DecisionResult:
-    """Decision for one-member descriptors, phrased purely in dimension data.
-
-    A deliberately independent route: instead of normal-form comparison of
-    whole chains it compares (dim F, codim F) for general descriptors and
-    (dim F, middle quotient) for isotropic ones.
-    """
-    require_valid(x)
-    require_valid(y)
-    for d in (x, y):
-        if pic_rank(d) != 1:
-            raise ValidationError("decide_ind_grassmannian needs descriptors with one proper member")
-
-    if x.form is y.form is FormType.GENERAL:
-        a1, b1 = _gr_dims(x.order)
-        a2, b2 = _gr_dims(y.order)
-        if (a1, b1) == (a2, b2):
-            return _yes(Reason.FLAG_ISO, "equal member dimension and codimension")
-        if (a1, b1) == (b2, a2):
-            return _yes(Reason.DUAL_FLAG_ISO, "member dimensions swap with codimensions")
-        return _no("grassmannian dimension data differ")
-
-    if x.form is y.form:
-        # The half of a one-member isotropic descriptor is a single block.
-        a1 = (normalize(x.half).atoms[0]).sizes[0]
-        a2 = (normalize(y.half).atoms[0]).sizes[0]
-        m1, m2 = middle_codim(x), middle_codim(y)
-        if a1 == a2 and m1 == m2:
-            return _yes(Reason.FLAG_ISO, "equal isotropic member dimension and middle quotient")
-        if x.form is FormType.ORTHOGONAL and {m1, m2} == {0, 1}:
-            return _yes(
-                Reason.EXCEPTIONAL_BD,
-                "maximal orthogonal grassmannians: middle quotient of "
-                "dimension one versus a self-perp member",
-            )
-        return _no("isotropic grassmannian data differ")
-
-    forms = {x.form, y.form}
-    if forms == {FormType.GENERAL, FormType.SYMPLECTIC}:
-        gen, symp = (x, y) if x.form is FormType.GENERAL else (y, x)
-        a, b = _gr_dims(gen.order)
-        g = (normalize(symp.half).atoms[0]).sizes[0]
-        if g == 1 and (a == 1 or b == 1):
-            return _yes(
-                Reason.EXCEPTIONAL_PROJ_SYMP,
-                "projective ind-space and the symplectic line ind-grassmannian",
-            )
-        return _no("general and symplectic grassmannians match no exceptional pair")
-
-    return _no("orthogonal grassmannians are never isomorphic to the other types")

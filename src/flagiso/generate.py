@@ -20,8 +20,7 @@ from .witness import (
     FiniteFlagPoint,
     StandardExtensionData,
     flag_point,
-    split_antisymmetric_form,
-    split_symmetric_form,
+    split_form,
     standard_extension,
 )
 
@@ -172,19 +171,15 @@ def random_rebase_instance(rng, field, isotropic=False):
 
     m = rng.randint(2, 3)
     odd = rng.random() < 0.5
-    symplectic = not odd and rng.random() < 0.5
+    lie_type = "B" if odd else ("C" if rng.random() < 0.5 else "D")
     n = 2 * m + (1 if odd else 0)
-    form = (
-        split_antisymmetric_form(n, field)
-        if symplectic
-        else split_symmetric_form(n, field)
-    )
+    form = split_form(lie_type, n, field)
     k = rng.randint(1, m)
     cuts = sorted(rng.sample(range(1, m + 1), k))
     e = la.identity(n, field)
     members = [tuple(e[i] for i in range(c)) for c in cuts]
     chain = flag_point(field, n, members, form=form)
-    t = _random_pairing_transform(rng, field, n, cuts, symplectic)
+    t = _random_pairing_transform(rng, field, form, cuts)
     e2 = la.mat_mul(t, e, field)
     return chain, e, e2, form
 
@@ -211,9 +206,10 @@ def _random_gap_transform(rng, field, gaps):
     return t
 
 
-def _random_pairing_transform(rng, field, n, cuts, symplectic):
+def _random_pairing_transform(rng, field, form, cuts):
     """Invertible, chain-stabilizing, carrying the standard isotropic basis to
     another isotropic basis (pair structure kept, pairing values may move)."""
+    n = len(form)
     m = n // 2
     t = [list(row) for row in la.identity(n, field)]
     # independent scalings, including the middle fixed vector by a square
@@ -244,8 +240,10 @@ def _random_pairing_transform(rng, field, n, cuts, symplectic):
         j = n - 1 - i
         perm = [list(row) for row in la.identity(n, field)]
         perm[i][i] = perm[j][j] = field.zero()
+        # e_i -> e_j and e_j -> s e_i keep the form when s B(e_j, e_i) =
+        # B(e_i, e_j); both values are +-1, so s is their product
         perm[i][j] = field.one()
-        perm[j][i] = field.reduce(-field.one()) if symplectic else field.one()
+        perm[j][i] = field.reduce(form[i][j] * form[j][i])
         out = la.mat_mul(out, tuple(tuple(r) for r in perm), field)
     return out
 
@@ -319,8 +317,9 @@ def random_strict_extension(
     if p < k:
         raise ValidationError("isotropic source too small for the member count")
     w = v + 2 * ck
-    make = split_antisymmetric_form if symplectic else split_symmetric_form
-    fv, fw = make(v, field), make(w, field)
+    # w = v + 2 ck has the parity of v, so one Lie type fits both ambients
+    lie_type = "C" if symplectic else ("B" if odd else "D")
+    fv, fw = split_form(lie_type, v, field), split_form(lie_type, w, field)
     unit = la.identity(w, field)
     # source pairs on the outer ring of the target, complement pairs inside
     alpha_rows = []

@@ -13,6 +13,43 @@ so every stored entry is again an element.  ``of`` converts integers and
 fractions into the field, ``zero()``/``one()`` are its constants, ``inv``
 inverts (division is multiplication by ``inv``), and ``sqrt`` returns a
 square root or None.
+
+The two kernels, ``rref`` and ``mat_mul``, have one body each for both fields
+and do their arithmetic on Python ints, without building a field element
+until the output.  ``rref`` is Gauss-Jordan elimination without division: a
+row is updated as ``lead * row - f * top`` for the pivot row ``top``, its
+pivot ``lead``, and the row's entry ``f`` in the pivot column.  This is the
+fraction-free elimination of Bareiss (Math. Comp. 22 (1968)), except that
+the row's content is divided out instead of the previous pivot.  ``mat_mul``
+sums integer products, skipping zero entries on the left.  The field
+supplies the steps where QQ and F_p differ:
+
+* ``clear(row)`` returns ``(ints, den)`` with ``row == ints / den``.  QQ
+  multiplies by the lcm of the row's denominators; F_p returns the row and 1.
+* ``shrink(ints)`` keeps the entries of an updated row small.  QQ divides by
+  the row's content (the gcd of its entries; an all-zero row is left alone);
+  F_p reduces mod p.
+* ``pivot(ints, c)`` prepares a pivot row.  F_p scales it by ``inv`` so the
+  pivot is 1: updates then keep every earlier pivot at 1, and ``finish`` has
+  nothing to divide.  QQ leaves it.
+* ``finish(ints, c)`` turns a reduced row into field elements: QQ divides by
+  the pivot, ``Fraction(x, pivot)`` once per entry; F_p returns the row.
+* ``quotient(num, den)`` is one ``mat_mul`` output entry, ``num`` over the
+  product of the row's and the column's ``den``: ``Fraction`` on QQ, ``num %
+  p`` on F_p (where every ``den`` is 1).
+
+F_p keeps every intermediate entry in 0..p-1 because elimination tests
+entries against zero to find pivots: an unreduced multiple of p is a nonzero
+int but zero in F_p.  Reduction also keeps the products single-word ints.
+Tuples and star-arguments in the kernels are built from lists, not from
+generators: a tuple built from a generator grows by resizing, and the
+over-sized blocks that this leaves in the allocator raised the peak RSS of
+the ``witness-qq`` benchmark workload by about 1.3 MB (5 %).
+
+The outputs are field elements (``Fraction`` in lowest terms on QQ,
+reduced ints on F_p), and since the reduced row echelon form is unique they
+are the same as those of elimination on field elements, which
+``tests/oracles.py`` keeps as the reference.
 """
 
 from __future__ import annotations
@@ -47,6 +84,26 @@ class PrimeField:
     def reduce(self, x):
         return x % self.p
 
+    # Hooks of the fraction-free kernel (see the module docstring).
+
+    clear = staticmethod(lambda row: (row, 1))
+
+    def shrink(self, row):
+        p = self.p
+        return [x % p for x in row]
+
+    def pivot(self, row, c):
+        if row[c] == 1:
+            return row
+        p = self.p
+        inv = pow(row[c], -1, p)
+        return [x * inv % p for x in row]
+
+    finish = staticmethod(lambda row, c: tuple(row))
+
+    def quotient(self, num, den):
+        return num % self.p
+
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -73,6 +130,9 @@ class PrimeField:
         return hash(("PrimeField", self.p))
 
 
+_ZERO = Fraction(0)
+
+
 class Rationals:
     """The field of rationals, with Fraction elements."""
 
@@ -85,6 +145,31 @@ class Rationals:
     @staticmethod
     def reduce(x):
         return x
+
+    # Hooks of the fraction-free kernel (see the module docstring).
+
+    @staticmethod
+    def clear(row):
+        den = math.lcm(*[x.denominator for x in row])
+        if den == 1:
+            return [x.numerator for x in row], 1
+        return [x.numerator * (den // x.denominator) for x in row], den
+
+    @staticmethod
+    def shrink(row):
+        g = math.gcd(*row)
+        return [x // g for x in row] if g > 1 else row
+
+    pivot = staticmethod(lambda row, c: row)
+
+    @staticmethod
+    def finish(row, c):
+        den = row[c]
+        return tuple([Fraction(x, den) if x else _ZERO for x in row])
+
+    @staticmethod
+    def quotient(num, den):
+        return Fraction(num, den) if num else _ZERO
 
     @staticmethod
     def inv(a):
@@ -132,14 +217,16 @@ def transpose(a):
 def mat_mul(a, b, field):
     if not a:
         return ()
-    bt = transpose(b)
-    return tuple(tuple(_dot_row(row, col, field) for col in bt) for row in a)
-
-
-def _dot_row(u, v, field):
-    # Most left entries are zero, so skip them; the zero() start keeps QQ
-    # entries Fraction when every term is skipped.
-    return field.reduce(sum((x * y for x, y in zip(u, v) if x), field.zero()))
+    cols = [field.clear(col) for col in zip(*b)]
+    out = []
+    for row in a:
+        ints, den = field.clear(row)
+        terms = [(j, x) for j, x in enumerate(ints) if x]
+        out.append(tuple([
+            field.quotient(sum(x * col[j] for j, x in terms), den * col_den)
+            for col, col_den in cols
+        ]))
+    return tuple(out)
 
 
 def mat_add(a, b, field):
@@ -165,29 +252,27 @@ def mat_eq(a, b):
 
 def rref(a, field):
     """(reduced row echelon form with zero rows dropped, pivot columns)."""
-    mat_ = [list(row) for row in a]
-    if not mat_:
+    rows = [field.clear(row)[0] for row in a]
+    if not rows:
         return (), ()
-    ncols = len(mat_[0])
     pivots = []
     r = 0
-    zero = field.zero()
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat_)) if mat_[i][c] != zero), None)
+    for c in range(len(rows[0])):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
-        mat_[r], mat_[pivot_row] = mat_[pivot_row], mat_[r]
-        inv = field.inv(mat_[r][c])
-        mat_[r] = [field.reduce(inv * x) for x in mat_[r]]
-        for i in range(len(mat_)):
-            if i != r and mat_[i][c] != zero:
-                f = mat_[i][c]
-                mat_[i] = [field.reduce(x - f * y) for x, y in zip(mat_[i], mat_[r])]
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        top = rows[r] = field.pivot(rows[r], c)
+        lead = top[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = field.shrink([lead * x - f * y for x, y in zip(row, top)])
         pivots.append(c)
         r += 1
-        if r == len(mat_):
+        if r == len(rows):
             break
-    return tuple(tuple(row) for row in mat_[:r]), tuple(pivots)
+    return tuple([field.finish(row, c) for row, c in zip(rows, pivots)]), tuple(pivots)
 
 
 def rowspace(a, field):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .descriptors import min_truncation_width, require_valid, truncation_layout
+from .descriptors import min_truncation_width, truncation_layout
 from .errors import ValidationError
 from . import linalg as la
 from .linalg import QQ, PrimeField
@@ -1025,13 +1025,17 @@ def _coordinate_keys(blocks):
     return keys
 
 
+def _require_admissible_width(descriptor, n):
+    n0 = min_truncation_width(descriptor)
+    if n < n0:
+        raise WitnessError(f"width {n} is below the smallest admissible width {n0}")
+
+
 def exhaustion_step(descriptor, n: int) -> StandardExtensionData:
     """Strict standard extension embedding the truncation at width n into the
     truncation at width n + 1: alpha sends each coordinate to the coordinate
     with the same key, and the new coordinates span the complement."""
-    n0 = min_truncation_width(descriptor)
-    if n < n0:
-        raise WitnessError(f"width {n} is below the smallest admissible width {n0}")
+    _require_admissible_width(descriptor, n)
     field = QQ
     src = truncation_layout(descriptor, n)
     tgt = truncation_layout(descriptor, n + 1)
@@ -1060,8 +1064,9 @@ def exhaustion_step(descriptor, n: int) -> StandardExtensionData:
 
 
 def standard_point(descriptor, n: int) -> FiniteFlagPoint:
-    """The coordinate flag of the truncation at width n."""
-    require_valid(descriptor)
+    """The coordinate flag of the truncation at width n; like
+    ``exhaustion_step`` it rejects widths below the smallest admissible one."""
+    _require_admissible_width(descriptor, n)
     layout = truncation_layout(descriptor, n)
     unit = la.identity(layout.ambient, QQ)
     form = split_form(layout.lie_type, layout.ambient, QQ)

@@ -4,14 +4,20 @@ Everything here deliberately avoids the library's own code paths: counts come
 from closed-form products or raw vector loops, polynomial identities from the
 Pascal-style recursion, Coxeter lengths from breadth-first word search,
 Poincare polynomials from enumerating the Weyl group as signed permutations,
-and order normal forms from iterating the single-step rewrite specification.
+order normal forms from iterating the single-step rewrite specification,
+grassmannian verdicts from dimension data alone, and exact linear algebra from
+Gauss-Jordan elimination on ``Fraction`` (or F_p) entries.
 """
 
 import itertools
 from functools import lru_cache
 
 from flagiso.counting import QPolynomial
-from flagiso.orders import INF, Omega, OmegaStar, Seq, rewrite_step
+from flagiso.decide import DecisionResult, Reason, _no, _yes
+from flagiso.descriptors import FlagDescriptor, FormType, middle_codim, pic_rank, require_valid
+from flagiso.errors import ValidationError
+from flagiso.linalg import transpose
+from flagiso.orders import INF, Omega, OmegaStar, Seq, normalize, rewrite_step
 
 
 # ---------------------------------------------------------------------------
@@ -296,3 +302,113 @@ def normalize_by_rewriting(x):
         if step is None:
             return x
         x = step[0]
+
+
+# ---------------------------------------------------------------------------
+# Grassmannian verdicts from dimension data, without comparing whole chains.
+
+
+def _gr_dims(order):
+    """(dim F, codim F) for a one-cut general chain, from its normal form."""
+    norm = normalize(order)
+    blocks = [s for atom in norm.atoms for s in atom.sizes]
+    if len(blocks) != 2:
+        raise ValidationError("descriptor does not have exactly one proper member")
+    return blocks[0], blocks[1]
+
+
+def decide_ind_grassmannian(x: FlagDescriptor, y: FlagDescriptor) -> DecisionResult:
+    """Decision for one-member descriptors, phrased purely in dimension data.
+
+    A deliberately independent route: instead of normal-form comparison of
+    whole chains it compares (dim F, codim F) for general descriptors and
+    (dim F, middle quotient) for isotropic ones.
+    """
+    require_valid(x)
+    require_valid(y)
+    for d in (x, y):
+        if pic_rank(d) != 1:
+            raise ValidationError("decide_ind_grassmannian needs descriptors with one proper member")
+
+    if x.form is y.form is FormType.GENERAL:
+        a1, b1 = _gr_dims(x.order)
+        a2, b2 = _gr_dims(y.order)
+        if (a1, b1) == (a2, b2):
+            return _yes(Reason.FLAG_ISO, "equal member dimension and codimension")
+        if (a1, b1) == (b2, a2):
+            return _yes(Reason.DUAL_FLAG_ISO, "member dimensions swap with codimensions")
+        return _no("grassmannian dimension data differ")
+
+    if x.form is y.form:
+        # The half of a one-member isotropic descriptor is a single block.
+        a1 = (normalize(x.half).atoms[0]).sizes[0]
+        a2 = (normalize(y.half).atoms[0]).sizes[0]
+        m1, m2 = middle_codim(x), middle_codim(y)
+        if a1 == a2 and m1 == m2:
+            return _yes(Reason.FLAG_ISO, "equal isotropic member dimension and middle quotient")
+        if x.form is FormType.ORTHOGONAL and {m1, m2} == {0, 1}:
+            return _yes(
+                Reason.EXCEPTIONAL_BD,
+                "maximal orthogonal grassmannians: middle quotient of "
+                "dimension one versus a self-perp member",
+            )
+        return _no("isotropic grassmannian data differ")
+
+    forms = {x.form, y.form}
+    if forms == {FormType.GENERAL, FormType.SYMPLECTIC}:
+        gen, symp = (x, y) if x.form is FormType.GENERAL else (y, x)
+        a, b = _gr_dims(gen.order)
+        g = (normalize(symp.half).atoms[0]).sizes[0]
+        if g == 1 and (a == 1 or b == 1):
+            return _yes(
+                Reason.EXCEPTIONAL_PROJ_SYMP,
+                "projective ind-space and the symplectic line ind-grassmannian",
+            )
+        return _no("general and symplectic grassmannians match no exceptional pair")
+
+    return _no("orthogonal grassmannians are never isomorphic to the other types")
+
+
+# ---------------------------------------------------------------------------
+# Exact linear algebra by Gauss-Jordan elimination on field elements: every
+# step is a Fraction (or reduced F_p) operation, with no cleared denominators.
+
+
+def mat_mul_by_fractions(a, b, field):
+    if not a:
+        return ()
+    bt = transpose(b)
+    return tuple(tuple(_dot_row(row, col, field) for col in bt) for row in a)
+
+
+def _dot_row(u, v, field):
+    # Most left entries are zero, so skip them; the zero() start keeps QQ
+    # entries Fraction when every term is skipped.
+    return field.reduce(sum((x * y for x, y in zip(u, v) if x), field.zero()))
+
+
+def rref_by_fractions(a, field):
+    """(reduced row echelon form with zero rows dropped, pivot columns)."""
+    mat_ = [list(row) for row in a]
+    if not mat_:
+        return (), ()
+    ncols = len(mat_[0])
+    pivots = []
+    r = 0
+    zero = field.zero()
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat_)) if mat_[i][c] != zero), None)
+        if pivot_row is None:
+            continue
+        mat_[r], mat_[pivot_row] = mat_[pivot_row], mat_[r]
+        inv = field.inv(mat_[r][c])
+        mat_[r] = [field.reduce(inv * x) for x in mat_[r]]
+        for i in range(len(mat_)):
+            if i != r and mat_[i][c] != zero:
+                f = mat_[i][c]
+                mat_[i] = [field.reduce(x - f * y) for x, y in zip(mat_[i], mat_[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat_):
+            break
+    return tuple(tuple(row) for row in mat_[:r]), tuple(pivots)

@@ -8,7 +8,6 @@ from flagiso.decide import (
     Verdict,
     decide_finite,
     decide_ind,
-    decide_ind_grassmannian,
 )
 from flagiso.descriptors import (
     FlagDescriptor,
@@ -24,6 +23,7 @@ from flagiso.descriptors import (
 from flagiso.errors import ValidationError
 from flagiso.generate import random_descriptor
 from flagiso.orders import INF, omega, seq
+from oracles import decide_ind_grassmannian
 
 
 def V(t, n, dims):

@@ -1,8 +1,13 @@
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from flagiso import linalg as la
 from flagiso.linalg import QQ, PrimeField
 from flagiso.errors import ValidationError
@@ -114,30 +119,219 @@ def _assert_elements(m, field):
         for x in row:
             if field == QQ:
                 assert type(x) is Fraction, (m, x)
+                assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1, (m, x)
             else:
                 assert type(x) is int and 0 <= x < field.p, (m, x)
+
+
+def _random_fractions(rng, rows, cols, field):
+    """A QQ matrix with zeros, negative entries and denominators up to 10**6,
+    mixed within each row (``la.random_matrix`` only draws integers)."""
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+    return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+
+
+def _random_invertible(rng, n, field, draw):
+    while True:
+        a = draw(rng, n, n, field)
+        if la.rank(a, field) == n:
+            return a
 
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_kernels_return_field_elements(field):
     rng = random.Random(46)
-    for _ in range(30):
-        r, c, k = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 3)
-        zeros = ((field.zero(),) * c,)
-        a = la.random_matrix(rng, r, c, field) + zeros
-        b = la.random_matrix(rng, c, k, field)
-        _assert_elements(la.mat_mul(a, b, field), field)
-        _assert_elements(la.mat_mul(zeros, b, field), field)
-        _assert_elements(la.mat_add(a, a, field), field)
-        _assert_elements(la.mat_scale(field.zero(), a, field), field)
-        _assert_elements(la.mat_scale(field.of(-2), a, field), field)
-        _assert_elements(la.rref(a, field)[0], field)
-        _assert_elements(la.nullspace(a, field, c), field)
-        _assert_elements(la.nullspace(zeros, field, c), field)
-        _assert_elements(la.inverse(la.random_invertible(rng, c, field), field), field)
-        x = la.random_matrix(rng, k, r + 1, field) + ((field.zero(),) * (r + 1),)
-        sol = la.solve_left(a, la.mat_mul(x, a, field), field)
-        _assert_elements(sol, field)
+    draws = [la.random_matrix] + ([_random_fractions] if field == QQ else [])
+    for draw in draws:
+        for _ in range(30):
+            r, c, k = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 3)
+            zeros = ((field.zero(),) * c,)
+            a = draw(rng, r, c, field) + zeros
+            b = draw(rng, c, k, field)
+            _assert_elements(la.mat_mul(a, b, field), field)
+            _assert_elements(la.mat_mul(zeros, b, field), field)
+            _assert_elements(la.mat_add(a, a, field), field)
+            _assert_elements(la.mat_scale(field.zero(), a, field), field)
+            _assert_elements(la.mat_scale(field.of(-2), a, field), field)
+            _assert_elements(la.rref(a, field)[0], field)
+            _assert_elements(la.nullspace(a, field, c), field)
+            _assert_elements(la.nullspace(zeros, field, c), field)
+            _assert_elements(la.inverse(_random_invertible(rng, c, field, draw), field), field)
+            x = draw(rng, k, r + 1, field) + ((field.zero(),) * (r + 1),)
+            sol = la.solve_left(a, la.mat_mul(x, a, field), field)
+            _assert_elements(sol, field)
+
+
+# ---------------------------------------------------------------------------
+# The fraction-free kernel against Gauss-Jordan elimination on field elements.
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+_KERNEL_FIELDS = (QQ, PrimeField(5), PrimeField(7))
+
+
+def _entries(field):
+    if field == QQ:
+        return st.one_of(
+            st.just(Fraction(0)),
+            st.integers(-3, 3).map(Fraction),
+            st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+        )
+    return st.integers(0, field.p - 1)
+
+
+@st.composite
+def _matrix(draw, field, rows=None, cols=None):
+    """A matrix with, now and then, zero rows, a zero column, and rows that
+    are combinations of earlier ones (they become zero during elimination)."""
+    r = draw(st.integers(1, 5)) if rows is None else rows
+    c = draw(st.integers(0, 5)) if cols is None else cols
+    entry = _entries(field)
+    m = [draw(st.lists(entry, min_size=c, max_size=c)) for _ in range(r)]
+    for i in range(1, r):
+        kind = draw(st.sampled_from(("free", "free", "zero", "combination")))
+        if kind == "zero":
+            m[i] = [field.zero()] * c
+        elif kind == "combination":
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            s, t = draw(entry), draw(entry)
+            m[i] = [field.reduce(s * x + t * y) for x, y in zip(m[j], m[k])]
+    if c and draw(st.booleans()):
+        col = draw(st.integers(0, c - 1))
+        for row in m:
+            row[col] = field.zero()
+    return tuple(tuple(row) for row in m)
+
+
+_field = st.sampled_from(_KERNEL_FIELDS)
+
+
+@st.composite
+def _field_and_matrix(draw, square=False):
+    field = draw(_field)
+    n = draw(st.integers(1, 5)) if square else None
+    return field, draw(_matrix(field, rows=n, cols=n))
+
+
+@st.composite
+def _field_and_product(draw):
+    """(field, a, b) with a (r x c) and b (c x k), any of r, c, k possibly 1
+    and c or k possibly 0."""
+    field, a = draw(_field_and_matrix())
+    k = draw(st.integers(0, 4))
+    return field, a, draw(_matrix(field, rows=len(a[0]), cols=k)) if a[0] else ()
+
+
+def _fraction_kernel():
+    return mock.patch.multiple(
+        la, rref=oracles.rref_by_fractions, mat_mul=oracles.mat_mul_by_fractions
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return ("ValidationError", str(exc))
+
+
+_ZERO_ROWS = (QQ, ((Fraction(0),) * 3,) * 2)
+_DEPENDENT_ROWS = (
+    QQ,
+    (
+        (Fraction(1, 3), Fraction(-2, 7), Fraction(5)),
+        (Fraction(2, 3), Fraction(-4, 7), Fraction(10)),
+        (Fraction(0), Fraction(999_999, 1_000_000), Fraction(-1, 2)),
+    ),
+)
+_ROW = (QQ, ((Fraction(-7, 10**6), Fraction(0), Fraction(3, 4), Fraction(5)),))
+_COLUMN = (PrimeField(7), ((0,), (3,), (6,)))
+_NO_COLUMNS = (QQ, ((), (), ()))
+
+
+@_PROPERTY
+@given(_field_and_matrix())
+@example(_ZERO_ROWS)
+@example(_DEPENDENT_ROWS)
+@example(_ROW)
+@example(_COLUMN)
+@example(_NO_COLUMNS)
+@example((PrimeField(5), ((), ())))
+def test_rref_matches_fraction_oracle(case):
+    field, a = case
+    got = la.rref(a, field)
+    assert got == oracles.rref_by_fractions(a, field)
+    _assert_elements(got[0], field)
+
+
+@_PROPERTY
+@given(_field_and_product())
+@example((QQ, _DEPENDENT_ROWS[1], _DEPENDENT_ROWS[1]))
+@example((QQ, _ROW[1], tuple((x,) for x in _ROW[1][0])))
+@example((PrimeField(7), _COLUMN[1], ((4, 0, 5),)))
+@example((QQ, _NO_COLUMNS[1], ()))
+@example((QQ, _ROW[1], ((),) * 4))
+def test_mat_mul_matches_fraction_oracle(case):
+    field, a, b = case
+    got = la.mat_mul(a, b, field)
+    assert got == oracles.mat_mul_by_fractions(a, b, field)
+    _assert_elements(got, field)
+
+
+@_PROPERTY
+@given(_field_and_matrix(square=True))
+@example(_ZERO_ROWS)
+@example((QQ, _DEPENDENT_ROWS[1][:2] + ((Fraction(1, 10**6),) * 3,)))
+@example((PrimeField(5), ((3,),)))
+def test_inverse_matches_fraction_oracle(case):
+    field, a = case
+    got = _outcome(la.inverse, a, field)
+    with _fraction_kernel():
+        want = _outcome(la.inverse, a, field)
+    assert got == want
+    if want[0] != "ValidationError":
+        _assert_elements(got, field)
+
+
+@_PROPERTY
+@given(_field_and_matrix())
+@example(_ZERO_ROWS)
+@example(_DEPENDENT_ROWS)
+@example(_ROW)
+@example(_COLUMN)
+@example(_NO_COLUMNS)
+def test_nullspace_matches_fraction_oracle(case):
+    field, a = case
+    ncols = len(a[0])
+    got = la.nullspace(a, field, ncols)
+    with _fraction_kernel():
+        want = la.nullspace(a, field, ncols)
+    assert got == want
+    _assert_elements(got, field)
+
+
+@_PROPERTY
+@given(_field_and_product(), st.booleans())
+@example((QQ, _DEPENDENT_ROWS[1], _DEPENDENT_ROWS[1]), False)
+@example((QQ, _DEPENDENT_ROWS[1], _DEPENDENT_ROWS[1]), True)
+@example((PrimeField(7), _COLUMN[1], ((4, 0, 5),)), False)
+def test_solve_left_matches_fraction_oracle(case, perturb):
+    # b = x . m is consistent; moving one entry of b may make it inconsistent
+    field, x, m = case
+    with _fraction_kernel():
+        b = la.mat_mul(x, m, field)
+    if perturb and b[0]:
+        b = ((field.reduce(b[0][0] + field.one()),) + b[0][1:],) + b[1:]
+    got = la.solve_left(m, b, field)
+    with _fraction_kernel():
+        want = la.solve_left(m, b, field)
+    assert got == want
+    if want is not None:
+        _assert_elements(got, field)
 
 
 def test_enumerate_subspaces_counts():

@@ -422,6 +422,23 @@ def test_exhaustion_step_matches_standard_points(text):
         assert W.apply_standard_extension(step, src).subspaces == tgt.subspaces
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["symp: half=seq[1]; middle=inf", "gen: seq[1,inf]", "orth: half=seq[inf]; middle=1"],
+)
+def test_widths_below_n0_are_rejected_alike(text):
+    d = parse_descriptor(text)
+    n0 = min_truncation_width(d)
+    for n in range(n0):
+        with pytest.raises(W.WitnessError) as point_err:
+            W.standard_point(d, n)
+        with pytest.raises(W.WitnessError) as step_err:
+            W.exhaustion_step(d, n)
+        assert str(point_err.value) == str(step_err.value)
+        assert str(point_err.value) == f"width {n} is below the smallest admissible width {n0}"
+    assert W.standard_point(d, n0).ambient_dim == W.exhaustion_step(d, n0).source_dim
+
+
 def test_exhaustion_steps_compose():
     d = parse_descriptor("symp: half=seq[1]; middle=inf")
     n0 = min_truncation_width(d)
