@@ -77,12 +77,12 @@ def _pic_value(value):
     return "inf" if value is INF else value
 
 
-def _emit(args, payload: dict, text: str) -> int:
+def _emit(args, payload: dict, text: str, code: int = 0) -> int:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(text)
-    return 0
+    return code
 
 
 def _cmd_decide(args) -> int:
@@ -244,11 +244,7 @@ def _cmd_witness_rebase(args) -> int:
         if ok
         else "rebase failed: " + transcript[-1]["detail"]
     )
-    if not args.json:
-        print(text)
-        return 0 if ok else 1
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0 if ok else 1
+    return _emit(args, payload, text, 0 if ok else 1)
 
 
 def _cmd_witness_bd(args) -> int:
@@ -296,11 +292,7 @@ def _cmd_witness_bd(args) -> int:
         f"{len(images)} distinct Lagrangian lifts; exhaustion square "
         f"{'commutes' if square.ok else 'FAILS'} on {square.checked} points"
     )
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
-    return 0 if ok else 1
+    return _emit(args, payload, text, 0 if ok else 1)
 
 
 def _cmd_selftest(args) -> int:
@@ -308,30 +300,26 @@ def _cmd_selftest(args) -> int:
     lock_ok, lock_detail = True, "skipped"
     if not args.skip_lockfile:
         lock_ok, lock_detail = st.check_lockfile(args.lockfile)
-    if args.json:
-        payload = {
-            "command": "selftest",
-            "criteria": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "seconds": round(r.seconds, 3),
-                    "limit": r.limit,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
-            "lockfile": {"ok": lock_ok, "detail": lock_detail},
-            "ok": all(r.passed for r in results) and lock_ok,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for r in results:
-            print(r.line())
-        print(("[PASS] " if lock_ok else "[FAIL] ") + "derived-value lockfile: " + lock_detail)
-        total = sum(r.passed for r in results)
-        print(f"{total}/{len(results)} criteria passed")
-    return 0 if all(r.passed for r in results) and lock_ok else 1
+    ok = all(r.passed for r in results) and lock_ok
+    payload = {
+        "command": "selftest",
+        "criteria": [
+            {
+                "name": r.name,
+                "passed": r.passed,
+                "seconds": round(r.seconds, 3),
+                "limit": r.limit,
+                "detail": r.detail,
+            }
+            for r in results
+        ],
+        "lockfile": {"ok": lock_ok, "detail": lock_detail},
+        "ok": ok,
+    }
+    lines = [r.line() for r in results]
+    lines.append(("[PASS] " if lock_ok else "[FAIL] ") + "derived-value lockfile: " + lock_detail)
+    lines.append(f"{sum(r.passed for r in results)}/{len(results)} criteria passed")
+    return _emit(args, payload, "\n".join(lines), 0 if ok else 1)
 
 
 def _add_variety_flags(sub):

@@ -21,7 +21,7 @@ Conventions.  For type D a variety with a Lagrangian member means one
 connected component, the one containing the span of the first m coordinates:
 its Levi is the type-A part alone (the group is D_m, not B_m), and the
 brute-force route filters Lagrangians by the parity of their intersection with
-that reference.
+that reference (``witness.in_reference_component``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from . import linalg as la
 from .descriptors import FiniteFlagVariety, require_valid_variety
 from .errors import ResourceLimitError, ValidationError
 from .linalg import PrimeField
-from .witness import bd_reference_lagrangian, split_form, split_quadratic_value
+from .witness import in_reference_component, split_form, split_quadratic_value
 
 DEFAULT_MAX_RANK = 96
 _RANK_ENV = "FLAGISO_MAX_RANK"
@@ -323,15 +323,12 @@ def brute_force_count(v: FiniteFlagVariety, q: int, form=None) -> int:
         raise ValidationError(
             "component selection for a Lagrangian member needs the standard form"
         )
-    ref = bd_reference_lagrangian(m, field)
 
     def ok(rows, dim):
         if gram is not None and not _rows_isotropic(rows, gram, q, quadratic):
             return False
         if lagrangian_filter and dim == m:
-            meet = len(rows) + m - la.rank(rows + ref, field)
-            if meet % 2 != m % 2:
-                return False
+            return in_reference_component(rows, m, field)
         return True
 
     total = 0

@@ -4,7 +4,11 @@ Vectors are rows; a linear map V -> W is a (dim V) x (dim W) matrix acting by
 right multiplication, so composition reads left to right as matrix product.
 Matrices are tuples of tuples of field elements.  Subspaces are row spaces,
 canonically represented by their reduced row echelon form, which makes
-equality of subspaces a structural comparison.
+equality of subspaces a structural comparison.  Every other subspace question
+is a rank comparison through ``rref``: rowspace(b) lies in rowspace(a) when
+stacking b under a leaves the rank of a unchanged (a vector's membership is
+the case of one row), and dim(A ∩ B) = dim A + dim B - rank(A + B).
+``intersect_rowspaces`` is for when a basis of the intersection is needed.
 
 A field has elements, ``Fraction`` on QQ and ``int`` in 0..p-1 on F_p.  Code
 combines them with Python's ``+ - *`` and passes the result of each operator
@@ -288,22 +292,10 @@ def rowspace_eq(a, b, field):
     return rowspace(a, field) == rowspace(b, field)
 
 
-def in_rowspace(v, canonical, field):
-    """Membership test against a canonical (rref) basis."""
-    v = list(v)
-    zero = field.zero()
-    for row in canonical:
-        c = next(i for i, x in enumerate(row) if x != zero)
-        if v[c] != zero:
-            f = v[c]
-            v = [field.reduce(x - f * y) for x, y in zip(v, row)]
-    return all(x == zero for x in v)
-
-
 def rowspace_contains(a, b, field):
-    """Whether rowspace(b) is contained in rowspace(a)."""
-    canon = rowspace(a, field)
-    return all(in_rowspace(r, canon, field) for r in b)
+    """Whether rowspace(b) is contained in rowspace(a): adding b's rows does
+    not raise the rank."""
+    return rank(stack(a, b), field) == rank(a, field)
 
 
 def nullspace(a, field, ncols=None):

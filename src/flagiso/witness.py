@@ -161,7 +161,7 @@ def _gap_classes(chain, basis, field, label):
     gaps = []
     for row in basis:
         g = next(
-            (i for i, s in enumerate(chain) if la.in_rowspace(row, s, field)),
+            (i for i, s in enumerate(chain) if la.rowspace_contains(s, (row,), field)),
             len(chain),
         )
         gaps.append(g)
@@ -499,26 +499,19 @@ def compose_standard_extensions(
     """Data applying as d1 followed by d2.
 
     The result is strict exactly when d1 and d2 are both strict or both
-    modified."""
-    strict = d1.strict == d2.strict
-    if d1.strict and d2.strict:
-        parts = _compose_strict(d1, d2)
-        forms = {}
-        if d1.source_form is not None and d2.source_form is not None:
-            if not la.mat_eq(d1.target_form, d2.source_form):
-                raise WitnessError("the intermediate forms disagree")
-            forms = dict(source_form=d1.source_form, target_form=d2.target_form)
-        elif d1.source_form is not None or d2.source_form is not None:
+    modified.  Forms carry over when both sides have them; one side alone
+    with forms is an error."""
+    forms = {}
+    if d1.source_form is not None or d2.source_form is not None:
+        if d1.source_form is None or d2.source_form is None:
             raise WitnessError("cannot compose a form-compatible extension with a bare one")
-        return standard_extension(strict=True, **parts, **forms)
-    if d1.strict and not d2.strict:
-        parts = _compose_strict(d1, d2)
-        return standard_extension(strict=False, **parts)
-    if not d1.strict and d2.strict:
-        parts = _compose_strict(d1, _dual_conjugate(d2))
-        return standard_extension(strict=False, **parts)
-    parts = _compose_strict(d1, _dual_conjugate(d2))
-    return standard_extension(strict=True, **parts)
+        if not la.mat_eq(d1.target_form, d2.source_form):
+            raise WitnessError("the intermediate forms disagree")
+        forms = dict(source_form=d1.source_form, target_form=d2.target_form)
+    inner = d2 if d1.strict else _dual_conjugate(d2)
+    return standard_extension(
+        strict=d1.strict == d2.strict, **_compose_strict(d1, inner), **forms
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -639,16 +632,16 @@ def check_triangle(phi, psi, chi) -> TriangleReport:
             f"slot map mismatch at slot {bad + 1}: expected {expected['kappa'][bad]}, "
             f"got {chi.kappa[bad]}"
         )
-    filtration_ok = all(
-        la.rowspace_eq(a, b, field)
-        for a, b in zip(expected["filtration"], chi.filtration)
-    )
-    if not filtration_ok:
-        bad = next(
+    bad = next(
+        (
             i
             for i, (a, b) in enumerate(zip(expected["filtration"], chi.filtration))
             if not la.rowspace_eq(a, b, field)
-        )
+        ),
+        None,
+    )
+    filtration_ok = bad is None
+    if not filtration_ok:
         messages.append(f"filtration mismatch at slot {bad + 1}")
     if not (slot_map_ok and filtration_ok):
         return TriangleReport(False, slot_map_ok, filtration_ok, messages=tuple(messages))
@@ -807,10 +800,14 @@ def bd_reference_lagrangian(n, field):
     return la.identity(2 * n, field)[:n]
 
 
-def _lagrangian_component_matches(rows, n, field) -> bool:
+def in_reference_component(rows, n, field) -> bool:
+    """Whether the Lagrangian with basis ``rows`` of the split 2n-space lies
+    in the component of the reference Lagrangian R = <e_1..e_n>, the type-D
+    convention dim(L ∩ R) = n (mod 2), with dim(L ∩ R) = dim L + n -
+    rank(L + R)."""
     ref = bd_reference_lagrangian(n, field)
-    inter = la.intersect_rowspaces(rows, ref, field, 2 * n)
-    return len(inter) % 2 == n % 2
+    meet = len(rows) + n - la.rank(la.stack(rows, ref), field)
+    return meet % 2 == n % 2
 
 
 def _singular_lines_in_plane(u1, u2, field):
@@ -866,13 +863,15 @@ def bd_phi(n: int, m_point: FiniteFlagPoint) -> FiniteFlagPoint:
         raise WitnessError("the subspace is not isotropic")
     form = split_symmetric_form(N, field)
     perp_m = perp(m_rows, form, field)
-    # two independent directions of perp(M) modulo M
-    span = list(m_rows)
+    # two independent directions of perp(M) modulo M: the rows of perp(M)
+    # that raise the rank of the span
+    span = m_rows
     quotient = []
     for row in perp_m:
-        if not la.in_rowspace(row, la.rowspace(tuple(span), field), field):
+        grown = la.stack(span, (row,))
+        if la.rank(grown, field) > len(span):
             quotient.append(row)
-            span.append(row)
+            span = grown
         if len(quotient) == 2:
             break
     if len(quotient) != 2:
@@ -889,7 +888,7 @@ def bd_phi(n: int, m_point: FiniteFlagPoint) -> FiniteFlagPoint:
         raise WitnessError(
             f"expected exactly two Lagrangians over the subspace, found {len(candidates)}"
         )
-    chosen = [c for c in candidates if _lagrangian_component_matches(c, n, field)]
+    chosen = [c for c in candidates if in_reference_component(c, n, field)]
     if len(chosen) != 1:
         raise WitnessError("the two Lagrangians do not split between the components")
     lag = chosen[0]
@@ -931,9 +930,7 @@ def enumerate_component_lagrangians(n: int, field):
     """All Lagrangians of the 2n-space in the reference component."""
     form = split_symmetric_form(2 * n, field)
     for rows in la.enumerate_subspaces(2 * n, n, field):
-        if is_totally_singular(rows, field) and _lagrangian_component_matches(
-            rows, n, field
-        ):
+        if is_totally_singular(rows, field) and in_reference_component(rows, n, field):
             yield flag_point(field, 2 * n, [rows], form=form)
 
 
@@ -1077,17 +1074,13 @@ def standard_point(descriptor, n: int) -> FiniteFlagPoint:
 # JSON witness bundles.
 
 
-def scalar_to_str(x) -> str:
-    return str(x)
-
-
 def matrix_to_json(m) -> dict:
     rows = len(m)
     cols = len(m[0]) if rows else 0
     return {
         "rows": rows,
         "cols": cols,
-        "entries": [[scalar_to_str(x) for x in row] for row in m],
+        "entries": [[str(x) for x in row] for row in m],
     }
 
 

@@ -412,3 +412,22 @@ def rref_by_fractions(a, field):
         if r == len(mat_):
             break
     return tuple(tuple(row) for row in mat_[:r]), tuple(pivots)
+
+
+def in_rowspace(v, canonical, field):
+    """Membership test against a canonical (rref) basis, by eliminating v
+    with each basis row in turn."""
+    v = list(v)
+    zero = field.zero()
+    for row in canonical:
+        c = next(i for i, x in enumerate(row) if x != zero)
+        if v[c] != zero:
+            f = v[c]
+            v = [field.reduce(x - f * y) for x, y in zip(v, row)]
+    return all(x == zero for x in v)
+
+
+def rowspace_contains_by_elimination(a, b, field):
+    """Whether rowspace(b) is contained in rowspace(a), row by row."""
+    canon = rref_by_fractions(a, field)[0]
+    return all(in_rowspace(r, canon, field) for r in b)

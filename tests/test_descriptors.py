@@ -224,8 +224,8 @@ def test_json_rejects_malformed_input(obj):
         descriptor_from_json(obj)
 
 
-# derandomized and without an example database, so every run sees the same examples
-_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=400)
+# the profile in conftest.py derandomizes and drops the example database
+_PROPERTY = settings(max_examples=400)
 
 _sizes = st.one_of(st.integers(1, 3), st.just(INF))
 _orders = st.lists(

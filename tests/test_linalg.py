@@ -105,9 +105,8 @@ def test_intersection(field):
         a = la.random_matrix(rng, rng.randint(1, n), n, field)
         b = la.random_matrix(rng, rng.randint(1, n), n, field)
         inter = la.intersect_rowspaces(a, b, field, n)
-        for v in inter:
-            assert la.in_rowspace(v, la.rowspace(a, field), field)
-            assert la.in_rowspace(v, la.rowspace(b, field), field)
+        assert la.rowspace_contains(a, inter, field)
+        assert la.rowspace_contains(b, inter, field)
         # dimension formula: dim(a) + dim(b) = dim(a+b) + dim(a^b)
         dim_sum = la.rank(la.stack(a, b), field)
         assert la.rank(a, field) + la.rank(b, field) == dim_sum + len(inter)
@@ -169,7 +168,7 @@ def test_kernels_return_field_elements(field):
 # ---------------------------------------------------------------------------
 # The fraction-free kernel against Gauss-Jordan elimination on field elements.
 
-_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+_PROPERTY = settings(max_examples=300)
 
 _KERNEL_FIELDS = (QQ, PrimeField(5), PrimeField(7))
 
@@ -332,6 +331,45 @@ def test_solve_left_matches_fraction_oracle(case, perturb):
     assert got == want
     if want is not None:
         _assert_elements(got, field)
+
+
+@st.composite
+def _field_and_pair(draw):
+    """(field, a, b) where each row of b is a combination of the rows of a
+    (inside) or drawn freely (mostly outside); now and then a or b has no
+    rows."""
+    field, a = draw(_field_and_matrix())
+    entry = _entries(field)
+    b = []
+    # sampled_from sets the odds: integer ranges draw their ends too often
+    for _ in range(draw(st.sampled_from((1, 1, 2, 2, 3, 3, 0)))):
+        if draw(st.booleans()):
+            coeffs = draw(st.lists(entry, min_size=len(a), max_size=len(a)))
+            row = [
+                field.reduce(sum((s * x for s, x in zip(coeffs, col)), field.zero()))
+                for col in zip(*a)
+            ]
+        else:
+            row = draw(st.lists(entry, min_size=len(a[0]), max_size=len(a[0])))
+        b.append(tuple(row))
+    if draw(st.sampled_from((False,) * 6 + (True,))):
+        a = ()
+    return field, a, tuple(b)
+
+
+@_PROPERTY
+@given(_field_and_pair())
+@example((QQ, _DEPENDENT_ROWS[1], _DEPENDENT_ROWS[1][1:2]))  # inside
+@example((QQ, _DEPENDENT_ROWS[1][:2], _DEPENDENT_ROWS[1][2:]))  # outside
+@example((PrimeField(7), _COLUMN[1], ((5,),)))
+@example((QQ, _ROW[1], ()))  # empty b
+@example((QQ, (), _ROW[1]))  # empty a
+@example((QQ, (), _ZERO_ROWS[1]))  # empty a, zero rows in b
+@example((PrimeField(5), (), ()))
+def test_rowspace_contains_matches_elimination_oracle(case):
+    field, a, b = case
+    want = oracles.rowspace_contains_by_elimination(a, b, field)
+    assert la.rowspace_contains(a, b, field) == want
 
 
 def test_enumerate_subspaces_counts():

@@ -29,8 +29,8 @@ from flagiso.orders import (
 
 from oracles import normalize_by_rewriting, omega_shaped_iso
 
-# derandomized and without an example database, so every run sees the same examples
-_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=400)
+# the profile in conftest.py derandomizes and drops the example database
+_PROPERTY = settings(max_examples=400)
 
 _sizes = st.one_of(st.integers(1, 3), st.just(INF))
 _atoms = st.one_of(

@@ -17,6 +17,8 @@ from flagiso.linalg import QQ, PrimeField
 from flagiso.descriptors import min_truncation_width, parse_descriptor
 from flagiso.errors import ValidationError
 
+from oracles import lagrangian_component_count
+
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -205,6 +207,23 @@ def test_strictness_rule_table():
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def _without_forms(d, strict):
+    parts = (d.source_members, d.alpha, d.complement, d.filtration, d.kappa)
+    return W.standard_extension(d.field, *parts, strict=strict)
+
+
+def test_compose_rejects_forms_on_one_side():
+    # strict and modified bare data alike, on either side of the composite
+    rng = random.Random(60)
+    for _ in range(10):
+        d1, d2 = composable_pair(rng, QQ, with_forms=True)
+        for strict in (True, False):
+            bare1, bare2 = _without_forms(d1, strict), _without_forms(d2, strict)
+            for pair in ((d1, bare2), (bare1, d2)):
+                with pytest.raises(W.WitnessError, match="with a bare one"):
+                    W.compose_standard_extensions(*pair)
+
+
 def test_compose_agrees_pointwise_on_200_points():
     rng = random.Random(54)
     points = 0
@@ -352,6 +371,24 @@ def test_bd_phi_rejects_bad_input():
             list(W.enumerate_bd_sources(n, F3))
         with pytest.raises(W.WitnessError, match="needs n >= 2"):
             W.random_bd_source(random.Random(0), n, F3)
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_reference_component_matches_intersection_definition(field, n):
+    # every Lagrangian of the split 2n-space; the definition intersects with
+    # R = <e_1..e_n> and takes the parity of the dimension
+    ref = W.bd_reference_lagrangian(n, field)
+    sizes = {True: 0, False: 0}
+    for rows in la.enumerate_subspaces(2 * n, n, field):
+        if not W.is_totally_singular(rows, field):
+            continue
+        meet = la.intersect_rowspaces(rows, ref, field, 2 * n)
+        got = W.in_reference_component(rows, n, field)
+        assert got == (len(meet) % 2 == n % 2)
+        sizes[got] += 1
+    count = lagrangian_component_count(n, field.p)
+    assert sizes == {True: count, False: count}
 
 
 def test_bd_phi_bijection_f2_and_f3():
