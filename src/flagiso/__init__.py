@@ -19,7 +19,6 @@ from .descriptors import (
     finite_flag_variety,
     full_chain,
     general_flags,
-    middle_codim,
     min_truncation_width,
     orthogonal_flags,
     parse_descriptor,

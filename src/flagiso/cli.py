@@ -5,7 +5,9 @@ Descriptors are quoted strings in the grammar ``gen: <order>``,
 from ``seq[d1,d2,...]``, ``omega(d)``, ``omegastar(d)`` joined by ``+``.
 Finite varieties are ``TYPE:AMBIENT:d1,d2,...`` literals or the
 ``--type/--ambient/--dims`` flags.  ``--json`` switches any subcommand to a
-stable JSON object on stdout.
+stable JSON object on stdout.  ``selftest`` runs the acceptance criteria and
+compares the oracle-derived values with those pinned in
+:mod:`flagiso.selftest`; it reads and writes no file.
 
 Exit codes: 0 success (including a NotIsomorphic verdict), 1 validation or
 syntax error, 2 resource bound exceeded.
@@ -30,7 +32,6 @@ from .descriptors import (
     descriptor_to_json,
     dual,
     finite_flag_variety,
-    is_self_dual,
     parse_descriptor,
     pic_rank,
     render_descriptor,
@@ -85,35 +86,26 @@ def _emit(args, payload: dict, text: str, code: int = 0) -> int:
     return code
 
 
+# Per command: the side parser, the sort key that orders the two sides, the
+# JSON of a side, and the decision.
+_DECIDERS = {
+    "decide": (parse_descriptor, render_descriptor, render_descriptor, decide_ind),
+    "decide-finite": (_parse_variety, repr, _variety_json, decide_finite),
+}
+
+
 def _cmd_decide(args) -> int:
-    x = parse_descriptor(args.left)
-    y = parse_descriptor(args.right)
-    swapped = render_descriptor(x) > render_descriptor(y)
+    parse, key, side_json, decide = _DECIDERS[args.command]
+    x = parse(args.left)
+    y = parse(args.right)
+    swapped = key(x) > key(y)
     if swapped:
         x, y = y, x
-    res = decide_ind(x, y)
+    res = decide(x, y)
     payload = {
-        "command": "decide",
-        "left": render_descriptor(x),
-        "right": render_descriptor(y),
-        "swapped": swapped,
-        **res.to_json(),
-    }
-    text = f"{res.verdict.value} ({res.reason.value}): {res.detail}"
-    return _emit(args, payload, text)
-
-
-def _cmd_decide_finite(args) -> int:
-    x = _parse_variety(args.left)
-    y = _parse_variety(args.right)
-    swapped = repr(x) > repr(y)
-    if swapped:
-        x, y = y, x
-    res = decide_finite(x, y)
-    payload = {
-        "command": "decide-finite",
-        "left": _variety_json(x),
-        "right": _variety_json(y),
+        "command": args.command,
+        "left": side_json(x),
+        "right": side_json(y),
         "swapped": swapped,
         **res.to_json(),
     }
@@ -133,12 +125,12 @@ def _cmd_normalize(args) -> int:
 def _cmd_dual(args) -> int:
     d = parse_descriptor(args.descriptor)
     out = dual(d)
-    note = "self-dual; unchanged" if is_self_dual(d) else ""
+    note = "self-dual; unchanged" if d.is_isotropic() else ""
     payload = {
         "command": "dual",
         "input": render_descriptor(d),
         "dual": render_descriptor(out),
-        "self_dual": is_self_dual(d),
+        "self_dual": d.is_isotropic(),
         "descriptor": descriptor_to_json(out),
     }
     text = render_descriptor(out) + (f"  ({note})" if note else "")
@@ -297,9 +289,7 @@ def _cmd_witness_bd(args) -> int:
 
 def _cmd_selftest(args) -> int:
     results = st.run_all(args.only)
-    lock_ok, lock_detail = True, "skipped"
-    if not args.skip_lockfile:
-        lock_ok, lock_detail = st.check_lockfile(args.lockfile)
+    lock_ok, lock_detail = st.check_derived_values()
     ok = all(r.passed for r in results) and lock_ok
     payload = {
         "command": "selftest",
@@ -353,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide-finite", parents=[common], help="decide isomorphism of two finite flag varieties")
     p.add_argument("left", help="e.g. A:6:1,3")
     p.add_argument("right", help="e.g. A:6:3,5")
-    p.set_defaults(fn=_cmd_decide_finite)
+    p.set_defaults(fn=_cmd_decide)
 
     p = sub.add_parser("normalize", parents=[common], help="normal form of an order expression")
     p.add_argument("order")
@@ -409,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_witness_bd)
 
     p = sub.add_parser("selftest", parents=[common], help="run the acceptance suite")
-    p.add_argument("--lockfile", default="derived_values.json")
-    p.add_argument("--skip-lockfile", action="store_true")
     p.add_argument(
         "--only", type=integer_list, default=[], help="comma-separated criterion numbers"
     )

@@ -91,16 +91,6 @@ class QPolynomial:
             a, b = b, a
         return QPolynomial(tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)))
 
-    def __mul__(self, other):
-        a, b = self.coefficients, other.coefficients
-        if not a or not b:
-            return QPolynomial(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return QPolynomial(tuple(out))
-
     def is_palindromic(self) -> bool:
         return self.coefficients == tuple(reversed(self.coefficients))
 
@@ -231,11 +221,6 @@ def _dot(u, gram, v, q):
     return total % q
 
 
-def _quadratic_from_gram(u, gram, q):
-    """Q(u) = w(u,u)/2, valid for odd q."""
-    return (_dot(u, gram, u, q) * pow(2, -1, q)) % q
-
-
 def _rows_isotropic(rows, gram, q, quadratic):
     # Pairwise with an early exit, rather than witness.is_isotropic_subspace:
     # its two full mat_muls per candidate made the benchmark's 80 brute-force
@@ -275,12 +260,11 @@ def _extensions(rows, pivots, n, e, field):
         yield rows + lifted, pivots + _pivots(lifted)
 
 
-def brute_force_count(v: FiniteFlagVariety, q: int, form=None) -> int:
+def brute_force_count(v: FiniteFlagVariety, q: int) -> int:
     """Count flags of the given shape over F_q by direct enumeration.
 
-    ``form`` may be an explicit gram matrix (entries mod q) replacing the
-    standard split one.  The orthogonal oracle needs odd q unless the ambient
-    dimension is even and the built-in split quadratic form is used.
+    The form is the split one of :func:`flagiso.witness.split_form`; type B
+    needs odd q.
     """
     require_valid_variety(v)
     t, n, dims = v.lie_type, v.ambient_dim, v.dims
@@ -290,39 +274,17 @@ def brute_force_count(v: FiniteFlagVariety, q: int, form=None) -> int:
         )
     if q not in _BRUTE_PRIMES:
         raise ValidationError(f"brute-force oracle needs a prime q in {_BRUTE_PRIMES}")
+    if t == "B" and q == 2:
+        raise ValidationError("type B oracle requires odd q")
 
     field = PrimeField(q)
+    gram = None if t == "A" else split_form(t, n, field)
     quadratic = None
-    gram = None
-    if t != "A":
-        if form is None:
-            gram = split_form(t, n, field)
-            if t in ("B", "D"):
-                if t == "B" and q == 2:
-                    raise ValidationError("type B oracle requires odd q")
-                quadratic = lambda u: split_quadratic_value(u, field)
-        else:
-            gram = tuple(tuple(x % q for x in row) for row in form)
-            if t in ("B", "D"):
-                if q == 2:
-                    raise ValidationError(
-                        "orthogonal oracle with an explicit bilinear form needs odd q"
-                    )
-                quadratic = lambda u: _quadratic_from_gram(u, gram, q)
-            for i in range(n):
-                for j in range(n):
-                    expected = gram[j][i] if t in ("B", "D") else (-gram[j][i]) % q
-                    if gram[i][j] % q != expected:
-                        raise ValidationError("form has the wrong symmetry for the type")
-    elif form is not None:
-        raise ValidationError("type A varieties carry no form")
+    if t in ("B", "D"):
+        quadratic = lambda u: split_quadratic_value(u, field)
 
     m = n // 2
     lagrangian_filter = t == "D" and dims and dims[-1] == m
-    if lagrangian_filter and form is not None:
-        raise ValidationError(
-            "component selection for a Lagrangian member needs the standard form"
-        )
 
     def ok(rows, dim):
         if gram is not None and not _rows_isotropic(rows, gram, q, quadratic):

@@ -17,12 +17,11 @@ import enum
 from dataclasses import dataclass
 
 from .descriptors import (
+    FORM_OF_LIE_TYPE,
+    MIN_AMBIENT,
     FiniteFlagVariety,
     FlagDescriptor,
     FormType,
-    GENERAL_MIN_AMBIENT,
-    ORTHOGONAL_MIN_AMBIENT,
-    SYMPLECTIC_MIN_AMBIENT,
     require_valid,
     require_valid_variety,
 )
@@ -81,20 +80,12 @@ class ThresholdError(ValidationError):
     """An input is below the standing dimension hypotheses."""
 
 
-_TYPE_CLASS = {"A": "general", "B": "orthogonal", "C": "symplectic", "D": "orthogonal"}
-_CLASS_MIN = {
-    "general": GENERAL_MIN_AMBIENT,
-    "orthogonal": ORTHOGONAL_MIN_AMBIENT,
-    "symplectic": SYMPLECTIC_MIN_AMBIENT,
-}
-
-
 def _check_threshold(v: FiniteFlagVariety):
-    cls = _TYPE_CLASS[v.lie_type]
-    minimum = _CLASS_MIN[cls]
+    form = FORM_OF_LIE_TYPE[v.lie_type]
+    minimum = MIN_AMBIENT[form]
     if v.ambient_dim < minimum:
         raise ThresholdError(
-            f"{cls} flag variety requires ambient dimension >= {minimum}, "
+            f"{form.value} flag variety requires ambient dimension >= {minimum}, "
             f"got {v.ambient_dim}"
         )
 
@@ -104,12 +95,12 @@ def decide_finite(x: FiniteFlagVariety, y: FiniteFlagVariety) -> DecisionResult:
     require_valid_variety(y)
     _check_threshold(x)
     _check_threshold(y)
-    cx, cy = _TYPE_CLASS[x.lie_type], _TYPE_CLASS[y.lie_type]
+    cx, cy = FORM_OF_LIE_TYPE[x.lie_type], FORM_OF_LIE_TYPE[y.lie_type]
 
-    if cx == cy and x.ambient_dim == y.ambient_dim and x.dims == y.dims:
+    if cx is cy and x.ambient_dim == y.ambient_dim and x.dims == y.dims:
         return _yes(Reason.SAME_DIMS, "same type class and dimension sequence")
 
-    if cx == cy == "general" and x.ambient_dim == y.ambient_dim:
+    if cx is cy is FormType.GENERAL and x.ambient_dim == y.ambient_dim:
         n = x.ambient_dim
         if len(x.dims) == len(y.dims) and all(
             a == n - b for a, b in zip(x.dims, reversed(y.dims))
@@ -119,8 +110,8 @@ def decide_finite(x: FiniteFlagVariety, y: FiniteFlagVariety) -> DecisionResult:
                 "complementary dimension sequences in equal ambient dimension",
             )
 
-    if {cx, cy} == {"general", "symplectic"}:
-        gen, symp = (x, y) if cx == "general" else (y, x)
+    if {cx, cy} == {FormType.GENERAL, FormType.SYMPLECTIC}:
+        gen, symp = (x, y) if cx is FormType.GENERAL else (y, x)
         n = gen.ambient_dim
         if (
             n == symp.ambient_dim
@@ -133,7 +124,7 @@ def decide_finite(x: FiniteFlagVariety, y: FiniteFlagVariety) -> DecisionResult:
                 "symplectic line grassmannian",
             )
 
-    if cx == cy == "orthogonal" and {x.lie_type, y.lie_type} == {"B", "D"}:
+    if cx is cy is FormType.ORTHOGONAL and {x.lie_type, y.lie_type} == {"B", "D"}:
         b, d = (x, y) if x.lie_type == "B" else (y, x)
         n = d.ambient_dim // 2
         if (

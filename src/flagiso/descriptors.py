@@ -148,18 +148,6 @@ def dual(d: FlagDescriptor) -> FlagDescriptor:
     return d
 
 
-def is_self_dual(d: FlagDescriptor) -> bool:
-    return d.is_isotropic()
-
-
-def middle_codim(d: FlagDescriptor):
-    """Dimension of the quotient between the top isotropic member and its perp."""
-    if not d.is_isotropic():
-        raise ValidationError("middle_codim is only defined for isotropic descriptors")
-    require_valid(d)
-    return d.middle
-
-
 def pic_rank(d: FlagDescriptor):
     """Number of proper members, counting one per perp-orbit for isotropic chains."""
     require_valid(d)
@@ -245,11 +233,20 @@ def finite_flag_variety(lie_type, ambient_dim, dims) -> FiniteFlagVariety:
 # ---------------------------------------------------------------------------
 # Truncation to finite flag varieties.
 
-# Theorem hypotheses for the finite classification; truncations are only
-# produced above these ambient sizes.
-GENERAL_MIN_AMBIENT = 2
-ORTHOGONAL_MIN_AMBIENT = 5
-SYMPLECTIC_MIN_AMBIENT = 6
+# Theorem hypotheses for the finite classification: the form class of each
+# Lie type and the smallest ambient dimension of each class.  Truncations are
+# only produced above these ambient sizes.
+FORM_OF_LIE_TYPE = {
+    "A": FormType.GENERAL,
+    "B": FormType.ORTHOGONAL,
+    "C": FormType.SYMPLECTIC,
+    "D": FormType.ORTHOGONAL,
+}
+MIN_AMBIENT = {
+    FormType.GENERAL: 2,
+    FormType.ORTHOGONAL: 5,
+    FormType.SYMPLECTIC: 6,
+}
 
 _WIDTH_SEARCH_CAP = 64
 
@@ -333,13 +330,6 @@ def truncation_layout(d: FlagDescriptor, n: int) -> TruncationLayout:
     return TruncationLayout(t, 2 * sum(sizes) + m, dims, keys, sizes, m)
 
 
-_MIN_AMBIENT = {
-    FormType.GENERAL: GENERAL_MIN_AMBIENT,
-    FormType.ORTHOGONAL: ORTHOGONAL_MIN_AMBIENT,
-    FormType.SYMPLECTIC: SYMPLECTIC_MIN_AMBIENT,
-}
-
-
 def min_truncation_width(d: FlagDescriptor) -> int:
     """Smallest width n0 at which the truncation meets the theorem hypotheses."""
     require_valid(d)
@@ -349,7 +339,7 @@ def min_truncation_width(d: FlagDescriptor) -> int:
         memberless = block_count(d.half) == 0
     if memberless:
         raise ValidationError("descriptor has no proper members; cannot truncate")
-    threshold = _MIN_AMBIENT[d.form]
+    threshold = MIN_AMBIENT[d.form]
     for n in range(1, _WIDTH_SEARCH_CAP):
         layout = truncation_layout(d, n)
         if layout.dims and layout.ambient >= threshold:
@@ -364,7 +354,7 @@ def truncate_to_variety(d: FlagDescriptor, n: int) -> FiniteFlagVariety:
     # truncation meets the theorem hypotheses exactly when n >= n0.
     if n >= 1:
         layout = truncation_layout(d, n)
-        if layout.dims and layout.ambient >= _MIN_AMBIENT[d.form]:
+        if layout.dims and layout.ambient >= MIN_AMBIENT[d.form]:
             return finite_flag_variety(layout.lie_type, layout.ambient, layout.dims)
     raise TruncationWidthError(n, min_truncation_width(d))
 

@@ -97,14 +97,14 @@ def _pair_partner(i, ambient):
     return ambient - 1 - i
 
 
-def random_split_isometry(rng, field, form, steps=6):
-    """A random invertible map preserving the given split form, built from
+def random_split_isometry(rng, field, form):
+    """A random invertible map preserving the given split form, built from six
     pair scalings, pair swaps, mirrored mixes, and form-compatible shears."""
     n = len(form)
     m = n // 2
     t = la.identity(n, field)
     symmetric = la.mat_eq(form, la.transpose(form))
-    for _ in range(steps):
+    for _ in range(6):
         g = [list(row) for row in la.identity(n, field)]
         kind = rng.randrange(3)
         if kind == 0 and m >= 1:  # scaling of one hyperbolic pair
@@ -354,18 +354,17 @@ def random_strict_extension(
     )
 
 
+def _modified(d: StandardExtensionData) -> StandardExtensionData:
+    """The same bare data as the modified (duality-composed) variant."""
+    return standard_extension(
+        d.field, d.source_members, d.alpha, d.complement, d.filtration, d.kappa, strict=False
+    )
+
+
 def random_extension(rng, field, with_forms=False) -> StandardExtensionData:
     d = random_strict_extension(rng, field, with_forms=with_forms)
     if not with_forms and rng.random() < 0.4:
-        return standard_extension(
-            d.field,
-            d.source_members,
-            d.alpha,
-            d.complement,
-            d.filtration,
-            d.kappa,
-            strict=False,
-        )
+        return _modified(d)
     return d
 
 
@@ -424,13 +423,5 @@ def composable_pair(rng, field, with_forms=False):
         symplectic=symplectic,
     )
     if not with_forms and rng.random() < 0.4:
-        d2 = standard_extension(
-            d2.field,
-            d2.source_members,
-            d2.alpha,
-            d2.complement,
-            d2.filtration,
-            d2.kappa,
-            strict=False,
-        )
+        d2 = _modified(d2)
     return d1, d2

@@ -59,15 +59,6 @@ class FiniteFlagPoint:
         return tuple(len(s) for s in self.subspaces)
 
 
-def _form_kind(form, field):
-    ft = la.transpose(form)
-    symmetric = la.mat_eq(form, ft)
-    antisymmetric = la.mat_eq(form, la.mat_scale(field.reduce(-field.one()), ft, field))
-    if not symmetric and not antisymmetric:
-        raise WitnessError("form is neither symmetric nor antisymmetric")
-    return "symmetric" if symmetric else "antisymmetric"
-
-
 def form_values(rows_a, form, rows_b, field):
     return la.mat_mul(la.mat_mul(rows_a, form, field), la.transpose(rows_b), field)
 
@@ -94,7 +85,12 @@ def flag_point(field, ambient_dim, subspaces, form=None) -> FiniteFlagPoint:
         form = la.mat(form, field)
         if len(form) != ambient_dim or la.rank(form, field) != ambient_dim:
             raise WitnessError("form must be square, matching the ambient, nondegenerate")
-        _form_kind(form, field)
+        ft = la.transpose(form)
+        if not (
+            la.mat_eq(form, ft)
+            or la.mat_eq(form, la.mat_scale(field.reduce(-field.one()), ft, field))
+        ):
+            raise WitnessError("form is neither symmetric nor antisymmetric")
         for i, s in enumerate(canon):
             if not is_isotropic_subspace(s, form, field):
                 raise WitnessError(f"member {i} is not isotropic", certificate=s)
@@ -536,14 +532,6 @@ class PicPullback:
                     raise ValidationError("pullback entries must be nonnegative integers")
         object.__setattr__(self, "entries", rows)
 
-    @property
-    def source_rank(self):
-        return len(self.entries) - 1
-
-    @property
-    def target_rank(self):
-        return len(self.entries[0]) - 1
-
 
 def pic_pullback(d: StandardExtensionData) -> PicPullback:
     """Columns send target generators to source generators per kappa; constant
@@ -579,13 +567,6 @@ def is_linear(m: PicPullback) -> bool:
         if len(nonzero) != 1 or nonzero[0] != 1:
             return False
     return True
-
-
-def is_ample(coeffs, k: int) -> bool:
-    coeffs = tuple(coeffs)
-    if len(coeffs) != k:
-        raise ValidationError(f"expected {k} coefficients, got {len(coeffs)}")
-    return all(c > 0 for c in coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -695,34 +676,6 @@ def check_triangle(phi, psi, chi) -> TriangleReport:
     return TriangleReport(
         True, True, True, adjusted=True, scalar=scalar, beta=beta
     )
-
-
-# ---------------------------------------------------------------------------
-# Isotropic extensions.
-
-
-def isotropic_extension(p: FiniteFlagPoint, ambient_form, embedding) -> FiniteFlagPoint:
-    """View a general-type flag inside the isotropic flag variety of a larger
-    formed space, via an embedding whose image is isotropic."""
-    field = p.field
-    emb = la.mat(embedding, field)
-    form = la.mat(ambient_form, field)
-    w = len(form)
-    if len(emb) != p.ambient_dim or len(emb[0]) != w:
-        raise WitnessError("embedding shape does not match point and form")
-    if la.rank(emb, field) != p.ambient_dim:
-        raise WitnessError("embedding must be injective")
-    vals = form_values(emb, form, emb, field)
-    zero = field.zero()
-    for i, row in enumerate(vals):
-        for j, x in enumerate(row):
-            if x != zero:
-                raise WitnessError(
-                    "the embedded space is not isotropic",
-                    certificate=(emb[i], emb[j]),
-                )
-    members = [la.mat_mul(s, emb, field) for s in p.subspaces]
-    return flag_point(field, w, members, form=form)
 
 
 # ---------------------------------------------------------------------------

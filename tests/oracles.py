@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from flagiso.counting import QPolynomial
 from flagiso.decide import DecisionResult, Reason, _no, _yes
-from flagiso.descriptors import FlagDescriptor, FormType, middle_codim, pic_rank, require_valid
+from flagiso.descriptors import FlagDescriptor, FormType, pic_rank, require_valid
 from flagiso.errors import ValidationError
 from flagiso.linalg import transpose
 from flagiso.orders import INF, Omega, OmegaStar, Seq, normalize, rewrite_step
@@ -37,6 +37,18 @@ def gaussian_binomial_poly(n, k):
 
 def gaussian_binomial(n, k, q):
     return gaussian_binomial_poly(n, k)(q)
+
+
+def q_integer_product(ks):
+    """prod of [k]_q = 1 + q + ... + q^(k-1) by coefficient convolution."""
+    coeffs = [1]
+    for k in ks:
+        out = [0] * (len(coeffs) + k - 1)
+        for i, c in enumerate(coeffs):
+            for j in range(k):
+                out[i + j] += c
+        coeffs = out
+    return QPolynomial(tuple(coeffs))
 
 
 def symplectic_grassmannian_count(m, k, q):
@@ -343,7 +355,7 @@ def decide_ind_grassmannian(x: FlagDescriptor, y: FlagDescriptor) -> DecisionRes
         # The half of a one-member isotropic descriptor is a single block.
         a1 = (normalize(x.half).atoms[0]).sizes[0]
         a2 = (normalize(y.half).atoms[0]).sizes[0]
-        m1, m2 = middle_codim(x), middle_codim(y)
+        m1, m2 = x.middle, y.middle
         if a1 == a2 and m1 == m2:
             return _yes(Reason.FLAG_ISO, "equal isotropic member dimension and middle quotient")
         if x.form is FormType.ORTHOGONAL and {m1, m2} == {0, 1}:

@@ -8,6 +8,7 @@ import pytest
 
 import flagiso
 from flagiso import cli
+from flagiso import selftest as st
 
 
 @pytest.mark.parametrize(
@@ -25,8 +26,8 @@ from flagiso import cli
         ["witness-bd", "--n", "1"],
         ["witness-bd", "--n", "1", "--all"],
         ["witness-bd", "--n", "2", "--prime", "0"],
-        ["selftest", "--only", "9", "--skip-lockfile"],
-        ["selftest", "--only", "1,0", "--skip-lockfile"],
+        ["selftest", "--only", "9"],
+        ["selftest", "--only", "1,0"],
         # more digits than int() converts (sys.get_int_max_str_digits)
         ["normalize", "seq[%s]" % ("1" * 5000)],
         ["decide", "orth: half=seq[1]; middle=%s" % ("1" * 5000), "gen: seq[1,inf]"],
@@ -106,10 +107,34 @@ def test_witness_bd_all_output_unchanged(capsys, n, points):
     ]
 
 
+def test_selftest_checks_pinned_values_without_writing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["selftest", "--only", "1"]) == 0
+    assert list(tmp_path.iterdir()) == []
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == (
+        "[PASS] derived-value lockfile: 15 derived values stable against the pinned values"
+    )
+
+
+def test_selftest_fails_on_a_drifted_value(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    drifted = dict(st.derived_values(), **{"poincare:D:4:2": "1 + 2*q"})
+    monkeypatch.setattr(st, "derived_values", lambda: drifted)
+    assert cli.main(["selftest", "--only", "1", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["lockfile"] == {
+        "ok": False,
+        "detail": "derived values drifted: poincare:D:4:2",
+    }
+    assert not payload["ok"] and payload["criteria"][0]["passed"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["selftest", "--only", "7", "--skip-lockfile"],
+        ["selftest", "--only", "7"],
         ["witness-bd", "--n", "3", "--all", "--json"],
     ],
 )

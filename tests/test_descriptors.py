@@ -16,8 +16,6 @@ from flagiso.descriptors import (
     finite_flag_variety,
     full_chain,
     general_flags,
-    is_self_dual,
-    middle_codim,
     min_truncation_width,
     orthogonal_flags,
     parse_descriptor,
@@ -79,7 +77,7 @@ def test_dual_general_reverses():
 def test_dual_isotropic_unchanged():
     d = orthogonal_flags(seq(INF), 1)
     assert dual(d) is d
-    assert is_self_dual(d)
+    assert d.is_isotropic()
 
 
 def test_dual_is_involution():
@@ -102,14 +100,6 @@ def test_pic_rank_invariant_under_dual():
     for _ in range(200):
         d = random_descriptor(rng)
         assert pic_rank(dual(d)) == pic_rank(d)
-
-
-def test_middle_codim():
-    assert middle_codim(orthogonal_flags(seq(INF), 0)) == 0
-    assert middle_codim(orthogonal_flags(seq(INF), 1)) == 1
-    assert middle_codim(symplectic_flags(seq(1), INF)) is INF
-    with pytest.raises(ValidationError):
-        middle_codim(general_flags(seq(1, INF)))
 
 
 def test_truncate_to_variety_examples():

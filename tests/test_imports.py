@@ -32,3 +32,41 @@ def test_module_uses_every_import(path):
 
 def test_scan_finds_an_unused_import():
     assert _unused_imports("import os\nfrom x import a, b as c\nc()\n") == [(1, "os"), (2, "a")]
+
+
+def _read_names(paths):
+    """Every name read, imported or looked up as an attribute, per top-level
+    statement: {(path, index of the statement): names}."""
+    out = {}
+    for path in paths:
+        for i, stmt in enumerate(ast.parse(path.read_text()).body):
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.asname or node.name)
+            out[(path, i)] = names
+    return out
+
+
+def test_every_public_definition_has_a_caller():
+    # A public function or class of the library stays only if other library
+    # code or the benchmark reads it, or the package exports it; test-only
+    # capabilities belong with the tests.
+    bench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    reads = _read_names(_MODULES + sorted(bench.rglob("*.py")))
+    exported = set(flagiso.__all__)
+    unread = []
+    for path in _MODULES:
+        for i, stmt in enumerate(ast.parse(path.read_text()).body):
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = stmt.name
+            if name.startswith("_") or name in exported:
+                continue
+            if not any(name in names for key, names in reads.items() if key != (path, i)):
+                unread.append(f"{path.name}:{name}")
+    assert unread == []

@@ -15,7 +15,6 @@ from flagiso.generate import (
 )
 from flagiso.linalg import QQ, PrimeField
 from flagiso.descriptors import min_truncation_width, parse_descriptor
-from flagiso.errors import ValidationError
 
 from oracles import lagrangian_component_count
 
@@ -254,14 +253,6 @@ def test_is_linear_rejects_sums():
     assert not W.is_linear(m)
 
 
-def test_is_ample():
-    assert W.is_ample((1, 1, 1), 3)
-    assert W.is_ample((2, 5), 2)
-    assert not W.is_ample((1, 0, 2), 3)
-    with pytest.raises(ValidationError):
-        W.is_ample((1, 1), 3)
-
-
 # ---------------------------------------------------------------------------
 # Triangle checks.
 
@@ -306,40 +297,6 @@ def test_triangle_tampered_slot_map_reports_index():
     rep = W.check_triangle(d1, d2, tampered)
     assert not rep.ok and not rep.slot_map_ok
     assert any("slot 2" in m for m in rep.messages)
-
-
-# ---------------------------------------------------------------------------
-# Isotropic extensions.
-
-
-def test_isotropic_extension_into_symplectic():
-    p = W.flag_point(F5, 2, [((1, 2),)])
-    emb = la.mat(unit_rows([0, 1], 4), F5)
-    form = W.split_antisymmetric_form(4, F5)
-    out = W.isotropic_extension(p, form, emb)
-    assert out.dims() == (1,)
-    assert out.form is not None
-
-
-def test_isotropic_extension_certificate():
-    p = W.flag_point(F5, 2, [((1, 2),)])
-    form = W.split_antisymmetric_form(4, F5)
-    bad = la.mat(unit_rows([0, 3], 4), F5)
-    with pytest.raises(W.WitnessError) as err:
-        W.isotropic_extension(p, form, bad)
-    assert err.value.certificate is not None
-    x, y = err.value.certificate
-    assert W.form_values((x,), form, (y,), F5)[0][0] != 0
-
-
-def test_isotropic_extension_flag_in_dim8():
-    p = W.flag_point(QQ, 3, [unit_rows([0], 3), unit_rows([0, 1], 3)])
-    form = W.split_antisymmetric_form(8, QQ)
-    emb = la.mat(unit_rows([0, 1, 2], 8), QQ)
-    out = W.isotropic_extension(p, form, emb)
-    assert out.dims() == (1, 2)
-    for s in out.subspaces:
-        assert W.is_isotropic_subspace(s, form, QQ)
 
 
 # ---------------------------------------------------------------------------
