@@ -18,10 +18,25 @@ matching block size, which the rewrite rules absorb.
 seq entry into an adjacent omega-type atom, or merge two adjacent seq atoms),
 each a block deletion or an identity on every truncation.  :func:`normalize`
 computes its fixed point in one pass, and :func:`is_normalized` tests for it.
+
+:func:`parse_order` reads the text one atom at a time with one compiled
+pattern, ``_ATOM``, which matches an atom and the ``+`` or end of text after
+it; on a failed match the error column comes from how far the pattern got
+(see "Text format" below).
+
+Validation happens at the public boundary.  ``Seq``, ``Omega``, ``OmegaStar``
+and ``WeightedOrder`` built by callers check their fields in
+``__post_init__``.  The builders here, :func:`parse_order`, :func:`normalize`,
+:func:`reverse`, :func:`rewrite_step` and ``+``, skip those checks through
+``_build``: every atom they assemble is valid by construction.  The parser
+checks each size once as it reads it, and the others only move, reverse,
+split off or join sizes and atoms of orders that were already valid, and
+never emit an empty seq.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -125,13 +140,21 @@ class WeightedOrder:
     def __add__(self, other):
         if not isinstance(other, WeightedOrder):
             return NotImplemented
-        return WeightedOrder(self.atoms + other.atoms)
+        return _build(WeightedOrder, self.atoms + other.atoms)
 
     def __repr__(self):
         return f"WeightedOrder({render_order(self)!r})"
 
 
 EMPTY = WeightedOrder(())
+
+
+def _build(cls, value):
+    """``cls(value)`` without ``__post_init__``, for a value that is valid by
+    construction: each of these classes has the one field its checks cover."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, cls.__match_args__[0], value)
+    return obj
 
 
 def seq(*sizes) -> WeightedOrder:
@@ -169,12 +192,10 @@ def reverse(x: WeightedOrder) -> WeightedOrder:
     out = []
     for a in reversed(x.atoms):
         if isinstance(a, Seq):
-            out.append(Seq(tuple(reversed(a.sizes))))
-        elif isinstance(a, Omega):
-            out.append(OmegaStar(a.size))
+            out.append(_build(Seq, a.sizes[::-1]))
         else:
-            out.append(Omega(a.size))
-    return WeightedOrder(tuple(out))
+            out.append(_build(OmegaStar if isinstance(a, Omega) else Omega, a.size))
+    return _build(WeightedOrder, tuple(out))
 
 
 def rewrite_step(x: WeightedOrder):
@@ -191,17 +212,17 @@ def rewrite_step(x: WeightedOrder):
         a, b = atoms[i], atoms[i + 1]
         if isinstance(a, Seq) and isinstance(b, Omega) and a.sizes[-1] == b.size:
             rest = a.sizes[:-1]
-            new = atoms[:i] + ((Seq(rest),) if rest else ()) + atoms[i + 1 :]
-            return WeightedOrder(new), ("absorb", i, len(a.sizes) - 1)
+            new = atoms[:i] + ((_build(Seq, rest),) if rest else ()) + atoms[i + 1 :]
+            return _build(WeightedOrder, new), ("absorb", i, len(a.sizes) - 1)
         if isinstance(a, OmegaStar) and isinstance(b, Seq) and b.sizes[0] == a.size:
             rest = b.sizes[1:]
-            new = atoms[: i + 1] + ((Seq(rest),) if rest else ()) + atoms[i + 2 :]
-            return WeightedOrder(new), ("absorb", i + 1, 0)
+            new = atoms[: i + 1] + ((_build(Seq, rest),) if rest else ()) + atoms[i + 2 :]
+            return _build(WeightedOrder, new), ("absorb", i + 1, 0)
     for i in range(len(atoms) - 1):
         a, b = atoms[i], atoms[i + 1]
         if isinstance(a, Seq) and isinstance(b, Seq):
-            new = atoms[:i] + (Seq(a.sizes + b.sizes),) + atoms[i + 2 :]
-            return WeightedOrder(new), ("merge", i)
+            new = atoms[:i] + (_build(Seq, a.sizes + b.sizes),) + atoms[i + 2 :]
+            return _build(WeightedOrder, new), ("merge", i)
     return None
 
 
@@ -243,11 +264,11 @@ def normalize(x: WeightedOrder) -> WeightedOrder:
             while hi > lo and run[hi - 1] == a.size:
                 hi -= 1
         if lo < hi:
-            out.append(Seq(tuple(run[lo:hi])))
+            out.append(_build(Seq, tuple(run[lo:hi])))
         if a is not None:
             out.append(a)
         run = []
-    return WeightedOrder(tuple(out))
+    return _build(WeightedOrder, tuple(out))
 
 
 def is_normalized(x: WeightedOrder) -> bool:
@@ -290,7 +311,22 @@ def truncate(x: WeightedOrder, n: int):
 
 # ---------------------------------------------------------------------------
 # Text format: seq[d1,d2,...], omega(d), omegastar(d), atoms joined by `+`,
-# `inf` for a countably infinite size.
+# `inf` for a countably infinite size.  Tokens are words (maximal runs of
+# alphanumeric characters, `[^\W_]` in `re`, which is exactly str.isalnum)
+# and the punctuation `[ ] ( ) , +`; whitespace (`\s`, exactly str.isspace)
+# may stand before any token.  A block size is `inf` or an ASCII decimal
+# with a nonzero digit; leading zeros are allowed.
+#
+# _ATOM matches one atom and the `+` or end of text after it.  Each piece
+# after the atom name (opening bracket, sizes, closing bracket, `+` or end)
+# is optional and nested in the one before, so a match always succeeds and
+# stops where the text stops fitting the grammar.  The atom is complete when
+# the group `end` took part: `+` to go on, empty at the end of the text.
+# Otherwise the groups that took part (`seq` or `omega`, `sizes`) and whether
+# the match went past the last of them tell what the text lacks next, and
+# the error is reported at the token after the stop: a bad name or size at
+# the end of its word, a missing word, bracket or `+` where the next token
+# starts.
 
 
 class OrderParseError(ValidationError):
@@ -301,81 +337,91 @@ class OrderParseError(ValidationError):
         self.column = column
 
 
-class _Tokens:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def error(self, message):
-        raise OrderParseError(message, self.pos + 1)
-
-    def expect(self, ch):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def word(self):
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalnum():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a name or number")
-        return self.text[start : self.pos]
-
-    def done(self):
-        self._skip_ws()
-        return self.pos >= len(self.text)
-
-
-def _parse_size(tok: _Tokens):
-    w = tok.word()
-    if w == "inf":
-        return INF
-    if w.isascii() and w.isdigit():
-        try:
-            value = int(w)
-        except ValueError:  # beyond sys.get_int_max_str_digits()
-            tok.error(f"block size has too many digits ({len(w)})")
-        if value >= 1:
-            return value
-    tok.error(f"bad block size {w!r}")
+_SIZE = r"(?:inf|0*[1-9][0-9]*)(?![^\W_])"
+# Each optional piece is written `(?: ... |)` rather than `(?: ... )?`: the
+# same match, but sre runs a branch faster than a repeat.
+_ATOM = re.compile(
+    rf"""\s*
+    (?: (?: (?P<seq>seq) | (?P<omega>omega(?:star)?) ) (?![^\W_])
+        (?: \s*(?(seq)\[|\()
+            (?: (?P<sizes> \s*{_SIZE} (?(seq)(?:\s*,\s*{_SIZE})*) )
+                (?: \s*(?(seq)\]|\))
+                    (?: \s*(?P<end>\+|\Z) |)
+                |)
+            |)
+        |)
+    |)""",
+    re.VERBOSE,
+)
+_WORD = re.compile(r"\s*([^\W_]*)")
 
 
 def parse_order(text: str) -> WeightedOrder:
-    tok = _Tokens(text)
     atoms = []
+    pos = 0
     while True:
-        w = tok.word()
-        if w == "seq":
-            tok.expect("[")
-            sizes = [_parse_size(tok)]
-            while tok.peek() == ",":
-                tok.expect(",")
-                sizes.append(_parse_size(tok))
-            tok.expect("]")
-            atoms.append(Seq(tuple(sizes)))
-        elif w in ("omega", "omegastar"):
-            tok.expect("(")
-            size = _parse_size(tok)
-            tok.expect(")")
-            atoms.append(Omega(size) if w == "omega" else OmegaStar(size))
-        else:
-            tok.error(f"unknown atom {w!r}")
-        if tok.done():
-            break
-        tok.expect("+")
-    return WeightedOrder(tuple(atoms))
+        m = _ATOM.match(text, pos)
+        seq_name, omega_name, sizes, end = m.groups()
+        if end is None:
+            raise _parse_error(text, m)
+        # a matched size is `inf` or decimal digits, with spaces around it
+        try:  # int() refuses more digits than sys.get_int_max_str_digits()
+            if seq_name:
+                sizes = tuple([INF if "inf" in w else int(w) for w in sizes.split(",")])
+                atoms.append(_build(Seq, sizes))
+            else:
+                size = INF if "inf" in sizes else int(sizes)
+                atoms.append(_build(Omega if omega_name == "omega" else OmegaStar, size))
+        except ValueError:
+            raise _parse_error(text, m) from None
+        if not end:
+            return _build(WeightedOrder, tuple(atoms))
+        pos = m.end()
+
+
+def _parse_error(text, m) -> OrderParseError:
+    """The error for an atom whose match stopped short or whose sizes do not
+    convert.  Every token up to ``m.end()`` fits the grammar, so the error is
+    the first matched size that ``int()`` refuses, else the next token."""
+    seq_name, omega_name, sizes, _ = m.groups()
+    stop = m.end()
+    if sizes is not None:
+        start = m.start("sizes")
+        for piece in sizes.split(","):
+            word = piece.strip()
+            if word != "inf":
+                try:
+                    int(word)
+                except ValueError:
+                    return _bad_size(word, start + len(piece.rstrip()) + 1)
+            start += len(piece) + 1
+    word = _WORD.match(text, stop)
+    at = word.start(1)
+    if sizes is not None:
+        if stop > m.end("sizes"):
+            return OrderParseError("expected '+'", at + 1)
+        if not (seq_name and text.startswith(",", at)):
+            return OrderParseError(f"expected {']' if seq_name else ')'!r}", at + 1)
+        word = _WORD.match(text, at + 1)  # a comma asks for one more entry
+        at = word.start(1)
+    elif seq_name or omega_name:
+        if stop == m.end("seq" if seq_name else "omega"):
+            return OrderParseError(f"expected {'[' if seq_name else '('!r}", at + 1)
+    # a word is due here: an atom name or a block size
+    if not word[1]:
+        return OrderParseError("expected a name or number", at + 1)
+    if not (seq_name or omega_name):
+        return OrderParseError(f"unknown atom {word[1]!r}", word.end() + 1)
+    return _bad_size(word[1], word.end() + 1)
+
+
+def _bad_size(word, column) -> OrderParseError:
+    if word.isascii() and word.isdigit():
+        try:
+            int(word)
+        except ValueError:
+            return OrderParseError(f"block size has too many digits ({len(word)})", column)
+    return OrderParseError(f"bad block size {word!r}", column)
 
 
 def _render_size(s):

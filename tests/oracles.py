@@ -5,6 +5,7 @@ from closed-form products or raw vector loops, polynomial identities from the
 Pascal-style recursion, Coxeter lengths from breadth-first word search,
 Poincare polynomials from enumerating the Weyl group as signed permutations,
 order normal forms from iterating the single-step rewrite specification,
+order text from a scanner that reads one character at a time,
 grassmannian verdicts from dimension data alone, and exact linear algebra from
 Gauss-Jordan elimination on ``Fraction`` (or F_p) entries.
 """
@@ -17,7 +18,16 @@ from flagiso.decide import DecisionResult, Reason, _no, _yes
 from flagiso.descriptors import FlagDescriptor, FormType, pic_rank, require_valid
 from flagiso.errors import ValidationError
 from flagiso.linalg import transpose
-from flagiso.orders import INF, Omega, OmegaStar, Seq, normalize, rewrite_step
+from flagiso.orders import (
+    INF,
+    Omega,
+    OmegaStar,
+    OrderParseError,
+    Seq,
+    WeightedOrder,
+    normalize,
+    rewrite_step,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +324,105 @@ def normalize_by_rewriting(x):
         if step is None:
             return x
         x = step[0]
+
+
+# ---------------------------------------------------------------------------
+# Order text from a scanner that reads one character at a time, and the atom
+# checks of the public constructors, re-run on a built order.
+
+
+class _Tokens:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def _skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self._skip_ws()
+        if self.pos >= len(self.text):
+            return None
+        return self.text[self.pos]
+
+    def error(self, message):
+        raise OrderParseError(message, self.pos + 1)
+
+    def expect(self, ch):
+        if self.peek() != ch:
+            self.error(f"expected {ch!r}")
+        self.pos += 1
+
+    def word(self):
+        self._skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isalnum():
+            self.pos += 1
+        if self.pos == start:
+            self.error("expected a name or number")
+        return self.text[start : self.pos]
+
+    def done(self):
+        self._skip_ws()
+        return self.pos >= len(self.text)
+
+
+def _parse_size(tok: _Tokens):
+    w = tok.word()
+    if w == "inf":
+        return INF
+    if w.isascii() and w.isdigit():
+        try:
+            value = int(w)
+        except ValueError:  # beyond sys.get_int_max_str_digits()
+            tok.error(f"block size has too many digits ({len(w)})")
+        if value >= 1:
+            return value
+    tok.error(f"bad block size {w!r}")
+
+
+def parse_order_by_scanning(text: str) -> WeightedOrder:
+    tok = _Tokens(text)
+    atoms = []
+    while True:
+        w = tok.word()
+        if w == "seq":
+            tok.expect("[")
+            sizes = [_parse_size(tok)]
+            while tok.peek() == ",":
+                tok.expect(",")
+                sizes.append(_parse_size(tok))
+            tok.expect("]")
+            atoms.append(Seq(tuple(sizes)))
+        elif w in ("omega", "omegastar"):
+            tok.expect("(")
+            size = _parse_size(tok)
+            tok.expect(")")
+            atoms.append(Omega(size) if w == "omega" else OmegaStar(size))
+        else:
+            tok.error(f"unknown atom {w!r}")
+        if tok.done():
+            break
+        tok.expect("+")
+    return WeightedOrder(tuple(atoms))
+
+
+def _is_size(value):
+    return value is INF or (type(value) is int and value >= 1)
+
+
+def check_atoms(x):
+    """Raise AssertionError unless every field of x would pass the checks of
+    the public constructors: a tuple of atoms, each seq a nonempty tuple of
+    sizes, each omega-type atom a size."""
+    assert type(x) is WeightedOrder and type(x.atoms) is tuple, x
+    for a in x.atoms:
+        if type(a) is Seq:
+            assert type(a.sizes) is tuple and a.sizes, a
+            assert all(_is_size(s) for s in a.sizes), a
+        else:
+            assert type(a) in (Omega, OmegaStar) and _is_size(a.size), a
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -5,10 +7,22 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import flagiso
 from flagiso import cli
 from flagiso import selftest as st
+from flagiso.descriptors import (
+    general_flags,
+    orthogonal_flags,
+    render_descriptor,
+    symplectic_flags,
+    validate,
+)
+from flagiso.orders import INF, render_order
+
+from strategies import order_text, orders
 
 
 @pytest.mark.parametrize(
@@ -157,3 +171,111 @@ def test_closed_stdout_exits_one_without_traceback(argv):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every subcommand but selftest, with drawn option values.  Ranks,
+# widths, --n and the primes stay small, so that no drawn command runs long.
+
+
+_MALFORMED = hs.sampled_from(["", "x", "-1", "0", "٣", " 2 ", "1" * 5000])
+
+
+def _integer(lo, hi):
+    """In range four times in five, else malformed."""
+    return hs.integers(0, 4).flatmap(lambda k: hs.integers(lo, hi).map(str) if k else _MALFORMED)
+
+
+def _dims(top):
+    """Increasing dimensions four times in five, else entries as drawn."""
+    increasing = hs.lists(hs.integers(1, top), unique=True, min_size=1, max_size=3).map(sorted)
+    anyhow = hs.lists(_integer(0, top), max_size=3)
+    return hs.integers(0, 4).flatmap(lambda k: increasing if k else anyhow).map(
+        lambda dims: ",".join(map(str, dims))
+    )
+
+
+_order_text = hs.one_of(orders.map(render_order), order_text)
+_middles = hs.one_of(hs.integers(0, 3), hs.just(INF))
+_descriptor_text = hs.one_of(
+    hs.one_of(
+        orders.map(general_flags),
+        hs.builds(orthogonal_flags, orders, _middles),
+        hs.builds(symplectic_flags, orders, _middles),
+    )
+    .filter(lambda d: not validate(d))
+    .map(render_descriptor),
+    hs.builds(
+        "{}: half={}; middle={}".format,
+        hs.sampled_from(["orth", "symp", "gen", "bogus"]),
+        _order_text,
+        hs.sampled_from(["empty", "inf", "0", "1", "2", "x", "²", ""]),
+    ),
+    _order_text.map("gen: {}".format),
+    hs.text(max_size=30),
+)
+_variety_text = hs.one_of(
+    hs.sampled_from(["A:4:1,3", "A:6:2", "A:6:4", "B:5:1,2", "C:6:1,3", "D:8:3,4", "D:6:1"]),
+    hs.builds("{}:{}:{}".format, hs.sampled_from("ABCDx"), _integer(2, 8), _dims(7)),
+    hs.text(max_size=12),
+)
+_variety_flags = {
+    "--type": hs.sampled_from(["A", "B", "C", "D", "a", "x"]),
+    "--ambient": _integer(2, 4),
+    "--dims": _dims(3),
+}
+
+
+@hs.composite
+def _options(draw, options):
+    """Each option given 19 times in 20; None marks a flag without value."""
+    argv = []
+    for name, values in options.items():
+        if draw(hs.integers(0, 19)):
+            argv += [name] if values is None else [name, draw(values)]
+    return argv
+
+
+_ARGS = {
+    "decide": hs.lists(_descriptor_text, min_size=2, max_size=2),
+    "decide-finite": hs.lists(_variety_text, min_size=2, max_size=2),
+    "normalize": hs.lists(_order_text, min_size=1, max_size=1),
+    "dual": hs.lists(_descriptor_text, min_size=1, max_size=1),
+    "pic-rank": hs.lists(_descriptor_text, min_size=1, max_size=1),
+    "truncate": hs.tuples(_descriptor_text, _options({"--width": _integer(0, 6)})).map(
+        lambda t: [t[0], *t[1]]
+    ),
+    "points": _options({**_variety_flags, "--q": _integer(0, 5), "--brute-force": None}),
+    "poincare": _options(_variety_flags),
+    "dim": _options(_variety_flags),
+    "witness-rebase": _options(
+        {"--seed": _integer(0, 9), "--prime": _integer(0, 7), "--isotropic": None}
+    ),
+    "witness-bd": _options(
+        {
+            "--n": _integer(1, 3),
+            "--prime": _integer(2, 3),
+            "--all": None,
+            "--samples": _integer(0, 5),
+            "--seed": _integer(0, 9),
+        }
+    ),
+}
+_argv = hs.sampled_from(sorted(_ARGS)).flatmap(
+    lambda command: hs.tuples(_ARGS[command], hs.booleans()).map(
+        lambda t: [command, *t[0], *(["--json"] if t[1] else [])]
+    )
+)
+
+
+@settings(max_examples=300)
+@given(_argv)
+def test_argv_fuzz_exits_zero_one_or_two_without_traceback(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -27,18 +27,11 @@ from flagiso.orders import (
     truncate,
 )
 
-from oracles import normalize_by_rewriting, omega_shaped_iso
+from oracles import check_atoms, normalize_by_rewriting, omega_shaped_iso, parse_order_by_scanning
+from strategies import edited_render, order_text, orders
 
 # the profile in conftest.py derandomizes and drops the example database
 _PROPERTY = settings(max_examples=400)
-
-_sizes = st.one_of(st.integers(1, 3), st.just(INF))
-_atoms = st.one_of(
-    st.lists(_sizes, min_size=1, max_size=4).map(lambda sizes: Seq(tuple(sizes))),
-    _sizes.map(Omega),
-    _sizes.map(OmegaStar),
-)
-_orders = st.lists(_atoms, max_size=12).map(lambda atoms: WeightedOrder(tuple(atoms)))
 
 
 def test_normalize_absorbs_prefix_block():
@@ -189,7 +182,7 @@ def test_normalize_long_order_equals_rewrite_fixed_point():
 
 
 @_PROPERTY
-@given(_orders)
+@given(orders)
 def test_normalize_property_equals_rewrite_fixed_point(x):
     assert normalize(x) == normalize_by_rewriting(x)
 
@@ -255,6 +248,36 @@ def test_bad_sizes_rejected():
         omega(-1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Seq(()), lambda: Seq((0,)), lambda: Omega(-1), lambda: WeightedOrder((1,))],
+    ids=["empty-seq", "zero-entry", "negative-omega", "non-atom"],
+)
+def test_constructors_validate_user_input(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_seq_stores_sizes_as_tuple():
+    assert Seq([1, 2]).sizes == (1, 2)
+    assert type(Seq([1, 2]).sizes) is tuple
+
+
+@_PROPERTY
+@given(orders, orders)
+def test_builders_emit_valid_atoms(x, y):
+    # the builders skip the constructor checks; re-run them on every output
+    outputs = [normalize(x), reverse(x), x + y]
+    if x.atoms:
+        outputs.append(parse_order(render_order(x)))
+    step = rewrite_step(x)
+    while step is not None:
+        outputs.append(step[0])
+        step = rewrite_step(step[0])
+    for out in outputs:
+        check_atoms(out)
+
+
 @pytest.mark.parametrize("text", ["seq[²]", "seq[٣]", "omega(١)"])
 def test_non_ascii_digits_rejected(text):
     # str.isdigit accepts these; int() rejects the first and reads the others
@@ -270,28 +293,57 @@ def test_parse_render_round_trip():
 
 
 @_PROPERTY
-@given(_orders.filter(lambda x: x.atoms))
+@given(orders.filter(lambda x: x.atoms))
 def test_parse_render_round_trip_property(x):
     assert parse_order(render_order(x)) == x
 
 
-@st.composite
-def _edited_render(draw):
-    """A rendered order with one span replaced by a few grammar characters."""
-    text = render_order(draw(_orders))
-    i = draw(st.integers(0, len(text)))
-    j = draw(st.integers(i, min(len(text), i + 3)))
-    return text[:i] + draw(st.text("seqomgatrinf[](),+ 01239\t²٣", max_size=3)) + text[j:]
-
-
 @_PROPERTY
-@given(st.one_of(st.text(max_size=40), _edited_render()))
+@given(st.one_of(st.text(max_size=40), edited_render()))
 def test_parse_arbitrary_text_succeeds_or_raises_validation_error(text):
     try:
         x = parse_order(text)
     except ValidationError:
         return
     assert parse_order(render_order(x)) == x
+
+
+def _parse_outcome(parse, text):
+    try:
+        x = parse(text)
+    except ValidationError as exc:
+        return type(exc), str(exc), getattr(exc, "column", None)
+    check_atoms(x)
+    return x
+
+
+@settings(max_examples=500)
+@given(order_text)
+def test_parse_agrees_with_scanning_oracle(text):
+    # equal atoms on success; the same class, message and column on failure
+    assert _parse_outcome(parse_order, text) == _parse_outcome(parse_order_by_scanning, text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("seq[inf2]", "bad block size 'inf2' (column 9)"),
+        ("seq[1, 0]", "bad block size '0' (column 9)"),
+        ("seq[1,,2]", "expected a name or number (column 7)"),
+        ("seq[1 2]", "expected ']' (column 7)"),
+        ("omega(1,2)", "expected ')' (column 8)"),
+        ("seqx[1]", "unknown atom 'seqx' (column 5)"),
+        ("seq(1)", "expected '[' (column 4)"),
+        ("seq[1] omega(1)", "expected '+' (column 8)"),
+        ("seq[1] +", "expected a name or number (column 9)"),
+        ("seq[%s, x]" % ("1" * 4301), "block size has too many digits (4301) (column 4306)"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(OrderParseError) as err:
+        parse_order(text)
+    assert str(err.value) == message
+    assert _parse_outcome(parse_order_by_scanning, text)[1] == message
 
 
 def test_parse_examples():
