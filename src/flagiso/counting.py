@@ -10,12 +10,15 @@ enumeration of those representatives as signed permutations lives in the test
 oracles (``tests/oracles.py``), where it checks the closed form.
 
 The second route, :func:`brute_force_count`, enumerates actual flags over a
-small prime field, filtering by isotropy for the split forms.  It grows each
-member into the next through the quotient: a subspace whose basis is
-invertible on a set P of columns meets the span of the other coordinates only
-in zero, so the subspaces of that span give each superspace once, and the
-grown basis is invertible on P together with the new pivots, with no
-re-reduction.  It exists purely as a ground-truth cross-check of the first.
+small prime field with ``linalg.enumerate_subspaces``.  Each member is the
+basis of the one below it, as ``base``, plus new echelon rows off its pivot
+columns, which gives each superspace once.  The rows are grown one at a time,
+and for the split forms the ``keep`` of ``witness.isotropic_keep`` drops a new
+row, with everything that would be built on it, unless it is singular (B, D)
+and orthogonal to every row above it, the base's included: every pair of rows
+is tested once, when the lower one is added, so the members that survive are
+exactly the isotropic ones.  It exists purely as a ground-truth cross-check of
+the first.
 
 Conventions.  For type D a variety with a Lagrangian member means one
 connected component, the one containing the span of the first m coordinates:
@@ -35,7 +38,7 @@ from . import linalg as la
 from .descriptors import FiniteFlagVariety, require_valid_variety
 from .errors import ResourceLimitError, ValidationError
 from .linalg import PrimeField
-from .witness import in_reference_component, split_form, split_quadratic_value
+from .witness import in_reference_component, isotropic_keep
 
 DEFAULT_MAX_RANK = 96
 _RANK_ENV = "FLAGISO_MAX_RANK"
@@ -212,54 +215,6 @@ BRUTE_MAX_AMBIENT = 6
 _BRUTE_PRIMES = (2, 3)
 
 
-def _dot(u, gram, v, q):
-    total = 0
-    for i, ui in enumerate(u):
-        if ui:
-            row = gram[i]
-            total += ui * sum(r * vj for r, vj in zip(row, v))
-    return total % q
-
-
-def _rows_isotropic(rows, gram, q, quadratic):
-    # Pairwise with an early exit, rather than witness.is_isotropic_subspace:
-    # its two full mat_muls per candidate made the benchmark's 80 brute-force
-    # counts about 5x slower in total and 8x at the slowest one.
-    for i, u in enumerate(rows):
-        if quadratic is not None and quadratic(u) != 0:
-            return False
-        for v in rows[i + 1 :]:
-            if _dot(u, gram, v, q) != 0:
-                return False
-    return True
-
-
-def _pivots(rows):
-    return tuple(next(c for c, x in enumerate(row) if x) for row in rows)
-
-
-def _extensions(rows, pivots, n, e, field):
-    """All subspaces of dimension e containing the given one, via the quotient.
-
-    ``rows`` restricted to the columns ``pivots`` must be invertible.  Then the
-    coordinates outside ``pivots`` complement the row space, and each subspace
-    of them of dimension e - d, in echelon form, gives one superspace.  Its
-    lifted rows vanish on ``pivots`` and are echelon on their own pivots, so
-    the grown basis is block-triangular, hence invertible, on the union of
-    both pivot sets: the invariant holds one level up without reducing."""
-    d = len(rows)
-    free_cols = [c for c in range(n) if c not in pivots]
-    for qrows in la.enumerate_subspaces(len(free_cols), e - d, field):
-        lifted = []
-        for qrow in qrows:
-            vec = [0] * n
-            for val, c in zip(qrow, free_cols):
-                vec[c] = val
-            lifted.append(tuple(vec))
-        lifted = tuple(lifted)
-        yield rows + lifted, pivots + _pivots(lifted)
-
-
 def brute_force_count(v: FiniteFlagVariety, q: int) -> int:
     """Count flags of the given shape over F_q by direct enumeration.
 
@@ -278,38 +233,20 @@ def brute_force_count(v: FiniteFlagVariety, q: int) -> int:
         raise ValidationError("type B oracle requires odd q")
 
     field = PrimeField(q)
-    gram = None if t == "A" else split_form(t, n, field)
-    quadratic = None
-    if t in ("B", "D"):
-        quadratic = lambda u: split_quadratic_value(u, field)
-
+    keep = isotropic_keep(t, n, field)
     m = n // 2
-    lagrangian_filter = t == "D" and dims and dims[-1] == m
-
-    def ok(rows, dim):
-        if gram is not None and not _rows_isotropic(rows, gram, q, quadratic):
-            return False
-        if lagrangian_filter and dim == m:
-            return in_reference_component(rows, m, field)
-        return True
+    lagrangian = m if t == "D" and dims[-1] == m else None
 
     total = 0
-    first = dims[0]
-    stack = [
-        (rows, _pivots(rows), 0)
-        for rows in la.enumerate_subspaces(n, first, field)
-        if ok(rows, first)
-    ]
-    if len(dims) == 1:
-        return len(stack)
+    stack = [((), 0)]
     while stack:
-        rows, pivots, level = stack.pop()
-        next_dim = dims[level + 1]
-        for grown, gpiv in _extensions(rows, pivots, n, next_dim, field):
-            if not ok(grown, next_dim):
+        rows, level = stack.pop()
+        dim = dims[level]
+        for grown in la.enumerate_subspaces(n, dim, field, keep=keep, base=rows):
+            if dim == lagrangian and not in_reference_component(grown, m, field):
                 continue
-            if level + 1 == len(dims) - 1:
+            if level + 1 == len(dims):
                 total += 1
             else:
-                stack.append((grown, gpiv, level + 1))
+                stack.append((grown, level + 1))
     return total

@@ -375,23 +375,58 @@ def random_invertible(rng, n, field):
             return a
 
 
-def enumerate_subspaces(n, d, field):
-    """All d-dimensional subspaces of field^n (prime fields only), as rrefs."""
+def enumerate_subspaces(n, d, field, keep=None, base=()):
+    """The d-dimensional subspaces of field^n (prime fields only) that contain
+    the row space of ``base``, each once, as ``base`` followed by new rows in
+    reduced echelon form.
+
+    The new rows are grown one at a time, in product order: the pivot columns
+    run through their combinations in lexicographic order, and for each, row
+    0 takes every value of its free entries (the columns after its pivot that
+    are not pivots), with row 1 varying faster, and so on.  ``keep(row,
+    rows)`` is asked of each new row given the rows above it, ``base`` first;
+    a row it refuses is dropped with every completion below it, so the output
+    is the subsequence of subspaces whose every new row passes.  A keep that
+    tests a new row against each row above it meets every pair of rows once,
+    when the lower row is added.
+
+    ``base`` must be invertible on its pivot columns (the first nonzero column
+    of each row).  Then the other coordinates span a complement of its row
+    space, and the subspaces of that span of dimension d - len(base) give
+    each superspace once.  A yielded basis is again invertible on its pivot
+    columns (on the old and new ones together it is block triangular with
+    identity blocks), so it can be the next ``base`` without reduction.
+    """
     if not isinstance(field, PrimeField):
         raise ValidationError("subspace enumeration needs a finite field")
-    q = field.p
-    for pivots in itertools.combinations(range(n), d):
-        free = [
-            (i, c)
-            for i in range(d)
-            for c in range(pivots[i] + 1, n)
-            if c not in pivots
-        ]
-        base = [[0] * n for _ in range(d)]
-        for i, c in enumerate(pivots):
-            base[i][c] = 1
-        for values in itertools.product(range(q), repeat=len(free)):
-            rows = [row[:] for row in base]
-            for (i, c), val in zip(free, values):
-                rows[i][c] = val
-            yield tuple(tuple(r) for r in rows)
+    taken = {next(c for c, x in enumerate(row) if x) for row in base}
+    cols = [c for c in range(n) if c not in taken]
+    for pivots in itertools.combinations(cols, d - len(base)):
+        free = [c for c in cols if c not in pivots]
+        choices = []
+        for p in pivots:
+            after = [c for c in free if c > p]
+            rows = []
+            for values in itertools.product(range(field.p), repeat=len(after)):
+                row = [0] * n
+                row[p] = 1
+                for c, x in zip(after, values):
+                    row[c] = x
+                rows.append(tuple(row))
+            choices.append(rows)
+        if keep is None:
+            for rows in itertools.product(*choices):
+                yield base + rows
+        else:
+            yield from _grow(base, choices, keep)
+
+
+def _grow(rows, choices, keep):
+    """``rows`` followed by one row from each choice in turn, in product
+    order, without the rows that ``keep`` refuses."""
+    if not choices:
+        yield rows
+        return
+    for row in choices[0]:
+        if keep(row, rows):
+            yield from _grow(rows + (row,), choices[1:], keep)

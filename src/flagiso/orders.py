@@ -68,7 +68,7 @@ Size = "int | _Infinity"
 
 
 def is_size(value) -> bool:
-    return value is INF or (isinstance(value, int) and value >= 1)
+    return value is INF or (type(value) is int and value >= 1)  # no bool
 
 
 def _check_size(value, what: str):

@@ -727,6 +727,27 @@ def split_quadratic_value(vec, field):
     return field.reduce(total)
 
 
+def isotropic_keep(lie_type, n_ambient, field):
+    """The ``keep`` of :func:`flagiso.linalg.enumerate_subspaces` that grows
+    only isotropic subspaces of the split form (totally singular for B and
+    D): a new row must be singular and orthogonal to every row above it.
+    None for type A, which has no form."""
+    form = split_form(lie_type, n_ambient, field)
+    if form is None:
+        return None
+    entries = [(i, j, g) for i, row in enumerate(form) for j, g in enumerate(row) if g]
+    singular = lie_type != "C"
+
+    def keep(row, rows):
+        if singular and split_quadratic_value(row, field):
+            return False
+        # the form between row and u is the sum of row_i g_ij u_j
+        terms = [(j, g * row[i]) for i, j, g in entries if row[i]]
+        return not any(field.reduce(sum(c * u[j] for j, c in terms)) for u in rows)
+
+    return keep
+
+
 def is_totally_singular(rows, field) -> bool:
     n = len(rows[0]) if rows else 0
     form = split_symmetric_form(n, field)
@@ -882,8 +903,9 @@ def enumerate_bd_sources(n: int, field):
 def enumerate_component_lagrangians(n: int, field):
     """All Lagrangians of the 2n-space in the reference component."""
     form = split_symmetric_form(2 * n, field)
-    for rows in la.enumerate_subspaces(2 * n, n, field):
-        if is_totally_singular(rows, field) and in_reference_component(rows, n, field):
+    keep = isotropic_keep("D", 2 * n, field)
+    for rows in la.enumerate_subspaces(2 * n, n, field, keep=keep):
+        if in_reference_component(rows, n, field):
             yield flag_point(field, 2 * n, [rows], form=form)
 
 

@@ -6,8 +6,9 @@ Pascal-style recursion, Coxeter lengths from breadth-first word search,
 Poincare polynomials from enumerating the Weyl group as signed permutations,
 order normal forms from iterating the single-step rewrite specification,
 order text from a scanner that reads one character at a time,
-grassmannian verdicts from dimension data alone, and exact linear algebra from
-Gauss-Jordan elimination on ``Fraction`` (or F_p) entries.
+grassmannian verdicts from dimension data alone, exact linear algebra from
+Gauss-Jordan elimination on ``Fraction`` (or F_p) entries, and the subspaces
+of F_p^n from one product over all free entries of an echelon form at once.
 """
 
 import itertools
@@ -17,7 +18,7 @@ from flagiso.counting import QPolynomial
 from flagiso.decide import DecisionResult, Reason, _no, _yes
 from flagiso.descriptors import FlagDescriptor, FormType, pic_rank, require_valid
 from flagiso.errors import ValidationError
-from flagiso.linalg import transpose
+from flagiso.linalg import PrimeField, transpose
 from flagiso.orders import (
     INF,
     Omega,
@@ -552,3 +553,30 @@ def rowspace_contains_by_elimination(a, b, field):
     """Whether rowspace(b) is contained in rowspace(a), row by row."""
     canon = rref_by_fractions(a, field)[0]
     return all(in_rowspace(r, canon, field) for r in b)
+
+
+# ---------------------------------------------------------------------------
+# Subspaces of F_p^n in reduced echelon form: one product over the free
+# entries of every row at once, with no pruning.
+
+
+def enumerate_subspaces_by_product(n, d, field):
+    """All d-dimensional subspaces of field^n (prime fields only), as rrefs."""
+    if not isinstance(field, PrimeField):
+        raise ValidationError("subspace enumeration needs a finite field")
+    q = field.p
+    for pivots in itertools.combinations(range(n), d):
+        free = [
+            (i, c)
+            for i in range(d)
+            for c in range(pivots[i] + 1, n)
+            if c not in pivots
+        ]
+        base = [[0] * n for _ in range(d)]
+        for i, c in enumerate(pivots):
+            base[i][c] = 1
+        for values in itertools.product(range(q), repeat=len(free)):
+            rows = [row[:] for row in base]
+            for (i, c), val in zip(free, values):
+                rows[i][c] = val
+            yield tuple(tuple(r) for r in rows)

@@ -323,7 +323,16 @@ def test_brute_force_matches_point_count_samples():
         and point_count(v, q) <= 3000
     ]
     assert len(generated) == 54
-    cases = picked + [case for case in generated if case not in picked]
+    # and every one of ambient 6 (types A, C and D; B has odd ambient), which
+    # pruning each row that breaks isotropy as it is grown makes affordable
+    ambient_6 = [
+        (v, q)
+        for q in (2, 3)
+        for v in valid_varieties(5)
+        if v.ambient_dim == 6 and point_count(v, q) <= 3000
+    ]
+    assert len(ambient_6) == 29
+    cases = picked + [case for case in generated + ambient_6 if case not in picked]
     for v, q in cases:
         assert brute_force_count(v, q) == point_count(v, q), (v, q)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from flagiso import linalg as la
+from flagiso import witness as W
 from flagiso.linalg import QQ, PrimeField
 from flagiso.errors import ValidationError
 
@@ -377,3 +378,77 @@ def test_enumerate_subspaces_counts():
     assert sum(1 for _ in la.enumerate_subspaces(4, 2, f2)) == 35
     f3 = PrimeField(3)
     assert sum(1 for _ in la.enumerate_subspaces(3, 1, f3)) == 13
+
+
+_SMALL = [(n, d, p) for p in (2, 3) for n in range(1, 6) for d in range(n + 1)]
+
+
+@pytest.mark.parametrize("n,d,p", _SMALL)
+def test_enumerate_subspaces_matches_product_oracle(n, d, p):
+    # the same subspaces in the same order as one product over all free entries
+    field = PrimeField(p)
+    want = list(oracles.enumerate_subspaces_by_product(n, d, field))
+    assert list(la.enumerate_subspaces(n, d, field)) == want
+
+
+def _singular(row, p):
+    # the split quadratic form written out: x_i x_(n-1-i) summed over the lower
+    # half, plus x_mid^2 / 2 at odd length
+    n = len(row)
+    total = sum(row[i] * row[n - 1 - i] for i in range(n // 2))
+    if n % 2:
+        total += row[n // 2] ** 2 * pow(2, -1, p)
+    return total % p == 0
+
+
+_FORMS = [
+    (t, n, p)
+    for t, ns, ps in [("C", (2, 4), (2, 3)), ("D", (2, 4), (2, 3)), ("B", (3, 5), (3,))]
+    for n in ns
+    for p in ps
+]
+
+
+@pytest.mark.parametrize("t,n,p", _FORMS)
+def test_isotropic_keep_yields_the_filtered_oracle_sequence(t, n, p):
+    # pruning rows that break isotropy keeps exactly the isotropic subspaces,
+    # in the oracle's order
+    field = PrimeField(p)
+    form = W.split_form(t, n, field)
+    keep = W.isotropic_keep(t, n, field)
+    for d in range(n + 1):
+        want = [
+            rows
+            for rows in oracles.enumerate_subspaces_by_product(n, d, field)
+            if W.is_isotropic_subspace(rows, form, field)
+            and (t == "C" or all(_singular(row, p) for row in rows))
+        ]
+        assert list(la.enumerate_subspaces(n, d, field, keep=keep)) == want, d
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for p in (2, 3) for n in range(1, 6)])
+def test_enumerate_superspaces_of_a_base(n, p):
+    # reduced bases and grown ones (a base plus rows off its pivots, not in
+    # reduced form): every superspace of each dimension once
+    field = PrimeField(p)
+    rng = random.Random(f"superspaces/{n}/{p}")
+    subspaces = {d: list(oracles.enumerate_subspaces_by_product(n, d, field)) for d in range(n + 1)}
+    bases = []
+    for k in range(n + 1):
+        for base in rng.sample(subspaces[k], min(2, len(subspaces[k]))):
+            bases.append(base)
+            if k < n:
+                bases.append(rng.choice(list(la.enumerate_subspaces(n, k + 1, field, base=base))))
+    for base in bases:
+        for d in range(len(base), n + 1):
+            got = list(la.enumerate_subspaces(n, d, field, base=base))
+            assert all(rows[: len(base)] == base for rows in got)
+            spans = [la.rowspace(rows, field) for rows in got]
+            assert all(len(span) == d for span in spans)
+            assert len(set(spans)) == len(spans)
+            want = {
+                rows
+                for rows in subspaces[d]
+                if oracles.rowspace_contains_by_elimination(rows, base, field)
+            }
+            assert set(spans) == want, (base, d)

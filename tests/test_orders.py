@@ -250,8 +250,24 @@ def test_bad_sizes_rejected():
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: Seq(()), lambda: Seq((0,)), lambda: Omega(-1), lambda: WeightedOrder((1,))],
-    ids=["empty-seq", "zero-entry", "negative-omega", "non-atom"],
+    [
+        lambda: Seq(()),
+        lambda: Seq((0,)),
+        lambda: Omega(-1),
+        lambda: WeightedOrder((1,)),
+        lambda: Seq((True,)),
+        lambda: Omega(True),
+        lambda: OmegaStar(True),
+    ],
+    ids=[
+        "empty-seq",
+        "zero-entry",
+        "negative-omega",
+        "non-atom",
+        "bool-entry",
+        "bool-omega",
+        "bool-omegastar",
+    ],
 )
 def test_constructors_validate_user_input(build):
     with pytest.raises(ValidationError):

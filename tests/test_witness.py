@@ -16,7 +16,7 @@ from flagiso.generate import (
 from flagiso.linalg import QQ, PrimeField
 from flagiso.descriptors import min_truncation_width, parse_descriptor
 
-from oracles import lagrangian_component_count
+from oracles import enumerate_subspaces_by_product, lagrangian_component_count
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -346,6 +346,21 @@ def test_reference_component_matches_intersection_definition(field, n):
         sizes[got] += 1
     count = lagrangian_component_count(n, field.p)
     assert sizes == {True: count, False: count}
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_component_lagrangians_match_filtered_oracle(field, n):
+    # grown with the isotropy keep, they are the oracle's Lagrangians of the
+    # reference component
+    want = {
+        rows
+        for rows in enumerate_subspaces_by_product(2 * n, n, field)
+        if W.is_totally_singular(rows, field) and W.in_reference_component(rows, n, field)
+    }
+    got = [p.subspaces[0] for p in W.enumerate_component_lagrangians(n, field)]
+    assert len(got) == len(want) == lagrangian_component_count(n, field.p)
+    assert set(got) == want
 
 
 def test_bd_phi_bijection_f2_and_f3():
