@@ -4,17 +4,23 @@
 dimension hypotheses (general ambient >= 2, orthogonal >= 5, symplectic >= 6).
 ``decide_ind`` compares two ind-variety descriptors.  Besides isomorphisms
 induced by chain isomorphisms (and chain duality in the general case), exactly
-two cross-type coincidences exist, both recognized explicitly:
+two cross-type coincidences exist between ind-varieties, both recognized:
 
 * the projective space / symplectic line grassmannian pair, and
 * the pair of maximal orthogonal grassmannians (middle quotient of dimension
   one versus a self-perp member).
+
+Finite varieties are compared by marked Dynkin diagrams, which add the Klein
+correspondence D_3 = A_3 and the triality of D_4.  B_2 = C_2 is absent because
+C_2 is below the threshold, and the D_n spinor swap because the dims name only
+one of the two families of maximal isotropic subspaces.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import permutations
 
 from .descriptors import (
     FORM_OF_LIE_TYPE,
@@ -41,6 +47,8 @@ class Reason(enum.Enum):
     DUAL_FLAG_ISO = "DualFlagIso"
     EXCEPTIONAL_PROJ_SYMP = "ExceptionalProjSymp"
     EXCEPTIONAL_BD = "ExceptionalBD"
+    KLEIN_CORRESPONDENCE = "KleinCorrespondence"
+    D4_TRIALITY = "D4Triality"
     NO_RULE_APPLIES = "NoRuleApplies"
 
 
@@ -90,55 +98,62 @@ def _check_threshold(v: FiniteFlagVariety):
         )
 
 
+def _diagram(v: FiniteFlagVariety):
+    """(Lie type, rank, marked nodes, reductions applied) of v's diagram.  The
+    marked nodes are the dims, in type D too: dims with m - 1 also hold m."""
+    t, rank, marked, used = v.lie_type, v.ambient_dim // 2, frozenset(v.dims), set()
+    if t == "A":
+        rank = v.ambient_dim - 1
+    elif t == "C" and v.dims == (1,):
+        t, rank, used = "A", 2 * rank - 1, {Reason.EXCEPTIONAL_PROJ_SYMP}
+    elif t == "B" and v.dims == (rank,):
+        t, rank, marked, used = "D", rank + 1, frozenset({rank + 1}), {Reason.EXCEPTIONAL_BD}
+    if t == "D" and rank == 3:
+        t, marked = "A", frozenset((2, 1, 3)[k - 1] for k in marked)
+        used.add(Reason.KLEIN_CORRESPONDENCE)
+    return t, rank, marked, used
+
+
+def _images(t: str, rank: int, marked: frozenset) -> list:
+    """The marked sets that the diagram automorphisms make of ``marked``."""
+    if t == "A":
+        return [{rank + 1 - k for k in marked}]
+    if (t, rank) == ("D", 4):  # triality permutes the nodes 1, 3 and 4
+        return [{(a, 2, b, c)[k - 1] for k in marked} for a, b, c in permutations((1, 3, 4))]
+    return []
+
+
+# What an isomorphism of two different varieties needs, strongest first: a
+# reduction only one side used (so B:5:2 ~ D:6:3, both through A_3, stays
+# ExceptionalBD), or the automorphism when the marked nodes differ.  Details
+# are formatted with the ambient dimensions 2r - 1 and 2r of the rank r.
+_IDENTIFICATIONS = {
+    Reason.D4_TRIALITY: "triality of D_4 permutes its vector and two spinor nodes",
+    Reason.KLEIN_CORRESPONDENCE: "Klein correspondence: the quadric in six variables is Gr(2, 4)",
+    Reason.EXCEPTIONAL_BD: "maximal orthogonal grassmannians in ambient dimensions {} and {}",
+    Reason.EXCEPTIONAL_PROJ_SYMP: "projective space of an even-dimensional space and its "
+    "symplectic line grassmannian",
+    Reason.COMPLEMENT_DIMS: "complementary dimension sequences in equal ambient dimension",
+}
+
+
 def decide_finite(x: FiniteFlagVariety, y: FiniteFlagVariety) -> DecisionResult:
     require_valid_variety(x)
     require_valid_variety(y)
     _check_threshold(x)
     _check_threshold(y)
-    cx, cy = FORM_OF_LIE_TYPE[x.lie_type], FORM_OF_LIE_TYPE[y.lie_type]
-
-    if cx is cy and x.ambient_dim == y.ambient_dim and x.dims == y.dims:
+    if x == y:
         return _yes(Reason.SAME_DIMS, "same type class and dimension sequence")
-
-    if cx is cy is FormType.GENERAL and x.ambient_dim == y.ambient_dim:
-        n = x.ambient_dim
-        if len(x.dims) == len(y.dims) and all(
-            a == n - b for a, b in zip(x.dims, reversed(y.dims))
-        ):
-            return _yes(
-                Reason.COMPLEMENT_DIMS,
-                "complementary dimension sequences in equal ambient dimension",
-            )
-
-    if {cx, cy} == {FormType.GENERAL, FormType.SYMPLECTIC}:
-        gen, symp = (x, y) if cx is FormType.GENERAL else (y, x)
-        n = gen.ambient_dim
-        if (
-            n == symp.ambient_dim
-            and symp.dims == (1,)
-            and gen.dims in ((1,), (n - 1,))
-        ):
-            return _yes(
-                Reason.EXCEPTIONAL_PROJ_SYMP,
-                "projective space of an even-dimensional space and its "
-                "symplectic line grassmannian",
-            )
-
-    if cx is cy is FormType.ORTHOGONAL and {x.lie_type, y.lie_type} == {"B", "D"}:
-        b, d = (x, y) if x.lie_type == "B" else (y, x)
-        n = d.ambient_dim // 2
-        if (
-            b.ambient_dim == 2 * n - 1
-            and b.dims == (n - 1,)
-            and d.dims == (n,)
-        ):
-            return _yes(
-                Reason.EXCEPTIONAL_BD,
-                "maximal orthogonal grassmannians in ambient dimensions "
-                f"{2 * n - 1} and {2 * n}",
-            )
-
-    return _no("no classification rule matches the pair")
+    t, rank, mx, ux = _diagram(x)
+    ty, ry, my, uy = _diagram(y)
+    moved = mx != my
+    if (t, rank) != (ty, ry) or (moved and my not in _images(t, rank, mx)):
+        return _no("no classification rule matches the pair")
+    needed = ux ^ uy
+    if moved:
+        needed.add(Reason.D4_TRIALITY if t == "D" else Reason.COMPLEMENT_DIMS)
+    reason = min(needed, key=list(_IDENTIFICATIONS).index)
+    return _yes(reason, _IDENTIFICATIONS[reason].format(2 * rank - 1, 2 * rank))
 
 
 def decide_ind(x: FlagDescriptor, y: FlagDescriptor) -> DecisionResult:

@@ -6,9 +6,12 @@ Pascal-style recursion, Coxeter lengths from breadth-first word search,
 Poincare polynomials from enumerating the Weyl group as signed permutations,
 order normal forms from iterating the single-step rewrite specification,
 order text from a scanner that reads one character at a time,
-grassmannian verdicts from dimension data alone, exact linear algebra from
-Gauss-Jordan elimination on ``Fraction`` (or F_p) entries, and the subspaces
-of F_p^n from one product over all free entries of an echelon form at once.
+grassmannian verdicts from dimension data alone, finite verdicts from node
+bijections that preserve Cartan matrices (beside the hand-written rule chain
+they replaced, kept as the reference for reasons and details), exact linear
+algebra from Gauss-Jordan elimination on ``Fraction`` (or F_p) entries, and
+the subspaces of F_p^n from one product over all free entries of an echelon
+form at once.
 """
 
 import itertools
@@ -16,7 +19,13 @@ from functools import lru_cache
 
 from flagiso.counting import QPolynomial
 from flagiso.decide import DecisionResult, Reason, _no, _yes
-from flagiso.descriptors import FlagDescriptor, FormType, pic_rank, require_valid
+from flagiso.descriptors import (
+    FORM_OF_LIE_TYPE,
+    FlagDescriptor,
+    FormType,
+    pic_rank,
+    require_valid,
+)
 from flagiso.errors import ValidationError
 from flagiso.linalg import PrimeField, transpose
 from flagiso.orders import (
@@ -489,6 +498,133 @@ def decide_ind_grassmannian(x: FlagDescriptor, y: FlagDescriptor) -> DecisionRes
         return _no("general and symplectic grassmannians match no exceptional pair")
 
     return _no("orthogonal grassmannians are never isomorphic to the other types")
+
+
+# ---------------------------------------------------------------------------
+# Finite verdicts from Cartan matrices.  After the two Onishchik reductions
+# (C_m/P_1 = A_{2m-1}/P_1 and B_m/P_m = D_{m+1}/P_{m+1}), two flag varieties
+# are isomorphic exactly when some bijection of the simple roots preserves the
+# Cartan matrices and carries one set of marked nodes onto the other.  The
+# search knows no isogeny or diagram automorphism: D_3 = A_3, B_2 = C_2 and
+# the triality of D_4 come out of it by themselves.
+
+
+def simple_roots(lie_type, rank):
+    """The simple roots of the split group, in the standard coordinates
+    e_1, ..., e_{rank+1} (type A) or e_1, ..., e_rank."""
+    size = rank + 1 if lie_type == "A" else rank
+    roots = []
+    for i in range(rank if lie_type == "A" else rank - 1):
+        root = [0] * size
+        root[i], root[i + 1] = 1, -1  # e_i - e_{i+1}
+        roots.append(root)
+    if lie_type != "A":
+        root = [0] * size
+        if lie_type == "B":
+            root[-1] = 1  # e_m
+        elif lie_type == "C":
+            root[-1] = 2  # 2 e_m
+        else:
+            root[-2] = root[-1] = 1  # e_{m-1} + e_m
+        roots.append(root)
+    return roots
+
+
+def cartan_matrix(roots):
+    """Entries 2 (a_i, a_j) / (a_j, a_j)."""
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    return tuple(tuple(2 * dot(a, b) // dot(b, b) for b in roots) for a in roots)
+
+
+def marked_cartan(v):
+    """(Cartan matrix, marked nodes counted from 0) after the reductions."""
+    t, dims = v.lie_type, frozenset(v.dims)
+    rank = v.ambient_dim - 1 if t == "A" else v.ambient_dim // 2
+    if t == "C" and dims == {1}:
+        t, rank = "A", 2 * rank - 1
+    elif t == "B" and dims == {rank}:
+        t, rank, dims = "D", rank + 1, {rank + 1}
+    return cartan_matrix(simple_roots(t, rank)), frozenset(k - 1 for k in dims)
+
+
+def marked_cartan_isomorphic(a, b):
+    """Whether a node bijection maps Cartan matrix onto Cartan matrix and
+    marked set onto marked set, found by backtracking one node at a time."""
+    (ca, ma), (cb, mb) = a, b
+    if len(ca) != len(cb) or len(ma) != len(mb):
+        return False
+    image = []
+
+    def extend():
+        i = len(image)
+        if i == len(ca):
+            return True
+        for j in range(len(cb)):
+            if j in image or (i in ma) != (j in mb):
+                continue
+            pairs = list(enumerate(image)) + [(i, j)]
+            if all(ca[i][k] == cb[j][l] and ca[k][i] == cb[l][j] for k, l in pairs):
+                image.append(j)
+                if extend():
+                    return True
+                image.pop()
+        return False
+
+    return extend()
+
+
+def decide_finite_by_rules(x, y) -> DecisionResult:
+    """The hand-written rule chain that the marked-diagram key replaced: the
+    reference for the reason and detail of every pair it finds isomorphic.
+    It misses the Klein correspondence and triality.  Inputs must be valid
+    varieties above the thresholds."""
+    cx, cy = FORM_OF_LIE_TYPE[x.lie_type], FORM_OF_LIE_TYPE[y.lie_type]
+
+    if cx is cy and x.ambient_dim == y.ambient_dim and x.dims == y.dims:
+        return _yes(Reason.SAME_DIMS, "same type class and dimension sequence")
+
+    if cx is cy is FormType.GENERAL and x.ambient_dim == y.ambient_dim:
+        n = x.ambient_dim
+        if len(x.dims) == len(y.dims) and all(
+            a == n - b for a, b in zip(x.dims, reversed(y.dims))
+        ):
+            return _yes(
+                Reason.COMPLEMENT_DIMS,
+                "complementary dimension sequences in equal ambient dimension",
+            )
+
+    if {cx, cy} == {FormType.GENERAL, FormType.SYMPLECTIC}:
+        gen, symp = (x, y) if cx is FormType.GENERAL else (y, x)
+        n = gen.ambient_dim
+        if (
+            n == symp.ambient_dim
+            and symp.dims == (1,)
+            and gen.dims in ((1,), (n - 1,))
+        ):
+            return _yes(
+                Reason.EXCEPTIONAL_PROJ_SYMP,
+                "projective space of an even-dimensional space and its "
+                "symplectic line grassmannian",
+            )
+
+    if cx is cy is FormType.ORTHOGONAL and {x.lie_type, y.lie_type} == {"B", "D"}:
+        b, d = (x, y) if x.lie_type == "B" else (y, x)
+        n = d.ambient_dim // 2
+        if (
+            b.ambient_dim == 2 * n - 1
+            and b.dims == (n - 1,)
+            and d.dims == (n,)
+        ):
+            return _yes(
+                Reason.EXCEPTIONAL_BD,
+                "maximal orthogonal grassmannians in ambient dimensions "
+                f"{2 * n - 1} and {2 * n}",
+            )
+
+    return _no("no classification rule matches the pair")
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,40 @@ def test_counting_commands_accept_valid_dims(capsys):
     assert capsys.readouterr().out == "5\n"
 
 
+@pytest.mark.parametrize(
+    "left, right, reason, detail",
+    [
+        (
+            "A:4:2",
+            "D:6:1",
+            "KleinCorrespondence",
+            "Klein correspondence: the quadric in six variables is Gr(2, 4)",
+        ),
+        ("D:8:1", "D:8:4", "D4Triality", "triality of D_4 permutes its vector and two spinor nodes"),
+        ("B:7:3", "D:8:1", "D4Triality", "triality of D_4 permutes its vector and two spinor nodes"),
+        # both sides pass through D_3 = A_3; only the B side through B_2 -> D_3
+        (
+            "B:5:2",
+            "D:6:3",
+            "ExceptionalBD",
+            "maximal orthogonal grassmannians in ambient dimensions 5 and 6",
+        ),
+    ],
+    ids=["klein", "triality", "bd-then-triality", "bd-through-klein"],
+)
+def test_decide_finite_names_the_identification(capsys, left, right, reason, detail):
+    for argv in (["decide-finite", left, right], ["decide-finite", right, left]):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == f"Isomorphic ({reason}): {detail}\n"
+        assert cli.main([*argv, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["verdict"], payload["reason"], payload["detail"]) == (
+            "Isomorphic",
+            reason,
+            detail,
+        )
+
+
 @pytest.mark.parametrize("n, lifts", [(2, 5), (3, 23)])
 def test_witness_bd_sampled_counts_distinct_sources(capsys, n, lifts):
     # 25 seeded draws over GF(5) repeat sources; each distinct one has its own lift

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -23,7 +24,13 @@ from flagiso.descriptors import (
 from flagiso.errors import ValidationError
 from flagiso.generate import random_descriptor
 from flagiso.orders import INF, omega, seq
-from oracles import decide_ind_grassmannian
+from flagiso.selftest import _decision_universe
+from oracles import (
+    decide_finite_by_rules,
+    decide_ind_grassmannian,
+    marked_cartan,
+    marked_cartan_isomorphic,
+)
 
 
 def V(t, n, dims):
@@ -76,16 +83,80 @@ def test_threshold_violations():
         decide_finite(V("D", 4, (2,)), V("D", 4, (2,)))
 
 
+@lru_cache(maxsize=None)
+def _universe_decisions():
+    """``to_json()`` of every ordered pair of the 295 varieties of ambient <= 8."""
+    universe = _decision_universe()
+    assert len(universe) == 295
+    return {(x, y): decide_finite(x, y).to_json() for x in universe for y in universe}
+
+
 def test_decide_finite_symmetric():
-    pairs = [
-        (V("A", 6, (1, 3)), V("A", 6, (3, 5))),
-        (V("A", 8, (1,)), V("C", 8, (1,))),
-        (V("B", 5, (2,)), V("D", 6, (3,))),
-        (V("B", 5, (1,)), V("C", 6, (1,))),
-    ]
-    for x, y in pairs:
-        a, b = decide_finite(x, y), decide_finite(y, x)
-        assert (a.verdict, a.reason) == (b.verdict, b.reason)
+    decisions = _universe_decisions()
+    for (x, y), res in decisions.items():
+        assert res == decisions[y, x], (x, y)
+
+
+def test_decide_finite_matches_marked_cartan_oracle():
+    universe = _decision_universe()
+    keys = [marked_cartan(v) for v in universe]
+    decisions = _universe_decisions()
+    for i, x in enumerate(universe):
+        for j in range(i, len(universe)):
+            y = universe[j]
+            iso = decisions[x, y]["verdict"] == Verdict.ISOMORPHIC.value
+            assert iso == marked_cartan_isomorphic(keys[i], keys[j]), (x, y)
+
+
+def test_marked_cartan_oracle_finds_b2_equals_c2_by_itself():
+    # below the symplectic threshold, so decide_finite never sees the pair
+    quadric, lagrangians = marked_cartan(V("B", 5, (1,))), marked_cartan(V("C", 4, (2,)))
+    assert marked_cartan_isomorphic(quadric, lagrangians)
+    assert not marked_cartan_isomorphic(quadric, marked_cartan(V("A", 3, (1,))))
+
+
+def _literal(text):
+    t, n, dims = text.split(":")
+    return V(t, int(n), [int(d) for d in dims.split(",")])
+
+
+# The isomorphisms the hand-written rules missed, by the reason now given.
+_NEW_ISOMORPHISMS = {
+    "KleinCorrespondence": [
+        ("A:4:2", "D:6:1"),
+        ("A:4:1", "D:6:3"),
+        ("A:4:3", "D:6:3"),
+        ("A:4:1,2", "D:6:1,3"),
+        ("A:4:2,3", "D:6:1,3"),
+        ("A:4:1,3", "D:6:2,3"),
+        ("A:4:1,2,3", "D:6:1,2,3"),
+        ("A:4:1", "B:5:2"),
+        ("A:4:3", "B:5:2"),
+    ],
+    "D4Triality": [
+        ("D:8:1", "D:8:4"),
+        ("D:8:1,2", "D:8:2,4"),
+        ("D:8:1,4", "D:8:3,4"),
+        ("D:8:1,2,4", "D:8:2,3,4"),
+        ("B:7:3", "D:8:1"),
+    ],
+}
+
+
+def test_decide_finite_keeps_every_reference_isomorphism():
+    changed = {}
+    for (x, y), res in _universe_decisions().items():
+        ref = decide_finite_by_rules(x, y).to_json()
+        if ref["verdict"] == Verdict.ISOMORPHIC.value:
+            assert res == ref, (x, y)
+        elif res != ref:
+            changed[x, y] = res["reason"]
+    expected = {}
+    for reason, pairs in _NEW_ISOMORPHISMS.items():
+        for a, b in pairs:
+            x, y = _literal(a), _literal(b)
+            expected[x, y] = expected[y, x] = reason
+    assert changed == expected
 
 
 # ---------------------------------------------------------------------------
