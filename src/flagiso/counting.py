@@ -17,8 +17,9 @@ and for the split forms the ``keep`` of ``witness.isotropic_keep`` drops a new
 row, with everything that would be built on it, unless it is singular (B, D)
 and orthogonal to every row above it, the base's included: every pair of rows
 is tested once, when the lower one is added, so the members that survive are
-exactly the isotropic ones.  It exists purely as a ground-truth cross-check of
-the first.
+exactly the isotropic ones.  The candidate rows depend only on the pivot
+columns, so one count builds them once per pivot set.  It exists purely as a
+ground-truth cross-check of the first.
 
 Conventions.  For type D a variety with a Lagrangian member means one
 connected component, the one containing the span of the first m coordinates:
@@ -238,11 +239,14 @@ def brute_force_count(v: FiniteFlagVariety, q: int) -> int:
     lagrangian = m if t == "D" and dims[-1] == m else None
 
     total = 0
+    candidates = {}
     stack = [((), 0)]
     while stack:
         rows, level = stack.pop()
         dim = dims[level]
-        for grown in la.enumerate_subspaces(n, dim, field, keep=keep, base=rows):
+        for grown in la.enumerate_subspaces(
+            n, dim, field, keep=keep, base=rows, cache=candidates
+        ):
             if dim == lagrangian and not in_reference_component(grown, m, field):
                 continue
             if level + 1 == len(dims):

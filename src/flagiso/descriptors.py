@@ -126,9 +126,15 @@ def validate(d: FlagDescriptor):
 
 
 def require_valid(d: FlagDescriptor):
+    """Raise :class:`DescriptorError` unless ``d`` is valid.  A descriptor is
+    frozen, so one that passes (every parsed one does) is marked and not
+    validated again; an invalid one is never marked and raises each time."""
+    if "_valid" in d.__dict__:
+        return
     violations = validate(d)
     if violations:
         raise DescriptorError(violations)
+    object.__setattr__(d, "_valid", True)
 
 
 def full_chain(d: FlagDescriptor) -> WeightedOrder:

@@ -54,6 +54,20 @@ The outputs are field elements (``Fraction`` in lowest terms on QQ,
 reduced ints on F_p), and since the reduced row echelon form is unique they
 are the same as those of elimination on field elements, which
 ``tests/oracles.py`` keeps as the reference.
+
+Canonical values.  ``rref`` returns its reduced rows as an ``Echelon``, a
+tuple that also carries the field and the pivot columns, and nothing else
+builds one.  ``rref`` returns an ``Echelon`` over the field it is asked for
+as it is, and ``mat`` returns it unchanged, so ``rowspace``, ``rank``,
+``rowspace_contains`` and ``nullspace`` never reduce or convert a subspace
+twice.  The field is compared because rows reduced over one field are not
+canonical over another: over QQ their entries must become ``Fraction``, and
+over F_3 an entry 4 of an F_5 form is not even an element, so ``mat``
+converts them and ``rref`` eliminates again.  Slices and sums of an
+``Echelon`` are plain tuples and are not trusted.  As a tuple it compares,
+hashes, prints and encodes as JSON like its rows; it pickles and copies as
+itself through ``__getnewargs__``, which hands ``__new__`` the field and
+pivots too.
 """
 
 from __future__ import annotations
@@ -74,6 +88,8 @@ class PrimeField:
         self.p = p
 
     def of(self, x):
+        if type(x) is int:
+            return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ValidationError(f"denominator of {x} vanishes mod {self.p}")
@@ -140,8 +156,9 @@ _ZERO = Fraction(0)
 class Rationals:
     """The field of rationals, with Fraction elements."""
 
-    def of(self, x):
-        return Fraction(x)
+    @staticmethod
+    def of(x):
+        return x if type(x) is Fraction else Fraction(x)
 
     zero = staticmethod(lambda: Fraction(0))
     one = staticmethod(lambda: Fraction(1))
@@ -206,6 +223,8 @@ QQ = Rationals()
 
 
 def mat(rows, field):
+    if type(rows) is Echelon and rows.field == field:
+        return rows
     return tuple(tuple(field.of(x) for x in row) for row in rows)
 
 
@@ -254,11 +273,29 @@ def mat_eq(a, b):
     return tuple(map(tuple, a)) == tuple(map(tuple, b))
 
 
+class Echelon(tuple):
+    """Rows in reduced row echelon form over ``field``, zero rows dropped, with
+    their pivot columns.  Only :func:`rref` builds one (see the module
+    docstring)."""
+
+    def __new__(cls, rows, field, pivots):
+        self = super().__new__(cls, rows)
+        self.field = field
+        self.pivots = pivots
+        return self
+
+    def __getnewargs__(self):
+        return tuple(self), self.field, self.pivots
+
+
 def rref(a, field):
-    """(reduced row echelon form with zero rows dropped, pivot columns)."""
+    """(reduced row echelon form with zero rows dropped, pivot columns).  The
+    form is an :class:`Echelon`; one over ``field`` is returned as it is."""
+    if type(a) is Echelon and a.field == field:
+        return a, a.pivots
     rows = [field.clear(row)[0] for row in a]
     if not rows:
-        return (), ()
+        return Echelon((), field, ()), ()
     pivots = []
     r = 0
     for c in range(len(rows[0])):
@@ -276,7 +313,9 @@ def rref(a, field):
         r += 1
         if r == len(rows):
             break
-    return tuple([field.finish(row, c) for row, c in zip(rows, pivots)]), tuple(pivots)
+    pivots = tuple(pivots)
+    reduced = [field.finish(row, c) for row, c in zip(rows, pivots)]
+    return Echelon(reduced, field, pivots), pivots
 
 
 def rowspace(a, field):
@@ -375,7 +414,7 @@ def random_invertible(rng, n, field):
             return a
 
 
-def enumerate_subspaces(n, d, field, keep=None, base=()):
+def enumerate_subspaces(n, d, field, keep=None, base=(), cache=None):
     """The d-dimensional subspaces of field^n (prime fields only) that contain
     the row space of ``base``, each once, as ``base`` followed by new rows in
     reduced echelon form.
@@ -396,12 +435,33 @@ def enumerate_subspaces(n, d, field, keep=None, base=()):
     each superspace once.  A yielded basis is again invertible on its pivot
     columns (on the old and new ones together it is block triangular with
     identity blocks), so it can be the next ``base`` without reduction.
+
+    The candidate rows depend only on n, d, the field and the base's pivot
+    columns, and are kept in ``cache`` by (n, d, pivot columns): a caller
+    that enumerates over many bases in one field and passes one dict builds
+    them once per pivot set.
     """
     if not isinstance(field, PrimeField):
         raise ValidationError("subspace enumeration needs a finite field")
-    taken = {next(c for c, x in enumerate(row) if x) for row in base}
+    taken = frozenset([next(itertools.compress(itertools.count(), row)) for row in base])
+    cache = {} if cache is None else cache
+    key = (n, d, taken)
+    if key not in cache:
+        cache[key] = _candidates(n, d - len(base), field, taken)
+    for choices in cache[key]:
+        if keep is None:
+            for rows in itertools.product(*choices):
+                yield base + rows
+        else:
+            yield from _grow(base, choices, keep)
+
+
+def _candidates(n, k, field, taken):
+    """For each set of k new pivot columns off ``taken``, in lexicographic
+    order, the candidate rows of each new pivot (see enumerate_subspaces)."""
     cols = [c for c in range(n) if c not in taken]
-    for pivots in itertools.combinations(cols, d - len(base)):
+    out = []
+    for pivots in itertools.combinations(cols, k):
         free = [c for c in cols if c not in pivots]
         choices = []
         for p in pivots:
@@ -414,11 +474,8 @@ def enumerate_subspaces(n, d, field, keep=None, base=()):
                     row[c] = x
                 rows.append(tuple(row))
             choices.append(rows)
-        if keep is None:
-            for rows in itertools.product(*choices):
-                yield base + rows
-        else:
-            yield from _grow(base, choices, keep)
+        out.append(choices)
+    return out
 
 
 def _grow(rows, choices, keep):

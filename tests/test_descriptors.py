@@ -1,9 +1,12 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagiso import descriptors as D
+from flagiso.decide import decide_ind
 from flagiso.descriptors import (
     DescriptorError,
     FiniteFlagVariety,
@@ -51,6 +54,39 @@ def test_validate_orthogonal_middle_two_names_refinement():
 def test_validate_requires_infinite_total():
     assert validate(general_flags(seq(1, 2))) != []
     assert validate(symplectic_flags(seq(2), 4)) != []
+
+
+def test_parsed_descriptor_is_validated_once():
+    with mock.patch.object(D, "validate", wraps=D.validate) as spy:
+        x = parse_descriptor("gen: seq[1,2] + omega(1)")
+        y = parse_descriptor("gen: seq[1,2] + omega(1)")
+        decide_ind(x, y)
+        dual(x), pic_rank(x), truncate_to_variety(x, 2)
+        full_chain(y), min_truncation_width(y)
+    assert spy.call_count == 2
+
+
+_INVALID = [
+    general_flags(seq(1, 2)),  # finite total dimension
+    symplectic_flags(seq(1), 3),  # odd middle
+    orthogonal_flags(seq(INF), 2),
+    FlagDescriptor(FormType.GENERAL, order=seq(1, INF), middle=1),
+]
+
+
+@pytest.mark.parametrize("d", _INVALID, ids=range(len(_INVALID)))
+def test_invalid_built_descriptor_raises_from_every_entry_point(d):
+    good = parse_descriptor("gen: seq[1] + omega(1)")
+    calls = [
+        lambda: decide_ind(d, good),
+        lambda: decide_ind(good, d),
+        lambda: dual(d),
+        lambda: pic_rank(d),
+        lambda: truncate_to_variety(d, 3),
+    ]
+    for call in calls + calls:  # raising once leaves nothing behind
+        with pytest.raises(DescriptorError):
+            call()
 
 
 def test_full_chain_expansions():

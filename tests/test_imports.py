@@ -70,3 +70,32 @@ def test_every_public_definition_has_a_caller():
             if not any(name in names for key, names in reads.items() if key != (path, i)):
                 unread.append(f"{path.name}:{name}")
     assert unread == []
+
+
+def _echelon_builders(paths):
+    """(file, enclosing top-level definition) of every call ``Echelon(...)``
+    or ``<module>.Echelon(...)``."""
+    out = []
+    for path in paths:
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name == "Echelon":
+                        out.append((path.name, getattr(stmt, "name", None)))
+    return out
+
+
+def test_only_rref_builds_an_echelon():
+    # rref trusts an Echelon over its field without reducing it, so nothing
+    # but rref's own output may be one
+    root = pathlib.Path(__file__).resolve().parent.parent
+    paths = _MODULES + sorted((root / "perfbench").rglob("*.py")) + sorted(root.glob("tests/*.py"))
+    assert set(_echelon_builders(paths)) == {("linalg.py", "rref")}
+
+
+def test_echelon_scan_finds_a_builder(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("def f(la):\n    return la.Echelon((), None, ())\nEchelon([], 1, ())\n")
+    assert _echelon_builders([path]) == [("m.py", "f"), ("m.py", None)]

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from unittest import mock
@@ -269,6 +271,64 @@ def test_rref_matches_fraction_oracle(case):
 
 
 @_PROPERTY
+@given(_field_and_matrix())
+@example(_ZERO_ROWS)
+@example(_DEPENDENT_ROWS)
+@example(_NO_COLUMNS)
+def test_rref_of_an_echelon_is_the_same_object(case):
+    field, a = case
+    once = la.rref(a, field)
+    twice = la.rref(once[0], field)
+    assert twice[0] is once[0] and twice[1] is once[1]
+    assert once == twice == oracles.rref_by_fractions(a, field)
+    assert la.mat(once[0], field) is once[0]
+
+
+# ---------------------------------------------------------------------------
+# Canonical echelon values: what rref trusts, and how they travel.
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_echelon_pickles_and_copies_as_itself(field):
+    e, pivots = la.rref(la.mat([[2, 4, 1, 3], [1, 2, 0, 4], [0, 0, 3, 1]], field), field)
+    assert type(e) is la.Echelon and e.field == field and e.pivots == pivots
+    for back in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        assert type(back) is la.Echelon
+        assert back == e and back.field == field and back.pivots == pivots
+        assert la.rref(back, field)[0] is back
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_echelon_prints_and_hashes_as_a_plain_tuple(field):
+    e = la.rowspace(la.mat([[1, 2, 3], [0, 1, 4]], field), field)
+    plain = tuple(e)
+    assert repr(e) == repr(plain) and hash(e) == hash(plain) and e == plain
+    assert type(e[:1]) is tuple and type(e + ()) is tuple
+
+
+def test_plain_tuple_in_reduced_form_is_still_reduced_and_converted():
+    rows = ((1, 0, 2), (0, 1, 3))  # reduced already, but ints over QQ
+    got, pivots = la.rref(rows, QQ)
+    assert got is not rows and type(got) is la.Echelon and pivots == (0, 1)
+    assert got == rows and all(type(x) is Fraction for row in got for x in row)
+    assert all(type(x) is Fraction for row in la.mat(rows, QQ) for x in row)
+
+
+def test_echelon_over_another_field_is_reduced_again():
+    e = la.rowspace(((1, 0, 3), (0, 1, 4)), PrimeField(5))
+    for field in (PrimeField(7), QQ):
+        got, pivots = la.rref(e, field)
+        assert got is not e and got.field == field
+        assert (got, pivots) == oracles.rref_by_fractions(la.mat(tuple(e), field), field)
+        _assert_elements(got, field)
+    # mod 3 the rows are ((1, 0, 0), (0, 1, 1)): mat converts them again
+    f3 = PrimeField(3)
+    converted = la.mat(e, f3)
+    assert converted == ((1, 0, 0), (0, 1, 1)) and type(converted) is tuple
+    assert la.rowspace(converted, f3).field == f3
+
+
+@_PROPERTY
 @given(_field_and_product())
 @example((QQ, _DEPENDENT_ROWS[1], _DEPENDENT_ROWS[1]))
 @example((QQ, _ROW[1], tuple((x,) for x in _ROW[1][0])))
@@ -452,3 +512,17 @@ def test_enumerate_superspaces_of_a_base(n, p):
                 if oracles.rowspace_contains_by_elimination(rows, base, field)
             }
             assert set(spans) == want, (base, d)
+
+
+@pytest.mark.parametrize("n,p", [(4, 2), (5, 3)])
+def test_enumerate_subspaces_with_a_cache_keeps_the_order(n, p):
+    # one cache across bases of several pivot sets, as brute_force_count
+    # keeps it: the same subspaces in the same order as without it
+    field = PrimeField(p)
+    cache = {}
+    for k in range(n):
+        for base in oracles.enumerate_subspaces_by_product(n, k, field):
+            for d in range(k, n + 1):
+                want = list(la.enumerate_subspaces(n, d, field, base=base))
+                assert list(la.enumerate_subspaces(n, d, field, base=base, cache=cache)) == want
+    assert len(cache) == sum(math.comb(n, k) * (n - k + 1) for k in range(n))

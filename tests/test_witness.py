@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -236,6 +237,21 @@ def test_compose_agrees_pointwise_on_200_points():
             rhs = W.apply_standard_extension(d2, W.apply_standard_extension(d1, p))
             assert lhs.subspaces == rhs.subspaces
             points += 1
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_points_and_extensions_pickle_with_echelon_members(field):
+    # the benchmark worker pickles its generated inputs between repetitions
+    rng = random.Random(f"pickle/{field}")
+    d = random_strict_extension(rng, field, with_forms=field == QQ)
+    p = random_source_point(rng, d)
+    assert type(p.subspaces[0]) is la.Echelon and type(d.complement) is la.Echelon
+    p2, d2 = pickle.loads(pickle.dumps((p, d)))
+    assert (p2, d2) == (p, d)
+    members = [*zip(p.subspaces, p2.subspaces), *zip(d.filtration, d2.filtration)]
+    for s, t in members + [(d.complement, d2.complement)]:
+        assert type(t) is la.Echelon and t.field == field and t.pivots == s.pivots
+    assert W.apply_standard_extension(d2, p2) == W.apply_standard_extension(d, p)
 
 
 def test_pullback_functorial_and_linear():
