@@ -65,9 +65,10 @@ canonical over another: over QQ their entries must become ``Fraction``, and
 over F_3 an entry 4 of an F_5 form is not even an element, so ``mat``
 converts them and ``rref`` eliminates again.  Slices and sums of an
 ``Echelon`` are plain tuples and are not trusted.  As a tuple it compares,
-hashes, prints and encodes as JSON like its rows; it pickles and copies as
+hashes, prints and encodes as JSON like its rows.  It pickles and copies as
 itself through ``__getnewargs__``, which hands ``__new__`` the field and
-pivots too.
+pivots too: a tuple's default hands over the rows alone, and ``__new__``
+would fail on unpickling (the benchmark pickles its generated flag points).
 """
 
 from __future__ import annotations
