@@ -4,11 +4,14 @@ Vectors are rows; a linear map V -> W is a (dim V) x (dim W) matrix acting by
 right multiplication, so composition reads left to right as matrix product.
 Matrices are tuples of tuples of field elements.  Subspaces are row spaces,
 canonically represented by their reduced row echelon form, which makes
-equality of subspaces a structural comparison.  Every other subspace question
-is a rank comparison through ``rref``: rowspace(b) lies in rowspace(a) when
-stacking b under a leaves the rank of a unchanged (a vector's membership is
-the case of one row), and dim(A ∩ B) = dim A + dim B - rank(A + B).
-``intersect_rowspaces`` is for when a basis of the intersection is needed.
+equality of subspaces a structural comparison.  Containment reduces against
+that form: rowspace(b) lies in rowspace(a) when each row of b, reduced by
+the rows of a's form at their pivot columns, leaves nothing (a vector's
+membership is the case of one row).  One pass suffices because each row of
+a reduced form is zero in every other pivot column, so a later step never
+refills a column that an earlier one cleared.  Dimensions are ranks, as in
+dim(A ∩ B) = dim A + dim B - rank(A + B); ``intersect_rowspaces`` is for
+when a basis of the intersection is needed.
 
 A field has elements, ``Fraction`` on QQ and ``int`` in 0..p-1 on F_p.  Code
 combines them with Python's ``+ - *`` and passes the result of each operator
@@ -20,9 +23,10 @@ square root or None.
 
 The two kernels, ``rref`` and ``mat_mul``, have one body each for both fields
 and do their arithmetic on Python ints, without building a field element
-until the output.  ``rref`` is Gauss-Jordan elimination without division: a
-row is updated as ``lead * row - f * top`` for the pivot row ``top``, its
-pivot ``lead``, and the row's entry ``f`` in the pivot column.  This is the
+until the output.  ``rref`` finishes the rows of ``_eliminate``, which is
+Gauss-Jordan elimination without division: a row is updated as ``lead *
+row - f * top`` for the pivot row ``top``, its pivot ``lead``, and the
+row's entry ``f`` in the pivot column.  This is the
 fraction-free elimination of Bareiss (Math. Comp. 22 (1968)), except that
 the row's content is divided out instead of the previous pivot.  ``mat_mul``
 sums integer products, skipping zero entries on the left.  The field
@@ -50,15 +54,25 @@ generators: a tuple built from a generator grows by resizing, and the
 over-sized blocks that this leaves in the allocator raised the peak RSS of
 the ``witness-qq`` benchmark workload by about 1.3 MB (5 %).
 
-The outputs are field elements (``Fraction`` in lowest terms on QQ,
-reduced ints on F_p), and since the reduced row echelon form is unique they
-are the same as those of elimination on field elements, which
-``tests/oracles.py`` keeps as the reference.
+The kernels take field elements, as ``mat`` makes them: ``rref``, ``rank``
+and ``rowspace_contains`` do not reduce their F_p input, and a pivot entry
+that is a nonzero multiple of p makes ``pivot`` raise ``ValidationError``.
+The outputs are field elements (``Fraction`` in lowest terms on QQ, reduced
+ints on F_p), and since the reduced row echelon form is unique they are the
+same as those of elimination on field elements, which ``tests/oracles.py``
+keeps as the reference.
 
 Canonical values.  ``rref`` returns its reduced rows as an ``Echelon``, a
-tuple that also carries the field and the pivot columns, and nothing else
-builds one.  ``rref`` returns an ``Echelon`` over the field it is asked for
-as it is, and ``mat`` returns it unchanged, so ``rowspace``, ``rank``,
+tuple that also carries the field, the pivot columns and ``ints``, and
+nothing else builds one.  ``ints`` holds the int rows that ``_eliminate``
+left before ``finish``: row i of the form is ``ints[i]`` divided by its
+pivot entry.  ``rowspace_contains`` reduces against them, ``mat_mul`` reads
+a left ``Echelon`` through them, and ``rank`` of an ``Echelon`` is its
+length, so no ``Fraction`` of a canonical subspace is cleared twice.  Over
+F_p the reduced rows are already ints with pivot 1, so ``ints`` is the
+``Echelon`` itself and no second copy is kept.  Only ``linalg`` reads
+``ints``.  ``rref`` returns an ``Echelon`` over the field it is asked for as
+it is, and ``mat`` returns it unchanged, so ``rowspace``, ``rank``,
 ``rowspace_contains`` and ``nullspace`` never reduce or convert a subspace
 twice.  The field is compared because rows reduced over one field are not
 canonical over another: over QQ their entries must become ``Fraction``, and
@@ -66,9 +80,12 @@ over F_3 an entry 4 of an F_5 form is not even an element, so ``mat``
 converts them and ``rref`` eliminates again.  Slices and sums of an
 ``Echelon`` are plain tuples and are not trusted.  As a tuple it compares,
 hashes, prints and encodes as JSON like its rows.  It pickles and copies as
-itself through ``__getnewargs__``, which hands ``__new__`` the field and
-pivots too: a tuple's default hands over the rows alone, and ``__new__``
-would fail on unpickling (the benchmark pickles its generated flag points).
+itself through ``__reduce__``, which hands ``__new__`` the rows, the field,
+the pivots and the int rows (None when they are the rows themselves), and
+nothing else.  A tuple's default hands ``__new__`` the rows alone, which
+fails on unpickling (the benchmark pickles its generated flag points), and
+then restores the attribute dict, whose ``ints`` in a shallow copy of an F_p
+form would be the original and not the copy.
 """
 
 from __future__ import annotations
@@ -117,7 +134,12 @@ class PrimeField:
         if row[c] == 1:
             return row
         p = self.p
-        inv = pow(row[c], -1, p)
+        try:
+            inv = pow(row[c], -1, p)
+        except ValueError:
+            raise ValidationError(
+                f"entry {row[c]} is not invertible mod {p}: pass field elements, as mat makes them"
+            ) from None
         return [x * inv % p for x in row]
 
     finish = staticmethod(lambda row, c: tuple(row))
@@ -243,8 +265,7 @@ def mat_mul(a, b, field):
         return ()
     cols = [field.clear(col) for col in zip(*b)]
     out = []
-    for row in a:
-        ints, den = field.clear(row)
+    for ints, den in _cleared(a, field):
         terms = [(j, x) for j, x in enumerate(ints) if x]
         out.append(tuple([
             field.quotient(sum(x * col[j] for j, x in terms), den * col_den)
@@ -276,27 +297,36 @@ def mat_eq(a, b):
 
 class Echelon(tuple):
     """Rows in reduced row echelon form over ``field``, zero rows dropped, with
-    their pivot columns.  Only :func:`rref` builds one (see the module
-    docstring)."""
+    their pivot columns and ``ints``, the int rows they were finished from
+    (the Echelon itself when ``__new__`` is given None).  Only :func:`rref`
+    builds one (see the module docstring)."""
 
-    def __new__(cls, rows, field, pivots):
+    def __new__(cls, rows, field, pivots, ints):
         self = super().__new__(cls, rows)
         self.field = field
         self.pivots = pivots
+        self.ints = self if ints is None else ints
         return self
 
-    def __getnewargs__(self):
-        return tuple(self), self.field, self.pivots
+    def __reduce__(self):
+        ints = None if self.ints is self else self.ints
+        return Echelon, (tuple(self), self.field, self.pivots, ints)
 
 
-def rref(a, field):
-    """(reduced row echelon form with zero rows dropped, pivot columns).  The
-    form is an :class:`Echelon`; one over ``field`` is returned as it is."""
+def _cleared(a, field):
+    """(ints, den) with row == ints / den for each row of ``a``.  An Echelon
+    over ``field`` hands over its int rows, each over its pivot entry."""
     if type(a) is Echelon and a.field == field:
-        return a, a.pivots
+        return [(ints, ints[c]) for ints, c in zip(a.ints, a.pivots)]
+    return [field.clear(row) for row in a]
+
+
+def _eliminate(a, field):
+    """Fraction-free Gauss-Jordan elimination of the rows of ``a``: (reduced
+    int rows with zero rows dropped, pivot columns)."""
     rows = [field.clear(row)[0] for row in a]
     if not rows:
-        return Echelon((), field, ()), ()
+        return [], ()
     pivots = []
     r = 0
     for c in range(len(rows[0])):
@@ -314,9 +344,19 @@ def rref(a, field):
         r += 1
         if r == len(rows):
             break
-    pivots = tuple(pivots)
-    reduced = [field.finish(row, c) for row, c in zip(rows, pivots)]
-    return Echelon(reduced, field, pivots), pivots
+    return rows[:r], tuple(pivots)
+
+
+def rref(a, field):
+    """(reduced row echelon form with zero rows dropped, pivot columns).  The
+    form is an :class:`Echelon`; one over ``field`` is returned as it is."""
+    if type(a) is Echelon and a.field == field:
+        return a, a.pivots
+    ints, pivots = _eliminate(a, field)
+    reduced = [field.finish(row, c) for row, c in zip(ints, pivots)]
+    if isinstance(field, PrimeField):
+        ints = None  # the finished rows are their own int rows
+    return Echelon(reduced, field, pivots, ints), pivots
 
 
 def rowspace(a, field):
@@ -325,7 +365,9 @@ def rowspace(a, field):
 
 
 def rank(a, field):
-    return len(rref(a, field)[0])
+    if type(a) is Echelon and a.field == field:
+        return len(a)
+    return len(_eliminate(a, field)[1])
 
 
 def rowspace_eq(a, b, field):
@@ -333,9 +375,17 @@ def rowspace_eq(a, b, field):
 
 
 def rowspace_contains(a, b, field):
-    """Whether rowspace(b) is contained in rowspace(a): adding b's rows does
-    not raise the rank."""
-    return rank(stack(a, b), field) == rank(a, field)
+    """Whether rowspace(b) is contained in rowspace(a): each row of b reduces
+    to zero against the int rows of a's canonical form."""
+    e = rref(a, field)[0]
+    for row, _ in _cleared(b, field):
+        for top, c in zip(e.ints, e.pivots):
+            f = row[c]
+            if f:
+                row = field.shrink([top[c] * x - f * y for x, y in zip(row, top)])
+        if any(row):
+            return False
+    return True
 
 
 def nullspace(a, field, ncols=None):

@@ -64,9 +64,7 @@ def form_values(rows_a, form, rows_b, field):
 
 
 def is_isotropic_subspace(rows, form, field) -> bool:
-    vals = form_values(rows, form, rows, field)
-    zero = field.zero()
-    return all(x == zero for row in vals for x in row)
+    return not any(map(any, form_values(rows, form, rows, field)))
 
 
 def flag_point(field, ambient_dim, subspaces, form=None) -> FiniteFlagPoint:
@@ -116,10 +114,9 @@ def _basis_involution(basis, form, field):
     """partner[i] = j with form(basis_i, basis_j) != 0; must be an involution
     with at most one fixed point."""
     vals = form_values(basis, form, basis, field)
-    zero = field.zero()
     partner = []
     for i, row in enumerate(vals):
-        hits = [j for j, x in enumerate(row) if x != zero]
+        hits = [j for j, x in enumerate(row) if x]
         if len(hits) != 1:
             raise WitnessError(
                 f"basis vector {i} pairs with {len(hits)} others; an isotropic "
@@ -273,10 +270,9 @@ def _verify_rebase(alpha, members, E, E2, form, field, n):
         raise WitnessError("constructed map is not invertible")
     # alpha(E) = E' as sets up to scalars
     coords = la.mat_mul(la.mat_mul(E, alpha, field), la.inverse(E2, field), field)
-    zero = field.zero()
     seen = set()
     for i, row in enumerate(coords):
-        hits = [j for j, x in enumerate(row) if x != zero]
+        hits = [j for j, x in enumerate(row) if x]
         if len(hits) != 1 or hits[0] in seen:
             raise WitnessError("alpha does not map E bijectively onto scalar multiples of E'")
         seen.add(hits[0])
@@ -386,9 +382,7 @@ def standard_extension(
         lhs = la.mat_mul(la.mat_mul(alpha, target_form, field), la.transpose(alpha), field)
         if not la.mat_eq(lhs, source_form):
             raise WitnessError("alpha is not compatible with the forms")
-        cross = form_values(alpha, target_form, complement, field)
-        zero = field.zero()
-        if any(x != zero for row in cross for x in row):
+        if any(map(any, form_values(alpha, target_form, complement, field))):
             raise WitnessError("the splitting is not orthogonal")
     return StandardExtensionData(
         field,

@@ -27,7 +27,7 @@ from flagiso.descriptors import (
     require_valid,
 )
 from flagiso.errors import ValidationError
-from flagiso.linalg import PrimeField, transpose
+from flagiso.linalg import PrimeField, rank, stack, transpose
 from flagiso.orders import (
     INF,
     Omega,
@@ -689,6 +689,12 @@ def rowspace_contains_by_elimination(a, b, field):
     """Whether rowspace(b) is contained in rowspace(a), row by row."""
     canon = rref_by_fractions(a, field)[0]
     return all(in_rowspace(r, canon, field) for r in b)
+
+
+def rowspace_contains_by_rank(a, b, field):
+    """Whether rowspace(b) is contained in rowspace(a): adding b's rows does
+    not raise the rank (the kernel's rank, not its containment test)."""
+    return rank(stack(a, b), field) == rank(a, field)
 
 
 # ---------------------------------------------------------------------------

@@ -99,3 +99,28 @@ def test_echelon_scan_finds_a_builder(tmp_path):
     path = tmp_path / "m.py"
     path.write_text("def f(la):\n    return la.Echelon((), None, ())\nEchelon([], 1, ())\n")
     assert _echelon_builders([path]) == [("m.py", "f"), ("m.py", None)]
+
+
+def _ints_readers(paths):
+    """(file, enclosing top-level definition) of every attribute ``.ints``."""
+    out = []
+    for path in paths:
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Attribute) and node.attr == "ints":
+                    out.append((path.name, getattr(stmt, "name", None)))
+    return out
+
+
+def test_only_linalg_reads_echelon_ints():
+    # the int rows of an Echelon are the kernel's own representation; the
+    # library and the benchmark use its rows (the tests check the invariants)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    paths = _MODULES + sorted((root / "perfbench").rglob("*.py"))
+    assert {name for name, _ in _ints_readers(paths)} == {"linalg.py"}
+
+
+def test_ints_scan_finds_a_reader(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("def f(e):\n    return e.ints\nx = ints\n")
+    assert _ints_readers([path]) == [("m.py", "f")]

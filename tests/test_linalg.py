@@ -296,6 +296,26 @@ def test_echelon_pickles_and_copies_as_itself(field):
         assert type(back) is la.Echelon
         assert back == e and back.field == field and back.pivots == pivots
         assert la.rref(back, field)[0] is back
+        assert back.ints == e.ints
+        assert (back.ints is back) == (field != QQ)
+
+
+@_PROPERTY
+@given(_field_and_matrix())
+@example(_ZERO_ROWS)
+@example(_DEPENDENT_ROWS)
+@example(_ROW)
+@example(_NO_COLUMNS)
+def test_echelon_int_rows_are_its_rows_times_their_pivots(case):
+    field, a = case
+    e = la.rowspace(a, field)
+    if field != QQ:
+        assert e.ints is e
+        return
+    assert len(e.ints) == len(e)
+    for row, ints, c in zip(e, e.ints, e.pivots):
+        assert all(type(x) is int for x in ints) and ints[c]
+        assert row == tuple(Fraction(x, ints[c]) for x in ints)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)])
@@ -312,6 +332,15 @@ def test_plain_tuple_in_reduced_form_is_still_reduced_and_converted():
     assert got is not rows and type(got) is la.Echelon and pivots == (0, 1)
     assert got == rows and all(type(x) is Fraction for row in got for x in row)
     assert all(type(x) is Fraction for row in la.mat(rows, QQ) for x in row)
+
+
+def test_unreduced_prime_field_input():
+    # the kernels take field elements: mat reduces, and a pivot entry that is
+    # a multiple of p is refused by name instead of by pow
+    f3 = PrimeField(3)
+    assert la.rref(la.mat(((1, 0, 3), (0, 1, 4)), f3), f3)[0] == ((1, 0, 0), (0, 1, 1))
+    with pytest.raises(ValidationError, match="entry 3 is not invertible mod 3"):
+        la.rank(((3,),), f3)
 
 
 def test_echelon_over_another_field_is_reduced_again():
@@ -339,6 +368,11 @@ def test_mat_mul_matches_fraction_oracle(case):
     field, a, b = case
     got = la.mat_mul(a, b, field)
     assert got == oracles.mat_mul_by_fractions(a, b, field)
+    _assert_elements(got, field)
+    # a canonical left operand is read through its int rows
+    e = la.rowspace(a, field)
+    got = la.mat_mul(e, b, field)
+    assert got == oracles.mat_mul_by_fractions(e, b, field)
     _assert_elements(got, field)
 
 
@@ -418,19 +452,41 @@ def _field_and_pair(draw):
     return field, a, tuple(b)
 
 
+_PLAIN = (False, False)
+
+
 @_PROPERTY
-@given(_field_and_pair())
-@example((QQ, _DEPENDENT_ROWS[1], _DEPENDENT_ROWS[1][1:2]))  # inside
-@example((QQ, _DEPENDENT_ROWS[1][:2], _DEPENDENT_ROWS[1][2:]))  # outside
-@example((PrimeField(7), _COLUMN[1], ((5,),)))
-@example((QQ, _ROW[1], ()))  # empty b
-@example((QQ, (), _ROW[1]))  # empty a
-@example((QQ, (), _ZERO_ROWS[1]))  # empty a, zero rows in b
-@example((PrimeField(5), (), ()))
-def test_rowspace_contains_matches_elimination_oracle(case):
+@given(_field_and_pair(), st.tuples(st.booleans(), st.booleans()))
+@example((QQ, _DEPENDENT_ROWS[1], _DEPENDENT_ROWS[1][1:2]), _PLAIN)  # inside
+@example((QQ, _DEPENDENT_ROWS[1], _DEPENDENT_ROWS[1][1:2]), (True, True))
+@example((QQ, _DEPENDENT_ROWS[1][:2], _DEPENDENT_ROWS[1][2:]), _PLAIN)  # outside
+@example((QQ, _DEPENDENT_ROWS[1][:2], _DEPENDENT_ROWS[1][2:]), (True, False))
+@example((PrimeField(7), _COLUMN[1], ((5,),)), _PLAIN)
+@example((PrimeField(7), _COLUMN[1], ((5,),)), (True, True))
+@example((QQ, _ROW[1], ()), _PLAIN)  # empty b
+@example((QQ, (), _ROW[1]), _PLAIN)  # empty a
+@example((QQ, (), _ROW[1]), (True, True))
+@example((QQ, (), _ZERO_ROWS[1]), _PLAIN)  # empty a, zero rows in b
+@example((QQ, _ROW[1], ((Fraction(0),) * 4, tuple(-2 * x for x in _ROW[1][0]))), (False, True))
+@example((PrimeField(5), (), ()), _PLAIN)
+def test_rowspace_contains_matches_elimination_oracle(case, as_echelon):
+    # a, b or both may be canonical values, which hand over their int rows
     field, a, b = case
-    want = oracles.rowspace_contains_by_elimination(a, b, field)
-    assert la.rowspace_contains(a, b, field) == want
+    a, b = [la.rowspace(m, field) if e else m for m, e in zip((a, b), as_echelon)]
+    got = la.rowspace_contains(a, b, field)
+    assert got == oracles.rowspace_contains_by_elimination(a, b, field)
+    assert got == oracles.rowspace_contains_by_rank(a, b, field)
+
+
+@_PROPERTY
+@given(_field_and_matrix())
+@example(_ZERO_ROWS)
+@example(_DEPENDENT_ROWS)
+@example(_COLUMN)
+@example(_NO_COLUMNS)
+def test_rank_matches_fraction_oracle(case):
+    field, a = case
+    assert la.rank(a, field) == len(oracles.rref_by_fractions(a, field)[0])
 
 
 def test_enumerate_subspaces_counts():

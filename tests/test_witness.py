@@ -251,6 +251,12 @@ def test_points_and_extensions_pickle_with_echelon_members(field):
     members = [*zip(p.subspaces, p2.subspaces), *zip(d.filtration, d2.filtration)]
     for s, t in members + [(d.complement, d2.complement)]:
         assert type(t) is la.Echelon and t.field == field and t.pivots == s.pivots
+        assert t.ints == s.ints and (t.ints is t) == (field != QQ)
+    for s, t in zip(p.subspaces, p2.subspaces):
+        assert la.mat_mul(t, d2.alpha, field) == la.mat_mul(s, d.alpha, field)
+    for small, big in zip(p2.subspaces, p2.subspaces[1:]):
+        assert la.rowspace_contains(big, small, field)
+        assert not la.rowspace_contains(small, big, field)
     assert W.apply_standard_extension(d2, p2) == W.apply_standard_extension(d, p)
 
 
