@@ -14,7 +14,10 @@ its own output by direct matrix identities before returning:
 * :func:`bd_phi` realizes the isomorphism between the maximal orthogonal
   grassmannian of an odd space and one Lagrangian component of the
   even space one dimension up, together with the commuting exhaustion square
-  checked by :func:`bd_square_check`.
+  checked by :func:`bd_square_check`.  The pair works with
+  ``split_form("D", 2n)``, and :func:`isotropic_keep` is its one test of
+  total singularity, in :func:`bd_phi` as in the enumerated and sampled
+  sources.
 
 Slot maps are allowed one value past the proper source members: kappa(j) =
 k + 1 denotes the full image alpha(V).  Such slots arise when compositions
@@ -74,6 +77,8 @@ def flag_point(field, ambient_dim, subspaces, form=None) -> FiniteFlagPoint:
     dims = [len(s) for s in canon]
     if any(d < 1 or d >= ambient_dim for d in dims):
         raise WitnessError("members must be proper nonzero subspaces")
+    if any(len(row) != ambient_dim for s in canon for row in s):
+        raise WitnessError(f"member rows must have {ambient_dim} entries")
     if any(dims[i] >= dims[i + 1] for i in range(len(dims) - 1)):
         raise WitnessError("member dimensions must strictly increase")
     for i in range(len(canon) - 1):
@@ -679,35 +684,22 @@ def check_triangle(phi, psi, chi) -> TriangleReport:
 # its pair partner coordinate 2n-i; the split symmetric form pairs them.
 
 
-def split_symmetric_form(n_ambient, field):
+def split_form(lie_type, n_ambient, field):
+    """The split form of a finite flag variety of the given Lie type, none for
+    A.  Its entries sit on the antidiagonal: +1 in the top half of the rows,
+    and below it -1 for C (antisymmetric) and +1 for B and D (symmetric, the
+    odd middle included)."""
+    if lie_type == "A":
+        return None
     one, zero = field.one(), field.zero()
-    return tuple(
-        tuple(one if i + j == n_ambient - 1 else zero for j in range(n_ambient))
-        for i in range(n_ambient)
-    )
-
-
-def split_antisymmetric_form(n_ambient, field):
-    one, zero = field.one(), field.zero()
-    minus = field.reduce(-one)
-    m = n_ambient // 2
+    below = field.reduce(-one) if lie_type == "C" else one
     return tuple(
         tuple(
-            (one if i < m else minus) if i + j == n_ambient - 1 else zero
+            (one if i < n_ambient // 2 else below) if i + j == n_ambient - 1 else zero
             for j in range(n_ambient)
         )
         for i in range(n_ambient)
     )
-
-
-def split_form(lie_type, n_ambient, field):
-    """The split form of a finite flag variety of the given Lie type:
-    antisymmetric for C, symmetric for B and D, none for A."""
-    if lie_type == "A":
-        return None
-    if lie_type == "C":
-        return split_antisymmetric_form(n_ambient, field)
-    return split_symmetric_form(n_ambient, field)
 
 
 def split_quadratic_value(vec, field):
@@ -743,17 +735,16 @@ def isotropic_keep(lie_type, n_ambient, field):
 
 
 def is_totally_singular(rows, field) -> bool:
-    n = len(rows[0]) if rows else 0
-    form = split_symmetric_form(n, field)
-    if not is_isotropic_subspace(rows, form, field):
-        return False
-    zero = field.zero()
-    return all(split_quadratic_value(r, field) == zero for r in rows)
+    """Whether the split quadratic form vanishes on the span of ``rows``: each
+    row singular and orthogonal to the rows above it."""
+    keep = isotropic_keep("D", len(rows[0]) if rows else 0, field)
+    return all(keep(row, rows[:i]) for i, row in enumerate(rows))
 
 
 def bd_hyperplane_basis(n, field):
     """Rows spanning the odd-dimensional subspace W_n = <e_1 + pair(e_1), e_2,
-    pair(e_2), ..., e_n, pair(e_n)> of the 2n-dimensional split space."""
+    pair(e_2), ..., e_n, pair(e_n)> of the 2n-dimensional split space, which
+    is (e_1 - pair(e_1))^perp = {x : x_1 = x_2n}."""
     N = 2 * n
     unit = la.identity(N, field)
     rows = [la.mat_add((unit[0],), (unit[N - 1],), field)[0]]
@@ -763,18 +754,12 @@ def bd_hyperplane_basis(n, field):
     return tuple(rows)
 
 
-def bd_reference_lagrangian(n, field):
-    """The span of e_1..e_n in the 2n-dimensional split space."""
-    return la.identity(2 * n, field)[:n]
-
-
 def in_reference_component(rows, n, field) -> bool:
     """Whether the Lagrangian with basis ``rows`` of the split 2n-space lies
     in the component of the reference Lagrangian R = <e_1..e_n>, the type-D
-    convention dim(L ∩ R) = n (mod 2), with dim(L ∩ R) = dim L + n -
-    rank(L + R)."""
-    ref = bd_reference_lagrangian(n, field)
-    meet = len(rows) + n - la.rank(la.stack(rows, ref), field)
+    convention dim(L ∩ R) = n (mod 2).  R is the first n coordinates, so
+    dim(L ∩ R) = dim L - rank of the last n columns of L."""
+    meet = len(rows) - la.rank(tuple(row[n:] for row in rows), field)
     return meet % 2 == n % 2
 
 
@@ -824,12 +809,11 @@ def bd_phi(n: int, m_point: FiniteFlagPoint) -> FiniteFlagPoint:
     m_rows = m_point.subspaces[0]
     if len(m_rows) != n - 1:
         raise WitnessError(f"expected an ({n - 1})-dimensional subspace")
-    w_basis = la.rowspace(bd_hyperplane_basis(n, field), field)
-    if not la.rowspace_contains(w_basis, m_rows, field):
+    if any(row[0] != row[-1] for row in m_rows):
         raise WitnessError("the subspace does not lie in the odd hyperplane")
     if not is_totally_singular(m_rows, field):
         raise WitnessError("the subspace is not isotropic")
-    form = split_symmetric_form(N, field)
+    form = split_form("D", N, field)
     perp_m = perp(m_rows, form, field)
     # two independent directions of perp(M) modulo M: the rows of perp(M)
     # that raise the rank of the span
@@ -877,9 +861,7 @@ def bd_step(n: int, point: FiniteFlagPoint) -> FiniteFlagPoint:
     field = point.field
     rows = [_embed_coords(r, n, field) for r in point.subspaces[0]]
     rows.append(la.identity(2 * n + 2, field)[n])
-    return flag_point(
-        field, 2 * n + 2, [rows], form=split_symmetric_form(2 * n + 2, field)
-    )
+    return flag_point(field, 2 * n + 2, [rows], form=split_form("D", 2 * n + 2, field))
 
 
 def enumerate_bd_sources(n: int, field):
@@ -887,16 +869,21 @@ def enumerate_bd_sources(n: int, field):
     if n < 2:
         raise WitnessError("needs n >= 2")
     w_rows = bd_hyperplane_basis(n, field)
-    form = split_symmetric_form(2 * n, field)
-    for coeffs in la.enumerate_subspaces(2 * n - 1, n - 1, field):
-        rows = la.rowspace(la.mat_mul(coeffs, w_rows, field), field)
-        if is_totally_singular(rows, field):
-            yield flag_point(field, 2 * n, [rows], form=form)
+    form = split_form("D", 2 * n, field)
+    singular = isotropic_keep("D", 2 * n, field)
+
+    def keep(row, rows):
+        # the test on the images in W_n of the coefficient rows
+        images = la.mat_mul((row,) + rows, w_rows, field)
+        return singular(images[0], images[1:])
+
+    for coeffs in la.enumerate_subspaces(2 * n - 1, n - 1, field, keep=keep):
+        yield flag_point(field, 2 * n, [la.mat_mul(coeffs, w_rows, field)], form=form)
 
 
 def enumerate_component_lagrangians(n: int, field):
     """All Lagrangians of the 2n-space in the reference component."""
-    form = split_symmetric_form(2 * n, field)
+    form = split_form("D", 2 * n, field)
     keep = isotropic_keep("D", 2 * n, field)
     for rows in la.enumerate_subspaces(2 * n, n, field, keep=keep):
         if in_reference_component(rows, n, field):
@@ -908,31 +895,21 @@ def random_bd_source(rng, n: int, field) -> FiniteFlagPoint:
     if n < 2:
         raise WitnessError("needs n >= 2")
     w_rows = la.rowspace(bd_hyperplane_basis(n, field), field)
-    form = split_symmetric_form(2 * n, field)
-    zero = field.zero()
-    while True:
-        rows = []
-        for _ in range(200):
-            if len(rows) == n - 1:
-                break
-            if rows:
-                pool = la.intersect_rowspaces(
-                    w_rows, perp(tuple(rows), form, field), field, 2 * n
-                )
-            else:
-                pool = w_rows
-            coeffs = [field.of(rng.randrange(field.p)) for _ in pool]
-            vec = la.mat_mul((coeffs,), pool, field)[0]
-            if split_quadratic_value(vec, field) != zero:
-                continue
-            cand = la.rowspace(la.stack(tuple(rows), (vec,)), field)
-            if len(cand) != len(rows) + 1:
-                continue
-            if not is_totally_singular(cand, field):
-                continue
-            rows = list(cand)
-        if len(rows) == n - 1:
-            return flag_point(field, 2 * n, [tuple(rows)], form=form)
+    form = split_form("D", 2 * n, field)
+    singular = isotropic_keep("D", 2 * n, field)
+    # a random vector of the pool, the part of W_n orthogonal to the rows so
+    # far, joins them when it is singular and raises the rank
+    rows, pool = (), w_rows
+    while len(rows) < n - 1:
+        coeffs = [field.of(rng.randrange(field.p)) for _ in pool]
+        vec = la.mat_mul((coeffs,), pool, field)[0]
+        if not singular(vec, rows):
+            continue
+        grown = la.rowspace(la.stack(rows, (vec,)), field)
+        if len(grown) > len(rows):
+            rows = grown
+            pool = la.intersect_rowspaces(w_rows, perp(rows, form, field), field, 2 * n)
+    return flag_point(field, 2 * n, [rows], form=form)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ order text from a scanner that reads one character at a time,
 grassmannian verdicts from dimension data alone, finite verdicts from node
 bijections that preserve Cartan matrices (beside the hand-written rule chain
 they replaced, kept as the reference for reasons and details), exact linear
-algebra from Gauss-Jordan elimination on ``Fraction`` (or F_p) entries, and
+algebra from Gauss-Jordan elimination on ``Fraction`` (or F_p) entries,
 the subspaces of F_p^n from one product over all free entries of an echelon
-form at once.
+form at once, and the sources of the odd/even orthogonal pair by filtering
+every subspace of the odd hyperplane with the split form built out in full.
 """
 
 import itertools
@@ -26,6 +27,8 @@ from flagiso.descriptors import (
     pic_rank,
     require_valid,
 )
+from flagiso import linalg as la
+from flagiso import witness as W
 from flagiso.errors import ValidationError
 from flagiso.linalg import PrimeField, rank, stack, transpose
 from flagiso.orders import (
@@ -722,3 +725,78 @@ def enumerate_subspaces_by_product(n, d, field):
             for (i, c), val in zip(free, values):
                 rows[i][c] = val
             yield tuple(tuple(r) for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# The odd/even orthogonal pair: split forms built per kind, total singularity
+# from the whole Gram matrix, every (n-1)-subspace of the odd hyperplane
+# filtered after enumeration, and sampling that starts over from no rows
+# after 200 draws.
+
+
+def split_symmetric_form(n_ambient, field):
+    one, zero = field.one(), field.zero()
+    return tuple(
+        tuple(one if i + j == n_ambient - 1 else zero for j in range(n_ambient))
+        for i in range(n_ambient)
+    )
+
+
+def split_antisymmetric_form(n_ambient, field):
+    one, zero = field.one(), field.zero()
+    minus = field.reduce(-one)
+    m = n_ambient // 2
+    return tuple(
+        tuple(
+            (one if i < m else minus) if i + j == n_ambient - 1 else zero
+            for j in range(n_ambient)
+        )
+        for i in range(n_ambient)
+    )
+
+
+def is_totally_singular_by_form(rows, field):
+    n = len(rows[0]) if rows else 0
+    form = split_symmetric_form(n, field)
+    if not W.is_isotropic_subspace(rows, form, field):
+        return False
+    zero = field.zero()
+    return all(W.split_quadratic_value(r, field) == zero for r in rows)
+
+
+def enumerate_bd_sources_by_filtering(n, field):
+    w_rows = W.bd_hyperplane_basis(n, field)
+    form = split_symmetric_form(2 * n, field)
+    for coeffs in la.enumerate_subspaces(2 * n - 1, n - 1, field):
+        rows = la.rowspace(la.mat_mul(coeffs, w_rows, field), field)
+        if is_totally_singular_by_form(rows, field):
+            yield W.flag_point(field, 2 * n, [rows], form=form)
+
+
+def random_bd_source_with_retries(rng, n, field):
+    w_rows = la.rowspace(W.bd_hyperplane_basis(n, field), field)
+    form = split_symmetric_form(2 * n, field)
+    zero = field.zero()
+    while True:
+        rows = []
+        for _ in range(200):
+            if len(rows) == n - 1:
+                break
+            if rows:
+                pool = la.intersect_rowspaces(
+                    w_rows, W.perp(tuple(rows), form, field), field, 2 * n
+                )
+            else:
+                pool = w_rows
+            coeffs = [field.of(rng.randrange(field.p)) for _ in pool]
+            vec = la.mat_mul((coeffs,), pool, field)[0]
+            if W.split_quadratic_value(vec, field) != zero:
+                continue
+            cand = la.rowspace(la.stack(tuple(rows), (vec,)), field)
+            if len(cand) != len(rows) + 1:
+                continue
+            if not is_totally_singular_by_form(cand, field):
+                continue
+            rows = list(cand)
+        if len(rows) == n - 1:
+            return W.flag_point(field, 2 * n, [tuple(rows)], form=form)

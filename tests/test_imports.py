@@ -1,4 +1,5 @@
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -70,6 +71,52 @@ def test_every_public_definition_has_a_caller():
             if not any(name in names for key, names in reads.items() if key != (path, i)):
                 unread.append(f"{path.name}:{name}")
     assert unread == []
+
+
+def _library_attributes(paths):
+    """Sorted (module, name) of every ``<alias>.<name>`` read where the alias
+    is bound by ``import flagiso.X as alias`` or ``from flagiso import X [as
+    alias]``."""
+    out = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.startswith("flagiso.") and a.asname:
+                        aliases[a.asname] = a.name
+            elif isinstance(node, ast.ImportFrom) and node.module == "flagiso":
+                for a in node.names:
+                    aliases[a.asname or a.name] = f"flagiso.{a.name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in aliases:
+                    out.add((aliases[node.value.id], node.attr))
+    return sorted(out)
+
+
+def test_every_library_name_the_benchmark_reads_resolves():
+    # tier-1 does not run the benchmark, so a library function that only the
+    # benchmark calls could be renamed or deleted with no other test failing
+    bench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    reads = _library_attributes(sorted(bench.glob("*.py")))
+    assert ("flagiso.witness", "enumerate_bd_sources") in reads
+    missing = [f"{m}.{n}" for m, n in reads if not hasattr(importlib.import_module(m), n)]
+    assert missing == []
+
+
+def test_library_attribute_scan_finds_aliased_reads(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import os\nimport flagiso.witness as W\nfrom flagiso import linalg as la\n"
+        "def f(x):\n    return W.gone(la.rank(x), os.sep, x.attr)\nla.stack\n"
+    )
+    assert _library_attributes([path]) == [
+        ("flagiso.linalg", "rank"),
+        ("flagiso.linalg", "stack"),
+        ("flagiso.witness", "gone"),
+    ]
 
 
 def _echelon_builders(paths):

@@ -17,6 +17,7 @@ from flagiso.generate import (
 from flagiso.linalg import QQ, PrimeField
 from flagiso.descriptors import min_truncation_width, parse_descriptor
 
+import oracles
 from oracles import enumerate_subspaces_by_product, lagrangian_component_count
 
 F2 = PrimeField(2)
@@ -39,15 +40,35 @@ def test_flag_point_validates_chain():
         W.flag_point(QQ, 3, [unit_rows([0], 3), unit_rows([0], 3)])
 
 
+def test_flag_point_rejects_rows_of_the_wrong_length():
+    with pytest.raises(W.WitnessError, match="4 entries"):
+        W.flag_point(QQ, 4, [((1, 0, 0),)])
+    with pytest.raises(W.WitnessError, match="4 entries"):
+        W.flag_point(F3, 4, [unit_rows([0], 4), ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))])
+    # a point built around flag_point: bd_step refuses it at once
+    short = W.FiniteFlagPoint(QQ, 4, (((0, 1, 0),),), W.split_form("D", 4, QQ))
+    with pytest.raises(W.WitnessError, match="6 entries"):
+        W.bd_step(2, short)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3])
+def test_split_form_matches_the_builders_per_kind(field):
+    for n in range(10):
+        assert W.split_form("A", n, field) is None
+        assert W.split_form("C", n, field) == oracles.split_antisymmetric_form(n, field)
+        for t in "BD":
+            assert W.split_form(t, n, field) == oracles.split_symmetric_form(n, field)
+
+
 def test_flag_point_validates_isotropy():
-    form = W.split_antisymmetric_form(4, QQ)
+    form = W.split_form("C", 4, QQ)
     W.flag_point(QQ, 4, [unit_rows([0, 1], 4)], form=form)
     with pytest.raises(W.WitnessError):
         W.flag_point(QQ, 4, [unit_rows([0, 3], 4)], form=form)
 
 
 def test_perp_basics():
-    form = W.split_antisymmetric_form(6, QQ)
+    form = W.split_form("C", 6, QQ)
     assert len(W.perp((), form, QQ)) == 6
     lag = tuple(unit_rows([0, 1, 2], 6))
     assert la.rowspace_eq(W.perp(lag, form, QQ), lag, QQ)
@@ -62,9 +83,9 @@ def test_perp_double_and_dimension_on_random_subspaces():
         field = [QQ, F3, F5][checked % 3]
         n = rng.choice([4, 6])
         form = (
-            W.split_antisymmetric_form(n, field)
+            W.split_form("C", n, field)
             if checked % 2
-            else W.split_symmetric_form(n, field)
+            else W.split_form("D", n, field)
         )
         rows = la.rowspace(la.random_matrix(rng, rng.randint(1, n - 1), n, field), field)
         if not rows:
@@ -94,7 +115,7 @@ def test_rebase_transposition_inside_gap():
 
 
 def test_rebase_symplectic_rescaled_basis():
-    form = W.split_antisymmetric_form(4, QQ)
+    form = W.split_form("C", 4, QQ)
     chain = W.flag_point(QQ, 4, [unit_rows([0], 4)], form=form)
     e = la.identity(4, QQ)
     e2 = la.mat(
@@ -124,7 +145,7 @@ def test_rebase_incompatible_basis_names_subspace():
 def test_rebase_orthogonal_fixed_point_scaling():
     # scaling the self-paired vector by c changes its form value by c^2, so
     # the square-root correction always exists for valid bases
-    form = W.split_symmetric_form(5, QQ)
+    form = W.split_form("B", 5, QQ)
     chain = W.flag_point(QQ, 5, [unit_rows([0], 5)], form=form)
     e = la.identity(5, QQ)
     for c in (Fraction(4), Fraction(2), Fraction(3, 7)):
@@ -326,21 +347,21 @@ def test_triangle_tampered_slot_map_reports_index():
 
 
 def test_bd_phi_line_example():
-    form = W.split_symmetric_form(4, QQ)
+    form = W.split_form("D", 4, QQ)
     m = W.flag_point(QQ, 4, [unit_rows([1], 4)], form=form)
     lag = W.bd_phi(2, m)
     assert lag.subspaces[0] == la.rowspace(la.mat(unit_rows([0, 1], 4), QQ), QQ)
 
 
 def test_bd_phi_reference_flag_when_parity_admits():
-    form = W.split_symmetric_form(6, QQ)
+    form = W.split_form("D", 6, QQ)
     m = W.flag_point(QQ, 6, [unit_rows([1, 2], 6)], form=form)
     lag = W.bd_phi(3, m)
     assert lag.subspaces[0] == tuple(la.identity(6, QQ)[:3])
 
 
 def test_bd_phi_rejects_bad_input():
-    form = W.split_symmetric_form(4, QQ)
+    form = W.split_form("D", 4, QQ)
     with pytest.raises(W.WitnessError):  # not inside the odd hyperplane
         W.bd_phi(2, W.flag_point(QQ, 4, [unit_rows([0], 4)], form=form))
     with pytest.raises(W.WitnessError):  # wrong dimension
@@ -357,7 +378,7 @@ def test_bd_phi_rejects_bad_input():
 def test_reference_component_matches_intersection_definition(field, n):
     # every Lagrangian of the split 2n-space; the definition intersects with
     # R = <e_1..e_n> and takes the parity of the dimension
-    ref = W.bd_reference_lagrangian(n, field)
+    ref = la.identity(2 * n, field)[:n]
     sizes = {True: 0, False: 0}
     for rows in la.enumerate_subspaces(2 * n, n, field):
         if not W.is_totally_singular(rows, field):
@@ -409,9 +430,47 @@ def test_bd_square_random_f5():
     assert rep.ok and rep.checked == 10
 
 
+@pytest.mark.parametrize("n,field", [(2, F2), (2, F3), (3, F2), (3, F3), (4, F2)])
+def test_bd_sources_match_the_filtered_oracle(n, field):
+    # grown with the isotropy keep, the same points in the same order as
+    # filtering every (n-1)-subspace of the hyperplane afterwards
+    got = list(W.enumerate_bd_sources(n, field))
+    assert got == list(oracles.enumerate_bd_sources_by_filtering(n, field))
+    assert len(got) == len({p.subspaces for p in got})
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_random_bd_source_matches_the_retry_oracle(n, p):
+    # the same points from the same draws: two points per seed, then the
+    # generators must stand at the same state
+    field = PrimeField(p)
+    for seed in range(20):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(2):
+            point = W.random_bd_source(rng, n, field)
+            assert point == oracles.random_bd_source_with_retries(ref, n, field)
+            assert W.is_totally_singular(point.subspaces[0], field)
+        assert rng.random() == ref.random()
+
+
+def test_total_singularity_tests_the_quadratic_form_in_char_2():
+    # over F_2 the bilinear form of a vector with itself is 2Q = 0, so only
+    # the quadratic form sees that e_1 + e_4 is not singular; e_1 and e_4
+    # are singular, but not orthogonal
+    form = W.split_form("D", 4, F2)
+    line = ((1, 0, 0, 1),)
+    assert W.is_isotropic_subspace(line, form, F2)
+    assert not W.is_totally_singular(line, F2)
+    assert not oracles.is_totally_singular_by_form(line, F2)
+    pair = ((1, 0, 0, 0), (0, 0, 0, 1))
+    assert not W.is_totally_singular(pair, F2)
+    assert W.is_totally_singular(((1, 0, 0, 0), (0, 1, 0, 0)), F2)
+
+
 def test_bd_over_rationals():
     rng = random.Random(59)
-    form = W.split_symmetric_form(6, QQ)
+    form = W.split_form("D", 6, QQ)
     w_rows = W.bd_hyperplane_basis(3, QQ)
     # a rational isotropic 2-subspace of the odd hyperplane
     m = W.flag_point(
