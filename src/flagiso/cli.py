@@ -25,7 +25,7 @@ import sys
 from . import generate as G
 from . import selftest as st
 from . import witness as W
-from .counting import brute_force_count, dimension, point_count, poincare_polynomial
+from .counting import brute_force_count, check_rank, dimension, point_count, poincare_polynomial
 from .decide import decide_finite, decide_ind
 from .descriptors import (
     FiniteFlagVariety,
@@ -241,6 +241,9 @@ def _cmd_witness_rebase(args) -> int:
 
 def _cmd_witness_bd(args) -> int:
     n = args.n
+    check_rank(n)  # the pair at n lives in D_n, of rank n
+    if not args.all and args.samples < 1:
+        raise ValidationError(f"--samples must be at least 1, got {args.samples}")
     field = PrimeField((2 if args.all else 5) if args.prime is None else args.prime)
     transcript = []
     if args.all:

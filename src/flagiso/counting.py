@@ -158,8 +158,7 @@ def _rank(v: FiniteFlagVariety) -> int:
     return v.ambient_dim - 1 if v.lie_type == "A" else v.ambient_dim // 2
 
 
-def _check_rank(v: FiniteFlagVariety):
-    r = _rank(v)
+def check_rank(r: int):
     cap = max_rank()
     if r > cap:
         raise ResourceLimitError(
@@ -195,7 +194,7 @@ def poincare_polynomial(v: FiniteFlagVariety) -> QPolynomial:
     """Sum of q^length over minimal coset representatives of the parabolic,
     computed as the quotient W(q) / W_P(q) of Weyl group Poincare polynomials."""
     require_valid_variety(v)
-    _check_rank(v)
+    check_rank(_rank(v))
     return _poincare_cached(v.lie_type, v.ambient_dim, tuple(v.dims))
 
 

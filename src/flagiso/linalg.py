@@ -160,9 +160,6 @@ class PrimeField:
                 return x
         return None
 
-    def elements(self):
-        return range(self.p)
-
     def __repr__(self):
         return f"GF({self.p})"
 

@@ -17,7 +17,9 @@ its own output by direct matrix identities before returning:
   checked by :func:`bd_square_check`.  The pair works with
   ``split_form("D", 2n)``, and :func:`isotropic_keep` is its one test of
   total singularity, in :func:`bd_phi` as in the enumerated and sampled
-  sources.
+  sources.  :func:`bd_phi` solves no quadratic: its Lagrangian over M is
+  M + (M^perp ∩ R) for R = <e_1..e_n> or for the reflection of R in
+  e_1 - e_2n, two nullspaces and one component test.
 
 Slot maps are allowed one value past the proper source members: kappa(j) =
 k + 1 denotes the full image alpha(V).  Such slots arise when compositions
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from .descriptors import min_truncation_width, truncation_layout
 from .errors import ValidationError
 from . import linalg as la
-from .linalg import QQ, PrimeField
+from .linalg import QQ
 
 
 class WitnessError(ValidationError):
@@ -763,43 +765,20 @@ def in_reference_component(rows, n, field) -> bool:
     return meet % 2 == n % 2
 
 
-def _singular_lines_in_plane(u1, u2, field):
-    """The isotropic lines of the split quadratic restricted to <u1, u2>."""
-    a = split_quadratic_value(u1, field)
-    b = split_quadratic_value(u2, field)
-    usum = la.mat_add((u1,), (u2,), field)[0]
-    c = field.reduce(split_quadratic_value(usum, field) - a - b)
-    # Q(x u1 + y u2) = a x^2 + c xy + b y^2
-    zero, one = field.zero(), field.one()
-    lines = []
-    if isinstance(field, PrimeField):
-        candidates = [(one, field.of(t)) for t in field.elements()] + [(zero, one)]
-        for x, y in candidates:
-            if field.reduce(a * x * x + b * y * y + c * x * y) == zero:
-                lines.append((x, y))
-        return lines
-    if a == zero:
-        lines.append((one, zero))
-        # remaining: y (c x + b y) = 0 with y != 0
-        if c != zero:
-            lines.append((field.reduce(-b * field.inv(c)), one))
-        elif b == zero:
-            raise WitnessError("quadratic vanishes identically; form is degenerate here")
-        return lines
-    disc = field.reduce(c * c - 4 * a * b)
-    root = field.sqrt(disc)
-    if root is None:
-        raise WitnessError("the middle quadric does not split over the field")
-    for sgn in (root, field.reduce(-root)):
-        x = field.reduce((sgn - c) * field.inv(2 * a))
-        lines.append((x, one))
-    return list(dict.fromkeys(lines))
-
-
 def bd_phi(n: int, m_point: FiniteFlagPoint) -> FiniteFlagPoint:
-    """The unique Lagrangian over an isotropic (n-1)-subspace of the odd
+    """The unique Lagrangian over an isotropic (n-1)-subspace M of the odd
     hyperplane, inside the component fixed by the parity convention
-    dim(L ∩ <e_1..e_n>) = n (mod 2)."""
+    dim(L ∩ <e_1..e_n>) = n (mod 2).
+
+    For a Lagrangian R', M + (M^perp ∩ R') is a Lagrangian over M: M^perp ∩
+    R' has dimension 1 + dim(M ∩ R'), is totally singular and orthogonal to
+    M, and meets M in M ∩ R'.  The candidates use R = <e_1..e_n> and R2 =
+    <e_2..e_n, e_2n>, the image of R under the reflection in e_1 - e_2n.  That
+    reflection fixes the odd hyperplane {x : x_1 = x_2n} pointwise, so it
+    fixes M and carries the first candidate to the second; being a
+    reflection, it swaps the two components (in every characteristic), so
+    exactly one candidate lies in the reference component.  No quadratic is
+    solved."""
     if n < 2:
         raise WitnessError("needs n >= 2")
     field = m_point.field
@@ -813,40 +792,27 @@ def bd_phi(n: int, m_point: FiniteFlagPoint) -> FiniteFlagPoint:
         raise WitnessError("the subspace does not lie in the odd hyperplane")
     if not is_totally_singular(m_rows, field):
         raise WitnessError("the subspace is not isotropic")
-    form = split_form("D", N, field)
-    perp_m = perp(m_rows, form, field)
-    # two independent directions of perp(M) modulo M: the rows of perp(M)
-    # that raise the rank of the span
-    span = m_rows
-    quotient = []
-    for row in perp_m:
-        grown = la.stack(span, (row,))
-        if la.rank(grown, field) > len(span):
-            quotient.append(row)
-            span = grown
-        if len(quotient) == 2:
-            break
-    if len(quotient) != 2:
-        raise WitnessError("internal error: perp/M is not two-dimensional")
-    u1, u2 = quotient
-    candidates = []
-    for x, y in _singular_lines_in_plane(u1, u2, field):
-        vec = la.mat_mul(((x, y),), (u1, u2), field)[0]
-        rows = la.rowspace(la.stack(m_rows, (vec,)), field)
-        if len(rows) == n and is_totally_singular(rows, field):
-            candidates.append(rows)
-    candidates = list(dict.fromkeys(candidates))
-    if len(candidates) != 2:
-        raise WitnessError(
-            f"expected exactly two Lagrangians over the subspace, found {len(candidates)}"
+    zero = field.zero()
+    for coords in (range(n), (*range(1, n), N - 1)):
+        # x on these coordinates is orthogonal to a row when the sum of
+        # row[N-1-j] x_j vanishes: the split form pairs j with N-1-j
+        meet = la.nullspace(
+            tuple(tuple(row[N - 1 - j] for j in coords) for row in m_rows), field, n
         )
-    chosen = [c for c in candidates if in_reference_component(c, n, field)]
-    if len(chosen) != 1:
-        raise WitnessError("the two Lagrangians do not split between the components")
-    lag = chosen[0]
+        extra = []
+        for vec in meet:
+            placed = dict(zip(coords, vec))
+            extra.append(tuple(placed.get(j, zero) for j in range(N)))
+        lag = la.rowspace(la.stack(m_rows, tuple(extra)), field)
+        if in_reference_component(lag, n, field):
+            break
+    else:
+        raise WitnessError("internal error: neither Lagrangian is in the reference component")
+    if len(lag) != n or not is_totally_singular(lag, field):
+        raise WitnessError("internal error: the output is not a Lagrangian")
     if not la.rowspace_contains(lag, m_rows, field):
         raise WitnessError("internal error: output does not contain the input")
-    return flag_point(field, N, [lag], form=form)
+    return flag_point(field, N, [lag], form=split_form("D", N, field))
 
 
 def _embed_coords(vec, n, field):

@@ -11,8 +11,10 @@ bijections that preserve Cartan matrices (beside the hand-written rule chain
 they replaced, kept as the reference for reasons and details), exact linear
 algebra from Gauss-Jordan elimination on ``Fraction`` (or F_p) entries,
 the subspaces of F_p^n from one product over all free entries of an echelon
-form at once, and the sources of the odd/even orthogonal pair by filtering
-every subspace of the odd hyperplane with the split form built out in full.
+form at once, the sources of the odd/even orthogonal pair by filtering
+every subspace of the odd hyperplane with the split form built out in full,
+and that pair's Lagrangian over a source from the singular lines of a
+quadratic on perp(M)/M.
 """
 
 import itertools
@@ -800,3 +802,80 @@ def random_bd_source_with_retries(rng, n, field):
             rows = list(cand)
         if len(rows) == n - 1:
             return W.flag_point(field, 2 * n, [tuple(rows)], form=form)
+
+
+# ---------------------------------------------------------------------------
+# The Lagrangian over an isotropic (n-1)-subspace M of the odd hyperplane, by
+# the quadratic formula: the split quadratic restricted to perp(M)/M has two
+# singular lines, each giving a Lagrangian over M, and the one in the
+# reference component is kept.  Input checks are left to witness.bd_phi.
+
+
+def _singular_lines_in_plane(u1, u2, field):
+    """The isotropic lines of the split quadratic restricted to <u1, u2>."""
+    a = W.split_quadratic_value(u1, field)
+    b = W.split_quadratic_value(u2, field)
+    usum = la.mat_add((u1,), (u2,), field)[0]
+    c = field.reduce(W.split_quadratic_value(usum, field) - a - b)
+    # Q(x u1 + y u2) = a x^2 + c xy + b y^2
+    zero, one = field.zero(), field.one()
+    lines = []
+    if isinstance(field, PrimeField):
+        candidates = [(one, field.of(t)) for t in range(field.p)] + [(zero, one)]
+        for x, y in candidates:
+            if field.reduce(a * x * x + b * y * y + c * x * y) == zero:
+                lines.append((x, y))
+        return lines
+    if a == zero:
+        lines.append((one, zero))
+        # remaining: y (c x + b y) = 0 with y != 0
+        if c != zero:
+            lines.append((field.reduce(-b * field.inv(c)), one))
+        elif b == zero:
+            raise W.WitnessError("quadratic vanishes identically; form is degenerate here")
+        return lines
+    disc = field.reduce(c * c - 4 * a * b)
+    root = field.sqrt(disc)
+    if root is None:
+        raise W.WitnessError("the middle quadric does not split over the field")
+    for sgn in (root, field.reduce(-root)):
+        x = field.reduce((sgn - c) * field.inv(2 * a))
+        lines.append((x, one))
+    return list(dict.fromkeys(lines))
+
+
+def bd_phi_by_quadratic(n, m_point):
+    field = m_point.field
+    N = 2 * n
+    m_rows = m_point.subspaces[0]
+    form = W.split_form("D", N, field)
+    perp_m = W.perp(m_rows, form, field)
+    # two independent directions of perp(M) modulo M: the rows of perp(M)
+    # that raise the rank of the span
+    span = m_rows
+    quotient = []
+    for row in perp_m:
+        grown = la.stack(span, (row,))
+        if la.rank(grown, field) > len(span):
+            quotient.append(row)
+            span = grown
+        if len(quotient) == 2:
+            break
+    if len(quotient) != 2:
+        raise W.WitnessError("internal error: perp/M is not two-dimensional")
+    u1, u2 = quotient
+    candidates = []
+    for x, y in _singular_lines_in_plane(u1, u2, field):
+        vec = la.mat_mul(((x, y),), (u1, u2), field)[0]
+        rows = la.rowspace(la.stack(m_rows, (vec,)), field)
+        if len(rows) == n and W.is_totally_singular(rows, field):
+            candidates.append(rows)
+    candidates = list(dict.fromkeys(candidates))
+    if len(candidates) != 2:
+        raise W.WitnessError(
+            f"expected exactly two Lagrangians over the subspace, found {len(candidates)}"
+        )
+    chosen = [c for c in candidates if W.in_reference_component(c, n, field)]
+    if len(chosen) != 1:
+        raise W.WitnessError("the two Lagrangians do not split between the components")
+    return W.flag_point(field, N, [chosen[0]], form=form)

@@ -40,6 +40,8 @@ from strategies import order_text, orders
         ["witness-bd", "--n", "1"],
         ["witness-bd", "--n", "1", "--all"],
         ["witness-bd", "--n", "2", "--prime", "0"],
+        ["witness-bd", "--n", "3", "--samples", "0"],
+        ["witness-bd", "--n", "3", "--samples", "-3"],
         ["selftest", "--only", "9"],
         ["selftest", "--only", "1,0"],
         # more digits than int() converts (sys.get_int_max_str_digits)
@@ -79,6 +81,15 @@ def test_rank_cap_exits_two_with_message(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "rank 7 exceeds the rank cap 3" in err
     assert "enumeration" not in err
+
+
+def test_witness_bd_rank_cap_exits_two_before_building(monkeypatch, capsys):
+    # the pair at n lives in D_n; a huge n must not reach the 2n x 2n identity
+    monkeypatch.delenv("FLAGISO_MAX_RANK", raising=False)
+    assert cli.main(["witness-bd", "--n", "97"]) == 2
+    err = capsys.readouterr().err
+    assert "rank 97 exceeds the rank cap 96" in err
+    assert "Traceback" not in err
 
 
 def test_counting_commands_accept_valid_dims(capsys):

@@ -416,6 +416,61 @@ def test_bd_phi_bijection_f2_and_f3():
             assert len(images) == len(sources)
 
 
+@pytest.mark.parametrize("field", [F2, F3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bd_phi_matches_the_quadratic_oracle_on_every_source(field, n):
+    for m in W.enumerate_bd_sources(n, field):
+        assert W.bd_phi(n, m) == oracles.bd_phi_by_quadratic(n, m)
+
+
+@pytest.mark.parametrize("p, samples", [(5, 8), (7, 8), (11, 8), (7919, 1)])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_bd_phi_matches_the_quadratic_oracle_on_random_sources(n, p, samples):
+    field = PrimeField(p)
+    rng = random.Random(100 * n + p)
+    for _ in range(samples):
+        m = W.random_bd_source(rng, n, field)
+        assert W.bd_phi(n, m) == oracles.bd_phi_by_quadratic(n, m)
+
+
+def _reflect(row, field):
+    # the reflection in e_1 - e_2n: x + (x_2n - x_1)(e_1 - e_2n)
+    t = field.reduce(row[-1] - row[0])
+    return (field.reduce(row[0] + t),) + tuple(row[1:-1]) + (field.reduce(row[-1] - t),)
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_reflection_fixes_the_odd_hyperplane_and_swaps_the_components(field, n):
+    # why bd_phi's two candidates lie in opposite components
+    for row in W.bd_hyperplane_basis(n, field):
+        assert _reflect(row, field) == tuple(row)
+    keep = W.isotropic_keep("D", 2 * n, field)
+    lagrangians = list(la.enumerate_subspaces(2 * n, n, field, keep=keep))
+    assert len(lagrangians) == 2 * lagrangian_component_count(n, field.p)
+    for rows in lagrangians:
+        image = la.rowspace(tuple(_reflect(row, field) for row in rows), field)
+        assert len(image) == n and W.is_totally_singular(image, field)
+        assert W.in_reference_component(image, n, field) != W.in_reference_component(
+            rows, n, field
+        )
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_source_plus_its_perp_in_the_reference_is_lagrangian(field, n):
+    # M + (M^perp ∩ R) for R = <e_1..e_n>, the candidate bd_phi builds
+    N = 2 * n
+    form = W.split_form("D", N, field)
+    ref = la.identity(N, field)[:n]
+    for point in W.enumerate_bd_sources(n, field):
+        m = point.subspaces[0]
+        meet = la.intersect_rowspaces(W.perp(m, form, field), ref, field, N)
+        assert len(meet) == 1 + len(la.intersect_rowspaces(m, ref, field, N))
+        lag = la.rowspace(la.stack(m, meet), field)
+        assert len(lag) == n and W.is_totally_singular(lag, field)
+
+
 def test_bd_square_exhaustive_small():
     rep = W.bd_square_check(2, W.enumerate_bd_sources(2, F3))
     assert rep.ok and rep.checked == 4
@@ -469,7 +524,6 @@ def test_total_singularity_tests_the_quadratic_form_in_char_2():
 
 
 def test_bd_over_rationals():
-    rng = random.Random(59)
     form = W.split_form("D", 6, QQ)
     w_rows = W.bd_hyperplane_basis(3, QQ)
     # a rational isotropic 2-subspace of the odd hyperplane
@@ -479,6 +533,7 @@ def test_bd_over_rationals():
     lag = W.bd_phi(3, m)
     assert len(lag.subspaces[0]) == 3
     assert W.is_totally_singular(lag.subspaces[0], QQ)
+    assert lag == oracles.bd_phi_by_quadratic(3, m)
 
 
 # ---------------------------------------------------------------------------
