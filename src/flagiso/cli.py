@@ -425,6 +425,10 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # The frames that held the allocation are gone, so printing works again.
+        print("resource bound: out of memory", file=sys.stderr)
+        return 2
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,11 +4,14 @@
 dimension hypotheses (general ambient >= 2, orthogonal >= 5, symplectic >= 6).
 ``decide_ind`` compares two ind-variety descriptors.  Besides isomorphisms
 induced by chain isomorphisms (and chain duality in the general case), exactly
-two cross-type coincidences exist between ind-varieties, both recognized:
+two cross-type coincidences exist between ind-varieties:
 
 * the projective space / symplectic line grassmannian pair, and
 * the pair of maximal orthogonal grassmannians (middle quotient of dimension
   one versus a self-perp member).
+
+Both are read as identifications: ``decide_ind`` compares one key, the normal
+form of each chain after these two reductions, as ``decide_finite`` does.
 
 Finite varieties are compared by marked Dynkin diagrams, which add the Klein
 correspondence D_3 = A_3 and the triality of D_4.  B_2 = C_2 is absent because
@@ -24,6 +27,7 @@ from itertools import permutations
 
 from .descriptors import (
     FORM_OF_LIE_TYPE,
+    MIDDLE_EMPTY,
     MIN_AMBIENT,
     FiniteFlagVariety,
     FlagDescriptor,
@@ -32,7 +36,7 @@ from .descriptors import (
     require_valid_variety,
 )
 from .errors import ValidationError
-from .orders import INF, is_isomorphic, normalize, reverse, seq
+from .orders import INF, normalize, reverse, seq
 
 
 class Verdict(enum.Enum):
@@ -63,10 +67,6 @@ class DecisionResult:
             self.verdict is Verdict.NOT_ISOMORPHIC
         ):
             raise ValidationError("reason inconsistent with verdict")
-
-    @property
-    def isomorphic(self) -> bool:
-        return self.verdict is Verdict.ISOMORPHIC
 
     def to_json(self) -> dict:
         return {
@@ -156,48 +156,60 @@ def decide_finite(x: FiniteFlagVariety, y: FiniteFlagVariety) -> DecisionResult:
     return _yes(reason, _IDENTIFICATIONS[reason].format(2 * rank - 1, 2 * rank))
 
 
+# Built once: the line half, the projective chain and the maximal half.
+_LINE, _PROJECTIVE, _MAXIMAL = seq(1), seq(1, INF), seq(INF)
+
+
+def _ind_key(d: FlagDescriptor):
+    """(form, middle, normal form of the chain or half, reductions applied) of
+    d.  The symplectic line ind-grassmannian is read as the projective
+    ind-space, as ``_diagram`` reads C as A, and a maximal orthogonal
+    grassmannian with middle one as the one with a self-perp member."""
+    if d.form is FormType.GENERAL:
+        return d.form, None, normalize(d.order), set()
+    half = normalize(d.half)
+    if d.form is FormType.SYMPLECTIC and half == _LINE and d.middle is INF:
+        return FormType.GENERAL, None, _PROJECTIVE, {Reason.EXCEPTIONAL_PROJ_SYMP}
+    if d.form is FormType.ORTHOGONAL and half == _MAXIMAL and d.middle == 1:
+        return d.form, MIDDLE_EMPTY, half, {Reason.EXCEPTIONAL_BD}
+    return d.form, d.middle, half, set()
+
+
+# What an isomorphism of two ind-varieties with matching keys needs, strongest
+# first: a reduction only one side used, or duality when the chains differ.
+_IND_IDENTIFICATIONS = {
+    Reason.EXCEPTIONAL_BD: "maximal orthogonal grassmannians: middle quotient of "
+    "dimension one versus a self-perp member",
+    Reason.EXCEPTIONAL_PROJ_SYMP: "projective ind-space and the symplectic line ind-grassmannian",
+    Reason.DUAL_FLAG_ISO: "one chain isomorphic to the dual of the other",
+}
+
+# Why keys differ, by the forms as given; any other pair holds an orthogonal
+# descriptor and another form.
+_IND_MISMATCHES = {
+    frozenset({FormType.GENERAL}): "neither chain isomorphism nor dual chain isomorphism holds",
+    frozenset({FormType.ORTHOGONAL}): "isotropic chains are not isomorphic",
+    frozenset({FormType.SYMPLECTIC}): "isotropic chains are not isomorphic",
+    frozenset({FormType.GENERAL, FormType.SYMPLECTIC}): "general and symplectic descriptors "
+    "match no exceptional pair",
+}
+
+
 def decide_ind(x: FlagDescriptor, y: FlagDescriptor) -> DecisionResult:
     require_valid(x)
     require_valid(y)
-
-    if x.form is y.form is FormType.GENERAL:
-        nx, ny = normalize(x.order), normalize(y.order)
-        if nx == ny:
-            return _yes(Reason.FLAG_ISO, "chains isomorphic as weighted orders")
-        # normalize commutes with reverse
-        if nx == reverse(ny):
-            return _yes(Reason.DUAL_FLAG_ISO, "one chain isomorphic to the dual of the other")
-        return _no("neither chain isomorphism nor dual chain isomorphism holds")
-
-    if x.form is y.form:
-        if is_isomorphic(x.half, y.half) and x.middle == y.middle:
-            return _yes(
-                Reason.FLAG_ISO,
-                "isotropic halves isomorphic with equal middle quotients",
-            )
-        if x.form is FormType.ORTHOGONAL:
-            halves_max = all(
-                normalize(d.half) == seq(INF) for d in (x, y)
-            )
-            if halves_max and {x.middle, y.middle} == {0, 1}:
-                return _yes(
-                    Reason.EXCEPTIONAL_BD,
-                    "maximal orthogonal grassmannians: middle quotient of "
-                    "dimension one versus a self-perp member",
-                )
-        return _no("isotropic chains are not isomorphic")
-
-    forms = {x.form, y.form}
-    if forms == {FormType.GENERAL, FormType.SYMPLECTIC}:
-        gen, symp = (x, y) if x.form is FormType.GENERAL else (y, x)
-        symp_is_line_gr = normalize(symp.half) == seq(1) and symp.middle is INF
-        gen_norm = normalize(gen.order)
-        gen_is_proj = gen_norm in (seq(1, INF), seq(INF, 1))
-        if symp_is_line_gr and gen_is_proj:
-            return _yes(
-                Reason.EXCEPTIONAL_PROJ_SYMP,
-                "projective ind-space and the symplectic line ind-grassmannian",
-            )
-        return _no("general and symplectic descriptors match no exceptional pair")
-
-    return _no("orthogonal descriptors are never isomorphic to the other types")
+    fx, mx, nx, ux = _ind_key(x)
+    fy, my, ny, uy = _ind_key(y)
+    dual = nx != ny  # normalize commutes with reverse, so reverse(ny) is normal
+    if (fx, mx) != (fy, my) or dual and not (fx is FormType.GENERAL and nx == reverse(ny)):
+        why = _IND_MISMATCHES.get(frozenset((x.form, y.form)))
+        return _no(why or "orthogonal descriptors are never isomorphic to the other types")
+    needed = ux ^ uy
+    if dual:
+        needed.add(Reason.DUAL_FLAG_ISO)
+    if needed:
+        reason = min(needed, key=list(_IND_IDENTIFICATIONS).index)
+        return _yes(reason, _IND_IDENTIFICATIONS[reason])
+    if x.form is FormType.GENERAL:
+        return _yes(Reason.FLAG_ISO, "chains isomorphic as weighted orders")
+    return _yes(Reason.FLAG_ISO, "isotropic halves isomorphic with equal middle quotients")

@@ -40,8 +40,11 @@ from flagiso.orders import (
     OrderParseError,
     Seq,
     WeightedOrder,
+    is_isomorphic,
     normalize,
+    reverse,
     rewrite_step,
+    seq,
 )
 
 
@@ -630,6 +633,56 @@ def decide_finite_by_rules(x, y) -> DecisionResult:
             )
 
     return _no("no classification rule matches the pair")
+
+
+def decide_ind_by_branches(x: FlagDescriptor, y: FlagDescriptor) -> DecisionResult:
+    """The hand-written branches per pair of forms that the chain key of
+    ``decide_ind`` replaced: the reference for every verdict, reason and
+    detail."""
+    require_valid(x)
+    require_valid(y)
+
+    if x.form is y.form is FormType.GENERAL:
+        nx, ny = normalize(x.order), normalize(y.order)
+        if nx == ny:
+            return _yes(Reason.FLAG_ISO, "chains isomorphic as weighted orders")
+        # normalize commutes with reverse
+        if nx == reverse(ny):
+            return _yes(Reason.DUAL_FLAG_ISO, "one chain isomorphic to the dual of the other")
+        return _no("neither chain isomorphism nor dual chain isomorphism holds")
+
+    if x.form is y.form:
+        if is_isomorphic(x.half, y.half) and x.middle == y.middle:
+            return _yes(
+                Reason.FLAG_ISO,
+                "isotropic halves isomorphic with equal middle quotients",
+            )
+        if x.form is FormType.ORTHOGONAL:
+            halves_max = all(
+                normalize(d.half) == seq(INF) for d in (x, y)
+            )
+            if halves_max and {x.middle, y.middle} == {0, 1}:
+                return _yes(
+                    Reason.EXCEPTIONAL_BD,
+                    "maximal orthogonal grassmannians: middle quotient of "
+                    "dimension one versus a self-perp member",
+                )
+        return _no("isotropic chains are not isomorphic")
+
+    forms = {x.form, y.form}
+    if forms == {FormType.GENERAL, FormType.SYMPLECTIC}:
+        gen, symp = (x, y) if x.form is FormType.GENERAL else (y, x)
+        symp_is_line_gr = normalize(symp.half) == seq(1) and symp.middle is INF
+        gen_norm = normalize(gen.order)
+        gen_is_proj = gen_norm in (seq(1, INF), seq(INF, 1))
+        if symp_is_line_gr and gen_is_proj:
+            return _yes(
+                Reason.EXCEPTIONAL_PROJ_SYMP,
+                "projective ind-space and the symplectic line ind-grassmannian",
+            )
+        return _no("general and symplectic descriptors match no exceptional pair")
+
+    return _no("orthogonal descriptors are never isomorphic to the other types")
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,12 @@ def test_selftest_fails_on_a_drifted_value(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def _child_env():
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
+    src = str(pathlib.Path(flagiso.__file__).parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -201,14 +207,12 @@ def test_closed_stdout_exits_one_without_traceback(argv):
     # stdout is a pipe whose only reader is closed before the command starts
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(pathlib.Path(flagiso.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "flagiso", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=env,
+            env=_child_env(),
             text=True,
             timeout=120,
         )
@@ -216,6 +220,34 @@ def test_closed_stdout_exits_one_without_traceback(argv):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+# The child lowers only its own soft address-space limit, then runs a command
+# whose truncation needs far more than that.
+_OUT_OF_MEMORY = """
+import resource, sys
+from flagiso import cli
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+limit = 600 * 2**20
+if hard != resource.RLIM_INFINITY:
+    limit = min(limit, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+sys.exit(cli.main(["truncate", "gen: omega(1)", "--width", "100000000"]))
+"""
+
+
+def test_out_of_memory_exits_two_without_traceback():
+    pytest.importorskip("resource")
+    proc = subprocess.run(
+        [sys.executable, "-c", _OUT_OF_MEMORY],
+        capture_output=True,
+        env=_child_env(),
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("resource bound:")
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from flagiso.descriptors import (
     finite_flag_variety,
     general_flags,
     orthogonal_flags,
+    parse_descriptor,
     pic_rank,
     symplectic_flags,
     truncate_to_variety,
@@ -27,6 +28,7 @@ from flagiso.orders import INF, omega, seq
 from flagiso.selftest import _decision_universe
 from oracles import (
     decide_finite_by_rules,
+    decide_ind_by_branches,
     decide_ind_grassmannian,
     marked_cartan,
     marked_cartan_isomorphic,
@@ -187,7 +189,7 @@ def test_ind_exceptional_bd():
         orthogonal_flags(seq(INF), 1), orthogonal_flags(seq(INF), 0)
     )
     assert res.reason is Reason.EXCEPTIONAL_BD
-    # absorbed presentations of the same one-block half still count
+    # a two-block half, seq[inf, inf], is not the maximal grassmannian
     res = decide_ind(
         orthogonal_flags(seq(INF) + seq(INF), 1), orthogonal_flags(seq(INF), 0)
     )
@@ -226,6 +228,44 @@ def test_ind_orthogonal_never_matches_other_types():
         symplectic_flags(seq(1), INF), orthogonal_flags(seq(1), INF)
     )
     assert res.verdict is Verdict.NOT_ISOMORPHIC
+
+
+# Descriptors around the two exceptions: presentations of the projective
+# ind-space and the symplectic line ind-grassmannian, and orthogonal halves
+# with the middles that do and do not make the BD pair.
+_NEAR_EXCEPTIONS = [
+    "gen: seq[1,inf]",
+    "gen: seq[inf,1]",
+    "gen: seq[1] + seq[inf]",
+    "gen: seq[2,inf]",
+    "symp: half=seq[1]; middle=inf",
+    "symp: half=seq[1,inf]; middle=4",
+    "symp: half=seq[inf]; middle=empty",
+    "orth: half=seq[inf]; middle=1",
+    "orth: half=seq[inf]; middle=empty",
+    "orth: half=seq[inf]; middle=3",
+    "orth: half=seq[inf]; middle=inf",
+    "orth: half=seq[1]; middle=inf",
+    "orth: half=seq[1,inf]; middle=1",
+]
+
+
+def _assert_same_payloads(pairs):
+    for x, y in pairs:
+        for a, b in ((x, y), (y, x)):
+            assert decide_ind(a, b).to_json() == decide_ind_by_branches(a, b).to_json(), (a, b)
+
+
+def test_decide_ind_matches_branches_on_random_pairs():
+    rng = random.Random(33)
+    _assert_same_payloads(
+        (random_descriptor(rng), random_descriptor(rng)) for _ in range(20_000)
+    )
+
+
+def test_decide_ind_matches_branches_near_the_exceptions():
+    descriptors = [parse_descriptor(text) for text in _NEAR_EXCEPTIONS]
+    _assert_same_payloads((x, y) for x in descriptors for y in descriptors)
 
 
 def test_ind_invalid_descriptor_propagates():
@@ -304,11 +344,9 @@ def test_decide_ind_symmetry_and_double_dual():
     for _ in range(300):
         x = random_descriptor(rng)
         y = random_descriptor(rng)
-        a = decide_ind(x, y)
-        b = decide_ind(y, x)
-        assert (a.verdict, a.reason) == (b.verdict, b.reason)
-        c = decide_ind(x, dual(dual(y)))
-        assert (a.verdict, a.reason) == (c.verdict, c.reason)
+        a = decide_ind(x, y).to_json()
+        assert a == decide_ind(y, x).to_json(), (x, y)
+        assert a == decide_ind(x, dual(dual(y))).to_json(), (x, y)
 
 
 def test_result_json_shape():
