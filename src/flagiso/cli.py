@@ -80,7 +80,7 @@ def _pic_value(value):
 
 def _emit(args, payload: dict, text: str, code: int = 0) -> int:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps({"command": args.command, **payload}, indent=2, sort_keys=True))
     else:
         print(text)
     return code
@@ -103,7 +103,6 @@ def _cmd_decide(args) -> int:
         x, y = y, x
     res = decide(x, y)
     payload = {
-        "command": args.command,
         "left": side_json(x),
         "right": side_json(y),
         "swapped": swapped,
@@ -115,11 +114,7 @@ def _cmd_decide(args) -> int:
 
 def _cmd_normalize(args) -> int:
     result = render_order(normalize(parse_order(args.order)))
-    return _emit(
-        args,
-        {"command": "normalize", "input": args.order.strip(), "normal_form": result},
-        result,
-    )
+    return _emit(args, {"input": args.order.strip(), "normal_form": result}, result)
 
 
 def _cmd_dual(args) -> int:
@@ -127,7 +122,6 @@ def _cmd_dual(args) -> int:
     out = dual(d)
     note = "self-dual; unchanged" if d.is_isotropic() else ""
     payload = {
-        "command": "dual",
         "input": render_descriptor(d),
         "dual": render_descriptor(out),
         "self_dual": d.is_isotropic(),
@@ -144,7 +138,6 @@ def _cmd_points(args) -> int:
     else:
         count = point_count(v, args.q)
     payload = {
-        "command": "points",
         "variety": _variety_json(v),
         "q": args.q,
         "count": count,
@@ -157,7 +150,6 @@ def _cmd_poincare(args) -> int:
     v = _variety_from_flags(args)
     poly = poincare_polynomial(v)
     payload = {
-        "command": "poincare",
         "variety": _variety_json(v),
         "coefficients": list(poly.coefficients),
         "polynomial": poly.render(),
@@ -168,7 +160,7 @@ def _cmd_poincare(args) -> int:
 def _cmd_dim(args) -> int:
     v = _variety_from_flags(args)
     value = dimension(v)
-    payload = {"command": "dim", "variety": _variety_json(v), "dimension": value}
+    payload = {"variety": _variety_json(v), "dimension": value}
     return _emit(args, payload, str(value))
 
 
@@ -176,7 +168,6 @@ def _cmd_pic_rank(args) -> int:
     d = parse_descriptor(args.descriptor)
     value = pic_rank(d)
     payload = {
-        "command": "pic-rank",
         "descriptor": render_descriptor(d),
         "pic_rank": _pic_value(value),
     }
@@ -187,7 +178,6 @@ def _cmd_truncate(args) -> int:
     d = parse_descriptor(args.descriptor)
     v = truncate_to_variety(d, args.width)
     payload = {
-        "command": "truncate",
         "descriptor": render_descriptor(d),
         "width": args.width,
         "variety": _variety_json(v),
@@ -216,7 +206,6 @@ def _cmd_witness_rebase(args) -> int:
         alpha = None
         ok = False
     payload = {
-        "command": "witness-rebase",
         "seed": args.seed,
         "field": W.field_to_json(field),
         "isotropic": bool(args.isotropic),
@@ -272,7 +261,6 @@ def _cmd_witness_bd(args) -> int:
     )
     ok = all(t["pass"] for t in transcript)
     payload = {
-        "command": "witness-bd",
         "n": n,
         "field": W.field_to_json(field),
         "sample": sample_kind,
@@ -295,7 +283,6 @@ def _cmd_selftest(args) -> int:
     lock_ok, lock_detail = st.check_derived_values()
     ok = all(r.passed for r in results) and lock_ok
     payload = {
-        "command": "selftest",
         "criteria": [
             {
                 "name": r.name,

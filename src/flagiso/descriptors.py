@@ -390,6 +390,8 @@ def _parse_half(text: str) -> WeightedOrder:
     return parse_order(text) if text.strip() else EMPTY
 
 
+_CLAUSE_PARSERS = {"half": _parse_half, "middle": _parse_middle}
+
 _FORM_TAGS = {
     "gen": FormType.GENERAL,
     "orth": FormType.ORTHOGONAL,
@@ -408,22 +410,20 @@ def parse_descriptor(text: str) -> FlagDescriptor:
     if form is FormType.GENERAL:
         d = general_flags(parse_order(body))
     else:
-        half = None
-        middle = None
+        clauses = {}
         for clause in body.split(";"):
             key, sep, value = clause.partition("=")
             key = key.strip()
             if not sep:
                 raise ValidationError(f"expected key=value, got {clause.strip()!r}")
-            if key == "half":
-                half = _parse_half(value)
-            elif key == "middle":
-                middle = _parse_middle(value)
-            else:
+            if key not in _CLAUSE_PARSERS:
                 raise ValidationError(f"unknown key {key!r} (expected half, middle)")
-        if half is None or middle is None:
+            if key in clauses:
+                raise ValidationError(f"repeated key {key!r} (give half and middle once each)")
+            clauses[key] = _CLAUSE_PARSERS[key](value)
+        if len(clauses) != len(_CLAUSE_PARSERS):
             raise ValidationError("isotropic descriptor needs both half= and middle=")
-        d = FlagDescriptor(form, half=half, middle=middle)
+        d = FlagDescriptor(form, **clauses)
     require_valid(d)
     return d
 

@@ -94,14 +94,42 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The strong probable-prime test to the bases _SMALL_PRIMES decides primality
+# below this bound (Sorenson and Webster, Math. Comp. 86 (2017)).
+_PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(p: int) -> bool:
+    """Trial division by _SMALL_PRIMES, then the strong probable-prime test
+    to those bases: x = a^d with p - 1 = d * 2^s, d odd, must be 1 or reach
+    p - 1 within s squarings."""
+    if p < 2 or any(p % a == 0 for a in _SMALL_PRIMES):
+        return p in _SMALL_PRIMES
+    if p >= _PRIME_BOUND:
+        raise ResourceLimitError(f"primality of {p} is decided only below {_PRIME_BOUND}")
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
 
 
 class PrimeField:
     """F_p with elements the integers 0..p-1."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(math.isqrt(p)) + 1)):
+        if not _is_prime(p):
             raise ValidationError(f"{p} is not prime")
         self.p = p
 

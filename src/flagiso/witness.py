@@ -4,7 +4,10 @@ Everything here computes over an exact field (rationals or F_p) and verifies
 its own output by direct matrix identities before returning:
 
 * :func:`rebase_automorphism` builds a chain-stabilizing automorphism carrying
-  one compatible basis to another, form-preservingly when a form is given;
+  one compatible basis to another, form-preservingly when a form is given,
+  by zipping the basis vectors of equal signature (the gap, and with a form
+  the partner's gap and self-pairing) that list their pair in (gap, index)
+  order;
 * :class:`StandardExtensionData` packages embeddings of flag varieties given
   by an injection alpha, a filtered complement, and a slot map kappa, acting
   as F |-> alpha(F_kappa(j)) + K_j, with a modified variant that post-composes
@@ -118,8 +121,8 @@ def perp(rows, form, field):
 
 
 def _basis_involution(basis, form, field):
-    """partner[i] = j with form(basis_i, basis_j) != 0; must be an involution
-    with at most one fixed point."""
+    """(partner, Gram matrix) of a basis: partner[i] = j with form(basis_i,
+    basis_j) != 0; it must be an involution with at most one fixed point."""
     vals = form_values(basis, form, basis, field)
     partner = []
     for i, row in enumerate(vals):
@@ -134,7 +137,7 @@ def _basis_involution(basis, form, field):
         raise WitnessError("basis pairing is not an involution")
     if sum(1 for i, j in enumerate(partner) if i == j) > 1:
         raise WitnessError("basis pairing has more than one fixed point")
-    return partner
+    return partner, vals
 
 
 def _closed_chain(members, form, field, n):
@@ -175,10 +178,29 @@ def _gap_classes(chain, basis, field, label):
     return gaps
 
 
+def _listed_by_signature(gaps, partner):
+    """Signature -> the indices that list their pair, in (gap, index) order;
+    without a form (partner None) each index is a pair of its own."""
+    groups = {}
+    for g, i in sorted(zip(gaps, range(len(gaps)))):
+        if partner is None:
+            groups.setdefault((g,), []).append(i)
+        elif (g, i) <= (gaps[partner[i]], partner[i]):
+            groups.setdefault((g, gaps[partner[i]], partner[i] == i), []).append(i)
+    return groups
+
+
 def rebase_automorphism(chain, basis_e, basis_e2, form=None):
     """An invertible matrix alpha with alpha(E) = E' (up to the isotropic
     scalar corrections), alpha(F) = F for every chain member, and, with a
-    form, alpha form-preserving.  Output is verified before returning."""
+    form, alpha form-preserving.  Output is verified before returning.
+
+    A basis index has a signature: its gap (the least chain member holding
+    the vector) and, with a form, its partner's gap and whether it pairs
+    with itself.  Each pair is listed by whichever member comes first in
+    (gap, index) order, and the listed indices of E and E' are zipped
+    signature by signature.  A partner's row takes the ratio of the pairing
+    values, a self-paired row its square root."""
     if isinstance(chain, FiniteFlagPoint):
         field = chain.field
         members = list(chain.subspaces)
@@ -197,75 +219,33 @@ def rebase_automorphism(chain, basis_e, basis_e2, form=None):
         members = _closed_chain(members, form, field, n)
     gaps_e = _gap_classes(members, E, field, "E")
     gaps_e2 = _gap_classes(members, E2, field, "E'")
+    part_e = part_e2 = None
+    if form is not None:
+        part_e, vals_e = _basis_involution(E, form, field)
+        part_e2, vals_e2 = _basis_involution(E2, form, field)
+    listed_e2 = _listed_by_signature(gaps_e2, part_e2)
 
-    assigned = [None] * n  # E-index -> (E2-index, scalar)
-    taken = [False] * n
-
-    def class_indices(gaps, g):
-        return [i for i, gi in enumerate(gaps) if gi == g]
-
-    if form is None:
-        for g in sorted(set(gaps_e)):
-            src = class_indices(gaps_e, g)
-            dst = class_indices(gaps_e2, g)
-            if len(src) != len(dst):
-                raise WitnessError(f"gap class {g} has mismatched sizes between bases")
-            one = field.one()
-            for i, j in zip(src, dst):
-                assigned[i] = (j, one)
-    else:
-        part_e = _basis_involution(E, form, field)
-        part_e2 = _basis_involution(E2, form, field)
-        vals_e = form_values(E, form, E, field)
-        vals_e2 = form_values(E2, form, E2, field)
-        for g in sorted(set(gaps_e)):
-            for i in class_indices(gaps_e, g):
-                if assigned[i] is not None:
-                    continue
-                fixed = part_e[i] == i
-                same_class = gaps_e[part_e[i]] == g
-                candidates = [
-                    j
-                    for j in class_indices(gaps_e2, g)
-                    if not taken[j]
-                    and (part_e2[j] == j) == fixed
-                    and (not fixed or not same_class or gaps_e2[part_e2[j]] == g)
-                ]
-                if fixed:
-                    if not candidates:
-                        raise WitnessError(
-                            f"gap class {g}: no unmatched self-paired vector in E'"
-                        )
-                    j = candidates[0]
-                    ratio = field.reduce(vals_e[i][i] * field.inv(vals_e2[j][j]))
-                    s = field.sqrt(ratio)
-                    if s is None:
-                        raise WitnessError(
-                            "scalar correction at the self-paired basis vector needs "
-                            f"a square root of {ratio!r}, which does not exist in the field"
-                        )
-                    assigned[i] = (j, s)
-                    taken[j] = True
-                    continue
-                candidates = [
-                    j for j in candidates if gaps_e2[part_e2[j]] == gaps_e[part_e[i]]
-                ]
-                if not candidates:
-                    raise WitnessError(f"gap class {g}: no matching vector left in E'")
-                j = candidates[0]
-                assigned[i] = (j, field.one())
-                taken[j] = True
-                # the partner is forced, with the scalar fixing the pairing value
-                scalar = field.reduce(
-                    vals_e[i][part_e[i]] * field.inv(vals_e2[j][part_e2[j]])
+    rows = [None] * n
+    for sig, src in _listed_by_signature(gaps_e, part_e).items():
+        dst = listed_e2.get(sig, ())
+        if len(src) != len(dst):
+            raise WitnessError(f"gap class {sig[0]} has mismatched sizes between bases")
+        for i, j in zip(src, dst):
+            rows[i] = E2[j]
+            if part_e is None:
+                continue
+            pi, pj = part_e[i], part_e2[j]
+            ratio = field.reduce(vals_e[i][pi] * field.inv(vals_e2[j][pj]))
+            if pi != i:
+                rows[pi] = la.mat_scale(ratio, (E2[pj],), field)[0]
+                continue
+            s = field.sqrt(ratio)
+            if s is None:
+                raise WitnessError(
+                    "scalar correction at the self-paired basis vector needs "
+                    f"a square root of {ratio!r}, which does not exist in the field"
                 )
-                assigned[part_e[i]] = (part_e2[j], scalar)
-                taken[part_e2[j]] = True
-
-    rows = []
-    for i in range(n):
-        j, s = assigned[i]
-        rows.append(tuple(field.reduce(s * x) for x in E2[j]))
+            rows[i] = la.mat_scale(s, (E2[j],), field)[0]
     alpha = la.mat_mul(la.inverse(E, field), tuple(rows), field)
 
     _verify_rebase(alpha, members, E, E2, form, field, n)
@@ -278,7 +258,7 @@ def _verify_rebase(alpha, members, E, E2, form, field, n):
     # alpha(E) = E' as sets up to scalars
     coords = la.mat_mul(la.mat_mul(E, alpha, field), la.inverse(E2, field), field)
     seen = set()
-    for i, row in enumerate(coords):
+    for row in coords:
         hits = [j for j, x in enumerate(row) if x]
         if len(hits) != 1 or hits[0] in seen:
             raise WitnessError("alpha does not map E bijectively onto scalar multiples of E'")
@@ -645,19 +625,16 @@ def check_triangle(phi, psi, chi) -> TriangleReport:
         )
         return TriangleReport(False, True, True, messages=tuple(messages))
     v = len(gamma)
-    zero, one = field.zero(), field.one()
-    c_mat = tuple(row[:v] for row in coeffs)
-    scalar = c_mat[0][0]
-    for i in range(v):
-        for j in range(v):
-            want = scalar if i == j else zero
-            if c_mat[i][j] != want:
-                messages.append(
-                    "gamma is not a scalar multiple of beta.alpha modulo "
-                    f"M_{i0 + 1} (source basis vector {i})"
-                )
-                return TriangleReport(False, True, True, messages=tuple(messages))
-    if scalar == zero:
+    scalar = coeffs[0][0]
+    want = la.mat_scale(scalar, la.identity(v, field), field)
+    bad = next((i for i in range(v) if coeffs[i][:v] != want[i]), None)
+    if bad is not None:
+        messages.append(
+            "gamma is not a scalar multiple of beta.alpha modulo "
+            f"M_{i0 + 1} (source basis vector {bad})"
+        )
+        return TriangleReport(False, True, True, messages=tuple(messages))
+    if scalar == field.zero():
         messages.append("gamma collapses into the complement; not an embedding match")
         return TriangleReport(False, True, True, messages=tuple(messages))
     correction = la.mat_add(

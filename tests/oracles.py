@@ -13,8 +13,9 @@ algebra from Gauss-Jordan elimination on ``Fraction`` (or F_p) entries,
 the subspaces of F_p^n from one product over all free entries of an echelon
 form at once, the sources of the odd/even orthogonal pair by filtering
 every subspace of the odd hyperplane with the split form built out in full,
-and that pair's Lagrangian over a source from the singular lines of a
-quadratic on perp(M)/M.
+that pair's Lagrangian over a source from the singular lines of a
+quadratic on perp(M)/M, and rebasing automorphisms from the greedy search
+that the signature match of ``rebase_automorphism`` replaced.
 """
 
 import itertools
@@ -932,3 +933,107 @@ def bd_phi_by_quadratic(n, m_point):
     if len(chosen) != 1:
         raise W.WitnessError("the two Lagrangians do not split between the components")
     return W.flag_point(field, N, [chosen[0]], form=form)
+
+
+# ---------------------------------------------------------------------------
+# Rebasing by a greedy search: the matching that the signature grouping of
+# ``rebase_automorphism`` replaced, kept as the reference for every
+# automorphism and every error message.
+
+
+def rebase_automorphism_by_greedy(chain, basis_e, basis_e2, form=None):
+    """Each E vector, in (gap, index) order, takes the first untaken E' vector
+    of its gap class whose partner lies in the same gap class as its own
+    partner; a partner is then forced, with the scalar that fixes the
+    pairing value."""
+    if isinstance(chain, W.FiniteFlagPoint):
+        field = chain.field
+        members = list(chain.subspaces)
+        if form is None:
+            form = chain.form
+        n = chain.ambient_dim
+    else:
+        raise W.WitnessError("chain must be a FiniteFlagPoint")
+    E = la.mat(basis_e, field)
+    E2 = la.mat(basis_e2, field)
+    if la.rank(E, field) != n or la.rank(E2, field) != n:
+        raise W.WitnessError("bases must be invertible matrices")
+
+    if form is not None:
+        form = la.mat(form, field)
+        members = W._closed_chain(members, form, field, n)
+    gaps_e = W._gap_classes(members, E, field, "E")
+    gaps_e2 = W._gap_classes(members, E2, field, "E'")
+
+    assigned = [None] * n  # E-index -> (E2-index, scalar)
+    taken = [False] * n
+
+    def class_indices(gaps, g):
+        return [i for i, gi in enumerate(gaps) if gi == g]
+
+    if form is None:
+        for g in sorted(set(gaps_e)):
+            src = class_indices(gaps_e, g)
+            dst = class_indices(gaps_e2, g)
+            if len(src) != len(dst):
+                raise W.WitnessError(f"gap class {g} has mismatched sizes between bases")
+            one = field.one()
+            for i, j in zip(src, dst):
+                assigned[i] = (j, one)
+    else:
+        part_e = W._basis_involution(E, form, field)[0]
+        part_e2 = W._basis_involution(E2, form, field)[0]
+        vals_e = W.form_values(E, form, E, field)
+        vals_e2 = W.form_values(E2, form, E2, field)
+        for g in sorted(set(gaps_e)):
+            for i in class_indices(gaps_e, g):
+                if assigned[i] is not None:
+                    continue
+                fixed = part_e[i] == i
+                same_class = gaps_e[part_e[i]] == g
+                candidates = [
+                    j
+                    for j in class_indices(gaps_e2, g)
+                    if not taken[j]
+                    and (part_e2[j] == j) == fixed
+                    and (not fixed or not same_class or gaps_e2[part_e2[j]] == g)
+                ]
+                if fixed:
+                    if not candidates:
+                        raise W.WitnessError(
+                            f"gap class {g}: no unmatched self-paired vector in E'"
+                        )
+                    j = candidates[0]
+                    ratio = field.reduce(vals_e[i][i] * field.inv(vals_e2[j][j]))
+                    s = field.sqrt(ratio)
+                    if s is None:
+                        raise W.WitnessError(
+                            "scalar correction at the self-paired basis vector needs "
+                            f"a square root of {ratio!r}, which does not exist in the field"
+                        )
+                    assigned[i] = (j, s)
+                    taken[j] = True
+                    continue
+                candidates = [
+                    j for j in candidates if gaps_e2[part_e2[j]] == gaps_e[part_e[i]]
+                ]
+                if not candidates:
+                    raise W.WitnessError(f"gap class {g}: no matching vector left in E'")
+                j = candidates[0]
+                assigned[i] = (j, field.one())
+                taken[j] = True
+                # the partner is forced, with the scalar fixing the pairing value
+                scalar = field.reduce(
+                    vals_e[i][part_e[i]] * field.inv(vals_e2[j][part_e2[j]])
+                )
+                assigned[part_e[i]] = (part_e2[j], scalar)
+                taken[part_e2[j]] = True
+
+    rows = []
+    for i in range(n):
+        j, s = assigned[i]
+        rows.append(tuple(field.reduce(s * x) for x in E2[j]))
+    alpha = la.mat_mul(la.inverse(E, field), tuple(rows), field)
+
+    W._verify_rebase(alpha, members, E, E2, form, field, n)
+    return alpha

@@ -49,6 +49,9 @@ from strategies import order_text, orders
         ["decide", "orth: half=seq[1]; middle=%s" % ("1" * 5000), "gen: seq[1,inf]"],
         ["decide-finite", "A:%s:1" % ("1" * 5000), "A:4:3"],
         ["dim", "--type", "A", "--ambient", "4", "--dims", "1," + "1" * 5000],
+        # a key given twice (the grammar has one half= and one middle=)
+        ["dual", "orth: half=seq[1]; half=seq[2]; middle=inf"],
+        ["decide", "symp: half=omega(1); middle=inf; middle=2", "symp: half=omega(1); middle=2"],
     ],
 )
 def test_bad_input_exits_one_without_traceback(capsys, argv):
@@ -81,6 +84,15 @@ def test_rank_cap_exits_two_with_message(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "rank 7 exceeds the rank cap 3" in err
     assert "enumeration" not in err
+
+
+def test_prime_above_the_primality_bound_exits_two(capsys):
+    # 2^89 - 1 is prime, but above the bound where the primality test decides
+    assert cli.main(["witness-rebase", "--prime", "618970019642690137449562111"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource bound: ")
+    assert "3317044064679887385961981" in err
+    assert "Traceback" not in err
 
 
 def test_witness_bd_rank_cap_exits_two_before_building(monkeypatch, capsys):

@@ -213,6 +213,11 @@ def test_parse_rejects_unknown_shapes():
         parse_descriptor("symp: half=seq[1]")
     with pytest.raises(ValidationError):
         parse_descriptor("orth: half=seq[inf]; middle=maybe")
+    # one half= and one middle=: a second must not win silently
+    with pytest.raises(ValidationError, match="repeated key 'half'"):
+        parse_descriptor("orth: half=seq[1]; half=seq[2]; middle=inf")
+    with pytest.raises(ValidationError, match="repeated key 'middle'"):
+        parse_descriptor("symp: half=omega(1); middle=inf; middle=2")
 
 
 @pytest.mark.parametrize("middle", ["²", "٣"])

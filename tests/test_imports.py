@@ -35,6 +35,36 @@ def test_scan_finds_an_unused_import():
     assert _unused_imports("import os\nfrom x import a, b as c\nc()\n") == [(1, "os"), (2, "a")]
 
 
+def _unread_locals(source):
+    """Sorted (function, name) of every name a function stores (nested
+    functions included) but never reads; ``_`` is exempt."""
+    out = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
+        read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+        out.update(
+            (fn.name, n.id)
+            for n in names
+            if isinstance(n.ctx, ast.Store) and n.id not in read and n.id != "_"
+        )
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_function_reads_every_local_it_assigns(path):
+    assert _unread_locals(path.read_text()) == []
+
+
+def test_scan_finds_an_unread_local():
+    source = (
+        "def f(x):\n    a, _ = x\n    for i, row in x:\n        b = row\n    return b\n"
+        "def g():\n    total = 0\n    total += 1\n"
+    )
+    assert _unread_locals(source) == [("f", "a"), ("f", "i"), ("g", "total")]
+
+
 def _read_names(paths):
     """Every name read, imported or looked up as an attribute, per top-level
     statement: {(path, index of the statement): names}."""

@@ -24,6 +24,33 @@ def test_prime_field_requires_prime():
         PrimeField(6)
 
 
+def _is_prime_by_trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_prime_field_agrees_with_trial_division():
+    for p in range(-2, 20000):
+        try:
+            PrimeField(p)
+            accepted = True
+        except ValidationError as exc:
+            assert str(exc) == f"{p} is not prime"
+            accepted = False
+        assert accepted == _is_prime_by_trial_division(p), p
+
+
+def test_prime_field_rejects_a_strong_pseudoprime_to_bases_up_to_23():
+    # 3825123056546413051 = 149491 * 747451 * 34233211 passes the strong
+    # probable-prime test to every base 2..23
+    assert 149491 * 747451 * 34233211 == 3825123056546413051
+    with pytest.raises(ValidationError, match="is not prime"):
+        PrimeField(3825123056546413051)
+
+
+def test_prime_field_accepts_a_mersenne_prime_at_once():
+    assert PrimeField(2**61 - 1).p == 2305843009213693951
+
+
 def test_prime_field_ops():
     f = PrimeField(5)
     assert f.of(Fraction(1, 2)) == 3

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import random
 from fractions import Fraction
@@ -164,6 +165,49 @@ def test_rebase_generated_instances():
         W.rebase_automorphism(chain, e, e2, form)
 
 
+def _perturbed_basis(rng, field, e, e2):
+    """One of four seeded variants of E': a random invertible matrix, E with
+    its rows permuted, E' with two rows swapped, or E' with one row scaled."""
+    n = len(e)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return la.random_invertible(rng, n, field)
+    if kind == 1:
+        return tuple(rng.sample(list(e), n))
+    rows = list(e2)
+    if kind == 2:
+        a, b = rng.sample(range(n), 2)
+        rows[a], rows[b] = rows[b], rows[a]
+    else:
+        i = rng.randrange(n)
+        rows[i] = la.mat_scale(field.of(rng.randint(2, 6)), (rows[i],), field)[0]
+    return tuple(rows)
+
+
+def _rebase_outcome(rebase, *args):
+    try:
+        return rebase(*args)
+    except W.WitnessError as exc:
+        return str(exc)
+
+
+def test_rebase_matches_the_greedy_reference():
+    # the signature grouping takes, for every E vector, the E' vector that the
+    # greedy search took, so the automorphism or the error message agrees
+    fields = [QQ, F3, F5, PrimeField(7)]
+    outcomes = set()
+    for seed in range(4000):
+        rng = random.Random(seed)
+        field = fields[seed % 4]
+        chain, e, e2, form = random_rebase_instance(rng, field, isotropic=seed % 8 >= 4)
+        e2 = _perturbed_basis(rng, field, e, e2)
+        got = _rebase_outcome(W.rebase_automorphism, chain, e, e2, form)
+        want = _rebase_outcome(oracles.rebase_automorphism_by_greedy, chain, e, e2, form)
+        assert got == want, seed
+        outcomes.add((form is None, type(got) is str))
+    assert len(outcomes) == 4  # both outcomes, with and without a form
+
+
 # ---------------------------------------------------------------------------
 # Standard extensions.
 
@@ -324,6 +368,20 @@ def test_triangle_beta_adjustment():
         assert la.mat_eq(la.mat_mul(d1.alpha, rep.beta, QQ), chi2.alpha)
         adjusted += rep.adjusted
     assert adjusted >= 5
+
+
+def test_triangle_reports_a_row_that_is_not_the_scalar():
+    rng = random.Random(3)
+    d1 = random_strict_extension(rng, QQ)
+    d2 = random_strict_extension(rng, QQ, source_members=d1.slots, source_dim=d1.target_dim)
+    chi = W.compose_standard_extensions(d1, d2)
+    rows = list(chi.alpha)
+    rows[1] = la.mat_scale(2, (rows[1],), QQ)[0]
+    rep = W.check_triangle(d1, d2, dataclasses.replace(chi, alpha=tuple(rows)))
+    assert not rep.ok and rep.slot_map_ok and rep.filtration_ok
+    assert rep.messages == (
+        "gamma is not a scalar multiple of beta.alpha modulo M_2 (source basis vector 1)",
+    )
 
 
 def test_triangle_tampered_slot_map_reports_index():
