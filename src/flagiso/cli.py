@@ -10,7 +10,10 @@ compares the oracle-derived values with those pinned in
 :mod:`flagiso.selftest`; it reads and writes no file.
 
 Exit codes: 0 success (including a NotIsomorphic verdict), 1 validation or
-syntax error, 2 resource bound exceeded.
+syntax error, 2 resource bound exceeded: a rank above the rank cap 96
+(``counting.MAX_RANK``), a prime at or above the bound below which
+primality is decided, a brute-force count above ambient dimension 6, or
+out of memory.
 """
 
 from __future__ import annotations

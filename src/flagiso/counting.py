@@ -30,29 +30,17 @@ that reference (``witness.in_reference_component``).
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg as la
-from .descriptors import FiniteFlagVariety, require_valid_variety
+from .descriptors import FiniteFlagVariety, require_valid
 from .errors import ResourceLimitError, ValidationError
 from .linalg import PrimeField
 from .witness import in_reference_component, isotropic_keep
 
-DEFAULT_MAX_RANK = 96
-_RANK_ENV = "FLAGISO_MAX_RANK"
-
-
-def max_rank() -> int:
-    value = os.environ.get(_RANK_ENV)
-    if value is None:
-        return DEFAULT_MAX_RANK
-    try:
-        return int(value)
-    except ValueError:
-        raise ValidationError(f"{_RANK_ENV} must be an integer, got {value!r}")
+MAX_RANK = 96
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +147,8 @@ def _rank(v: FiniteFlagVariety) -> int:
 
 
 def check_rank(r: int):
-    cap = max_rank()
-    if r > cap:
-        raise ResourceLimitError(
-            f"rank {r} exceeds the rank cap {cap} (set {_RANK_ENV} to raise it)"
-        )
+    if r > MAX_RANK:
+        raise ResourceLimitError(f"rank {r} exceeds the rank cap {MAX_RANK}")
 
 
 @lru_cache(maxsize=None)
@@ -193,7 +178,7 @@ def _poincare_cached(lie_type, ambient_dim, dims):
 def poincare_polynomial(v: FiniteFlagVariety) -> QPolynomial:
     """Sum of q^length over minimal coset representatives of the parabolic,
     computed as the quotient W(q) / W_P(q) of Weyl group Poincare polynomials."""
-    require_valid_variety(v)
+    require_valid(v)
     check_rank(_rank(v))
     return _poincare_cached(v.lie_type, v.ambient_dim, tuple(v.dims))
 
@@ -221,7 +206,7 @@ def brute_force_count(v: FiniteFlagVariety, q: int) -> int:
     The form is the split one of :func:`flagiso.witness.split_form`; type B
     needs odd q.
     """
-    require_valid_variety(v)
+    require_valid(v)
     t, n, dims = v.lie_type, v.ambient_dim, v.dims
     if n > BRUTE_MAX_AMBIENT:
         raise ResourceLimitError(

@@ -33,7 +33,6 @@ from .descriptors import (
     FlagDescriptor,
     FormType,
     require_valid,
-    require_valid_variety,
 )
 from .errors import ValidationError
 from .orders import INF, normalize, reverse, seq
@@ -138,8 +137,8 @@ _IDENTIFICATIONS = {
 
 
 def decide_finite(x: FiniteFlagVariety, y: FiniteFlagVariety) -> DecisionResult:
-    require_valid_variety(x)
-    require_valid_variety(y)
+    require_valid(x)
+    require_valid(y)
     _check_threshold(x)
     _check_threshold(y)
     if x == y:

@@ -125,16 +125,20 @@ def validate(d: FlagDescriptor):
     return out
 
 
-def require_valid(d: FlagDescriptor):
-    """Raise :class:`DescriptorError` unless ``d`` is valid.  A descriptor is
-    frozen, so one that passes (every parsed one does) is marked and not
-    validated again; an invalid one is never marked and raises each time."""
-    if "_valid" in d.__dict__:
+def require_valid(value):
+    """Raise :class:`DescriptorError` unless ``value``, a :class:`FlagDescriptor`
+    (checked by :func:`validate`) or a :class:`FiniteFlagVariety` (checked by
+    :func:`variety_violations`), is valid.  Both are frozen, so a value that
+    passes (every parsed descriptor and every result of
+    :func:`finite_flag_variety` does) is marked and not checked again; an
+    invalid one is never marked and raises each time."""
+    if "_valid" in value.__dict__:
         return
-    violations = validate(d)
+    check = validate if isinstance(value, FlagDescriptor) else variety_violations
+    violations = check(value)
     if violations:
         raise DescriptorError(violations)
-    object.__setattr__(d, "_valid", True)
+    object.__setattr__(value, "_valid", True)
 
 
 def full_chain(d: FlagDescriptor) -> WeightedOrder:
@@ -224,15 +228,9 @@ def variety_violations(v: FiniteFlagVariety):
     return out
 
 
-def require_valid_variety(v: FiniteFlagVariety):
-    violations = variety_violations(v)
-    if violations:
-        raise DescriptorError(violations)
-
-
 def finite_flag_variety(lie_type, ambient_dim, dims) -> FiniteFlagVariety:
     v = FiniteFlagVariety(lie_type, ambient_dim, tuple(dims))
-    require_valid_variety(v)
+    require_valid(v)
     return v
 
 

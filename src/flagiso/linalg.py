@@ -10,8 +10,7 @@ the rows of a's form at their pivot columns, leaves nothing (a vector's
 membership is the case of one row).  One pass suffices because each row of
 a reduced form is zero in every other pivot column, so a later step never
 refills a column that an earlier one cleared.  Dimensions are ranks, as in
-dim(A ∩ B) = dim A + dim B - rank(A + B); ``intersect_rowspaces`` is for
-when a basis of the intersection is needed.
+dim(A ∩ B) = dim A + dim B - rank(A + B).
 
 A field has elements, ``Fraction`` on QQ and ``int`` in 0..p-1 on F_p.  Code
 combines them with Python's ``+ - *`` and passes the result of each operator
@@ -102,6 +101,12 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_BOUND = 3317044064679887385961981
 
 
+def _two_adic(n: int):
+    """(s, d) with n = d * 2^s and d odd, for n > 0."""
+    s = (n & -n).bit_length() - 1
+    return s, n >> s
+
+
 def _is_prime(p: int) -> bool:
     """Trial division by _SMALL_PRIMES, then the strong probable-prime test
     to those bases: x = a^d with p - 1 = d * 2^s, d odd, must be 1 or reach
@@ -110,8 +115,7 @@ def _is_prime(p: int) -> bool:
         return p in _SMALL_PRIMES
     if p >= _PRIME_BOUND:
         raise ResourceLimitError(f"primality of {p} is decided only below {_PRIME_BOUND}")
-    s = ((p - 1) & (1 - p)).bit_length() - 1
-    d = (p - 1) >> s
+    s, d = _two_adic(p - 1)
     for a in _SMALL_PRIMES:
         x = pow(a, d, p)
         if x == 1:
@@ -181,12 +185,32 @@ class PrimeField:
         return pow(a, -1, self.p)
 
     def sqrt(self, a):
-        """A square root of a in F_p, or None."""
-        a %= self.p
-        for x in range(self.p):
-            if (x * x) % self.p == a:
-                return x
-        return None
+        """The smaller of the two square roots of a in F_p (the one a scan
+        from 0 finds first), or None when a is not a square (Euler's
+        criterion).  Tonelli-Shanks: with p - 1 = d * 2^s, d odd, and c = z^d
+        for a non-square z, the guess r = a^((d+1)/2) has r^2 = a * t with
+        t = a^d of order 2^i < 2^s; multiplying r by b, the power of c of
+        order 2^(i+1), multiplies t by b^2 and lowers its order."""
+        p = self.p
+        a %= p
+        if p == 2 or a == 0:
+            return a
+        half = (p - 1) // 2
+        if pow(a, half, p) != 1:
+            return None
+        s, d = _two_adic(p - 1)
+        z = 2
+        while pow(z, half, p) == 1:
+            z += 1
+        c, t, r = pow(z, d, p), pow(a, d, p), pow(a, (d + 1) // 2, p)
+        while t != 1:
+            i, x = 0, t
+            while x != 1:
+                i, x = i + 1, x * x % p
+            b = pow(c, 1 << (s - i - 1), p)
+            s, c = i, b * b % p
+            t, r = t * c % p, r * b % p
+        return min(r, p - r)
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -431,13 +455,6 @@ def nullspace(a, field, ncols=None):
             vec[pc] = field.reduce(-row[fc])
         basis.append(tuple(vec))
     return rowspace(tuple(basis), field)
-
-
-def intersect_rowspaces(a, b, field, ncols):
-    """Canonical basis of rowspace(a) ∩ rowspace(b)."""
-    ann_a = nullspace(a, field, ncols)
-    ann_b = nullspace(b, field, ncols)
-    return nullspace(stack(ann_a, ann_b), field, ncols)
 
 
 def inverse(a, field):

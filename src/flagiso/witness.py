@@ -608,7 +608,7 @@ def check_triangle(phi, psi, chi) -> TriangleReport:
     if not (slot_map_ok and filtration_ok):
         return TriangleReport(False, slot_map_ok, filtration_ok, messages=tuple(messages))
 
-    ab = la.mat_mul(phi.alpha, psi.alpha, field)
+    ab = expected["alpha"]  # beta . alpha
     gamma = chi.alpha
     if la.mat_eq(gamma, ab):
         return TriangleReport(
@@ -837,21 +837,21 @@ def random_bd_source(rng, n: int, field) -> FiniteFlagPoint:
     """A random isotropic (n-1)-subspace of the odd hyperplane."""
     if n < 2:
         raise WitnessError("needs n >= 2")
-    w_rows = la.rowspace(bd_hyperplane_basis(n, field), field)
     form = split_form("D", 2 * n, field)
-    singular = isotropic_keep("D", 2 * n, field)
-    # a random vector of the pool, the part of W_n orthogonal to the rows so
-    # far, joins them when it is singular and raises the rank
-    rows, pool = (), w_rows
+    # W_n is the perp of e_1 - e_2n, so the pool, the part of W_n orthogonal
+    # to the rows so far, is one perp; a random vector of it joins the rows
+    # when it is singular and raises the rank
+    axis = ((1,) + (0,) * (2 * n - 2) + (-1,),)  # perp maps it into the field
+    rows, pool = (), perp(axis, form, field)
     while len(rows) < n - 1:
         coeffs = [field.of(rng.randrange(field.p)) for _ in pool]
         vec = la.mat_mul((coeffs,), pool, field)[0]
-        if not singular(vec, rows):
+        if split_quadratic_value(vec, field):
             continue
         grown = la.rowspace(la.stack(rows, (vec,)), field)
         if len(grown) > len(rows):
             rows = grown
-            pool = la.intersect_rowspaces(w_rows, perp(rows, form, field), field, 2 * n)
+            pool = perp(axis + rows, form, field)
     return flag_point(field, 2 * n, [rows], form=form)
 
 

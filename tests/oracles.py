@@ -10,6 +10,7 @@ grassmannian verdicts from dimension data alone, finite verdicts from node
 bijections that preserve Cartan matrices (beside the hand-written rule chain
 they replaced, kept as the reference for reasons and details), exact linear
 algebra from Gauss-Jordan elimination on ``Fraction`` (or F_p) entries,
+square roots mod p from scanning 0..p-1,
 the subspaces of F_p^n from one product over all free entries of an echelon
 form at once, the sources of the odd/even orthogonal pair by filtering
 every subspace of the odd hyperplane with the split form built out in full,
@@ -756,6 +757,20 @@ def rowspace_contains_by_rank(a, b, field):
     return rank(stack(a, b), field) == rank(a, field)
 
 
+def intersect_rowspaces(a, b, field, ncols):
+    """Canonical basis of rowspace(a) ∩ rowspace(b): the annihilator of the
+    two annihilators."""
+    ann_a = la.nullspace(a, field, ncols)
+    ann_b = la.nullspace(b, field, ncols)
+    return la.nullspace(stack(ann_a, ann_b), field, ncols)
+
+
+def sqrt_by_scan(a, p):
+    """The first x in 0..p-1 with x^2 = a mod p, or None."""
+    a %= p
+    return next((x for x in range(p) if x * x % p == a), None)
+
+
 # ---------------------------------------------------------------------------
 # Subspaces of F_p^n in reduced echelon form: one product over the free
 # entries of every row at once, with no pruning.
@@ -839,7 +854,7 @@ def random_bd_source_with_retries(rng, n, field):
             if len(rows) == n - 1:
                 break
             if rows:
-                pool = la.intersect_rowspaces(
+                pool = intersect_rowspaces(
                     w_rows, W.perp(tuple(rows), form, field), field, 2 * n
                 )
             else:

@@ -78,12 +78,12 @@ def test_bad_option_value_exits_one_without_traceback(capsys, argv):
     assert "Traceback" not in err
 
 
-def test_rank_cap_exits_two_with_message(monkeypatch, capsys):
-    monkeypatch.setenv("FLAGISO_MAX_RANK", "3")
-    assert cli.main(["dim", "--type", "A", "--ambient", "8", "--dims", "1"]) == 2
+def test_rank_cap_exits_two_with_message(capsys):
+    assert cli.main(["dim", "--type", "A", "--ambient", "97", "--dims", "1"]) == 0
+    assert capsys.readouterr().out == "96\n"
+    assert cli.main(["dim", "--type", "A", "--ambient", "98", "--dims", "1"]) == 2
     err = capsys.readouterr().err
-    assert "rank 7 exceeds the rank cap 3" in err
-    assert "enumeration" not in err
+    assert err == "resource bound: rank 97 exceeds the rank cap 96\n"
 
 
 def test_prime_above_the_primality_bound_exits_two(capsys):
@@ -95,9 +95,16 @@ def test_prime_above_the_primality_bound_exits_two(capsys):
     assert "Traceback" not in err
 
 
-def test_witness_bd_rank_cap_exits_two_before_building(monkeypatch, capsys):
+def test_witness_rebase_at_a_61_bit_prime_finishes(capsys):
+    # an odd orthogonal instance: its self-paired vector needs a square root
+    # mod 2^61 - 1, which a scan over the field could not take
+    argv = ["witness-rebase", "--prime", "2305843009213693951", "--isotropic", "--seed", "4"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("rebase automorphism constructed and verified")
+
+
+def test_witness_bd_rank_cap_exits_two_before_building(capsys):
     # the pair at n lives in D_n; a huge n must not reach the 2n x 2n identity
-    monkeypatch.delenv("FLAGISO_MAX_RANK", raising=False)
     assert cli.main(["witness-bd", "--n", "97"]) == 2
     err = capsys.readouterr().err
     assert "rank 97 exceeds the rank cap 96" in err

