@@ -12,8 +12,9 @@ compares the oracle-derived values with those pinned in
 Exit codes: 0 success (including a NotIsomorphic verdict), 1 validation or
 syntax error, 2 resource bound exceeded: a rank above the rank cap 96
 (``counting.MAX_RANK``), a prime at or above the bound below which
-primality is decided, a brute-force count above ambient dimension 6, or
-out of memory.
+primality is decided, a brute-force count above ambient dimension 6, a
+``witness-bd --all`` over more than 100,000 sources or candidate first rows
+(``witness.MAX_BD_SOURCES``), or out of memory.
 """
 
 from __future__ import annotations

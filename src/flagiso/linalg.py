@@ -28,8 +28,9 @@ row - f * top`` for the pivot row ``top``, its pivot ``lead``, and the
 row's entry ``f`` in the pivot column.  This is the
 fraction-free elimination of Bareiss (Math. Comp. 22 (1968)), except that
 the row's content is divided out instead of the previous pivot.  ``mat_mul``
-sums integer products, skipping zero entries on the left.  The field
-supplies the steps where QQ and F_p differ:
+brings the int rows of its right operand to one denominator (one lcm per
+call) and adds int multiples of them, one for each nonzero entry of a left
+row.  The field supplies the steps where QQ and F_p differ:
 
 * ``clear(row)`` returns ``(ints, den)`` with ``row == ints / den``.  QQ
   multiplies by the lcm of the row's denominators; F_p returns the row and 1.
@@ -41,9 +42,10 @@ supplies the steps where QQ and F_p differ:
   nothing to divide.  QQ leaves it.
 * ``finish(ints, c)`` turns a reduced row into field elements: QQ divides by
   the pivot, ``Fraction(x, pivot)`` once per entry; F_p returns the row.
-* ``quotient(num, den)`` is one ``mat_mul`` output entry, ``num`` over the
-  product of the row's and the column's ``den``: ``Fraction`` on QQ, ``num %
-  p`` on F_p (where every ``den`` is 1).
+* ``divide(rows)`` turns the ``(nums, den)`` rows of a ``mat_mul`` into its
+  output.  QQ divides each row by gcd(den, *nums), which leaves the ints
+  that ``clear`` would give, and returns a ``Cleared``; F_p reduces ``nums``
+  mod p (every ``den`` is 1).
 
 F_p keeps every intermediate entry in 0..p-1 because elimination tests
 entries against zero to find pivots: an unreduced multiple of p is a nonzero
@@ -61,30 +63,48 @@ ints on F_p), and since the reduced row echelon form is unique they are the
 same as those of elimination on field elements, which ``tests/oracles.py``
 keeps as the reference.
 
+Cleared values.  Over QQ a matrix that the kernel builds keeps the int rows
+it came from: it is a ``Cleared``, a tuple of rows that also carries the
+field, ``ints`` and ``dens``, with row i equal to ``ints[i]`` divided by
+``dens[i]`` entry by entry.  ``mat`` clears each row once, ``mat_mul``
+returns one through ``divide``, ``inverse`` slices the int rows of its
+``Echelon``, ``stack`` joins the int rows when every part is a ``Cleared``
+over QQ, and ``transpose`` of one brings its int rows to one denominator
+(one lcm) and transposes them.  ``_cleared`` hands these int rows over
+instead of clearing, so ``rref``, ``rank``, ``rowspace_contains`` and both
+operands of ``mat_mul`` clear only rows that arrive as plain tuples.  Slices
+of a ``Cleared`` and the results of ``mat_add`` and ``mat_scale`` are plain
+tuples: they build their entries one by one, and their callers read
+entries.  Int rows are never changed in place, so values may share them.
+Over F_p a row is its own int row over 1, so these functions return plain
+tuples and keep no second copy; the only ``Cleared`` over F_p is an
+``Echelon``, whose ``ints`` is the value itself.  Only ``linalg`` reads
+``ints`` and ``dens``.
+
 Canonical values.  ``rref`` returns its reduced rows as an ``Echelon``, a
-tuple that also carries the field, the pivot columns and ``ints``, and
-nothing else builds one.  ``ints`` holds the int rows that ``_eliminate``
-left before ``finish``: row i of the form is ``ints[i]`` divided by its
-pivot entry.  ``rowspace_contains`` reduces against them, ``mat_mul`` reads
-a left ``Echelon`` through them, and ``rank`` of an ``Echelon`` is its
-length, so no ``Fraction`` of a canonical subspace is cleared twice.  Over
-F_p the reduced rows are already ints with pivot 1, so ``ints`` is the
-``Echelon`` itself and no second copy is kept.  Only ``linalg`` reads
-``ints``.  ``rref`` returns an ``Echelon`` over the field it is asked for as
-it is, and ``mat`` returns it unchanged, so ``rowspace``, ``rank``,
+``Cleared`` that also carries the pivot columns, and nothing else builds
+one.  Its ``ints`` are the int rows that ``_eliminate`` left before
+``finish``, each over its pivot entry.  ``rowspace_contains`` reduces
+against them, and ``rank`` of an ``Echelon`` is its length, so no
+``Fraction`` of a canonical subspace is cleared twice.  ``rref`` returns an
+``Echelon`` over the field it is asked for as it is, and ``mat`` returns any
+``Cleared`` over its field unchanged, so ``rowspace``, ``rank``,
 ``rowspace_contains`` and ``nullspace`` never reduce or convert a subspace
 twice.  The field is compared because rows reduced over one field are not
 canonical over another: over QQ their entries must become ``Fraction``, and
 over F_3 an entry 4 of an F_5 form is not even an element, so ``mat``
 converts them and ``rref`` eliminates again.  Slices and sums of an
-``Echelon`` are plain tuples and are not trusted.  As a tuple it compares,
-hashes, prints and encodes as JSON like its rows.  It pickles and copies as
-itself through ``__reduce__``, which hands ``__new__`` the rows, the field,
-the pivots and the int rows (None when they are the rows themselves), and
+``Echelon`` are plain tuples and are not trusted, and no other ``Cleared``
+is: ``stack`` and ``inverse`` return a ``Cleared``, never an ``Echelon``.
+
+A ``Cleared`` compares, hashes, prints and encodes as JSON like its rows.
+It pickles and copies as itself through ``__reduce__``, which hands
+``__new__`` the rows, the field, the int rows (None when they are the rows
+themselves), the denominators and, for an ``Echelon``, the pivots, and
 nothing else.  A tuple's default hands ``__new__`` the rows alone, which
-fails on unpickling (the benchmark pickles its generated flag points), and
-then restores the attribute dict, whose ``ints`` in a shallow copy of an F_p
-form would be the original and not the copy.
+fails on unpickling (the benchmark pickles its generated inputs), and then
+restores the attribute dict, whose ``ints`` in a shallow copy of an F_p form
+would be the original and not the copy.
 """
 
 from __future__ import annotations
@@ -176,8 +196,9 @@ class PrimeField:
 
     finish = staticmethod(lambda row, c: tuple(row))
 
-    def quotient(self, num, den):
-        return num % self.p
+    def divide(self, rows):
+        p = self.p
+        return tuple([tuple([x % p for x in nums]) for nums, _ in rows])
 
     def inv(self, a):
         if a % self.p == 0:
@@ -261,8 +282,17 @@ class Rationals:
         return tuple([Fraction(x, den) if x else _ZERO for x in row])
 
     @staticmethod
-    def quotient(num, den):
-        return Fraction(num, den) if num else _ZERO
+    def divide(rows):
+        out, ints, dens = [], [], []
+        for nums, den in rows:
+            g = math.gcd(den, *nums)
+            if g > 1:
+                nums = [x // g for x in nums]
+                den //= g
+            out.append(tuple([Fraction(x, den) if x else _ZERO for x in nums]))
+            ints.append(nums)
+            dens.append(den)
+        return Cleared(out, QQ, ints, dens)
 
     @staticmethod
     def inv(a):
@@ -295,9 +325,13 @@ QQ = Rationals()
 
 
 def mat(rows, field):
-    if type(rows) is Echelon and rows.field == field:
+    if isinstance(rows, Cleared) and rows.field == field:
         return rows
-    return tuple(tuple(field.of(x) for x in row) for row in rows)
+    rows = tuple([tuple([field.of(x) for x in row]) for row in rows])
+    if isinstance(field, PrimeField):
+        return rows
+    pairs = [field.clear(row) for row in rows]
+    return Cleared(rows, field, [ints for ints, _ in pairs], [den for _, den in pairs])
 
 
 def identity(n, field):
@@ -306,21 +340,30 @@ def identity(n, field):
 
 
 def transpose(a):
-    return tuple(zip(*a)) if a else ()
+    if not a:
+        return ()
+    rows = tuple(zip(*a))
+    if not _carries(a):
+        return rows
+    ints, den = _common(_cleared(a, a.field))
+    return Cleared(rows, a.field, list(zip(*ints)), [den] * len(rows))
 
 
 def mat_mul(a, b, field):
     if not a:
         return ()
-    cols = [field.clear(col) for col in zip(*b)]
+    if b and len(a[0]) != len(b):  # () is also the k x 0 transpose of a 0 x k matrix
+        raise ValidationError(f"cannot multiply rows of length {len(a[0])} by {len(b)} rows")
+    ints, den = _common(_cleared(b, field))
+    zero = [0] * (len(b[0]) if b else 0)
     out = []
-    for ints, den in _cleared(a, field):
-        terms = [(j, x) for j, x in enumerate(ints) if x]
-        out.append(tuple([
-            field.quotient(sum(x * col[j] for j, x in terms), den * col_den)
-            for col, col_den in cols
-        ]))
-    return tuple(out)
+    for row, row_den in _cleared(a, field):
+        acc = zero
+        for x, brow in zip(row, ints):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append((acc, row_den * den))
+    return field.divide(out)
 
 
 def mat_add(a, b, field):
@@ -337,43 +380,77 @@ def stack(*mats):
     rows = []
     for m in mats:
         rows.extend(m)
-    return tuple(rows)
+    if not (mats and all(_carries(m) for m in mats)):
+        return tuple(rows)
+    ints, dens = [], []
+    for m in mats:
+        ints.extend(m.ints)
+        dens.extend(m.dens)
+    return Cleared(rows, QQ, ints, dens)
 
 
 def mat_eq(a, b):
     return tuple(map(tuple, a)) == tuple(map(tuple, b))
 
 
-class Echelon(tuple):
-    """Rows in reduced row echelon form over ``field``, zero rows dropped, with
-    their pivot columns and ``ints``, the int rows they were finished from
-    (the Echelon itself when ``__new__`` is given None).  Only :func:`rref`
-    builds one (see the module docstring)."""
+class Cleared(tuple):
+    """Rows over ``field`` with their cleared form: row i is ``ints[i]``
+    divided by ``dens[i]``, entry by entry (``ints`` is the value itself when
+    ``__new__`` is given None).  See the module docstring."""
 
-    def __new__(cls, rows, field, pivots, ints):
+    def __new__(cls, rows, field, ints, dens):
         self = super().__new__(cls, rows)
         self.field = field
-        self.pivots = pivots
         self.ints = self if ints is None else ints
+        self.dens = dens
         return self
 
     def __reduce__(self):
         ints = None if self.ints is self else self.ints
-        return Echelon, (tuple(self), self.field, self.pivots, ints)
+        return type(self), (tuple(self), self.field, ints, self.dens)
+
+
+class Echelon(Cleared):
+    """Rows in reduced row echelon form over ``field``, zero rows dropped, with
+    their pivot columns; ``ints`` holds the int rows they were finished from,
+    each over its pivot entry.  Only :func:`rref` builds one (see the module
+    docstring)."""
+
+    def __new__(cls, rows, field, ints, dens, pivots):
+        self = super().__new__(cls, rows, field, ints, dens)
+        self.pivots = pivots
+        return self
+
+    def __reduce__(self):
+        cls, args = super().__reduce__()
+        return cls, args + (self.pivots,)
+
+
+def _carries(a):
+    """Whether ``a`` carries int rows apart from its rows: a Cleared over QQ.
+    Over F_p a row is its own int row, so nothing is built to carry it."""
+    return isinstance(a, Cleared) and a.field == QQ
 
 
 def _cleared(a, field):
-    """(ints, den) with row == ints / den for each row of ``a``.  An Echelon
-    over ``field`` hands over its int rows, each over its pivot entry."""
-    if type(a) is Echelon and a.field == field:
-        return [(ints, ints[c]) for ints, c in zip(a.ints, a.pivots)]
+    """(ints, den) with row == ints / den for each row of ``a``.  A Cleared
+    over ``field`` hands over its own."""
+    if isinstance(a, Cleared) and a.field == field:
+        return list(zip(a.ints, a.dens))
     return [field.clear(row) for row in a]
+
+
+def _common(pairs):
+    """(int rows, den) with row i == ints[i] / den, from a list of (ints, den)
+    pairs: each row is brought to the lcm of their denominators."""
+    den = math.lcm(*[d for _, d in pairs])
+    return [ints if d == den else [x * (den // d) for x in ints] for ints, d in pairs], den
 
 
 def _eliminate(a, field):
     """Fraction-free Gauss-Jordan elimination of the rows of ``a``: (reduced
     int rows with zero rows dropped, pivot columns)."""
-    rows = [field.clear(row)[0] for row in a]
+    rows = [ints for ints, _ in _cleared(a, field)]
     if not rows:
         return [], ()
     pivots = []
@@ -403,9 +480,10 @@ def rref(a, field):
         return a, a.pivots
     ints, pivots = _eliminate(a, field)
     reduced = [field.finish(row, c) for row, c in zip(ints, pivots)]
+    dens = [row[c] for row, c in zip(ints, pivots)]
     if isinstance(field, PrimeField):
         ints = None  # the finished rows are their own int rows
-    return Echelon(reduced, field, pivots, ints), pivots
+    return Echelon(reduced, field, ints, dens, pivots), pivots
 
 
 def rowspace(a, field):
@@ -463,7 +541,10 @@ def inverse(a, field):
     reduced, pivots = rref(aug, field)
     if pivots != tuple(range(n)):
         raise ValidationError("matrix is singular")
-    return tuple(row[n:] for row in reduced)
+    rows = tuple([row[n:] for row in reduced])
+    if not _carries(reduced):
+        return rows
+    return Cleared(rows, field, [ints[n:] for ints in reduced.ints], reduced.dens)
 
 
 def solve_left(m, b, field):

@@ -32,12 +32,18 @@ generators to zero exactly like constant slots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .descriptors import min_truncation_width, truncation_layout
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from . import linalg as la
 from .linalg import QQ
+
+
+# enumerate_bd_sources refuses more sources, or more candidate first rows,
+# than this; n = 6 over F_2 (75,735 sources) stays below it.
+MAX_BD_SOURCES = 100_000
 
 
 class WitnessError(ValidationError):
@@ -807,18 +813,60 @@ def bd_step(n: int, point: FiniteFlagPoint) -> FiniteFlagPoint:
     return flag_point(field, 2 * n + 2, [rows], form=split_form("D", 2 * n + 2, field))
 
 
+def _form_on_span(basis, field):
+    """The split quadratic form Q on the span of ``basis``, in coefficients:
+    (i, j, g) with i <= j and g != 0, so that Q(sum c_k basis_k) is the sum of
+    g c_i c_j.  The diagonal holds Q(basis_i) and the entries above it the
+    polar form B(basis_i, basis_j); no division, so every characteristic."""
+    gram = form_values(basis, split_form("D", len(basis[0]), field), basis, field)
+    terms = []
+    for i, row in enumerate(gram):
+        for j in range(i, len(row)):
+            g = split_quadratic_value(basis[i], field) if i == j else row[j]
+            if g:
+                terms.append((i, j, g))
+    return terms
+
+
+def _form_value(terms, coeffs, field):
+    return field.reduce(sum(g * coeffs[i] * coeffs[j] for i, j, g in terms))
+
+
+def _shown(count):
+    return str(count) if count < 10**12 else f"about 10^{math.log10(count):.0f}"
+
+
 def enumerate_bd_sources(n: int, field):
-    """All isotropic (n-1)-subspaces of the odd hyperplane (finite fields)."""
+    """All isotropic (n-1)-subspaces of the odd hyperplane (finite fields),
+    grown as coefficient rows over its basis.  There are prod (p^i + 1) over
+    i = 1..n-1 of them (the F_p points of B_(n-1)/P_(n-1)), and a first row
+    with pivot 0 has p^n candidates, which at n = 2 are far more (p^2 against
+    p + 1).  When either number is above ``MAX_BD_SOURCES`` the enumeration
+    is refused."""
     if n < 2:
         raise WitnessError("needs n >= 2")
+    count = math.prod([field.p**i + 1 for i in range(1, n)])
+    candidates = field.p**n
+    if max(count, candidates) > MAX_BD_SOURCES:
+        raise ResourceLimitError(
+            f"there are {_shown(count)} isotropic {n - 1}-subspaces of the odd "
+            f"hyperplane over F_{field.p}, grown from {_shown(candidates)} candidate first "
+            f"rows; the enumeration cap is {MAX_BD_SOURCES}"
+        )
     w_rows = bd_hyperplane_basis(n, field)
     form = split_form("D", 2 * n, field)
-    singular = isotropic_keep("D", 2 * n, field)
+    terms = _form_on_span(w_rows, field)
 
     def keep(row, rows):
-        # the test on the images in W_n of the coefficient rows
-        images = la.mat_mul((row,) + rows, w_rows, field)
-        return singular(images[0], images[1:])
+        # singular, and orthogonal to each row above: B(row, u) is the sum of
+        # lin_k u_k, with lin the polar form's coefficients against row
+        if _form_value(terms, row, field):
+            return False
+        lin = [0] * len(row)
+        for i, j, g in terms:
+            lin[i] += g * row[j]
+            lin[j] += g * row[i]
+        return not any(field.reduce(sum(x * y for x, y in zip(lin, u))) for u in rows)
 
     for coeffs in la.enumerate_subspaces(2 * n - 1, n - 1, field, keep=keep):
         yield flag_point(field, 2 * n, [la.mat_mul(coeffs, w_rows, field)], form=form)
@@ -840,18 +888,21 @@ def random_bd_source(rng, n: int, field) -> FiniteFlagPoint:
     form = split_form("D", 2 * n, field)
     # W_n is the perp of e_1 - e_2n, so the pool, the part of W_n orthogonal
     # to the rows so far, is one perp; a random vector of it joins the rows
-    # when it is singular and raises the rank
+    # when it is singular and raises the rank.  A draw is tested in
+    # coefficients, and its vector is built only when it passes.
     axis = ((1,) + (0,) * (2 * n - 2) + (-1,),)  # perp maps it into the field
     rows, pool = (), perp(axis, form, field)
+    terms = _form_on_span(pool, field)
     while len(rows) < n - 1:
-        coeffs = [field.of(rng.randrange(field.p)) for _ in pool]
-        vec = la.mat_mul((coeffs,), pool, field)[0]
-        if split_quadratic_value(vec, field):
+        coeffs = [rng.randrange(field.p) for _ in pool]
+        if _form_value(terms, coeffs, field):
             continue
+        vec = la.mat_mul((coeffs,), pool, field)[0]
         grown = la.rowspace(la.stack(rows, (vec,)), field)
         if len(grown) > len(rows):
             rows = grown
             pool = perp(axis + rows, form, field)
+            terms = _form_on_span(pool, field)
     return flag_point(field, 2 * n, [rows], form=form)
 
 

@@ -111,6 +111,22 @@ def test_witness_bd_rank_cap_exits_two_before_building(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--n", "3", "--prime", "7919"], "there are 496667651040 isotropic 2-subspaces"),
+        (["--n", "40"], "there are about 10^235 isotropic 39-subspaces"),
+        # 99,992 sources, but the first row alone has 99991^2 candidates
+        (["--n", "2", "--prime", "99991"], "from 9998200081 candidate first rows"),
+    ],
+)
+def test_witness_bd_all_above_the_cap_exits_two_before_enumerating(capsys, argv, named):
+    assert cli.main(["witness-bd", "--all", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource bound: ") and named in err
+    assert err.endswith("the enumeration cap is 100000\n")
+
+
 def test_counting_commands_accept_valid_dims(capsys):
     assert cli.main(["dim", "--type", "a", "--ambient", "4", "--dims", "1, 3"]) == 0
     assert capsys.readouterr().out == "5\n"

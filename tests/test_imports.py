@@ -211,19 +211,21 @@ def test_echelon_scan_finds_a_builder(tmp_path):
 
 
 def _ints_readers(paths):
-    """(file, enclosing top-level definition) of every attribute ``.ints``."""
+    """(file, enclosing top-level definition) of every attribute ``.ints`` or
+    ``.dens``."""
     out = []
     for path in paths:
         for stmt in ast.parse(path.read_text()).body:
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Attribute) and node.attr == "ints":
+                if isinstance(node, ast.Attribute) and node.attr in ("ints", "dens"):
                     out.append((path.name, getattr(stmt, "name", None)))
     return out
 
 
 def test_only_linalg_reads_echelon_ints():
-    # the int rows of an Echelon are the kernel's own representation; the
-    # library and the benchmark use its rows (the tests check the invariants)
+    # the int rows and denominators of a Cleared value (an Echelon among
+    # them) are the kernel's own representation; the library and the
+    # benchmark use its rows (the tests check the invariants)
     root = pathlib.Path(__file__).resolve().parent.parent
     paths = _MODULES + sorted((root / "perfbench").rglob("*.py"))
     assert {name for name, _ in _ints_readers(paths)} == {"linalg.py"}
@@ -231,5 +233,7 @@ def test_only_linalg_reads_echelon_ints():
 
 def test_ints_scan_finds_a_reader(tmp_path):
     path = tmp_path / "m.py"
-    path.write_text("def f(e):\n    return e.ints\nx = ints\n")
-    assert _ints_readers([path]) == [("m.py", "f")]
+    path.write_text(
+        "def f(e):\n    return e.ints\ndef g(m):\n    return m.dens[0]\nx = ints, dens\n"
+    )
+    assert _ints_readers([path]) == [("m.py", "f"), ("m.py", "g")]

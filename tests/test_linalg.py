@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import pickle
 import random
@@ -342,7 +343,7 @@ def test_echelon_pickles_and_copies_as_itself(field):
         assert type(back) is la.Echelon
         assert back == e and back.field == field and back.pivots == pivots
         assert la.rref(back, field)[0] is back
-        assert back.ints == e.ints
+        assert back.ints == e.ints and back.dens == e.dens
         assert (back.ints is back) == (field != QQ)
 
 
@@ -359,8 +360,8 @@ def test_echelon_int_rows_are_its_rows_times_their_pivots(case):
         assert e.ints is e
         return
     assert len(e.ints) == len(e)
-    for row, ints, c in zip(e, e.ints, e.pivots):
-        assert all(type(x) is int for x in ints) and ints[c]
+    for row, ints, c, den in zip(e, e.ints, e.pivots, e.dens):
+        assert all(type(x) is int for x in ints) and ints[c] == den
         assert row == tuple(Fraction(x, ints[c]) for x in ints)
 
 
@@ -420,6 +421,16 @@ def test_mat_mul_matches_fraction_oracle(case):
     got = la.mat_mul(e, b, field)
     assert got == oracles.mat_mul_by_fractions(e, b, field)
     _assert_elements(got, field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_mat_mul_refuses_mismatched_shapes(field):
+    a = la.mat([[1, 2, 3]], field)
+    for b in (la.mat([[1], [2]], field), la.mat([[1], [2], [3], [4]], field)):
+        with pytest.raises(ValidationError, match="rows of length 3 by"):
+            la.mat_mul(a, b, field)
+    # () is also the transpose of a matrix with no rows: a product with no columns
+    assert la.mat_mul(a, la.transpose(()), field) == ((),)
 
 
 @_PROPERTY
@@ -533,6 +544,144 @@ def test_rowspace_contains_matches_elimination_oracle(case, as_echelon):
 def test_rank_matches_fraction_oracle(case):
     field, a = case
     assert la.rank(a, field) == len(oracles.rref_by_fractions(a, field)[0])
+
+
+# ---------------------------------------------------------------------------
+# Cleared values: kernel outputs over QQ that keep their int rows.
+
+
+def _assert_cleared(m, field):
+    """Over QQ, a nonempty m carries int rows with row == ints / den entry by
+    entry; over F_p m is a plain tuple, or an Echelon that is its own int
+    rows."""
+    if field != QQ:
+        assert type(m) is tuple or (type(m) is la.Echelon and m.ints is m), type(m)
+        return
+    if not m:
+        return
+    assert isinstance(m, la.Cleared) and m.field == QQ
+    assert len(m.ints) == len(m.dens) == len(m)
+    for row, ints, den in zip(m, m.ints, m.dens):
+        assert type(den) is int and den != 0
+        assert len(ints) == len(row) and all(type(x) is int for x in ints)
+        assert row == tuple(Fraction(x, den) for x in ints)
+
+
+def _forms(a, field):
+    """The matrix a as each kind of value a kernel meets: the plain tuple, a
+    Cleared from mat, a product, a stack of two Cleared, the transpose of a
+    Cleared, and the canonical Echelon (another matrix, same row space)."""
+    half = len(a) // 2
+    return [
+        a,
+        la.mat(a, field),
+        la.mat_mul(a, la.identity(len(a[0]), field), field),
+        la.stack(la.mat(a[:half], field), la.mat(a[half:], field)),
+        la.transpose(la.mat(la.transpose(a), field)),
+        la.rowspace(a, field),
+    ]
+
+
+def _plain(m):
+    return tuple(map(tuple, m))
+
+
+@_PROPERTY
+@given(_field_and_product())
+@example((QQ, _DEPENDENT_ROWS[1], _DEPENDENT_ROWS[1]))
+@example((QQ, _ROW[1], tuple((x,) for x in _ROW[1][0])))
+@example((PrimeField(7), _COLUMN[1], ((4, 0, 5),)))
+@example((QQ, _NO_COLUMNS[1], ()))
+@example((QQ, _ROW[1], ((),) * 4))
+def test_kernels_match_the_fraction_oracles_on_every_form(case):
+    field, a, b = case
+    rights = [g for g in (_forms(b, field) if b else [b]) if len(g) == len(b)]
+    for f in _forms(a, field):
+        _assert_elements(f, field)
+        if f is not a:
+            _assert_cleared(f, field)
+        assert la.rref(f, field) == oracles.rref_by_fractions(_plain(f), field)
+        assert la.rank(f, field) == len(oracles.rref_by_fractions(_plain(f), field)[0])
+        for g in rights:
+            got = la.mat_mul(f, g, field)
+            assert got == oracles.mat_mul_by_fractions(_plain(f), _plain(g), field)
+            if f:
+                _assert_cleared(got, field)
+            # got's rows lie in the span of g's; g's rows are often outside
+            for x, y in ((g, got), (got, g)):
+                want = oracles.rowspace_contains_by_elimination(_plain(x), _plain(y), field)
+                assert la.rowspace_contains(x, y, field) == want
+            with _fraction_kernel():
+                want = la.solve_left(_plain(g), _plain(got), field)
+            assert la.solve_left(g, got, field) == want
+
+
+@_PROPERTY
+@given(_field_and_matrix(square=True))
+@example(_ZERO_ROWS)
+@example((QQ, _DEPENDENT_ROWS[1][:2] + ((Fraction(1, 10**6),) * 3,)))
+@example((QQ, ((Fraction(1, 3), Fraction(2)), (Fraction(-5, 7), Fraction(0)))))
+def test_inverse_matches_the_fraction_oracle_on_every_form(case):
+    field, a = case
+    for f in _forms(a, field):
+        if len(f) != len(a):
+            continue
+        got = _outcome(la.inverse, f, field)
+        with _fraction_kernel():
+            want = _outcome(la.inverse, _plain(f), field)
+        assert got == want
+        if want[0] != "ValidationError":
+            _assert_elements(got, field)
+            _assert_cleared(got, field)
+
+
+def _cleared_values():
+    a = la.mat([[2, Fraction(1, 3), 0], [Fraction(-5, 4), 1, 7]], QQ)
+    return {
+        "mat": a,
+        "mat_mul": la.mat_mul(a, la.transpose(a), QQ),
+        "stack": la.stack(a, la.rowspace(a, QQ)),
+        "transpose": la.transpose(a),
+        "inverse": la.inverse(la.mat([[1, Fraction(2, 3)], [3, 4]], QQ), QQ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_cleared_values()))
+def test_cleared_value_prints_hashes_and_travels_as_itself(name):
+    m = _cleared_values()[name]
+    assert type(m) is la.Cleared
+    _assert_cleared(m, QQ)
+    plain = tuple(m)
+    assert repr(m) == repr(plain) and hash(m) == hash(plain) and m == plain
+    assert json.dumps(m, default=str) == json.dumps(plain, default=str)
+    assert type(m[:1]) is tuple and type(m + ()) is tuple
+    for back in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+        assert type(back) is la.Cleared and back == m and back.field == QQ
+        assert back.ints == m.ints and back.dens == m.dens
+        assert la.mat(back, QQ) is back
+
+
+def test_products_of_cleared_values_clear_nothing():
+    # the int rows travel with the values, so no Fraction row is cleared again
+    a = la.mat([[Fraction(1, 2), 3, 0], [0, Fraction(-2, 3), Fraction(5, 7)]], QQ)
+    b = la.mat([[1, Fraction(1, 5)], [Fraction(-3, 4), 0], [2, Fraction(9, 2)]], QQ)
+    calls = []
+    clear = la.Rationals.clear
+
+    def counted(row):
+        calls.append(row)
+        return clear(row)
+
+    with mock.patch.object(la.Rationals, "clear", staticmethod(counted)):
+        ab = la.mat_mul(a, b, QQ)
+        aba = la.mat_mul(ab, a, QQ)
+        rank = la.rank(la.stack(aba, a), QQ)
+        bt = la.mat_mul(ab, la.transpose(b), QQ)
+    assert calls == []
+    assert ab == oracles.mat_mul_by_fractions(a, b, QQ)
+    assert aba == oracles.mat_mul_by_fractions(ab, a, QQ)
+    assert rank == len(oracles.rref_by_fractions(la.stack(aba, a), QQ)[0])
+    assert bt == oracles.mat_mul_by_fractions(ab, tuple(zip(*b)), QQ)
 
 
 def test_enumerate_subspaces_counts():

@@ -16,7 +16,9 @@ from flagiso.generate import (
     random_strict_extension,
 )
 from flagiso.linalg import QQ, PrimeField
-from flagiso.descriptors import min_truncation_width, parse_descriptor
+from flagiso.counting import point_count
+from flagiso.descriptors import finite_flag_variety, min_truncation_width, parse_descriptor
+from flagiso.errors import ResourceLimitError
 
 import oracles
 from oracles import enumerate_subspaces_by_product, lagrangian_component_count
@@ -550,6 +552,26 @@ def test_bd_sources_match_the_filtered_oracle(n, field):
     got = list(W.enumerate_bd_sources(n, field))
     assert got == list(oracles.enumerate_bd_sources_by_filtering(n, field))
     assert len(got) == len({p.subspaces for p in got})
+
+
+@pytest.mark.parametrize(
+    "n, p, refused",
+    [
+        (6, 2, False),  # 75,735 sources
+        (5, 3, False),  # 91,840 sources
+        (4, 7, True),  # 137,600 sources from 2,401 candidate first rows
+        (2, 313, False),  # 314 sources from 97,969 candidate first rows
+        (2, 317, True),  # 318 sources from 100,489 candidate first rows
+    ],
+)
+def test_enumerate_bd_sources_cap(n, p, refused):
+    field = PrimeField(p)
+    count = point_count(finite_flag_variety("B", 2 * n - 1, (n - 1,)), p)
+    if refused:
+        with pytest.raises(ResourceLimitError, match=f"there are {count} isotropic"):
+            next(W.enumerate_bd_sources(n, field))
+    else:
+        assert W.is_totally_singular(next(W.enumerate_bd_sources(n, field)).subspaces[0], field)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
