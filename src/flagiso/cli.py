@@ -246,16 +246,16 @@ def _cmd_witness_bd(args) -> int:
         rng = random.Random(args.seed)
         sample = [W.random_bd_source(rng, n, field) for _ in range(args.samples)]
         sample_kind = f"{len(sample)} seeded random subspaces"
+    square = W.bd_square_check(n, sample)
     # members are canonical row spaces, so equal subspaces have equal tuples
     sources = {m.subspaces for m in sample}
-    images = {W.bd_phi(n, m).subspaces for m in sample}
+    images = {lift.subspaces for lift in square.lifts}
     detail = f"{len(images)} distinct Lagrangians from {len(sample)} sources"
     if len(sources) != len(sample):
         detail += f" ({len(sources)} distinct)"
     transcript.append(
         W.transcript_entry("lagrangian-lift", len(images) == len(sources), detail)
     )
-    square = W.bd_square_check(n, sample)
     transcript.append(
         W.transcript_entry(
             "exhaustion-square",

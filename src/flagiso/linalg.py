@@ -352,7 +352,7 @@ def transpose(a):
 def mat_mul(a, b, field):
     if not a:
         return ()
-    if b and len(a[0]) != len(b):  # () is also the k x 0 transpose of a 0 x k matrix
+    if len(a[0]) != len(b):
         raise ValidationError(f"cannot multiply rows of length {len(a[0])} by {len(b)} rows")
     ints, den = _common(_cleared(b, field))
     zero = [0] * (len(b[0]) if b else 0)

@@ -24,6 +24,16 @@ its own output by direct matrix identities before returning:
   M + (M^perp ∩ R) for R = <e_1..e_n> or for the reflection of R in
   e_1 - e_2n, two nullspaces and one component test.
 
+Work done once per value.  :func:`split_form` is memoized by (Lie type,
+ambient, field); its value is a tuple of tuples, so every caller shares it.
+:func:`flag_point` checks a form (square, matching the ambient,
+nondegenerate, symmetric or antisymmetric) once per value and remembers the
+forms that pass; a form that fails is never remembered and raises on every
+call, and the isotropy of every member is checked on every call.  The
+``keep`` of :func:`isotropic_keep` computes Q and the polar functional of a
+candidate row once, in a dict of its own, so the test of the row against
+each row above it is one dot product.
+
 Slot maps are allowed one value past the proper source members: kappa(j) =
 k + 1 denotes the full image alpha(V).  Such slots arise when compositions
 with the duality are rewritten back to normal form; they pull back Picard
@@ -34,6 +44,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 
 from .descriptors import min_truncation_width, truncation_layout
 from .errors import ResourceLimitError, ValidationError
@@ -74,6 +86,8 @@ class FiniteFlagPoint:
 
 
 def form_values(rows_a, form, rows_b, field):
+    if not rows_b:  # transpose(()) has lost the column count
+        return tuple([() for _ in rows_a])
     return la.mat_mul(la.mat_mul(rows_a, form, field), la.transpose(rows_b), field)
 
 
@@ -82,6 +96,13 @@ def is_isotropic_subspace(rows, form, field) -> bool:
 
 
 def flag_point(field, ambient_dim, subspaces, form=None) -> FiniteFlagPoint:
+    """A flag point with canonical members, checked to be a proper chain and,
+    with a form, to consist of isotropic members of a valid form.
+
+    The form's own check (:func:`_checked_form`) runs once per form value:
+    one that passed is taken from the memo, one that failed raises again.
+    The members, their containments and their isotropy under the form are
+    checked on every call."""
     canon = tuple(la.rowspace(la.mat(s, field), field) for s in subspaces)
     if not canon:
         raise WitnessError("a flag point needs at least one member")
@@ -96,19 +117,32 @@ def flag_point(field, ambient_dim, subspaces, form=None) -> FiniteFlagPoint:
         if not la.rowspace_contains(canon[i + 1], canon[i], field):
             raise WitnessError(f"member {i} is not contained in member {i + 1}")
     if form is not None:
-        form = la.mat(form, field)
-        if len(form) != ambient_dim or la.rank(form, field) != ambient_dim:
-            raise WitnessError("form must be square, matching the ambient, nondegenerate")
-        ft = la.transpose(form)
-        if not (
-            la.mat_eq(form, ft)
-            or la.mat_eq(form, la.mat_scale(field.reduce(-field.one()), ft, field))
-        ):
-            raise WitnessError("form is neither symmetric nor antisymmetric")
+        form = _checked_form(la.mat(form, field), field, ambient_dim)
         for i, s in enumerate(canon):
             if not is_isotropic_subspace(s, form, field):
                 raise WitnessError(f"member {i} is not isotropic", certificate=s)
     return FiniteFlagPoint(field, ambient_dim, canon, form)
+
+
+@lru_cache(maxsize=64)
+def _checked_form(form, field, ambient_dim):
+    """``form``, a matrix over ``field``, once it is square, matches the
+    ambient, is nondegenerate and is symmetric or antisymmetric.  The memo
+    keeps only forms that pass: ``lru_cache`` stores no exception, so a form
+    that fails raises on every call, with the same message."""
+    if (
+        len(form) != ambient_dim
+        or any(len(row) != ambient_dim for row in form)
+        or la.rank(form, field) != ambient_dim
+    ):
+        raise WitnessError("form must be square, matching the ambient, nondegenerate")
+    ft = la.transpose(form)
+    if not (
+        la.mat_eq(form, ft)
+        or la.mat_eq(form, la.mat_scale(field.reduce(-field.one()), ft, field))
+    ):
+        raise WitnessError("form is neither symmetric nor antisymmetric")
+    return form
 
 
 def perp(rows, form, field):
@@ -669,11 +703,13 @@ def check_triangle(phi, psi, chi) -> TriangleReport:
 # its pair partner coordinate 2n-i; the split symmetric form pairs them.
 
 
+@lru_cache(maxsize=64)
 def split_form(lie_type, n_ambient, field):
     """The split form of a finite flag variety of the given Lie type, none for
     A.  Its entries sit on the antidiagonal: +1 in the top half of the rows,
     and below it -1 for C (antisymmetric) and +1 for B and D (symmetric, the
-    odd middle included)."""
+    odd middle included).  Built once per (Lie type, ambient, field): the
+    value is a tuple of tuples, so every caller shares the same one."""
     if lie_type == "A":
         return None
     one, zero = field.one(), field.zero()
@@ -694,27 +730,51 @@ def split_quadratic_value(vec, field):
     n = len(vec)
     total = sum((vec[i] * vec[n - 1 - i] for i in range(n // 2)), field.zero())
     if n % 2:
-        total += field.inv(field.of(2)) * vec[n // 2] * vec[n // 2]
+        total += _half(field) * vec[n // 2] * vec[n // 2]
     return field.reduce(total)
+
+
+@lru_cache(maxsize=64)
+def _half(field):
+    return field.inv(field.of(2))
 
 
 def isotropic_keep(lie_type, n_ambient, field):
     """The ``keep`` of :func:`flagiso.linalg.enumerate_subspaces` that grows
     only isotropic subspaces of the split form (totally singular for B and
     D): a new row must be singular and orthogonal to every row above it.
-    None for type A, which has no form."""
+    None for type A, which has no form.
+
+    Each keep holds a dict of its own from candidate row to the row's polar
+    functional, the vector lin with B(row, u) = lin . u, or None when Q(row)
+    is not 0 (B and D).  Both are computed on the first call with that row;
+    every call still tests the row against every row above it, by one dot
+    product each.  The dict lives as long as the keep, so it holds no more
+    than the candidate rows that one caller asks about."""
     form = split_form(lie_type, n_ambient, field)
     if form is None:
         return None
     entries = [(i, j, g) for i, row in enumerate(form) for j, g in enumerate(row) if g]
     singular = lie_type != "C"
+    zero = field.zero()
+    polar = {}
+
+    def functional(row):
+        if singular and split_quadratic_value(row, field):
+            return None
+        lin = [zero] * n_ambient
+        for i, j, g in entries:
+            lin[j] += g * row[i]  # B(row, u) is the sum of row_i g_ij u_j
+        return lin
 
     def keep(row, rows):
-        if singular and split_quadratic_value(row, field):
+        try:
+            lin = polar[row]
+        except KeyError:
+            lin = polar[row] = functional(row)
+        if lin is None:
             return False
-        # the form between row and u is the sum of row_i g_ij u_j
-        terms = [(j, g * row[i]) for i, j, g in entries if row[i]]
-        return not any(field.reduce(sum(c * u[j] for j, c in terms)) for u in rows)
+        return not any(field.reduce(sum(map(mul, lin, u))) for u in rows)
 
     return keep
 
@@ -908,9 +968,15 @@ def random_bd_source(rng, n: int, field) -> FiniteFlagPoint:
 
 @dataclass(frozen=True)
 class SquareReport:
+    """``lifts`` holds phi_n(M) for each sample point M, in sample order."""
+
     n: int
-    checked: int
     failures: tuple
+    lifts: tuple
+
+    @property
+    def checked(self):
+        return len(self.lifts)
 
     @property
     def ok(self):
@@ -923,17 +989,18 @@ def bd_square_check(n: int, sample) -> SquareReport:
     The exhaustion maps beta_n (isotropic M in the odd hyperplane) and alpha_n
     (Lagrangian L) are one map, :func:`bd_step`: both embed the 2n-space with
     e_(n+1) and its partner in the middle and add e_(n+1), and that embedding
-    carries the odd hyperplane W_n into W_(n+1).
+    carries the odd hyperplane W_n into W_(n+1).  The report keeps each
+    phi_n(M) as one of its ``lifts``, so a caller that needs the lifts too
+    does not compute them again.
     """
-    failures = []
-    checked = 0
+    failures, lifts = [], []
     for m_point in sample:
-        checked += 1
+        lift = bd_phi(n, m_point)
+        lifts.append(lift)
         left = bd_phi(n + 1, bd_step(n, m_point))
-        right = bd_step(n, bd_phi(n, m_point))
-        if left.subspaces != right.subspaces:
+        if left.subspaces != bd_step(n, lift).subspaces:
             failures.append(m_point)
-    return SquareReport(n, checked, tuple(failures))
+    return SquareReport(n, tuple(failures), tuple(lifts))
 
 
 # ---------------------------------------------------------------------------

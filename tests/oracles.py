@@ -835,6 +835,25 @@ def is_totally_singular_by_form(rows, field):
     return all(W.split_quadratic_value(r, field) == zero for r in rows)
 
 
+def isotropic_keep_by_terms(lie_type, n_ambient, field):
+    """The keep of ``witness.isotropic_keep`` that builds the new row's polar
+    terms from the form's entries, and Q of the row, on every call."""
+    form = W.split_form(lie_type, n_ambient, field)
+    if form is None:
+        return None
+    entries = [(i, j, g) for i, row in enumerate(form) for j, g in enumerate(row) if g]
+    singular = lie_type != "C"
+
+    def keep(row, rows):
+        if singular and W.split_quadratic_value(row, field):
+            return False
+        # the form between row and u is the sum of row_i g_ij u_j
+        terms = [(j, g * row[i]) for i, j, g in entries if row[i]]
+        return not any(field.reduce(sum(c * u[j] for j, c in terms)) for u in rows)
+
+    return keep
+
+
 def enumerate_bd_sources_by_filtering(n, field):
     w_rows = W.bd_hyperplane_basis(n, field)
     form = split_symmetric_form(2 * n, field)

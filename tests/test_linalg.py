@@ -423,14 +423,14 @@ def test_mat_mul_matches_fraction_oracle(case):
     _assert_elements(got, field)
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(3)])
 def test_mat_mul_refuses_mismatched_shapes(field):
     a = la.mat([[1, 2, 3]], field)
-    for b in (la.mat([[1], [2]], field), la.mat([[1], [2], [3], [4]], field)):
+    for b in (la.mat([[1], [2]], field), la.mat([[1], [2], [3], [4]], field), ()):
         with pytest.raises(ValidationError, match="rows of length 3 by"):
             la.mat_mul(a, b, field)
-    # () is also the transpose of a matrix with no rows: a product with no columns
-    assert la.mat_mul(a, la.transpose(()), field) == ((),)
+    # () on the right has no rows, so only rows of length 0 multiply it
+    assert la.mat_mul(((), ()), (), field) == ((), ())
 
 
 @_PROPERTY
@@ -735,6 +735,30 @@ def test_isotropic_keep_yields_the_filtered_oracle_sequence(t, n, p):
             and (t == "C" or all(_singular(row, p) for row in rows))
         ]
         assert list(la.enumerate_subspaces(n, d, field, keep=keep)) == want, d
+
+
+@pytest.mark.parametrize(
+    "t,n,p",
+    [("B", n, 3) for n in (3, 5)] + [(t, n, p) for t in "CD" for n in (2, 4, 6) for p in (2, 3)],
+)
+def test_isotropic_keep_answers_as_the_keep_by_terms(t, n, p):
+    # one keep across every dimension, so later enumerations meet rows whose
+    # functional is already memoized; every pair the enumeration asks about
+    field = PrimeField(p)
+    keep = W.isotropic_keep(t, n, field)
+    oracle = oracles.isotropic_keep_by_terms(t, n, field)
+    asked = []
+
+    def both(row, rows):
+        got = keep(row, rows)
+        assert got == oracle(row, rows), (row, rows)
+        asked.append(got)
+        return got
+
+    for d in range(n + 1):
+        for _ in la.enumerate_subspaces(n, d, field, keep=both):
+            pass
+    assert True in asked and False in asked
 
 
 @pytest.mark.parametrize("n,p", [(n, p) for p in (2, 3) for n in range(1, 6)])

@@ -70,6 +70,46 @@ def test_flag_point_validates_isotropy():
         W.flag_point(QQ, 4, [unit_rows([0, 3], 4)], form=form)
 
 
+@pytest.mark.parametrize("field", [QQ, F3])
+def test_flag_point_remembers_no_form_that_fails(field):
+    # each bad form raises on a second call too, with the same message, and
+    # the memo of checked forms does not grow
+    line = [unit_rows([0], 4)]
+    split = W.split_form("D", 4, field)
+    W.flag_point(field, 4, line, form=split)
+    shape = "square, matching the ambient, nondegenerate"
+    bad = [
+        (((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)), shape),
+        (tuple(row + (0,) for row in split), shape),  # 4 x 5
+        (W.split_form("D", 6, field), shape),
+        (((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 1, 0)), "neither symmetric"),
+    ]
+    size = W._checked_form.cache_info().currsize
+    for form, match in bad:
+        messages = []
+        for _ in range(2):
+            with pytest.raises(W.WitnessError, match=match) as err:
+                W.flag_point(field, 4, line, form=form)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1], form
+    assert W._checked_form.cache_info().currsize == size
+    # a member that is not isotropic under a form that has passed
+    for _ in range(2):
+        with pytest.raises(W.WitnessError, match="member 0 is not isotropic"):
+            W.flag_point(field, 4, [((1, 0, 0, 1),)], form=split)
+
+
+@pytest.mark.parametrize("field", [QQ, F3])
+def test_points_built_with_the_shared_split_form_equal_points_with_a_copy(field):
+    form = W.split_form("C", 6, field)
+    assert W.split_form("C", 6, field) is form
+    copy = [list(row) for row in form]
+    members = [unit_rows([0], 6), unit_rows([0, 1, 2], 6)]
+    shared = W.flag_point(field, 6, members, form=form)
+    assert shared == W.flag_point(field, 6, members, form=copy)
+    assert shared.form == form
+
+
 def test_perp_basics():
     form = W.split_form("C", 6, QQ)
     assert len(W.perp((), form, QQ)) == 6
@@ -543,6 +583,8 @@ def test_bd_square_random_f5():
     sample = [W.random_bd_source(rng, 3, F5) for _ in range(10)]
     rep = W.bd_square_check(3, sample)
     assert rep.ok and rep.checked == 10
+    # the report keeps phi_n of each point, in sample order
+    assert rep.lifts == tuple(W.bd_phi(3, m) for m in sample)
 
 
 @pytest.mark.parametrize("n,field", [(2, F2), (2, F3), (3, F2), (3, F3), (4, F2)])
