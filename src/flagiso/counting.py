@@ -13,9 +13,10 @@ The second route, :func:`brute_force_count`, enumerates actual flags over a
 small prime field with ``linalg.enumerate_subspaces``.  Each member is the
 basis of the one below it, as ``base``, plus new echelon rows off its pivot
 columns, which gives each superspace once.  The rows are grown one at a time,
-and for the split forms the ``keep`` of ``witness.isotropic_keep`` drops a new
-row, with everything that would be built on it, unless it is singular (B, D)
-and orthogonal to every row above it, the base's included: every pair of rows
+and for the split forms the keep of the form value (``witness.split_form(...).keep()``,
+one per count) drops a new row, with everything that would be built on it,
+unless it is singular (B, D) and orthogonal to every row above it, the
+base's included: every pair of rows
 is tested once, when the lower one is added, so the members that survive are
 exactly the isotropic ones.  The candidate rows depend only on the pivot
 columns, so one count builds them once per pivot set.  It exists purely as a
@@ -38,7 +39,7 @@ from . import linalg as la
 from .descriptors import FiniteFlagVariety, require_valid
 from .errors import ResourceLimitError, ValidationError
 from .linalg import PrimeField
-from .witness import in_reference_component, isotropic_keep
+from .witness import in_reference_component, split_form
 
 MAX_RANK = 96
 
@@ -218,7 +219,7 @@ def brute_force_count(v: FiniteFlagVariety, q: int) -> int:
         raise ValidationError("type B oracle requires odd q")
 
     field = PrimeField(q)
-    keep = isotropic_keep(t, n, field)
+    keep = None if t == "A" else split_form(t, n, field).keep()
     m = n // 2
     lagrangian = m if t == "D" and dims[-1] == m else None
 

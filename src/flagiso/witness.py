@@ -18,21 +18,27 @@ its own output by direct matrix identities before returning:
   grassmannian of an odd space and one Lagrangian component of the
   even space one dimension up, together with the commuting exhaustion square
   checked by :func:`bd_square_check`.  The pair works with
-  ``split_form("D", 2n)``, and :func:`isotropic_keep` is its one test of
-  total singularity, in :func:`bd_phi` as in the enumerated and sampled
-  sources.  :func:`bd_phi` solves no quadratic: its Lagrangian over M is
-  M + (M^perp ∩ R) for R = <e_1..e_n> or for the reflection of R in
-  e_1 - e_2n, two nullspaces and one component test.
+  ``split_form("D", 2n)``, and the keep of that form (:meth:`Form.keep`) is
+  its one test of total singularity, in :func:`bd_phi` as in the enumerated
+  and sampled sources, which test in coefficients through the form's
+  restriction (:meth:`Form.restrict`).  :func:`bd_phi` solves no quadratic:
+  its Lagrangian over M is M + (M^perp ∩ R) for R = <e_1..e_n> or for the
+  reflection of R in e_1 - e_2n, two nullspaces and one component test.
 
-Work done once per value.  :func:`split_form` is memoized by (Lie type,
-ambient, field); its value is a tuple of tuples, so every caller shares it.
-:func:`flag_point` checks a form (square, matching the ambient,
-nondegenerate, symmetric or antisymmetric) once per value and remembers the
-forms that pass; a form that fails is never remembered and raises on every
-call, and the isotropy of every member is checked on every call.  The
-``keep`` of :func:`isotropic_keep` computes Q and the polar functional of a
-candidate row once, in a dict of its own, so the test of the row against
-each row above it is one dot product.
+Work done once per value.  Every form that enters this module becomes a
+:class:`Form`: the tuple of its rows, which also carries its field, Lie
+type, kernel matrix, quadratic terms and the defect its check found, if
+any.  :func:`split_form` builds and checks each split form once per (Lie
+type, ambient, field), and every caller shares the value.  A plain matrix is
+built and checked again each time it enters :func:`flag_point`,
+:func:`perp`, :func:`rebase_automorphism` or :func:`standard_extension`, and
+a value with a defect is refused there.  :func:`flag_point` checks the
+form's size and the isotropy of every member on every call, and
+:func:`bd_phi` checks total singularity under Q.  B on row sets and perp go
+through the kernel; Q and the polar functional are read from the terms.  A
+value's keep computes Q and the polar functional of a candidate row once,
+in a dict of its own, so the test of the row against each row above it is
+one dot product.
 
 Slot maps are allowed one value past the proper source members: kappa(j) =
 k + 1 denotes the full image alpha(V).  Such slots arise when compositions
@@ -65,6 +71,176 @@ class WitnessError(ValidationError):
 
 
 # ---------------------------------------------------------------------------
+# Forms.
+
+_SHAPE = "form must be square, matching the ambient, nondegenerate"
+
+
+class Form(tuple):
+    """A symmetric or antisymmetric bilinear form B over ``field``.
+
+    It is the tuple of its rows (``Fraction`` entries over QQ), so it
+    compares, hashes and encodes like them, and it carries:
+
+    * ``lie_type``: C when antisymmetric, otherwise B or D;
+    * ``matrix``: its rows as ``la.mat`` makes them, for the kernel;
+    * ``terms``: the nonzero (i, j, g), i <= j, of its quadratic form Q(x),
+      the sum of g x_i x_j, whose polar form Q(x + y) - Q(x) - Q(y) is B.
+      For type C they are B's entries above the diagonal, and B(x, y) is
+      the sum of g (x_i y_j - x_j y_i).  None when no quadratic form has B
+      as its polar form: a nonzero diagonal entry in characteristic 2;
+    * ``defect``: why it cannot be a point's form, or None.
+
+    Built by :func:`split_form`, by :func:`_as_form` from a plain matrix and
+    by :meth:`restrict`, and frozen: :func:`split_form` hands the same value
+    to every caller.  It pickles and copies as itself through
+    ``__reduce__``, whose arguments rebuild it without checking again."""
+
+    def __new__(cls, rows, field, lie_type, terms, defect):
+        self = super().__new__(cls, rows)
+        vars(self).update(
+            field=field, lie_type=lie_type, terms=terms, defect=defect, matrix=la.mat(rows, field)
+        )
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Form is frozen: cannot set {name}")
+
+    def __reduce__(self):
+        return type(self), (tuple(self), self.field, self.lie_type, self.terms, self.defect)
+
+    def quadratic(self, x):
+        """Q(x)."""
+        return self.field.reduce(sum([g * x[i] * x[j] for i, j, g in self.terms]))
+
+    def polar(self, x):
+        """The polar functional of x: lin with B(x, u) = lin . u, unreduced."""
+        lin = [0] * len(self)
+        sign = -1 if self.lie_type == "C" else 1
+        for i, j, g in self.terms:
+            lin[j] += g * x[i]
+            lin[i] += sign * g * x[j]
+        return lin
+
+    def pair(self, rows_a, rows_b):
+        """B(a, b) for a in ``rows_a`` (rows) and b in ``rows_b`` (columns)."""
+        if not rows_b:  # transpose(()) has lost the column count
+            return tuple([() for _ in rows_a])
+        field = self.field
+        return la.mat_mul(la.mat_mul(rows_a, self.matrix, field), la.transpose(rows_b), field)
+
+    def perp(self, rows):
+        """The orthogonal complement of the row space of ``rows``."""
+        field = self.field
+        return la.nullspace(la.mat_mul(la.mat(rows, field), self.matrix, field), field, len(self))
+
+    def keep(self):
+        """A fresh ``keep`` of :func:`flagiso.linalg.enumerate_subspaces` that
+        grows only isotropic subspaces (totally singular for B and D): a new
+        row must be singular and orthogonal to every row above it.
+
+        The keep holds a dict of its own from candidate row to the row's
+        polar functional, or None when Q(row) is not 0 (B and D).  Both are
+        computed on the first call with that row; every call still tests the
+        row against every row above it, by one dot product each.  The dict
+        lives as long as the keep, so it holds no more than the candidate
+        rows that one caller asks about."""
+        singular = self.lie_type != "C"
+        reduce = self.field.reduce
+        polar = {}
+
+        def keep(row, rows):
+            try:
+                lin = polar[row]
+            except KeyError:
+                lin = polar[row] = None if singular and self.quadratic(row) else self.polar(row)
+            if lin is None:
+                return False
+            return not any(reduce(sum(map(mul, lin, u))) for u in rows)
+
+        return keep
+
+    def restrict(self, basis):
+        """The form on the span of the rows of ``basis``, in coefficients:
+        its rows are B(basis_k, basis_l), and its terms Q(basis_k) on the
+        diagonal and B(basis_k, basis_l) above it, so no division is needed
+        in any characteristic.  It is never a point's form and is not
+        checked: over F_2 the form on the odd hyperplane is degenerate."""
+        gram = self.pair(basis, basis)
+        terms = []
+        for k, row in enumerate(gram):
+            for l in range(k, len(row)):
+                g = self.quadratic(basis[k]) if k == l and self.lie_type != "C" else row[l]
+                if g:
+                    terms.append((k, l, g))
+        return Form(gram, self.field, self.lie_type, tuple(terms), None)
+
+
+def _new_form(rows, field, lie_type=None):
+    """The value of a matrix, checked once: square, nondegenerate, and
+    symmetric or antisymmetric.  Its terms are the entries above the
+    diagonal and half of each diagonal entry.  Without a Lie type, an
+    antisymmetric matrix that is not symmetric is C, and a symmetric one B
+    or D by its size."""
+    m = la.mat(rows, field)
+    n = len(m)
+    t = la.transpose(m)
+    symmetric = la.mat_eq(m, t)
+    defect = None
+    if any(len(row) != n for row in m) or la.rank(m, field) != n:
+        defect = _SHAPE
+    elif not (symmetric or la.mat_eq(m, la.mat_scale(field.reduce(-field.one()), t, field))):
+        defect = "form is neither symmetric nor antisymmetric"
+    two = field.of(2)
+    terms = None
+    if not (defect or (any(m[i][i] for i in range(n)) and not two)):
+        terms = tuple(
+            (i, j, row[j] if i < j else field.reduce(row[j] * field.inv(two)))
+            for i, row in enumerate(m)
+            for j in range(i, n)
+            if row[j]
+        )
+    if lie_type is None:
+        lie_type = "BD"[n % 2 == 0] if symmetric else "C"
+    return Form(m, field, lie_type, terms, defect)
+
+
+def _as_form(form, field):
+    """``form`` as a valid :class:`Form` over ``field``, or WitnessError with
+    its defect.  A value over the field is taken as it is; a plain matrix,
+    or a value over another field, is built and checked again."""
+    if not (isinstance(form, Form) and form.field == field):
+        form = _new_form(form, field)
+    if form.defect:
+        raise WitnessError(form.defect)
+    return form
+
+
+@lru_cache(maxsize=64)
+def split_form(lie_type, n_ambient, field):
+    """The split form of a finite flag variety of the given Lie type, as a
+    :class:`Form`, none for A.  Its entries sit on the antidiagonal: +1 in the
+    top half of the rows, and below it -1 for C (antisymmetric) and +1 for B
+    and D (symmetric, the odd middle included).  So Q(x) is the sum of x_i
+    x_(pair of i) over the lower half, plus x_mid^2 / 2 at odd length.  Built
+    and checked once per (Lie type, ambient, field), so every caller shares
+    the same value; one that fails its check (type C at odd length) is
+    refused wherever it is used."""
+    if lie_type == "A":
+        return None
+    one, zero = field.one(), field.zero()
+    below = field.reduce(-one) if lie_type == "C" else one
+    rows = tuple(
+        tuple(
+            (one if i < n_ambient // 2 else below) if i + j == n_ambient - 1 else zero
+            for j in range(n_ambient)
+        )
+        for i in range(n_ambient)
+    )
+    return _new_form(rows, field, lie_type)
+
+
+# ---------------------------------------------------------------------------
 # Flag points.
 
 
@@ -85,23 +261,13 @@ class FiniteFlagPoint:
         return tuple(len(s) for s in self.subspaces)
 
 
-def form_values(rows_a, form, rows_b, field):
-    if not rows_b:  # transpose(()) has lost the column count
-        return tuple([() for _ in rows_a])
-    return la.mat_mul(la.mat_mul(rows_a, form, field), la.transpose(rows_b), field)
-
-
-def is_isotropic_subspace(rows, form, field) -> bool:
-    return not any(map(any, form_values(rows, form, rows, field)))
-
-
 def flag_point(field, ambient_dim, subspaces, form=None) -> FiniteFlagPoint:
     """A flag point with canonical members, checked to be a proper chain and,
     with a form, to consist of isotropic members of a valid form.
 
-    The form's own check (:func:`_checked_form`) runs once per form value:
-    one that passed is taken from the memo, one that failed raises again.
-    The members, their containments and their isotropy under the form are
+    A :class:`Form` over the field was checked when it was built; a plain
+    matrix is built into one and checked on every call.  The form's size,
+    the members, their containments and their isotropy under the form are
     checked on every call."""
     canon = tuple(la.rowspace(la.mat(s, field), field) for s in subspaces)
     if not canon:
@@ -117,53 +283,28 @@ def flag_point(field, ambient_dim, subspaces, form=None) -> FiniteFlagPoint:
         if not la.rowspace_contains(canon[i + 1], canon[i], field):
             raise WitnessError(f"member {i} is not contained in member {i + 1}")
     if form is not None:
-        form = _checked_form(la.mat(form, field), field, ambient_dim)
+        if len(form) != ambient_dim:
+            raise WitnessError(_SHAPE)
+        form = _as_form(form, field)
         for i, s in enumerate(canon):
-            if not is_isotropic_subspace(s, form, field):
+            if any(map(any, form.pair(s, s))):
                 raise WitnessError(f"member {i} is not isotropic", certificate=s)
     return FiniteFlagPoint(field, ambient_dim, canon, form)
 
 
-@lru_cache(maxsize=64)
-def _checked_form(form, field, ambient_dim):
-    """``form``, a matrix over ``field``, once it is square, matches the
-    ambient, is nondegenerate and is symmetric or antisymmetric.  The memo
-    keeps only forms that pass: ``lru_cache`` stores no exception, so a form
-    that fails raises on every call, with the same message."""
-    if (
-        len(form) != ambient_dim
-        or any(len(row) != ambient_dim for row in form)
-        or la.rank(form, field) != ambient_dim
-    ):
-        raise WitnessError("form must be square, matching the ambient, nondegenerate")
-    ft = la.transpose(form)
-    if not (
-        la.mat_eq(form, ft)
-        or la.mat_eq(form, la.mat_scale(field.reduce(-field.one()), ft, field))
-    ):
-        raise WitnessError("form is neither symmetric nor antisymmetric")
-    return form
-
-
 def perp(rows, form, field):
-    """Exact orthogonal complement of a row space for a nondegenerate form."""
-    form = la.mat(form, field)
-    n = len(form)
-    if la.rank(form, field) != n:
-        raise WitnessError("form is degenerate")
-    if not rows:
-        return la.identity(n, field)
-    return la.nullspace(la.mat_mul(la.mat(rows, field), form, field), field, n)
+    """Exact orthogonal complement of a row space for a valid form."""
+    return _as_form(form, field).perp(rows)
 
 
 # ---------------------------------------------------------------------------
 # Rebasing automorphisms (chain-stabilizing base changes).
 
 
-def _basis_involution(basis, form, field):
+def _basis_involution(basis, form):
     """(partner, Gram matrix) of a basis: partner[i] = j with form(basis_i,
     basis_j) != 0; it must be an involution with at most one fixed point."""
-    vals = form_values(basis, form, basis, field)
+    vals = form.pair(basis, basis)
     partner = []
     for i, row in enumerate(vals):
         hits = [j for j, x in enumerate(row) if x]
@@ -184,7 +325,7 @@ def _closed_chain(members, form, field, n):
     """Sorted proper members of the perp-closure, which must stay a chain."""
     spaces = {s: None for s in members}
     for s in members:
-        p = perp(s, form, field)
+        p = form.perp(s)
         if 0 < len(p) < n:
             spaces[p] = None
     chain = sorted(spaces, key=len)
@@ -255,14 +396,14 @@ def rebase_automorphism(chain, basis_e, basis_e2, form=None):
         raise WitnessError("bases must be invertible matrices")
 
     if form is not None:
-        form = la.mat(form, field)
+        form = _as_form(form, field)
         members = _closed_chain(members, form, field, n)
     gaps_e = _gap_classes(members, E, field, "E")
     gaps_e2 = _gap_classes(members, E2, field, "E'")
     part_e = part_e2 = None
     if form is not None:
-        part_e, vals_e = _basis_involution(E, form, field)
-        part_e2, vals_e2 = _basis_involution(E2, form, field)
+        part_e, vals_e = _basis_involution(E, form)
+        part_e2, vals_e2 = _basis_involution(E2, form)
     listed_e2 = _listed_by_signature(gaps_e2, part_e2)
 
     rows = [None] * n
@@ -307,8 +448,7 @@ def _verify_rebase(alpha, members, E, E2, form, field, n):
         if not la.rowspace_eq(la.mat_mul(s, alpha, field), s, field):
             raise WitnessError(f"alpha moves chain member {k}", certificate=s)
     if form is not None:
-        lhs = la.mat_mul(la.mat_mul(alpha, form, field), la.transpose(alpha), field)
-        if not la.mat_eq(lhs, form):
+        if not la.mat_eq(form.pair(alpha, alpha), form):
             raise WitnessError("alpha does not preserve the form")
 
 
@@ -404,12 +544,11 @@ def standard_extension(
     if source_form is not None:
         if not strict:
             raise WitnessError("modified extensions are general-type only")
-        source_form = la.mat(source_form, field)
-        target_form = la.mat(target_form, field)
-        lhs = la.mat_mul(la.mat_mul(alpha, target_form, field), la.transpose(alpha), field)
-        if not la.mat_eq(lhs, source_form):
+        source_form = _as_form(source_form, field)
+        target_form = _as_form(target_form, field)
+        if not la.mat_eq(target_form.pair(alpha, alpha), source_form):
             raise WitnessError("alpha is not compatible with the forms")
-        if any(map(any, form_values(alpha, target_form, complement, field))):
+        if any(map(any, target_form.pair(alpha, complement))):
             raise WitnessError("the splitting is not orthogonal")
     return StandardExtensionData(
         field,
@@ -703,87 +842,16 @@ def check_triangle(phi, psi, chi) -> TriangleReport:
 # its pair partner coordinate 2n-i; the split symmetric form pairs them.
 
 
-@lru_cache(maxsize=64)
-def split_form(lie_type, n_ambient, field):
-    """The split form of a finite flag variety of the given Lie type, none for
-    A.  Its entries sit on the antidiagonal: +1 in the top half of the rows,
-    and below it -1 for C (antisymmetric) and +1 for B and D (symmetric, the
-    odd middle included).  Built once per (Lie type, ambient, field): the
-    value is a tuple of tuples, so every caller shares the same one."""
-    if lie_type == "A":
-        return None
-    one, zero = field.one(), field.zero()
-    below = field.reduce(-one) if lie_type == "C" else one
-    return tuple(
-        tuple(
-            (one if i < n_ambient // 2 else below) if i + j == n_ambient - 1 else zero
-            for j in range(n_ambient)
-        )
-        for i in range(n_ambient)
-    )
-
-
-def split_quadratic_value(vec, field):
-    """Q(x) = sum x_i x_(pair of i) over the lower half, plus x_mid^2 / 2 at
-    odd length; polarizes to the split symmetric form, in every characteristic
-    at even length and in odd characteristic at odd length."""
-    n = len(vec)
-    total = sum((vec[i] * vec[n - 1 - i] for i in range(n // 2)), field.zero())
-    if n % 2:
-        total += _half(field) * vec[n // 2] * vec[n // 2]
-    return field.reduce(total)
-
-
-@lru_cache(maxsize=64)
-def _half(field):
-    return field.inv(field.of(2))
-
-
-def isotropic_keep(lie_type, n_ambient, field):
-    """The ``keep`` of :func:`flagiso.linalg.enumerate_subspaces` that grows
-    only isotropic subspaces of the split form (totally singular for B and
-    D): a new row must be singular and orthogonal to every row above it.
-    None for type A, which has no form.
-
-    Each keep holds a dict of its own from candidate row to the row's polar
-    functional, the vector lin with B(row, u) = lin . u, or None when Q(row)
-    is not 0 (B and D).  Both are computed on the first call with that row;
-    every call still tests the row against every row above it, by one dot
-    product each.  The dict lives as long as the keep, so it holds no more
-    than the candidate rows that one caller asks about."""
-    form = split_form(lie_type, n_ambient, field)
-    if form is None:
-        return None
-    entries = [(i, j, g) for i, row in enumerate(form) for j, g in enumerate(row) if g]
-    singular = lie_type != "C"
-    zero = field.zero()
-    polar = {}
-
-    def functional(row):
-        if singular and split_quadratic_value(row, field):
-            return None
-        lin = [zero] * n_ambient
-        for i, j, g in entries:
-            lin[j] += g * row[i]  # B(row, u) is the sum of row_i g_ij u_j
-        return lin
-
-    def keep(row, rows):
-        try:
-            lin = polar[row]
-        except KeyError:
-            lin = polar[row] = functional(row)
-        if lin is None:
-            return False
-        return not any(field.reduce(sum(map(mul, lin, u))) for u in rows)
-
-    return keep
-
-
 def is_totally_singular(rows, field) -> bool:
     """Whether the split quadratic form vanishes on the span of ``rows``: each
     row singular and orthogonal to the rows above it."""
-    keep = isotropic_keep("D", len(rows[0]) if rows else 0, field)
+    keep = split_form("D", len(rows[0]) if rows else 0, field).keep()
     return all(keep(row, rows[:i]) for i, row in enumerate(rows))
+
+
+def _unit_row(n, field, *ones):
+    """The row of length n with one at the coordinates ``ones``, zero elsewhere."""
+    return tuple([field.one() if j in ones else field.zero() for j in range(n)])
 
 
 def bd_hyperplane_basis(n, field):
@@ -791,12 +859,8 @@ def bd_hyperplane_basis(n, field):
     pair(e_2), ..., e_n, pair(e_n)> of the 2n-dimensional split space, which
     is (e_1 - pair(e_1))^perp = {x : x_1 = x_2n}."""
     N = 2 * n
-    unit = la.identity(N, field)
-    rows = [la.mat_add((unit[0],), (unit[N - 1],), field)[0]]
-    for i in range(1, n):
-        rows.append(unit[i])
-        rows.append(unit[N - 1 - i])
-    return tuple(rows)
+    ones = [(0, N - 1)] + [(c,) for i in range(1, n) for c in (i, N - 1 - i)]
+    return tuple([_unit_row(N, field, *cols) for cols in ones])
 
 
 def in_reference_component(rows, n, field) -> bool:
@@ -869,27 +933,8 @@ def bd_step(n: int, point: FiniteFlagPoint) -> FiniteFlagPoint:
     """Subspace U of the 2n-space to U + <e_(n+1)> one level up."""
     field = point.field
     rows = [_embed_coords(r, n, field) for r in point.subspaces[0]]
-    rows.append(la.identity(2 * n + 2, field)[n])
+    rows.append(_unit_row(2 * n + 2, field, n))
     return flag_point(field, 2 * n + 2, [rows], form=split_form("D", 2 * n + 2, field))
-
-
-def _form_on_span(basis, field):
-    """The split quadratic form Q on the span of ``basis``, in coefficients:
-    (i, j, g) with i <= j and g != 0, so that Q(sum c_k basis_k) is the sum of
-    g c_i c_j.  The diagonal holds Q(basis_i) and the entries above it the
-    polar form B(basis_i, basis_j); no division, so every characteristic."""
-    gram = form_values(basis, split_form("D", len(basis[0]), field), basis, field)
-    terms = []
-    for i, row in enumerate(gram):
-        for j in range(i, len(row)):
-            g = split_quadratic_value(basis[i], field) if i == j else row[j]
-            if g:
-                terms.append((i, j, g))
-    return terms
-
-
-def _form_value(terms, coeffs, field):
-    return field.reduce(sum(g * coeffs[i] * coeffs[j] for i, j, g in terms))
 
 
 def _shown(count):
@@ -915,19 +960,7 @@ def enumerate_bd_sources(n: int, field):
         )
     w_rows = bd_hyperplane_basis(n, field)
     form = split_form("D", 2 * n, field)
-    terms = _form_on_span(w_rows, field)
-
-    def keep(row, rows):
-        # singular, and orthogonal to each row above: B(row, u) is the sum of
-        # lin_k u_k, with lin the polar form's coefficients against row
-        if _form_value(terms, row, field):
-            return False
-        lin = [0] * len(row)
-        for i, j, g in terms:
-            lin[i] += g * row[j]
-            lin[j] += g * row[i]
-        return not any(field.reduce(sum(x * y for x, y in zip(lin, u))) for u in rows)
-
+    keep = form.restrict(w_rows).keep()
     for coeffs in la.enumerate_subspaces(2 * n - 1, n - 1, field, keep=keep):
         yield flag_point(field, 2 * n, [la.mat_mul(coeffs, w_rows, field)], form=form)
 
@@ -935,8 +968,7 @@ def enumerate_bd_sources(n: int, field):
 def enumerate_component_lagrangians(n: int, field):
     """All Lagrangians of the 2n-space in the reference component."""
     form = split_form("D", 2 * n, field)
-    keep = isotropic_keep("D", 2 * n, field)
-    for rows in la.enumerate_subspaces(2 * n, n, field, keep=keep):
+    for rows in la.enumerate_subspaces(2 * n, n, field, keep=form.keep()):
         if in_reference_component(rows, n, field):
             yield flag_point(field, 2 * n, [rows], form=form)
 
@@ -951,18 +983,18 @@ def random_bd_source(rng, n: int, field) -> FiniteFlagPoint:
     # when it is singular and raises the rank.  A draw is tested in
     # coefficients, and its vector is built only when it passes.
     axis = ((1,) + (0,) * (2 * n - 2) + (-1,),)  # perp maps it into the field
-    rows, pool = (), perp(axis, form, field)
-    terms = _form_on_span(pool, field)
+    rows, pool = (), form.perp(axis)
+    on_pool = form.restrict(pool)
     while len(rows) < n - 1:
         coeffs = [rng.randrange(field.p) for _ in pool]
-        if _form_value(terms, coeffs, field):
+        if on_pool.quadratic(coeffs):
             continue
         vec = la.mat_mul((coeffs,), pool, field)[0]
         grown = la.rowspace(la.stack(rows, (vec,)), field)
         if len(grown) > len(rows):
             rows = grown
-            pool = perp(axis + rows, form, field)
-            terms = _form_on_span(pool, field)
+            pool = form.perp(axis + rows)
+            on_pool = form.restrict(pool)
     return flag_point(field, 2 * n, [rows], form=form)
 
 

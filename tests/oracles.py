@@ -826,26 +826,57 @@ def split_antisymmetric_form(n_ambient, field):
     )
 
 
+def split_form_by_kind(lie_type, n_ambient, field):
+    if lie_type == "C":
+        return split_antisymmetric_form(n_ambient, field)
+    return split_symmetric_form(n_ambient, field)
+
+
+def split_quadratic_by_formula(vec, field):
+    """Q(x) = sum x_i x_(pair of i) over the lower half, plus x_mid^2 / 2 at
+    odd length."""
+    n = len(vec)
+    total = sum((vec[i] * vec[n - 1 - i] for i in range(n // 2)), field.zero())
+    if n % 2:
+        total += field.inv(field.of(2)) * vec[n // 2] * vec[n // 2]
+    return field.reduce(total)
+
+
+def bilinear_by_form(rows_a, form, rows_b, field):
+    """The form between each row of ``rows_a`` and each of ``rows_b``, by two
+    products with the plain matrix."""
+    if not rows_b:
+        return tuple(() for _ in rows_a)
+    return la.mat_mul(la.mat_mul(rows_a, form, field), la.transpose(rows_b), field)
+
+
+def is_isotropic_by_form(rows, form, field):
+    return not any(map(any, bilinear_by_form(rows, form, rows, field)))
+
+
+def perp_by_form(rows, form, field):
+    n = len(form)
+    return la.nullspace(la.mat_mul(la.mat(rows, field), la.mat(form, field), field), field, n)
+
+
 def is_totally_singular_by_form(rows, field):
     n = len(rows[0]) if rows else 0
     form = split_symmetric_form(n, field)
-    if not W.is_isotropic_subspace(rows, form, field):
+    if not is_isotropic_by_form(rows, form, field):
         return False
     zero = field.zero()
-    return all(W.split_quadratic_value(r, field) == zero for r in rows)
+    return all(split_quadratic_by_formula(r, field) == zero for r in rows)
 
 
 def isotropic_keep_by_terms(lie_type, n_ambient, field):
-    """The keep of ``witness.isotropic_keep`` that builds the new row's polar
-    terms from the form's entries, and Q of the row, on every call."""
-    form = W.split_form(lie_type, n_ambient, field)
-    if form is None:
-        return None
+    """The keep of a split form value, with the new row's polar terms built
+    from the plain form's entries, and Q of the row, on every call."""
+    form = split_form_by_kind(lie_type, n_ambient, field)
     entries = [(i, j, g) for i, row in enumerate(form) for j, g in enumerate(row) if g]
     singular = lie_type != "C"
 
     def keep(row, rows):
-        if singular and W.split_quadratic_value(row, field):
+        if singular and split_quadratic_by_formula(row, field):
             return False
         # the form between row and u is the sum of row_i g_ij u_j
         terms = [(j, g * row[i]) for i, j, g in entries if row[i]]
@@ -874,13 +905,13 @@ def random_bd_source_with_retries(rng, n, field):
                 break
             if rows:
                 pool = intersect_rowspaces(
-                    w_rows, W.perp(tuple(rows), form, field), field, 2 * n
+                    w_rows, perp_by_form(tuple(rows), form, field), field, 2 * n
                 )
             else:
                 pool = w_rows
             coeffs = [field.of(rng.randrange(field.p)) for _ in pool]
             vec = la.mat_mul((coeffs,), pool, field)[0]
-            if W.split_quadratic_value(vec, field) != zero:
+            if split_quadratic_by_formula(vec, field) != zero:
                 continue
             cand = la.rowspace(la.stack(tuple(rows), (vec,)), field)
             if len(cand) != len(rows) + 1:
@@ -901,10 +932,10 @@ def random_bd_source_with_retries(rng, n, field):
 
 def _singular_lines_in_plane(u1, u2, field):
     """The isotropic lines of the split quadratic restricted to <u1, u2>."""
-    a = W.split_quadratic_value(u1, field)
-    b = W.split_quadratic_value(u2, field)
+    a = split_quadratic_by_formula(u1, field)
+    b = split_quadratic_by_formula(u2, field)
     usum = la.mat_add((u1,), (u2,), field)[0]
-    c = field.reduce(W.split_quadratic_value(usum, field) - a - b)
+    c = field.reduce(split_quadratic_by_formula(usum, field) - a - b)
     # Q(x u1 + y u2) = a x^2 + c xy + b y^2
     zero, one = field.zero(), field.one()
     lines = []
@@ -936,8 +967,8 @@ def bd_phi_by_quadratic(n, m_point):
     field = m_point.field
     N = 2 * n
     m_rows = m_point.subspaces[0]
-    form = W.split_form("D", N, field)
-    perp_m = W.perp(m_rows, form, field)
+    form = split_symmetric_form(N, field)
+    perp_m = perp_by_form(m_rows, form, field)
     # two independent directions of perp(M) modulo M: the rows of perp(M)
     # that raise the rank of the span
     span = m_rows
@@ -956,7 +987,7 @@ def bd_phi_by_quadratic(n, m_point):
     for x, y in _singular_lines_in_plane(u1, u2, field):
         vec = la.mat_mul(((x, y),), (u1, u2), field)[0]
         rows = la.rowspace(la.stack(m_rows, (vec,)), field)
-        if len(rows) == n and W.is_totally_singular(rows, field):
+        if len(rows) == n and is_totally_singular_by_form(rows, field):
             candidates.append(rows)
     candidates = list(dict.fromkeys(candidates))
     if len(candidates) != 2:
@@ -993,9 +1024,11 @@ def rebase_automorphism_by_greedy(chain, basis_e, basis_e2, form=None):
     if la.rank(E, field) != n or la.rank(E2, field) != n:
         raise W.WitnessError("bases must be invertible matrices")
 
+    value = None
     if form is not None:
         form = la.mat(form, field)
-        members = W._closed_chain(members, form, field, n)
+        value = W._as_form(form, field)
+        members = W._closed_chain(members, value, field, n)
     gaps_e = W._gap_classes(members, E, field, "E")
     gaps_e2 = W._gap_classes(members, E2, field, "E'")
 
@@ -1015,10 +1048,10 @@ def rebase_automorphism_by_greedy(chain, basis_e, basis_e2, form=None):
             for i, j in zip(src, dst):
                 assigned[i] = (j, one)
     else:
-        part_e = W._basis_involution(E, form, field)[0]
-        part_e2 = W._basis_involution(E2, form, field)[0]
-        vals_e = W.form_values(E, form, E, field)
-        vals_e2 = W.form_values(E2, form, E2, field)
+        part_e = W._basis_involution(E, value)[0]
+        part_e2 = W._basis_involution(E2, value)[0]
+        vals_e = bilinear_by_form(E, form, E, field)
+        vals_e2 = bilinear_by_form(E2, form, E2, field)
         for g in sorted(set(gaps_e)):
             for i in class_indices(gaps_e, g):
                 if assigned[i] is not None:
@@ -1069,5 +1102,5 @@ def rebase_automorphism_by_greedy(chain, basis_e, basis_e2, form=None):
         rows.append(tuple(field.reduce(s * x) for x in E2[j]))
     alpha = la.mat_mul(la.inverse(E, field), tuple(rows), field)
 
-    W._verify_rebase(alpha, members, E, E2, form, field, n)
+    W._verify_rebase(alpha, members, E, E2, value, field, n)
     return alpha

@@ -210,25 +210,29 @@ def test_echelon_scan_finds_a_builder(tmp_path):
     assert _echelon_builders([path]) == [("m.py", "f"), ("m.py", None)]
 
 
-def _ints_readers(paths):
-    """(file, enclosing top-level definition) of every attribute ``.ints`` or
-    ``.dens``."""
+def _attribute_readers(paths, attrs):
+    """(file, enclosing top-level definition) of every attribute read whose
+    name is in ``attrs``."""
     out = []
     for path in paths:
         for stmt in ast.parse(path.read_text()).body:
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Attribute) and node.attr in ("ints", "dens"):
+                if isinstance(node, ast.Attribute) and node.attr in attrs:
                     out.append((path.name, getattr(stmt, "name", None)))
     return out
+
+
+def _library_and_benchmark():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    return _MODULES + sorted((root / "perfbench").rglob("*.py"))
 
 
 def test_only_linalg_reads_echelon_ints():
     # the int rows and denominators of a Cleared value (an Echelon among
     # them) are the kernel's own representation; the library and the
     # benchmark use its rows (the tests check the invariants)
-    root = pathlib.Path(__file__).resolve().parent.parent
-    paths = _MODULES + sorted((root / "perfbench").rglob("*.py"))
-    assert {name for name, _ in _ints_readers(paths)} == {"linalg.py"}
+    readers = _attribute_readers(_library_and_benchmark(), ("ints", "dens"))
+    assert {name for name, _ in readers} == {"linalg.py"}
 
 
 def test_ints_scan_finds_a_reader(tmp_path):
@@ -236,4 +240,20 @@ def test_ints_scan_finds_a_reader(tmp_path):
     path.write_text(
         "def f(e):\n    return e.ints\ndef g(m):\n    return m.dens[0]\nx = ints, dens\n"
     )
-    assert _ints_readers([path]) == [("m.py", "f"), ("m.py", "g")]
+    assert _attribute_readers([path], ("ints", "dens")) == [("m.py", "f"), ("m.py", "g")]
+
+
+def test_only_witness_reads_form_terms():
+    # the quadratic terms of a witness.Form are its own representation, in
+    # coefficients for a restriction; other code asks the form for Q, the
+    # polar functional, B, perp or a keep
+    readers = _attribute_readers(_library_and_benchmark(), ("terms",))
+    assert {name for name, _ in readers} == {"witness.py"}
+
+
+def test_terms_scan_finds_a_reader(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "def f(form):\n    return form.terms\nclass K:\n    t = x.terms[0]\nterms = 1\n"
+    )
+    assert _attribute_readers([path], ("terms",)) == [("m.py", "f"), ("m.py", "K")]

@@ -388,6 +388,8 @@ def test_unreduced_prime_field_input():
     assert la.rref(la.mat(((1, 0, 3), (0, 1, 4)), f3), f3)[0] == ((1, 0, 0), (0, 1, 1))
     with pytest.raises(ValidationError, match="entry 3 is not invertible mod 3"):
         la.rank(((3,),), f3)
+    # (3, 0, 0) is zero in F_3: through mat it lies in every row space
+    assert la.rowspace_contains(la.mat(((0, 1, 0),), f3), la.mat(((3, 0, 0),), f3), f3)
 
 
 def test_echelon_over_another_field_is_reduced_again():
@@ -725,13 +727,13 @@ def test_isotropic_keep_yields_the_filtered_oracle_sequence(t, n, p):
     # pruning rows that break isotropy keeps exactly the isotropic subspaces,
     # in the oracle's order
     field = PrimeField(p)
-    form = W.split_form(t, n, field)
-    keep = W.isotropic_keep(t, n, field)
+    keep = W.split_form(t, n, field).keep()
+    form = oracles.split_form_by_kind(t, n, field)
     for d in range(n + 1):
         want = [
             rows
             for rows in oracles.enumerate_subspaces_by_product(n, d, field)
-            if W.is_isotropic_subspace(rows, form, field)
+            if oracles.is_isotropic_by_form(rows, form, field)
             and (t == "C" or all(_singular(row, p) for row in rows))
         ]
         assert list(la.enumerate_subspaces(n, d, field, keep=keep)) == want, d
@@ -745,7 +747,7 @@ def test_isotropic_keep_answers_as_the_keep_by_terms(t, n, p):
     # one keep across every dimension, so later enumerations meet rows whose
     # functional is already memoized; every pair the enumeration asks about
     field = PrimeField(p)
-    keep = W.isotropic_keep(t, n, field)
+    keep = W.split_form(t, n, field).keep()
     oracle = oracles.isotropic_keep_by_terms(t, n, field)
     asked = []
 

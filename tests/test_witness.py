@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 import random
@@ -72,8 +73,7 @@ def test_flag_point_validates_isotropy():
 
 @pytest.mark.parametrize("field", [QQ, F3])
 def test_flag_point_remembers_no_form_that_fails(field):
-    # each bad form raises on a second call too, with the same message, and
-    # the memo of checked forms does not grow
+    # each bad form raises on a second call too, with the same message
     line = [unit_rows([0], 4)]
     split = W.split_form("D", 4, field)
     W.flag_point(field, 4, line, form=split)
@@ -84,7 +84,6 @@ def test_flag_point_remembers_no_form_that_fails(field):
         (W.split_form("D", 6, field), shape),
         (((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 1, 0)), "neither symmetric"),
     ]
-    size = W._checked_form.cache_info().currsize
     for form, match in bad:
         messages = []
         for _ in range(2):
@@ -92,7 +91,6 @@ def test_flag_point_remembers_no_form_that_fails(field):
                 W.flag_point(field, 4, line, form=form)
             messages.append(str(err.value))
         assert messages[0] == messages[1], form
-    assert W._checked_form.cache_info().currsize == size
     # a member that is not isotropic under a form that has passed
     for _ in range(2):
         with pytest.raises(W.WitnessError, match="member 0 is not isotropic"):
@@ -108,6 +106,117 @@ def test_points_built_with_the_shared_split_form_equal_points_with_a_copy(field)
     shared = W.flag_point(field, 6, members, form=form)
     assert shared == W.flag_point(field, 6, members, form=copy)
     assert shared.form == form
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3])
+def test_split_form_is_a_tuple_of_the_builders_rows(field):
+    # rows of Fraction over QQ and of int over F_p, as the plain builders
+    # make them; Q and B read from the terms agree with the formulas
+    rng = random.Random(f"form-terms/{field}")
+    element = Fraction if field == QQ else int
+    for t in "BCD":
+        for n in range(2, 8):
+            form = W.split_form(t, n, field)
+            plain = oracles.split_form_by_kind(t, n, field)
+            assert isinstance(form, tuple) and tuple(form) == plain
+            assert all(type(row) is tuple for row in form)
+            assert all(type(x) is element for row in form for x in row)
+            assert (form.field, form.lie_type) == (field, t)
+            # at odd length the C form's middle entry is -1: over F_2 it is
+            # symmetric, elsewhere neither symmetric nor antisymmetric
+            assert (form.defect is None) == (t != "C" or n % 2 == 0 or field == F2)
+            # a form that failed has no terms, and over F_2 no quadratic
+            # form polarizes to a nonzero diagonal entry
+            odd_f2 = field == F2 and n % 2 == 1
+            assert (form.terms is None) == (form.defect is not None or odd_f2)
+            if form.terms is None:
+                continue
+            for _ in range(5):
+                x, u = la.random_matrix(rng, 2, n, field)
+                lin = form.polar(x)
+                assert field.reduce(sum(a * b for a, b in zip(lin, u))) == (
+                    oracles.bilinear_by_form((x,), plain, (u,), field)[0][0]
+                )
+                if t != "C":
+                    assert form.quadratic(x) == oracles.split_quadratic_by_formula(x, field)
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ])
+def test_restricted_form_is_the_form_in_coefficients(field):
+    # Q and B of coefficient vectors are those of their combinations of the
+    # basis, over F_2 too, where the restriction is degenerate
+    rng = random.Random(f"restrict/{field}")
+    form = W.split_form("D", 6, field)
+    basis = W.bd_hyperplane_basis(3, field)
+    on_w = form.restrict(basis)
+    assert type(on_w) is W.Form and len(on_w) == 5 and on_w.lie_type == "D"
+    for _ in range(20):
+        c, d = la.random_matrix(rng, 2, 5, field)
+        x, u = la.mat_mul((c, d), basis, field)
+        assert on_w.quadratic(c) == oracles.split_quadratic_by_formula(x, field)
+        assert field.reduce(sum(a * b for a, b in zip(on_w.polar(c), d))) == (
+            oracles.bilinear_by_form((x,), form, (u,), field)[0][0]
+        )
+        assert on_w.pair((c,), (d,)) == form.pair((x,), (u,))
+
+
+def test_form_pickles_and_copies_as_itself():
+    # the benchmark pickles its inputs: a split form, a value built from a
+    # plain matrix, a restriction and a form that failed its check come back
+    # as themselves, and every operation answers as before
+    plain = [list(row) for row in unit_rows([3, 2, 1, 0], 4)]
+    values = [
+        W.split_form("C", 6, QQ),
+        W.split_form("B", 5, F5),
+        W.flag_point(F3, 4, [unit_rows([0], 4)], form=plain).form,
+        W.split_form("D", 6, F2).restrict(W.bd_hyperplane_basis(3, F2)),
+        W.split_form("C", 5, QQ),
+    ]
+    for form in values:
+        rows = la.identity(len(form), form.field)[:2]
+        for other in (pickle.loads(pickle.dumps(form)), copy.copy(form), copy.deepcopy(form)):
+            assert type(other) is W.Form and other == form
+            assert (other.field, other.lie_type, other.terms, other.defect) == (
+                form.field, form.lie_type, form.terms, form.defect
+            )
+            assert la.mat_eq(other.matrix, form.matrix)
+            assert other.pair(rows, rows) == form.pair(rows, rows)
+            if form.defect:
+                with pytest.raises(W.WitnessError, match=form.defect):
+                    W.perp(rows, other, other.field)
+                continue
+            assert other.perp(rows) == form.perp(rows)
+            assert other.restrict(rows) == form.restrict(rows)
+            keep, keep_other = form.keep(), other.keep()
+            for row in la.identity(len(form), form.field):
+                assert other.polar(row) == form.polar(row)
+                assert keep_other(row, rows) == keep(row, rows)
+                if form.lie_type != "C":
+                    assert other.quadratic(row) == form.quadratic(row)
+    point = W.flag_point(QQ, 6, [unit_rows([0], 6)], form=values[0])
+    assert pickle.loads(pickle.dumps(point)) == point
+    # split_form shares one value with every caller, so none may change it
+    with pytest.raises(AttributeError, match="frozen"):
+        values[0].terms = ()
+
+
+@pytest.mark.parametrize("field", [QQ, F3])
+def test_odd_symplectic_split_form_is_refused(field):
+    # its middle entry is -1, on the diagonal: the value is built, but it is
+    # never the form of a point, of perp, of a rebase or of an extension
+    form = W.split_form("C", 5, field)
+    assert form.defect == "form is neither symmetric nor antisymmetric"
+    for _ in range(2):
+        with pytest.raises(W.WitnessError, match="neither symmetric"):
+            W.flag_point(field, 5, [unit_rows([0], 5)], form=form)
+    with pytest.raises(W.WitnessError, match="neither symmetric"):
+        W.perp((), form, field)
+    chain = W.flag_point(field, 5, [unit_rows([0], 5)])
+    e = la.identity(5, field)
+    with pytest.raises(W.WitnessError, match="neither symmetric"):
+        W.rebase_automorphism(chain, e, e, form=form)
+    with pytest.raises(W.WitnessError, match="neither symmetric"):
+        W.standard_extension(field, 1, e, (), [()], [1], source_form=form, target_form=form)
 
 
 def test_perp_basics():
@@ -168,10 +277,10 @@ def test_rebase_symplectic_rescaled_basis():
     # exhaustive bilinear check on all basis pairs
     for x in la.identity(4, QQ):
         for y in la.identity(4, QQ):
-            lhs = W.form_values((x,), form, (y,), QQ)
+            lhs = form.pair((x,), (y,))
             ax = la.mat_mul((x,), alpha, QQ)
             ay = la.mat_mul((y,), alpha, QQ)
-            rhs = W.form_values(ax, form, ay, QQ)
+            rhs = form.pair(ax, ay)
             assert lhs == rhs
     # the chain member is fixed
     assert la.rowspace_eq(la.mat_mul(chain.subspaces[0], alpha, QQ), chain.subspaces[0], QQ)
@@ -545,7 +654,7 @@ def test_reflection_fixes_the_odd_hyperplane_and_swaps_the_components(field, n):
     # why bd_phi's two candidates lie in opposite components
     for row in W.bd_hyperplane_basis(n, field):
         assert _reflect(row, field) == tuple(row)
-    keep = W.isotropic_keep("D", 2 * n, field)
+    keep = W.split_form("D", 2 * n, field).keep()
     lagrangians = list(la.enumerate_subspaces(2 * n, n, field, keep=keep))
     assert len(lagrangians) == 2 * lagrangian_component_count(n, field.p)
     for rows in lagrangians:
@@ -637,7 +746,7 @@ def test_total_singularity_tests_the_quadratic_form_in_char_2():
     # are singular, but not orthogonal
     form = W.split_form("D", 4, F2)
     line = ((1, 0, 0, 1),)
-    assert W.is_isotropic_subspace(line, form, F2)
+    assert not any(map(any, form.pair(line, line)))
     assert not W.is_totally_singular(line, F2)
     assert not oracles.is_totally_singular_by_form(line, F2)
     pair = ((1, 0, 0, 0), (0, 0, 0, 1))
