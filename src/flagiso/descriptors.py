@@ -38,6 +38,7 @@ from .errors import ValidationError
 from .orders import (
     EMPTY,
     INF,
+    OrderParseError,
     WeightedOrder,
     block_count,
     is_size,
@@ -390,6 +391,16 @@ def _parse_half(text: str) -> WeightedOrder:
 
 _CLAUSE_PARSERS = {"half": _parse_half, "middle": _parse_middle}
 
+
+def _parse_at(parse, text: str, offset: int):
+    """``parse(text)`` for a ``text`` that starts after ``offset`` characters
+    of a longer one: an order's error column then counts in the longer text."""
+    try:
+        return parse(text)
+    except OrderParseError as exc:
+        raise OrderParseError(exc.message, exc.column + offset) from None
+
+
 _FORM_TAGS = {
     "gen": FormType.GENERAL,
     "orth": FormType.ORTHOGONAL,
@@ -405,8 +416,9 @@ def parse_descriptor(text: str) -> FlagDescriptor:
             f"descriptor must start with one of gen:, orth:, symp: (got {tag!r})"
         )
     form = _FORM_TAGS[tag]
+    at = len(head) + 1  # characters of text before body
     if form is FormType.GENERAL:
-        d = general_flags(parse_order(body))
+        d = general_flags(_parse_at(parse_order, body, at))
     else:
         clauses = {}
         for clause in body.split(";"):
@@ -418,7 +430,8 @@ def parse_descriptor(text: str) -> FlagDescriptor:
                 raise ValidationError(f"unknown key {key!r} (expected half, middle)")
             if key in clauses:
                 raise ValidationError(f"repeated key {key!r} (give half and middle once each)")
-            clauses[key] = _CLAUSE_PARSERS[key](value)
+            clauses[key] = _parse_at(_CLAUSE_PARSERS[key], value, at + len(clause) - len(value))
+            at += len(clause) + 1
         if len(clauses) != len(_CLAUSE_PARSERS):
             raise ValidationError("isotropic descriptor needs both half= and middle=")
         d = FlagDescriptor(form, **clauses)

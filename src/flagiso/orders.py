@@ -19,10 +19,13 @@ seq entry into an adjacent omega-type atom, or merge two adjacent seq atoms),
 each a block deletion or an identity on every truncation.  :func:`normalize`
 computes its fixed point in one pass, and :func:`is_normalized` tests for it.
 
-:func:`parse_order` reads the text one atom at a time with one compiled
-pattern, ``_ATOM``, which matches an atom and the ``+`` or end of text after
-it; on a failed match the error column comes from how far the pattern got
-(see "Text format" below).
+:func:`parse_order` splits the text at ``+``, which no atom contains, strips
+each piece, and reads each distinct piece once with one single-atom pattern,
+``_PIECE``.  Long texts repeat a few atoms many times, so the per-atom work
+runs once per distinct piece, and equal atom texts share one frozen atom
+object.  A text whose pieces all parse is valid; otherwise it is read again
+atom by atom from the start with ``_ATOM``, which only locates the first
+error and its column (see "Text format" below).
 
 Validation happens at the public boundary.  ``Seq``, ``Omega``, ``OmegaStar``
 and ``WeightedOrder`` built by callers check their fields in
@@ -317,16 +320,26 @@ def truncate(x: WeightedOrder, n: int):
 # may stand before any token.  A block size is `inf` or an ASCII decimal
 # with a nonzero digit; leading zeros are allowed.
 #
-# _ATOM matches one atom and the `+` or end of text after it.  Each piece
-# after the atom name (opening bracket, sizes, closing bracket, `+` or end)
-# is optional and nested in the one before, so a match always succeeds and
-# stops where the text stops fitting the grammar.  The atom is complete when
-# the group `end` took part: `+` to go on, empty at the end of the text.
-# Otherwise the groups that took part (`seq` or `omega`, `sizes`) and whether
-# the match went past the last of them tell what the text lacks next, and
-# the error is reported at the token after the stop: a bad name or size at
-# the end of its word, a missing word, bracket or `+` where the next token
-# starts.
+# Splitting at `+` is safe: `+` is punctuation of the concatenation only, and
+# no atom contains it.  So a text is valid exactly when each piece between
+# `+`s (and the ends of the text), stripped of the whitespace around it
+# (str.strip strips exactly the `\s` characters), is one atom, which _PIECE
+# matches whole.  parse_order reads each distinct stripped piece once and
+# looks the rest up, so atom texts that are equal once stripped share one
+# frozen atom object in the returned order.
+#
+# _ATOM and _parse_error only locate errors.  When a piece does not match, or
+# int() refuses one of its sizes, the whole text is read again from the start,
+# one atom and the `+` or end of text after it per _ATOM match, so the first
+# error in the text is the one reported.  Each piece of _ATOM after the atom
+# name (opening bracket, sizes, closing bracket, `+` or end) is optional and
+# nested in the one before, so a match always succeeds and stops where the
+# text stops fitting the grammar.  The atom is complete when the group `end`
+# took part: `+` to go on, empty at the end of the text.  Otherwise the groups
+# that took part (`seq` or `omega`, `sizes`) and whether the match went past
+# the last of them tell what the text lacks next, and the error is reported
+# at the token after the stop: a bad name or size at the end of its word, a
+# missing word, bracket or `+` where the next token starts.
 
 
 class OrderParseError(ValidationError):
@@ -334,10 +347,12 @@ class OrderParseError(ValidationError):
 
     def __init__(self, message, column):
         super().__init__(f"{message} (column {column})")
+        self.message = message
         self.column = column
 
 
-_SIZE = r"(?:inf|0*[1-9][0-9]*)(?![^\W_])"
+_NUMBER = r"(?:inf|0*[1-9][0-9]*)"
+_SIZE = _NUMBER + r"(?![^\W_])"  # and its word ends there
 # Each optional piece is written `(?: ... |)` rather than `(?: ... )?`: the
 # same match, but sre runs a branch faster than a repeat.
 _ATOM = re.compile(
@@ -353,29 +368,53 @@ _ATOM = re.compile(
     |)""",
     re.VERBOSE,
 )
+# A piece is matched whole, so each size in it is followed by spacing and `,`,
+# `]` or `)`, and _PIECE needs no check that the word ends.
+_PIECE = re.compile(
+    rf"""seq\s*\[ (\s*{_NUMBER} (?:\s*,\s*{_NUMBER})*) \s*\]
+    | (omega(?:star)?)\s*\( \s*({_NUMBER}) \s*\)""",
+    re.VERBOSE,
+)
 _WORD = re.compile(r"\s*([^\W_]*)")
 
 
 def parse_order(text: str) -> WeightedOrder:
-    atoms = []
+    parts = list(map(str.strip, text.split("+")))
+    table = dict.fromkeys(parts)
+    for piece in table:
+        m = _PIECE.fullmatch(piece)
+        if m is None:
+            raise _first_error(text)
+        sizes, name, size = m.groups()
+        # a matched size is `inf` or decimal digits, with spaces around it
+        try:  # int() refuses more digits than sys.get_int_max_str_digits()
+            if sizes is not None:
+                sizes = tuple([INF if "inf" in w else int(w) for w in sizes.split(",")])
+                table[piece] = _build(Seq, sizes)
+            else:
+                size = INF if "inf" in size else int(size)
+                table[piece] = _build(Omega if name == "omega" else OmegaStar, size)
+        except ValueError:
+            raise _first_error(text) from None
+    return _build(WeightedOrder, tuple(map(table.__getitem__, parts)))
+
+
+def _first_error(text: str) -> OrderParseError:
+    """The error of the first atom in ``text`` that ``_ATOM`` stops short on
+    or whose sizes ``int()`` refuses.  :func:`parse_order` asks only about a
+    text with a piece that does not parse, so the loop stops at that piece or
+    before it."""
     pos = 0
     while True:
         m = _ATOM.match(text, pos)
-        seq_name, omega_name, sizes, end = m.groups()
-        if end is None:
-            raise _parse_error(text, m)
-        # a matched size is `inf` or decimal digits, with spaces around it
-        try:  # int() refuses more digits than sys.get_int_max_str_digits()
-            if seq_name:
-                sizes = tuple([INF if "inf" in w else int(w) for w in sizes.split(",")])
-                atoms.append(_build(Seq, sizes))
-            else:
-                size = INF if "inf" in sizes else int(sizes)
-                atoms.append(_build(Omega if omega_name == "omega" else OmegaStar, size))
+        if m["end"] is None:
+            return _parse_error(text, m)
+        try:
+            for w in m["sizes"].split(","):
+                if "inf" not in w:
+                    int(w)
         except ValueError:
-            raise _parse_error(text, m) from None
-        if not end:
-            return _build(WeightedOrder, tuple(atoms))
+            return _parse_error(text, m)
         pos = m.end()
 
 

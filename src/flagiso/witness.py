@@ -74,6 +74,9 @@ class WitnessError(ValidationError):
 # Forms.
 
 _SHAPE = "form must be square, matching the ambient, nondegenerate"
+_NO_QUADRATIC = (
+    "form is the polar form of no quadratic form (a nonzero diagonal entry in characteristic 2)"
+)
 
 
 class Form(tuple):
@@ -109,15 +112,22 @@ class Form(tuple):
     def __reduce__(self):
         return type(self), (tuple(self), self.field, self.lie_type, self.terms, self.defect)
 
+    def _terms(self):
+        """``terms``, or WitnessError naming why there are none: the form's
+        defect, or no quadratic form to polarize to it."""
+        if self.terms is None:
+            raise WitnessError(self.defect or _NO_QUADRATIC)
+        return self.terms
+
     def quadratic(self, x):
         """Q(x)."""
-        return self.field.reduce(sum([g * x[i] * x[j] for i, j, g in self.terms]))
+        return self.field.reduce(sum([g * x[i] * x[j] for i, j, g in self._terms()]))
 
     def polar(self, x):
         """The polar functional of x: lin with B(x, u) = lin . u, unreduced."""
         lin = [0] * len(self)
         sign = -1 if self.lie_type == "C" else 1
-        for i, j, g in self.terms:
+        for i, j, g in self._terms():
             lin[j] += g * x[i]
             lin[i] += sign * g * x[j]
         return lin
@@ -144,7 +154,9 @@ class Form(tuple):
         computed on the first call with that row; every call still tests the
         row against every row above it, by one dot product each.  The dict
         lives as long as the keep, so it holds no more than the candidate
-        rows that one caller asks about."""
+        rows that one caller asks about.  A form without terms is refused
+        here, before the first row."""
+        self._terms()
         singular = self.lie_type != "C"
         reduce = self.field.reduce
         polar = {}

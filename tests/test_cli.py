@@ -62,6 +62,21 @@ def test_bad_input_exits_one_without_traceback(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, column",
+    [
+        # the column just past `bogus`, counted in the text as typed
+        (["decide", "gen: seq[1] + bogus(2)", "gen: omega(1)"], 20),
+        (["decide", "symp: half=seq[1] + bogus(2); middle=inf", "gen: omega(1)"], 26),
+        (["normalize", "seq[1] + bogus(2)"], 15),
+    ],
+)
+def test_order_error_column_counts_in_the_text_as_typed(capsys, argv, column):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: unknown atom 'bogus' (column {column})\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["dim", "--type", "A", "--ambient", "٣", "--dims", "1"],

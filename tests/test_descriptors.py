@@ -32,7 +32,17 @@ from flagiso.descriptors import (
 )
 from flagiso.errors import ValidationError
 from flagiso.generate import random_descriptor
-from flagiso.orders import EMPTY, INF, omega, omegastar, reverse, normalize, seq
+from flagiso.orders import (
+    EMPTY,
+    INF,
+    OrderParseError,
+    normalize,
+    omega,
+    omegastar,
+    parse_order,
+    reverse,
+    seq,
+)
 from flagiso.witness import exhaustion_step
 
 
@@ -219,6 +229,35 @@ def test_parse_rejects_unknown_shapes():
         parse_descriptor("orth: half=seq[1]; half=seq[2]; middle=inf")
     with pytest.raises(ValidationError, match="repeated key 'middle'"):
         parse_descriptor("symp: half=omega(1); middle=inf; middle=2")
+
+
+@pytest.mark.parametrize(
+    "prefix, suffix",
+    [
+        ("gen:", ""),
+        ("  gen :\t", ""),
+        ("symp: half=", "; middle=inf"),
+        ("orth:middle=1 ;  half =", ""),
+        ("symp: middle = inf; half=", ""),
+    ],
+)
+@pytest.mark.parametrize(
+    "order", ["seq[1] + bogus(2)", " omega(1) +seq[1, 0]", "seq[1] ++ omega(2)", "seq[1"]
+)
+def test_order_error_column_counts_in_the_descriptor_text(prefix, suffix, order):
+    with pytest.raises(OrderParseError) as alone:
+        parse_order(order)
+    with pytest.raises(OrderParseError) as err:
+        parse_descriptor(prefix + order + suffix)
+    assert err.value.column == alone.value.column + len(prefix)
+    assert err.value.message == alone.value.message
+    assert str(err.value) == f"{alone.value.message} (column {err.value.column})"
+    # a JSON field is its own text
+    key = "order" if prefix.strip().startswith("gen") else "half"
+    obj = {"form": "general" if key == "order" else "symplectic", key: order, "middle": "inf"}
+    with pytest.raises(OrderParseError) as field:
+        descriptor_from_json(obj)
+    assert str(field.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("middle", ["²", "٣"])

@@ -362,6 +362,86 @@ def test_parse_error_messages(text, message):
     assert _parse_outcome(parse_order_by_scanning, text)[1] == message
 
 
+# Long texts: one piece per atom, joined by `+` with spacing drawn anew.
+_SPACES = ("", " ", "  ", "\t", "\u2003")
+
+
+def _join(rng, pieces):
+    return "+".join(rng.choice(_SPACES) + p + rng.choice(_SPACES) for p in pieces)
+
+
+def _spaced(rng, atom):
+    """One atom text with spacing drawn around each of its tokens."""
+    name, _, rest = atom.partition("[" if atom.startswith("seq") else "(")
+    sizes = rest[:-1].split(",")
+    return name + rng.choice(_SPACES) + atom[len(name)] + ",".join(
+        rng.choice(_SPACES) + w + rng.choice(_SPACES) for w in sizes
+    ) + atom[-1]
+
+
+def _repeated_pieces(rng, count):
+    atoms = ["seq[1]", "seq[2,inf]", "omega(1)", "omegastar(3)", "omega(inf)", "seq[01,5,1]"]
+    pool = [_spaced(rng, atom) for atom in atoms for _ in range(2)]
+    return [rng.choice(pool) for _ in range(count)]
+
+
+def _distinct_pieces(count):
+    return [f"seq[{i},inf]" if i % 3 else f"omega({i})" for i in range(1, count + 1)]
+
+
+def test_long_text_of_repeated_atoms_parses_as_the_oracle():
+    rng = random.Random(41)
+    text = "seq[1]+ seq[1] + seq[1]+" + _join(rng, _repeated_pieces(rng, 2997))
+    x = parse_order(text)
+    assert len(x.atoms) == 3000
+    assert _parse_outcome(parse_order, text) == _parse_outcome(parse_order_by_scanning, text)
+    # atoms whose texts are equal once stripped of spacing are one object
+    pieces = [p.strip() for p in text.split("+")]
+    first = {}
+    for piece, atom in zip(pieces, x.atoms, strict=True):
+        assert first.setdefault(piece, atom) is atom
+    assert len({id(a) for a in x.atoms}) == len(first)
+    assert x.atoms[0] is x.atoms[1] is x.atoms[2]
+
+
+def test_long_text_of_distinct_atoms_parses_as_the_oracle():
+    text = _join(random.Random(43), _distinct_pieces(4000))
+    x = parse_order(text)
+    assert len({id(a) for a in x.atoms}) == 4000
+    assert _parse_outcome(parse_order, text) == _parse_outcome(parse_order_by_scanning, text)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("seq[1, x]", "bad block size 'x'"),
+        ("bogus(2)", "unknown atom 'bogus'"),
+        ("", "expected a name or number"),  # `++`
+        ("omega(%s)" % ("1" * 4301), "block size has too many digits (4301)"),
+    ],
+    ids=["bad-size", "unknown-name", "double-plus", "too-many-digits"],
+)
+@pytest.mark.parametrize("twice", [False, True], ids=["once", "twice"])
+@pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
+def test_first_fault_of_a_long_text_is_reported_as_the_oracle_reports_it(
+    fault, message, twice, repeated
+):
+    rng = random.Random(47)
+    pieces = _repeated_pieces(rng, 3200) if repeated else _distinct_pieces(3200)
+    pieces[2998] = fault  # atom 2,999
+    if twice:
+        pieces[3100] = fault
+    text = _join(rng, pieces)
+    with pytest.raises(OrderParseError) as err:
+        parse_order(text)
+    assert str(err.value).startswith(message + " (column ")
+    # the column points into atom 2,999, or just past it for `++`
+    parts = text.split("+")
+    start = sum(len(p) + 1 for p in parts[:2998])
+    assert start < err.value.column <= start + len(parts[2998]) + 1
+    assert _parse_outcome(parse_order, text) == _parse_outcome(parse_order_by_scanning, text)
+
+
 def test_parse_examples():
     assert parse_order("seq[1] + omega(2) + seq[inf]") == seq(1) + omega(2) + seq(INF)
     assert parse_order("omegastar(inf)") == omegastar(INF)

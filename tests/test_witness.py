@@ -17,9 +17,9 @@ from flagiso.generate import (
     random_strict_extension,
 )
 from flagiso.linalg import QQ, PrimeField
-from flagiso.counting import point_count
+from flagiso.counting import brute_force_count, point_count
 from flagiso.descriptors import finite_flag_variety, min_truncation_width, parse_descriptor
-from flagiso.errors import ResourceLimitError
+from flagiso.errors import ResourceLimitError, ValidationError
 
 import oracles
 from oracles import enumerate_subspaces_by_product, lagrangian_component_count
@@ -217,6 +217,31 @@ def test_odd_symplectic_split_form_is_refused(field):
         W.rebase_automorphism(chain, e, e, form=form)
     with pytest.raises(W.WitnessError, match="neither symmetric"):
         W.standard_extension(field, 1, e, (), [()], [1], source_form=form, target_form=form)
+
+
+@pytest.mark.parametrize(
+    "form, message",
+    [
+        # over F_2 a nonzero diagonal entry of B is 2 Q(e_i) = 0 for every Q
+        (W.split_form("B", 3, F2), "polar form of no quadratic form"),
+        (W._as_form(((1, 0), (0, 1)), F2), "polar form of no quadratic form"),
+        # a form refused when built names its defect
+        (W.split_form("C", 5, QQ), "neither symmetric nor antisymmetric"),
+    ],
+    ids=["split-B3-F2", "identity-F2", "odd-symplectic"],
+)
+def test_form_without_terms_refuses_q_polar_keep_and_restrict(form, message):
+    assert form.terms is None
+    row = unit_rows([0], len(form))[0]
+    for call in (form.keep, lambda: form.quadratic(row), lambda: form.polar(row)):
+        with pytest.raises(W.WitnessError, match=message):
+            call()
+    if form.lie_type != "C":  # a C restriction reads no Q
+        with pytest.raises(W.WitnessError, match=message):
+            form.restrict([row])
+    # the counting oracle refuses type B over F_2 first, with its own message
+    with pytest.raises(ValidationError, match="type B oracle requires odd q"):
+        brute_force_count(finite_flag_variety("B", 3, (1,)), 2)
 
 
 def test_perp_basics():
