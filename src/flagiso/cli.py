@@ -15,6 +15,12 @@ syntax error, 2 resource bound exceeded: a rank above the rank cap 96
 primality is decided, a brute-force count above ambient dimension 6, a
 ``witness-bd --all`` over more than 100,000 sources or candidate first rows
 (``witness.MAX_BD_SOURCES``), or out of memory.
+
+Each ``_cmd_*`` handler imports the modules its command runs, and the top of
+this module imports only the standard library and :mod:`flagiso.errors`.  So
+``flagiso decide`` loads the order, descriptor and decision code alone, and
+no command pays for the counting, witness, generator or selftest code it
+does not call.
 """
 
 from __future__ import annotations
@@ -22,28 +28,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import re
 import sys
 
-from . import generate as G
-from . import selftest as st
-from . import witness as W
-from .counting import brute_force_count, check_rank, dimension, point_count, poincare_polynomial
-from .decide import decide_finite, decide_ind
-from .descriptors import (
-    FiniteFlagVariety,
-    descriptor_to_json,
-    dual,
-    finite_flag_variety,
-    parse_descriptor,
-    pic_rank,
-    render_descriptor,
-    truncate_to_variety,
-)
 from .errors import ResourceLimitError, ValidationError
-from .linalg import QQ, PrimeField
-from .orders import INF, normalize, parse_order, render_order
 
 
 def integer(text: str) -> int:
@@ -60,7 +48,9 @@ def integer_list(text: str) -> list:
     return [integer(x) for x in text.split(",") if x.strip()]
 
 
-def _parse_variety(text: str) -> FiniteFlagVariety:
+def _parse_variety(text: str):
+    from .descriptors import finite_flag_variety
+
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(
@@ -70,16 +60,14 @@ def _parse_variety(text: str) -> FiniteFlagVariety:
     return finite_flag_variety(t.strip().upper(), integer(ambient), integer_list(dims))
 
 
-def _variety_from_flags(args) -> FiniteFlagVariety:
+def _variety_from_flags(args):
+    from .descriptors import finite_flag_variety
+
     return finite_flag_variety(args.type.upper(), args.ambient, integer_list(args.dims))
 
 
-def _variety_json(v: FiniteFlagVariety) -> dict:
+def _variety_json(v) -> dict:
     return {"lie_type": v.lie_type, "ambient": v.ambient_dim, "dims": list(v.dims)}
-
-
-def _pic_value(value):
-    return "inf" if value is INF else value
 
 
 def _emit(args, payload: dict, text: str, code: int = 0) -> int:
@@ -90,16 +78,17 @@ def _emit(args, payload: dict, text: str, code: int = 0) -> int:
     return code
 
 
-# Per command: the side parser, the sort key that orders the two sides, the
-# JSON of a side, and the decision.
-_DECIDERS = {
-    "decide": (parse_descriptor, render_descriptor, render_descriptor, decide_ind),
-    "decide-finite": (_parse_variety, repr, _variety_json, decide_finite),
-}
-
-
 def _cmd_decide(args) -> int:
-    parse, key, side_json, decide = _DECIDERS[args.command]
+    from .decide import decide_finite, decide_ind
+    from .descriptors import parse_descriptor, render_descriptor
+
+    # Per command: the side parser, the sort key that orders the two sides,
+    # the JSON of a side, and the decision.
+    deciders = {
+        "decide": (parse_descriptor, render_descriptor, render_descriptor, decide_ind),
+        "decide-finite": (_parse_variety, repr, _variety_json, decide_finite),
+    }
+    parse, key, side_json, decide = deciders[args.command]
     x = parse(args.left)
     y = parse(args.right)
     swapped = key(x) > key(y)
@@ -117,11 +106,15 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    from .orders import normalize, parse_order, render_order
+
     result = render_order(normalize(parse_order(args.order)))
     return _emit(args, {"input": args.order.strip(), "normal_form": result}, result)
 
 
 def _cmd_dual(args) -> int:
+    from .descriptors import descriptor_to_json, dual, parse_descriptor, render_descriptor
+
     d = parse_descriptor(args.descriptor)
     out = dual(d)
     note = "self-dual; unchanged" if d.is_isotropic() else ""
@@ -136,6 +129,8 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_points(args) -> int:
+    from .counting import brute_force_count, point_count
+
     v = _variety_from_flags(args)
     if args.brute_force:
         count = brute_force_count(v, args.q)
@@ -151,6 +146,8 @@ def _cmd_points(args) -> int:
 
 
 def _cmd_poincare(args) -> int:
+    from .counting import poincare_polynomial
+
     v = _variety_from_flags(args)
     poly = poincare_polynomial(v)
     payload = {
@@ -162,6 +159,8 @@ def _cmd_poincare(args) -> int:
 
 
 def _cmd_dim(args) -> int:
+    from .counting import dimension
+
     v = _variety_from_flags(args)
     value = dimension(v)
     payload = {"variety": _variety_json(v), "dimension": value}
@@ -169,16 +168,20 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_pic_rank(args) -> int:
+    from .descriptors import parse_descriptor, pic_rank, render_descriptor
+    from .orders import INF
+
     d = parse_descriptor(args.descriptor)
     value = pic_rank(d)
-    payload = {
-        "descriptor": render_descriptor(d),
-        "pic_rank": _pic_value(value),
-    }
-    return _emit(args, payload, str(_pic_value(value)))
+    if value is INF:
+        value = "inf"
+    payload = {"descriptor": render_descriptor(d), "pic_rank": value}
+    return _emit(args, payload, str(value))
 
 
 def _cmd_truncate(args) -> int:
+    from .descriptors import parse_descriptor, render_descriptor, truncate_to_variety
+
     d = parse_descriptor(args.descriptor)
     v = truncate_to_variety(d, args.width)
     payload = {
@@ -190,15 +193,15 @@ def _cmd_truncate(args) -> int:
     return _emit(args, payload, text)
 
 
-def _field_from_args(args):
-    if args.prime is None:
-        return QQ
-    return PrimeField(args.prime)
-
-
 def _cmd_witness_rebase(args) -> int:
+    import random
+
+    from . import generate as G
+    from . import witness as W
+    from .linalg import QQ, PrimeField
+
     rng = random.Random(args.seed)
-    field = _field_from_args(args)
+    field = QQ if args.prime is None else PrimeField(args.prime)
     chain, e, e2, form = G.random_rebase_instance(rng, field, isotropic=args.isotropic)
     transcript = []
     try:
@@ -233,6 +236,12 @@ def _cmd_witness_rebase(args) -> int:
 
 
 def _cmd_witness_bd(args) -> int:
+    import random
+
+    from . import witness as W
+    from .counting import check_rank
+    from .linalg import PrimeField
+
     n = args.n
     check_rank(n)  # the pair at n lives in D_n, of rank n
     if not args.all and args.samples < 1:
@@ -283,6 +292,8 @@ def _cmd_witness_bd(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import selftest as st
+
     results = st.run_all(args.only)
     lock_ok, lock_detail = st.check_derived_values()
     ok = all(r.passed for r in results) and lock_ok

@@ -27,6 +27,10 @@ connected component, the one containing the span of the first m coordinates:
 its Levi is the type-A part alone (the group is D_m, not B_m), and the
 brute-force route filters Lagrangians by the parity of their intersection with
 that reference (``witness.in_reference_component``).
+
+The enumeration is the only user of ``linalg`` and ``witness`` here, so
+:func:`brute_force_count` imports them itself: a point count, Poincare
+polynomial or dimension loads neither.
 """
 
 from __future__ import annotations
@@ -35,11 +39,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import linalg as la
 from .descriptors import FiniteFlagVariety, require_valid
 from .errors import ResourceLimitError, ValidationError
-from .linalg import PrimeField
-from .witness import in_reference_component, split_form
 
 MAX_RANK = 96
 
@@ -218,7 +219,10 @@ def brute_force_count(v: FiniteFlagVariety, q: int) -> int:
     if t == "B" and q == 2:
         raise ValidationError("type B oracle requires odd q")
 
-    field = PrimeField(q)
+    from . import linalg as la
+    from .witness import in_reference_component, split_form
+
+    field = la.PrimeField(q)
     keep = None if t == "A" else split_form(t, n, field).keep()
     m = n // 2
     lagrangian = m if t == "D" and dims[-1] == m else None

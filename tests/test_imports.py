@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -257,3 +260,96 @@ def test_terms_scan_finds_a_reader(tmp_path):
         "def f(form):\n    return form.terms\nclass K:\n    t = x.terms[0]\nterms = 1\n"
     )
     assert _attribute_readers([path], ("terms",)) == [("m.py", "f"), ("m.py", "K")]
+
+
+# -- the package namespace and cold imports ----------------------------------
+
+_EXPORTED = [
+    "DecisionResult", "FiniteFlagVariety", "FlagDescriptor", "FlagisoError", "FormType",
+    "INF", "QPolynomial", "Reason", "ResourceLimitError", "ThresholdError",
+    "ValidationError", "Verdict", "WeightedOrder", "brute_force_count", "counting",
+    "decide", "decide_finite", "decide_ind", "descriptor_from_json", "descriptor_to_json",
+    "descriptors", "dimension", "dual", "errors", "finite_flag_variety", "full_chain",
+    "general_flags", "is_isomorphic", "linalg", "min_truncation_width", "normalize",
+    "omega", "omegastar", "orders", "orthogonal_flags", "parse_descriptor", "parse_order",
+    "pic_rank", "poincare_polynomial", "point_count", "render_descriptor", "render_order",
+    "reverse", "seq", "symplectic_flags", "total_dimension", "truncate",
+    "truncate_to_variety", "validate", "witness",
+]
+
+
+def test_package_exports_the_pinned_names():
+    assert sorted(flagiso.__all__) == _EXPORTED
+    assert set(_EXPORTED) <= set(dir(flagiso))
+
+
+@pytest.mark.parametrize("name", _EXPORTED)
+def test_exported_name_is_its_defining_module_attribute(name):
+    value = getattr(flagiso, name)
+    if name in ("counting", "decide", "descriptors", "errors", "linalg", "orders", "witness"):
+        assert value is importlib.import_module(f"flagiso.{name}")
+    else:
+        assert value is getattr(importlib.import_module(value.__module__), name)
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from flagiso import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == _EXPORTED
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        flagiso.no_such_name
+    with pytest.raises(ImportError):
+        exec("from flagiso import no_such_name", {})
+
+
+def _loaded_by(*argv):
+    """The flagiso modules and ``fractions`` in ``sys.modules`` after a fresh
+    interpreter imports the package and its CLI and, given ``argv``, runs
+    that command as the ``flagiso`` script does."""
+    code = (
+        "import sys\nimport flagiso, flagiso.cli\n"
+        "if sys.argv[1:]:\n    assert flagiso.cli.main(sys.argv[1:]) == 0\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('flagiso', 'fractions')))\n"
+    )
+    src = str(pathlib.Path(flagiso.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, env=env, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_importing_the_package_and_cli_loads_no_other_module():
+    assert _loaded_by() == {"flagiso", "flagiso.cli", "flagiso.errors"}
+
+
+_HEAVY = {"flagiso.witness", "flagiso.linalg", "flagiso.generate", "flagiso.selftest"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "gen: seq[1,inf]", "symp: half=seq[1]; middle=inf"],
+        ["normalize", "seq[1,2] + omega(1)"],
+        ["dual", "gen: seq[1,inf]"],
+        ["pic-rank", "gen: omega(1)"],
+        ["truncate", "orth: half=seq[1]; middle=inf", "--width", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_descriptor_command_loads_no_counting_or_witness_code(argv):
+    loaded = _loaded_by(*argv)
+    assert not loaded & (_HEAVY | {"flagiso.counting", "fractions"})
+    assert "flagiso.orders" in loaded
+
+
+@pytest.mark.parametrize("command", ["points", "poincare", "dim"])
+def test_closed_form_count_loads_no_witness_code(command):
+    flags = ["--type", "B", "--ambient", "5", "--dims", "1,2"]
+    loaded = _loaded_by(command, *flags, *(["--q", "3"] if command == "points" else []))
+    assert not loaded & _HEAVY
+    assert "flagiso.counting" in loaded
