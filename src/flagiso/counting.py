@@ -62,13 +62,6 @@ class QPolynomial:
                 raise ValidationError(f"coefficients must be nonnegative integers, got {c!r}")
         object.__setattr__(self, "coefficients", coeffs)
 
-    @staticmethod
-    def from_dict(by_degree: dict) -> "QPolynomial":
-        if not by_degree:
-            return QPolynomial(())
-        top = max(by_degree)
-        return QPolynomial(tuple(by_degree.get(i, 0) for i in range(top + 1)))
-
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
@@ -78,15 +71,6 @@ class QPolynomial:
         for c in reversed(self.coefficients):
             value = value * q + c
         return value
-
-    def __add__(self, other):
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        return QPolynomial(tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)))
-
-    def is_palindromic(self) -> bool:
-        return self.coefficients == tuple(reversed(self.coefficients))
 
     def render(self) -> str:
         if not self.coefficients:

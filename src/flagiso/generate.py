@@ -103,7 +103,7 @@ def random_split_isometry(rng, field, form):
     n = len(form)
     m = n // 2
     t = la.identity(n, field)
-    symmetric = la.mat_eq(form, la.transpose(form))
+    symmetric = form.lie_type != "C"
     for _ in range(6):
         g = [list(row) for row in la.identity(n, field)]
         kind = rng.randrange(3)
@@ -413,7 +413,7 @@ def composable_pair(rng, field, with_forms=False):
     d1 = random_extension(rng, field, with_forms=with_forms)
     symplectic = None
     if with_forms:
-        symplectic = not la.mat_eq(d1.target_form, la.transpose(d1.target_form))
+        symplectic = d1.target_form.lie_type == "C"
     d2 = random_strict_extension(
         rng,
         field,

@@ -23,9 +23,9 @@ computes its fixed point in one pass, and :func:`is_normalized` tests for it.
 each piece, and reads each distinct piece once with one single-atom pattern,
 ``_PIECE``.  Long texts repeat a few atoms many times, so the per-atom work
 runs once per distinct piece, and equal atom texts share one frozen atom
-object.  A text whose pieces all parse is valid; otherwise it is read again
-atom by atom from the start with ``_ATOM``, which only locates the first
-error and its column (see "Text format" below).
+object.  A text whose pieces all parse is valid; otherwise ``_ATOM``
+reads its first piece that does not parse, only to locate the error and
+its column (see "Text format" below).
 
 Validation happens at the public boundary.  ``Seq``, ``Omega``, ``OmegaStar``
 and ``WeightedOrder`` built by callers check their fields in
@@ -329,9 +329,9 @@ def truncate(x: WeightedOrder, n: int):
 # frozen atom object in the returned order.
 #
 # _ATOM and _parse_error only locate errors.  When a piece does not match, or
-# int() refuses one of its sizes, the whole text is read again from the start,
-# one atom and the `+` or end of text after it per _ATOM match, so the first
-# error in the text is the one reported.  Each piece of _ATOM after the atom
+# int() refuses one of its sizes, _ATOM is matched once where the first such
+# piece starts in the text, which is the first error in the text, since every
+# piece before it parses.  Each piece of _ATOM after the atom
 # name (opening bracket, sizes, closing bracket, `+` or end) is optional and
 # nested in the one before, so a match always succeeds and stops where the
 # text stops fitting the grammar.  The atom is complete when the group `end`
@@ -379,12 +379,13 @@ _WORD = re.compile(r"\s*([^\W_]*)")
 
 
 def parse_order(text: str) -> WeightedOrder:
-    parts = list(map(str.strip, text.split("+")))
+    raw = text.split("+")
+    parts = list(map(str.strip, raw))
     table = dict.fromkeys(parts)
     for piece in table:
         m = _PIECE.fullmatch(piece)
         if m is None:
-            raise _first_error(text)
+            raise _piece_error(text, raw, parts.index(piece))
         sizes, name, size = m.groups()
         # a matched size is `inf` or decimal digits, with spaces around it
         try:  # int() refuses more digits than sys.get_int_max_str_digits()
@@ -395,27 +396,16 @@ def parse_order(text: str) -> WeightedOrder:
                 size = INF if "inf" in size else int(size)
                 table[piece] = _build(Omega if name == "omega" else OmegaStar, size)
         except ValueError:
-            raise _first_error(text) from None
+            raise _piece_error(text, raw, parts.index(piece)) from None
     return _build(WeightedOrder, tuple(map(table.__getitem__, parts)))
 
 
-def _first_error(text: str) -> OrderParseError:
-    """The error of the first atom in ``text`` that ``_ATOM`` stops short on
-    or whose sizes ``int()`` refuses.  :func:`parse_order` asks only about a
-    text with a piece that does not parse, so the loop stops at that piece or
-    before it."""
-    pos = 0
-    while True:
-        m = _ATOM.match(text, pos)
-        if m["end"] is None:
-            return _parse_error(text, m)
-        try:
-            for w in m["sizes"].split(","):
-                if "inf" not in w:
-                    int(w)
-        except ValueError:
-            return _parse_error(text, m)
-        pos = m.end()
+def _piece_error(text, raw, i) -> OrderParseError:
+    """The error of piece ``i`` of ``text``, split at ``+`` into ``raw``.
+    Table order is first-occurrence order, so every piece before it parses,
+    and ``_ATOM`` matched where its raw text starts stops short in it or
+    reads the sizes that ``int()`` refuses."""
+    return _parse_error(text, _ATOM.match(text, sum(map(len, raw[:i])) + i))
 
 
 def _parse_error(text, m) -> OrderParseError:

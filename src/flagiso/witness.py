@@ -25,20 +25,19 @@ its own output by direct matrix identities before returning:
   its Lagrangian over M is M + (M^perp ∩ R) for R = <e_1..e_n> or for the
   reflection of R in e_1 - e_2n, two nullspaces and one component test.
 
-Work done once per value.  Every form that enters this module becomes a
-:class:`Form`: the tuple of its rows, which also carries its field, Lie
-type, kernel matrix, quadratic terms and the defect its check found, if
-any.  :func:`split_form` builds and checks each split form once per (Lie
-type, ambient, field), and every caller shares the value.  A plain matrix is
-built and checked again each time it enters :func:`flag_point`,
-:func:`perp`, :func:`rebase_automorphism` or :func:`standard_extension`, and
-a value with a defect is refused there.  :func:`flag_point` checks the
-form's size and the isotropy of every member on every call, and
-:func:`bd_phi` checks total singularity under Q.  B on row sets and perp go
-through the kernel; Q and the polar functional are read from the terms.  A
-value's keep computes Q and the polar functional of a candidate row once,
-in a dict of its own, so the test of the row against each row above it is
-one dot product.
+Work done once per value.  A form is a :class:`Form`: the tuple of its
+rows, which also carries its field, Lie type, kernel matrix and quadratic
+terms.  Only :func:`split_form` builds one for a point, once per (Lie type,
+ambient, field), and every caller shares the value; :meth:`Form.restrict`
+builds the form on a subspace, in coefficients.  :func:`flag_point`,
+:func:`rebase_automorphism` and :func:`standard_extension` take a
+:class:`Form` over their field and refuse anything else, a plain matrix
+included.  :func:`flag_point` checks the form's size and the isotropy of
+every member on every call, and :func:`bd_phi` checks total singularity
+under Q.  B on row sets and perp go through the kernel; Q and the polar
+functional are read from the terms.  A value's keep computes Q and the
+polar functional of a candidate row once, in a dict of its own, so the test
+of the row against each row above it is one dot product.
 
 Slot maps are allowed one value past the proper source members: kappa(j) =
 k + 1 denotes the full image alpha(V).  Such slots arise when compositions
@@ -73,7 +72,6 @@ class WitnessError(ValidationError):
 # ---------------------------------------------------------------------------
 # Forms.
 
-_SHAPE = "form must be square, matching the ambient, nondegenerate"
 _NO_QUADRATIC = (
     "form is the polar form of no quadratic form (a nonzero diagonal entry in characteristic 2)"
 )
@@ -91,32 +89,29 @@ class Form(tuple):
       the sum of g x_i x_j, whose polar form Q(x + y) - Q(x) - Q(y) is B.
       For type C they are B's entries above the diagonal, and B(x, y) is
       the sum of g (x_i y_j - x_j y_i).  None when no quadratic form has B
-      as its polar form: a nonzero diagonal entry in characteristic 2;
-    * ``defect``: why it cannot be a point's form, or None.
+      as its polar form: a nonzero diagonal entry in characteristic 2.
 
-    Built by :func:`split_form`, by :func:`_as_form` from a plain matrix and
-    by :meth:`restrict`, and frozen: :func:`split_form` hands the same value
-    to every caller.  It pickles and copies as itself through
-    ``__reduce__``, whose arguments rebuild it without checking again."""
+    Built only by :func:`split_form` and :meth:`restrict`, which know its
+    rows, type and terms, so it is never checked; anything else offered as
+    a point's form is refused.  It is frozen: :func:`split_form` hands the
+    same value to every caller.  It pickles and copies as itself through
+    ``__reduce__``."""
 
-    def __new__(cls, rows, field, lie_type, terms, defect):
+    def __new__(cls, rows, field, lie_type, terms):
         self = super().__new__(cls, rows)
-        vars(self).update(
-            field=field, lie_type=lie_type, terms=terms, defect=defect, matrix=la.mat(rows, field)
-        )
+        vars(self).update(field=field, lie_type=lie_type, terms=terms, matrix=la.mat(rows, field))
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a Form is frozen: cannot set {name}")
 
     def __reduce__(self):
-        return type(self), (tuple(self), self.field, self.lie_type, self.terms, self.defect)
+        return type(self), (tuple(self), self.field, self.lie_type, self.terms)
 
     def _terms(self):
-        """``terms``, or WitnessError naming why there are none: the form's
-        defect, or no quadratic form to polarize to it."""
+        """``terms``, or WitnessError when no quadratic form polarizes to B."""
         if self.terms is None:
-            raise WitnessError(self.defect or _NO_QUADRATIC)
+            raise WitnessError(_NO_QUADRATIC)
         return self.terms
 
     def quadratic(self, x):
@@ -176,8 +171,8 @@ class Form(tuple):
         """The form on the span of the rows of ``basis``, in coefficients:
         its rows are B(basis_k, basis_l), and its terms Q(basis_k) on the
         diagonal and B(basis_k, basis_l) above it, so no division is needed
-        in any characteristic.  It is never a point's form and is not
-        checked: over F_2 the form on the odd hyperplane is degenerate."""
+        in any characteristic.  It is not checked: over F_2 the form on
+        the odd hyperplane is degenerate."""
         gram = self.pair(basis, basis)
         terms = []
         for k, row in enumerate(gram):
@@ -185,61 +180,29 @@ class Form(tuple):
                 g = self.quadratic(basis[k]) if k == l and self.lie_type != "C" else row[l]
                 if g:
                     terms.append((k, l, g))
-        return Form(gram, self.field, self.lie_type, tuple(terms), None)
-
-
-def _new_form(rows, field, lie_type=None):
-    """The value of a matrix, checked once: square, nondegenerate, and
-    symmetric or antisymmetric.  Its terms are the entries above the
-    diagonal and half of each diagonal entry.  Without a Lie type, an
-    antisymmetric matrix that is not symmetric is C, and a symmetric one B
-    or D by its size."""
-    m = la.mat(rows, field)
-    n = len(m)
-    t = la.transpose(m)
-    symmetric = la.mat_eq(m, t)
-    defect = None
-    if any(len(row) != n for row in m) or la.rank(m, field) != n:
-        defect = _SHAPE
-    elif not (symmetric or la.mat_eq(m, la.mat_scale(field.reduce(-field.one()), t, field))):
-        defect = "form is neither symmetric nor antisymmetric"
-    two = field.of(2)
-    terms = None
-    if not (defect or (any(m[i][i] for i in range(n)) and not two)):
-        terms = tuple(
-            (i, j, row[j] if i < j else field.reduce(row[j] * field.inv(two)))
-            for i, row in enumerate(m)
-            for j in range(i, n)
-            if row[j]
-        )
-    if lie_type is None:
-        lie_type = "BD"[n % 2 == 0] if symmetric else "C"
-    return Form(m, field, lie_type, terms, defect)
+        return Form(gram, self.field, self.lie_type, tuple(terms))
 
 
 def _as_form(form, field):
-    """``form`` as a valid :class:`Form` over ``field``, or WitnessError with
-    its defect.  A value over the field is taken as it is; a plain matrix,
-    or a value over another field, is built and checked again."""
+    """``form`` when it is a :class:`Form` over ``field``, else WitnessError."""
     if not (isinstance(form, Form) and form.field == field):
-        form = _new_form(form, field)
-    if form.defect:
-        raise WitnessError(form.defect)
+        raise WitnessError(f"form must be a Form over {field!r}, as split_form builds it")
     return form
 
 
 @lru_cache(maxsize=64)
 def split_form(lie_type, n_ambient, field):
     """The split form of a finite flag variety of the given Lie type, as a
-    :class:`Form`, none for A.  Its entries sit on the antidiagonal: +1 in the
-    top half of the rows, and below it -1 for C (antisymmetric) and +1 for B
-    and D (symmetric, the odd middle included).  So Q(x) is the sum of x_i
-    x_(pair of i) over the lower half, plus x_mid^2 / 2 at odd length.  Built
-    and checked once per (Lie type, ambient, field), so every caller shares
-    the same value; one that fails its check (type C at odd length) is
-    refused wherever it is used."""
+    :class:`Form`, none for A; type C at odd length is refused.  Its entries
+    sit on the antidiagonal: +1 in the top half of the rows, and below it -1
+    for C (antisymmetric) and +1 for B and D (symmetric, the odd middle
+    included).  So Q(x) is the sum of x_i x_(n-1-i) over i < n // 2, plus
+    x_m^2 / 2 at the middle m of odd length, which has no Q over F_2.  Built
+    once per (Lie type, ambient, field), so every caller shares the value."""
     if lie_type == "A":
         return None
+    if lie_type == "C" and n_ambient % 2:
+        raise WitnessError(f"a symplectic form needs an even ambient, not {n_ambient}")
     one, zero = field.one(), field.zero()
     below = field.reduce(-one) if lie_type == "C" else one
     rows = tuple(
@@ -249,7 +212,11 @@ def split_form(lie_type, n_ambient, field):
         )
         for i in range(n_ambient)
     )
-    return _new_form(rows, field, lie_type)
+    terms = tuple((i, n_ambient - 1 - i, one) for i in range(n_ambient // 2))
+    if n_ambient % 2:
+        two, m = field.of(2), n_ambient // 2
+        terms = terms + ((m, m, field.inv(two)),) if two else None
+    return Form(rows, field, lie_type, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -269,18 +236,15 @@ class FiniteFlagPoint:
     subspaces: tuple
     form: tuple = None
 
-    def dims(self):
-        return tuple(len(s) for s in self.subspaces)
-
 
 def flag_point(field, ambient_dim, subspaces, form=None) -> FiniteFlagPoint:
     """A flag point with canonical members, checked to be a proper chain and,
-    with a form, to consist of isotropic members of a valid form.
+    with a form, to consist of isotropic members.
 
-    A :class:`Form` over the field was checked when it was built; a plain
-    matrix is built into one and checked on every call.  The form's size,
-    the members, their containments and their isotropy under the form are
-    checked on every call."""
+    The form must be a :class:`Form` over the field, of size
+    ``ambient_dim``; anything else is refused.  The members, their
+    containments and their isotropy under the form are checked on every
+    call."""
     canon = tuple(la.rowspace(la.mat(s, field), field) for s in subspaces)
     if not canon:
         raise WitnessError("a flag point needs at least one member")
@@ -295,18 +259,13 @@ def flag_point(field, ambient_dim, subspaces, form=None) -> FiniteFlagPoint:
         if not la.rowspace_contains(canon[i + 1], canon[i], field):
             raise WitnessError(f"member {i} is not contained in member {i + 1}")
     if form is not None:
-        if len(form) != ambient_dim:
-            raise WitnessError(_SHAPE)
         form = _as_form(form, field)
+        if len(form) != ambient_dim:
+            raise WitnessError("form must be square, matching the ambient, nondegenerate")
         for i, s in enumerate(canon):
             if any(map(any, form.pair(s, s))):
                 raise WitnessError(f"member {i} is not isotropic", certificate=s)
     return FiniteFlagPoint(field, ambient_dim, canon, form)
-
-
-def perp(rows, form, field):
-    """Exact orthogonal complement of a row space for a valid form."""
-    return _as_form(form, field).perp(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,22 @@ from flagiso.orders import (
 # q-binomials and product formulas.
 
 
+def poly_from_degrees(by_degree):
+    """The polynomial with coefficient ``by_degree[i]`` at q^i, 0 elsewhere."""
+    return QPolynomial(tuple(by_degree.get(i, 0) for i in range(max(by_degree, default=-1) + 1)))
+
+
+def poly_add(p, r):
+    a, b = p.coefficients, r.coefficients
+    if len(a) < len(b):
+        a, b = b, a
+    return QPolynomial(tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)))
+
+
+def is_palindromic(p):
+    return p.coefficients == p.coefficients[::-1]
+
+
 @lru_cache(maxsize=None)
 def gaussian_binomial_poly(n, k):
     """[n choose k]_q via the recursion [n k] = [n-1 k-1] + q^k [n-1 k]."""
@@ -62,7 +78,7 @@ def gaussian_binomial_poly(n, k):
     if k == 0 or k == n:
         return QPolynomial((1,))
     shifted = tuple([0] * k) + gaussian_binomial_poly(n - 1, k).coefficients
-    return gaussian_binomial_poly(n - 1, k - 1) + QPolynomial(shifted)
+    return poly_add(gaussian_binomial_poly(n - 1, k - 1), QPolynomial(shifted))
 
 
 def gaussian_binomial(n, k, q):
@@ -286,7 +302,7 @@ def coset_poincare(v):
         if is_minimal_rep(w, kind, adjacent, special):
             l = length(w, kind)
             coeffs[l] = coeffs.get(l, 0) + 1
-    return QPolynomial.from_dict(coeffs)
+    return poly_from_degrees(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +903,7 @@ def isotropic_keep_by_terms(lie_type, n_ambient, field):
 
 def enumerate_bd_sources_by_filtering(n, field):
     w_rows = W.bd_hyperplane_basis(n, field)
-    form = split_symmetric_form(2 * n, field)
+    form = W.split_form("D", 2 * n, field)
     for coeffs in la.enumerate_subspaces(2 * n - 1, n - 1, field):
         rows = la.rowspace(la.mat_mul(coeffs, w_rows, field), field)
         if is_totally_singular_by_form(rows, field):
@@ -920,7 +936,7 @@ def random_bd_source_with_retries(rng, n, field):
                 continue
             rows = list(cand)
         if len(rows) == n - 1:
-            return W.flag_point(field, 2 * n, [tuple(rows)], form=form)
+            return W.flag_point(field, 2 * n, [tuple(rows)], form=W.split_form("D", 2 * n, field))
 
 
 # ---------------------------------------------------------------------------
@@ -997,7 +1013,7 @@ def bd_phi_by_quadratic(n, m_point):
     chosen = [c for c in candidates if W.in_reference_component(c, n, field)]
     if len(chosen) != 1:
         raise W.WitnessError("the two Lagrangians do not split between the components")
-    return W.flag_point(field, N, [chosen[0]], form=form)
+    return W.flag_point(field, N, [chosen[0]], form=W.split_form("D", N, field))
 
 
 # ---------------------------------------------------------------------------
@@ -1026,8 +1042,8 @@ def rebase_automorphism_by_greedy(chain, basis_e, basis_e2, form=None):
 
     value = None
     if form is not None:
-        form = la.mat(form, field)
         value = W._as_form(form, field)
+        form = la.mat(form, field)
         members = W._closed_chain(members, value, field, n)
     gaps_e = W._gap_classes(members, E, field, "E")
     gaps_e2 = W._gap_classes(members, E2, field, "E'")

@@ -226,6 +226,17 @@ def test_selftest_checks_pinned_values_without_writing(tmp_path, monkeypatch, ca
     )
 
 
+def test_full_selftest_passes_every_criterion(tmp_path, monkeypatch, capsys):
+    # the other selftest tests run criteria 1 and 7 alone; this one runs the
+    # bodies of all seven, with the lockfile
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["selftest", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [c["passed"] for c in payload["criteria"]] == [True] * 7, payload
+    assert payload["lockfile"]["ok"] and payload["ok"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_selftest_fails_on_a_drifted_value(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     drifted = dict(st.derived_values(), **{"poincare:D:4:2": "1 + 2*q"})

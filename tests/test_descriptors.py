@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from unittest import mock
 
@@ -98,6 +100,17 @@ def test_invalid_built_descriptor_raises_from_every_entry_point(d):
     for call in calls + calls:  # raising once leaves nothing behind
         with pytest.raises(DescriptorError):
             call()
+
+
+def test_inf_keeps_its_identity_through_pickle_and_copy():
+    # the library tests sizes and middles with `is INF`
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(INF, protocol)) is INF
+    assert copy.copy(INF) is INF and copy.deepcopy(INF) is INF
+    d = symplectic_flags(seq(1, INF), INF)
+    for other in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+        assert other == d and other.middle is INF and other.half.atoms[0].sizes[1] is INF
+        assert pic_rank(other) == pic_rank(d)
 
 
 def test_full_chain_expansions():

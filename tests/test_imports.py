@@ -184,33 +184,58 @@ def test_library_attribute_scan_finds_aliased_reads(tmp_path):
     ]
 
 
-def _echelon_builders(paths):
-    """(file, enclosing top-level definition) of every call ``Echelon(...)``
-    or ``<module>.Echelon(...)``."""
+def _builders(paths, cls):
+    """(file, enclosing definition) of every call ``cls(...)`` or
+    ``<module>.cls(...)``: the top-level definition, or ``Class.method`` for
+    a call in a method."""
     out = []
     for path in paths:
         for stmt in ast.parse(path.read_text()).body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Call):
-                    f = node.func
-                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                    if name == "Echelon":
-                        out.append((path.name, getattr(stmt, "name", None)))
+            scopes = [(stmt, getattr(stmt, "name", None))]
+            if isinstance(stmt, ast.ClassDef):
+                scopes = [(sub, f"{stmt.name}.{getattr(sub, 'name', '')}") for sub in stmt.body]
+            for scope, name in scopes:
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Call):
+                        f = node.func
+                        if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == cls:
+                            out.append((path.name, name))
     return out
+
+
+def _library_benchmark_and_tests():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    return _MODULES + sorted((root / "perfbench").rglob("*.py")) + sorted(root.glob("tests/*.py"))
 
 
 def test_only_rref_builds_an_echelon():
     # rref trusts an Echelon over its field without reducing it, so nothing
     # but rref's own output may be one
-    root = pathlib.Path(__file__).resolve().parent.parent
-    paths = _MODULES + sorted((root / "perfbench").rglob("*.py")) + sorted(root.glob("tests/*.py"))
-    assert set(_echelon_builders(paths)) == {("linalg.py", "rref")}
+    assert set(_builders(_library_benchmark_and_tests(), "Echelon")) == {("linalg.py", "rref")}
 
 
 def test_echelon_scan_finds_a_builder(tmp_path):
     path = tmp_path / "m.py"
     path.write_text("def f(la):\n    return la.Echelon((), None, ())\nEchelon([], 1, ())\n")
-    assert _echelon_builders([path]) == [("m.py", "f"), ("m.py", None)]
+    assert _builders([path], "Echelon") == [("m.py", "f"), ("m.py", None)]
+
+
+def test_only_split_form_and_restrict_build_a_form():
+    # a Form is never checked, so only the two builders that know its rows,
+    # Lie type and terms may make one
+    assert set(_builders(_library_benchmark_and_tests(), "Form")) == {
+        ("witness.py", "split_form"),
+        ("witness.py", "Form.restrict"),
+    }
+
+
+def test_form_scan_finds_a_builder(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import flagiso.witness as W\ndef f(r, q):\n    return W.Form(r, q, 'D', ())\n"
+        "class K:\n    def g(self):\n        return Form((), None, 'C', ())\n    h = Form\n"
+    )
+    assert _builders([path], "Form") == [("m.py", "f"), ("m.py", "K.g")]
 
 
 def _attribute_readers(paths, attrs):

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -59,7 +60,11 @@ def test_flag_point_rejects_rows_of_the_wrong_length():
 def test_split_form_matches_the_builders_per_kind(field):
     for n in range(10):
         assert W.split_form("A", n, field) is None
-        assert W.split_form("C", n, field) == oracles.split_antisymmetric_form(n, field)
+        if n % 2:
+            with pytest.raises(W.WitnessError, match=f"needs an even ambient, not {n}"):
+                W.split_form("C", n, field)
+        else:
+            assert W.split_form("C", n, field) == oracles.split_antisymmetric_form(n, field)
         for t in "BD":
             assert W.split_form(t, n, field) == oracles.split_symmetric_form(n, field)
 
@@ -72,64 +77,66 @@ def test_flag_point_validates_isotropy():
 
 
 @pytest.mark.parametrize("field", [QQ, F3])
-def test_flag_point_remembers_no_form_that_fails(field):
-    # each bad form raises on a second call too, with the same message
+def test_flag_point_refuses_every_form_but_a_split_form_of_its_size(field):
     line = [unit_rows([0], 4)]
     split = W.split_form("D", 4, field)
     W.flag_point(field, 4, line, form=split)
-    shape = "square, matching the ambient, nondegenerate"
+    other = F5 if field == QQ else QQ
+    not_a_form = re.escape(f"form must be a Form over {field!r}, as split_form builds it")
     bad = [
-        (((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)), shape),
-        (tuple(row + (0,) for row in split), shape),  # 4 x 5
-        (W.split_form("D", 6, field), shape),
-        (((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 1, 0)), "neither symmetric"),
+        (((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)), not_a_form),
+        (tuple(row + (0,) for row in split), not_a_form),  # 4 x 5
+        ([list(row) for row in split], not_a_form),  # the split form's own entries
+        (W.split_form("D", 4, other), not_a_form),
+        (W.split_form("D", 6, field), "square, matching the ambient, nondegenerate"),
     ]
     for form, match in bad:
-        messages = []
-        for _ in range(2):
-            with pytest.raises(W.WitnessError, match=match) as err:
-                W.flag_point(field, 4, line, form=form)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1], form
-    # a member that is not isotropic under a form that has passed
-    for _ in range(2):
-        with pytest.raises(W.WitnessError, match="member 0 is not isotropic"):
-            W.flag_point(field, 4, [((1, 0, 0, 1),)], form=split)
+        with pytest.raises(W.WitnessError, match=match):
+            W.flag_point(field, 4, line, form=form)
+    # a member that is not isotropic under the split form
+    with pytest.raises(W.WitnessError, match="member 0 is not isotropic"):
+        W.flag_point(field, 4, [((1, 0, 0, 1),)], form=split)
 
 
 @pytest.mark.parametrize("field", [QQ, F3])
 def test_points_built_with_the_shared_split_form_equal_points_with_a_copy(field):
     form = W.split_form("C", 6, field)
     assert W.split_form("C", 6, field) is form
-    copy = [list(row) for row in form]
     members = [unit_rows([0], 6), unit_rows([0, 1, 2], 6)]
     shared = W.flag_point(field, 6, members, form=form)
-    assert shared == W.flag_point(field, 6, members, form=copy)
+    for other in (pickle.loads(pickle.dumps(form)), copy.deepcopy(form)):
+        assert other is not form
+        assert shared == W.flag_point(field, 6, members, form=other)
     assert shared.form == form
 
 
-@pytest.mark.parametrize("field", [QQ, F2, F3])
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5])
 def test_split_form_is_a_tuple_of_the_builders_rows(field):
     # rows of Fraction over QQ and of int over F_p, as the plain builders
-    # make them; Q and B read from the terms agree with the formulas
+    # make them, and a valid form by the oracle's rank and transpose, which
+    # split_form does not check; Q and B read from the terms agree with the
+    # formulas
     rng = random.Random(f"form-terms/{field}")
     element = Fraction if field == QQ else int
+    minus = field.reduce(-field.one())
     for t in "BCD":
-        for n in range(2, 8):
+        for n in range(10):
+            if t == "C" and n % 2:
+                continue
             form = W.split_form(t, n, field)
             plain = oracles.split_form_by_kind(t, n, field)
             assert isinstance(form, tuple) and tuple(form) == plain
             assert all(type(row) is tuple for row in form)
             assert all(type(x) is element for row in form for x in row)
             assert (form.field, form.lie_type) == (field, t)
-            # at odd length the C form's middle entry is -1: over F_2 it is
-            # symmetric, elsewhere neither symmetric nor antisymmetric
-            assert (form.defect is None) == (t != "C" or n % 2 == 0 or field == F2)
-            # a form that failed has no terms, and over F_2 no quadratic
-            # form polarizes to a nonzero diagonal entry
-            odd_f2 = field == F2 and n % 2 == 1
-            assert (form.terms is None) == (form.defect is not None or odd_f2)
-            if form.terms is None:
+            assert len(oracles.rref_by_fractions(plain, field)[0]) == n
+            sign = minus if t == "C" else field.one()
+            for i, row in enumerate(plain):
+                assert all(plain[j][i] == field.reduce(sign * x) for j, x in enumerate(row))
+            # over F_2 no quadratic form polarizes to a nonzero diagonal
+            # entry, which the symmetric forms have at odd length
+            assert (form.terms is None) == (field == F2 and n % 2 == 1)
+            if form.terms is None or n == 0:  # no Q, or no vectors to pair
                 continue
             for _ in range(5):
                 x, u = la.random_matrix(rng, 2, n, field)
@@ -161,31 +168,30 @@ def test_restricted_form_is_the_form_in_coefficients(field):
 
 
 def test_form_pickles_and_copies_as_itself():
-    # the benchmark pickles its inputs: a split form, a value built from a
-    # plain matrix, a restriction and a form that failed its check come back
-    # as themselves, and every operation answers as before
-    plain = [list(row) for row in unit_rows([3, 2, 1, 0], 4)]
+    # the benchmark pickles its inputs: split forms, a point's form, a
+    # restriction and a form without terms come back as themselves, and
+    # every operation answers as before
     values = [
         W.split_form("C", 6, QQ),
         W.split_form("B", 5, F5),
-        W.flag_point(F3, 4, [unit_rows([0], 4)], form=plain).form,
+        W.flag_point(F3, 4, [unit_rows([0], 4)], form=W.split_form("D", 4, F3)).form,
         W.split_form("D", 6, F2).restrict(W.bd_hyperplane_basis(3, F2)),
-        W.split_form("C", 5, QQ),
+        W.split_form("B", 5, F2),
     ]
     for form in values:
         rows = la.identity(len(form), form.field)[:2]
         for other in (pickle.loads(pickle.dumps(form)), copy.copy(form), copy.deepcopy(form)):
             assert type(other) is W.Form and other == form
-            assert (other.field, other.lie_type, other.terms, other.defect) == (
-                form.field, form.lie_type, form.terms, form.defect
+            assert (other.field, other.lie_type, other.terms) == (
+                form.field, form.lie_type, form.terms
             )
             assert la.mat_eq(other.matrix, form.matrix)
             assert other.pair(rows, rows) == form.pair(rows, rows)
-            if form.defect:
-                with pytest.raises(W.WitnessError, match=form.defect):
-                    W.perp(rows, other, other.field)
-                continue
             assert other.perp(rows) == form.perp(rows)
+            if form.terms is None:
+                with pytest.raises(W.WitnessError, match="polar form of no quadratic form"):
+                    other.keep()
+                continue
             assert other.restrict(rows) == form.restrict(rows)
             keep, keep_other = form.keep(), other.keep()
             for row in la.identity(len(form), form.field):
@@ -201,44 +207,43 @@ def test_form_pickles_and_copies_as_itself():
 
 
 @pytest.mark.parametrize("field", [QQ, F3])
-def test_odd_symplectic_split_form_is_refused(field):
-    # its middle entry is -1, on the diagonal: the value is built, but it is
-    # never the form of a point, of perp, of a rebase or of an extension
-    form = W.split_form("C", 5, field)
-    assert form.defect == "form is neither symmetric nor antisymmetric"
-    for _ in range(2):
-        with pytest.raises(W.WitnessError, match="neither symmetric"):
-            W.flag_point(field, 5, [unit_rows([0], 5)], form=form)
-    with pytest.raises(W.WitnessError, match="neither symmetric"):
-        W.perp((), form, field)
-    chain = W.flag_point(field, 5, [unit_rows([0], 5)])
-    e = la.identity(5, field)
-    with pytest.raises(W.WitnessError, match="neither symmetric"):
-        W.rebase_automorphism(chain, e, e, form=form)
-    with pytest.raises(W.WitnessError, match="neither symmetric"):
-        W.standard_extension(field, 1, e, (), [()], [1], source_form=form, target_form=form)
+def test_only_a_form_over_the_field_is_taken(field):
+    # a rebase and an extension, like a point, take only a Form over their
+    # field, so the split form's own rows or kernel matrix, and the split
+    # form over another field, are refused
+    form = W.split_form("D", 4, field)
+    other = F5 if field == QQ else QQ
+    message = re.escape(f"form must be a Form over {field!r}, as split_form builds it")
+    line = [unit_rows([0], 4)]
+    chain = W.flag_point(field, 4, line)
+    e = la.identity(4, field)
+    for bad in ([list(row) for row in form], tuple(form), form.matrix, W.split_form("D", 4, other)):
+        with pytest.raises(W.WitnessError, match=message):
+            W.rebase_automorphism(chain, e, e, form=bad)
+        for forms in ((bad, form), (form, bad)):
+            with pytest.raises(W.WitnessError, match=message):
+                W.standard_extension(field, 1, e, (), [()], [1], True, *forms)
+    # the split form itself is taken everywhere
+    point = W.flag_point(field, 4, line, form=form)
+    assert la.mat_eq(W.rebase_automorphism(point, e, e), e)
+    W.standard_extension(field, 1, e, (), [()], [1], source_form=form, target_form=form)
 
 
 @pytest.mark.parametrize(
-    "form, message",
-    [
-        # over F_2 a nonzero diagonal entry of B is 2 Q(e_i) = 0 for every Q
-        (W.split_form("B", 3, F2), "polar form of no quadratic form"),
-        (W._as_form(((1, 0), (0, 1)), F2), "polar form of no quadratic form"),
-        # a form refused when built names its defect
-        (W.split_form("C", 5, QQ), "neither symmetric nor antisymmetric"),
-    ],
-    ids=["split-B3-F2", "identity-F2", "odd-symplectic"],
+    "form",
+    # over F_2 a nonzero diagonal entry of B is 2 Q(e_i) = 0 for every Q
+    [W.split_form("B", 3, F2), W.split_form("D", 5, F2)],
+    ids=["split-B3-F2", "split-D5-F2"],
 )
-def test_form_without_terms_refuses_q_polar_keep_and_restrict(form, message):
+def test_form_without_terms_refuses_q_polar_keep_and_restrict(form):
     assert form.terms is None
+    message = "polar form of no quadratic form"
     row = unit_rows([0], len(form))[0]
     for call in (form.keep, lambda: form.quadratic(row), lambda: form.polar(row)):
         with pytest.raises(W.WitnessError, match=message):
             call()
-    if form.lie_type != "C":  # a C restriction reads no Q
-        with pytest.raises(W.WitnessError, match=message):
-            form.restrict([row])
+    with pytest.raises(W.WitnessError, match=message):
+        form.restrict([row])
     # the counting oracle refuses type B over F_2 first, with its own message
     with pytest.raises(ValidationError, match="type B oracle requires odd q"):
         brute_force_count(finite_flag_variety("B", 3, (1,)), 2)
@@ -246,11 +251,9 @@ def test_form_without_terms_refuses_q_polar_keep_and_restrict(form, message):
 
 def test_perp_basics():
     form = W.split_form("C", 6, QQ)
-    assert len(W.perp((), form, QQ)) == 6
+    assert len(form.perp(())) == 6
     lag = tuple(unit_rows([0, 1, 2], 6))
-    assert la.rowspace_eq(W.perp(lag, form, QQ), lag, QQ)
-    with pytest.raises(W.WitnessError):
-        W.perp(lag, [[0] * 6] * 6, QQ)
+    assert la.rowspace_eq(form.perp(lag), lag, QQ)
 
 
 def test_perp_double_and_dimension_on_random_subspaces():
@@ -267,9 +270,9 @@ def test_perp_double_and_dimension_on_random_subspaces():
         rows = la.rowspace(la.random_matrix(rng, rng.randint(1, n - 1), n, field), field)
         if not rows:
             continue
-        p = W.perp(rows, form, field)
+        p = form.perp(rows)
         assert len(rows) + len(p) == n
-        assert la.rowspace_eq(W.perp(p, form, field), rows, field)
+        assert la.rowspace_eq(form.perp(p), rows, field)
         checked += 1
 
 
@@ -417,24 +420,156 @@ def test_modified_extension_is_annihilator_chain():
     d = W.standard_extension(QQ, 1, la.identity(3, QQ), (), [()], (1,), strict=False)
     p = W.flag_point(QQ, 3, [((1, 2, 3),)])
     out = W.apply_standard_extension(d, p)
-    assert out.dims() == (2,)
+    assert [len(s) for s in out.subspaces] == [2]
     prods = la.mat_mul(p.subspaces[0], la.transpose(out.subspaces[0]), QQ)
     assert all(x == 0 for row in prods for x in row)
 
 
-def test_extension_validation():
-    alpha = la.mat(unit_rows([0, 1], 4), QQ)
-    comp = la.mat(unit_rows([2, 3], 4), QQ)
-    with pytest.raises(W.WitnessError):  # kappa misses a member
-        W.standard_extension(QQ, 2, alpha, comp, [la.mat(unit_rows([2], 4), QQ)], (1,))
-    with pytest.raises(W.WitnessError):  # constant step without kappa growth
-        W.standard_extension(
-            QQ, 1, alpha, comp,
-            [la.mat(unit_rows([2], 4), QQ), la.mat(unit_rows([2], 4), QQ)],
-            (1, 1),
-        )
-    with pytest.raises(W.WitnessError):  # filtration outside the complement
-        W.standard_extension(QQ, 1, alpha, comp, [la.mat(unit_rows([0], 4), QQ)], (1,))
+def _units(indices, n):
+    return la.mat(unit_rows(indices, n), QQ)
+
+
+def _ext(k, alpha, complement, filtration, kappa, strict=True, forms=(None, None)):
+    return W.standard_extension(QQ, k, alpha, complement, filtration, kappa, strict, *forms)
+
+
+def _plain(strict=True):
+    """The identity of the plane, general type."""
+    return _ext(1, la.identity(2, QQ), (), [()], (1,), strict)
+
+
+def _with(lie_type):
+    """The identity of the plane, carrying the split form of ``lie_type``."""
+    form = W.split_form(lie_type, 2, QQ)
+    return _ext(1, la.identity(2, QQ), (), [()], (1,), forms=(form, form))
+
+
+_D2, _D4 = W.split_form("D", 2, QQ), W.split_form("D", 4, QQ)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: _ext(1, ((1, 0, 0), (2, 0, 0)), (), [()], (1,)), "alpha must be injective"),
+        (
+            lambda: _ext(1, _units([0], 3), _units([1], 3), [()], (1,)),
+            "complement must complete the image of alpha",
+        ),
+        (
+            lambda: _ext(1, la.identity(2, QQ), (), [(), ()], (1,)),
+            "filtration and kappa must have equal positive length",
+        ),
+        (
+            lambda: _ext(1, _units([0], 2), _units([1], 2), [_units([0], 2)], (1,)),
+            "filtration must lie inside the complement",
+        ),
+        (
+            lambda: _ext(
+                1, _units([0], 3), _units([1, 2], 3), [_units([1], 3), _units([2], 3)], (1, 1)
+            ),
+            "filtration must be nondecreasing",
+        ),
+        (
+            lambda: _ext(1, la.identity(2, QQ), (), [()], (3,)),
+            "kappa values must lie in 0..source_members+1",
+        ),
+        (lambda: _ext(2, la.identity(3, QQ), (), [(), ()], (2, 1)), "kappa must be nondecreasing"),
+        (
+            lambda: _ext(2, la.identity(3, QQ), (), [()], (1,)),
+            "kappa must use every proper source member",
+        ),
+        (
+            lambda: _ext(1, la.identity(2, QQ), (), [(), ()], (1, 1)),
+            "a constant filtration step needs a strictly increasing kappa",
+        ),
+        (
+            lambda: _ext(1, _units([0], 2), _units([1], 2), [(), _units([1], 2)], (1, 2)),
+            "the top slot would be the whole target space",
+        ),
+        (
+            lambda: _ext(1, la.identity(2, QQ), (), [()], (1,), forms=(_D2, None)),
+            "forms must be given on both sides or neither",
+        ),
+        (
+            lambda: _ext(1, la.identity(2, QQ), (), [()], (1,), False, (_D2, _D2)),
+            "modified extensions are general-type only",
+        ),
+        (
+            lambda: _ext(1, _units([0, 1], 4), _units([2, 3], 4), [()], (1,), forms=(_D2, _D4)),
+            "alpha is not compatible with the forms",
+        ),
+        (
+            lambda: _ext(
+                1, _units([0, 3], 4), ((1, 1, 0, 0), (0, 0, 1, 0)), [()], (1,), forms=(_D2, _D4)
+            ),
+            "the splitting is not orthogonal",
+        ),
+        (
+            lambda: W.apply_standard_extension(_plain(), W.flag_point(F3, 2, [((1, 0),)])),
+            "field mismatch",
+        ),
+        (
+            lambda: W.apply_standard_extension(_plain(), W.flag_point(QQ, 3, [unit_rows([0], 3)])),
+            "shape mismatch: data expects 1 members in ambient 2, point has 1 in 3",
+        ),
+        (
+            lambda: W.apply_standard_extension(_with("D"), W.flag_point(QQ, 2, [((1, 0),)])),
+            "point must carry the extension's source form",
+        ),
+        (
+            lambda: W.apply_standard_extension(
+                _plain(), W.flag_point(QQ, 2, [((1, 0),)], form=_D2)
+            ),
+            "a general-type extension applies to form-free points",
+        ),
+        (lambda: W._dual_conjugate(_with("D")), "duality conjugation is general-type only"),
+        (
+            lambda: W.compose_standard_extensions(
+                _plain(), _ext(1, la.identity(3, QQ), (), [()], (1,))
+            ),
+            "extensions do not compose: shapes disagree",
+        ),
+        (
+            lambda: W.compose_standard_extensions(_with("D"), _plain()),
+            "cannot compose a form-compatible extension with a bare one",
+        ),
+        (
+            lambda: W.compose_standard_extensions(_with("D"), _with("C")),
+            "the intermediate forms disagree",
+        ),
+        (
+            lambda: W.check_triangle(_plain(strict=False), _plain(), _plain()),
+            "the triangle check applies to strict data",
+        ),
+        (
+            lambda: W.check_triangle(
+                _plain(), _ext(2, la.identity(3, QQ), (), [(), ()], (1, 2)), _plain()
+            ),
+            "triangle shapes disagree",
+        ),
+        (
+            lambda: W.check_triangle(
+                _plain(),
+                _plain(),
+                _ext(1, _units([0], 2), _units([1], 2), [(), _units([1], 2)], (1, 1)),
+            ),
+            "triangle shapes disagree",
+        ),
+    ],
+    ids=[
+        "not-injective", "incomplete-complement", "lengths", "filtration-outside",
+        "filtration-decreasing", "kappa-range", "kappa-decreasing", "kappa-misses-a-member",
+        "constant-step", "top-slot", "forms-on-one-side", "modified-with-forms",
+        "alpha-incompatible", "splitting-not-orthogonal", "apply-field", "apply-shape",
+        "apply-formless-point", "apply-formed-point", "dual-conjugate-forms",
+        "compose-shapes", "compose-one-side-forms", "compose-intermediate-forms",
+        "triangle-modified", "triangle-members", "triangle-slots",
+    ],
+)
+def test_extension_refusals_name_their_reason(build, message):
+    with pytest.raises(W.WitnessError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_strictness_rule_table():
@@ -699,7 +834,7 @@ def test_source_plus_its_perp_in_the_reference_is_lagrangian(field, n):
     ref = la.identity(N, field)[:n]
     for point in W.enumerate_bd_sources(n, field):
         m = point.subspaces[0]
-        meet = oracles.intersect_rowspaces(W.perp(m, form, field), ref, field, N)
+        meet = oracles.intersect_rowspaces(form.perp(m), ref, field, N)
         assert len(meet) == 1 + len(oracles.intersect_rowspaces(m, ref, field, N))
         lag = la.rowspace(la.stack(m, meet), field)
         assert len(lag) == n and W.is_totally_singular(lag, field)
