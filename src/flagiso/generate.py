@@ -127,8 +127,7 @@ def random_split_isometry(rng, field, form):
             g[i][_pair_partner(j, n)] = c
             g[j][_pair_partner(i, n)] = field.reduce(-c) if symmetric else c
         t = la.mat_mul(t, tuple(tuple(row) for row in g), field)
-    check = la.mat_mul(la.mat_mul(t, form, field), la.transpose(t), field)
-    if not la.mat_eq(check, form):
+    if form.pair(t, t) != form:
         raise ValidationError("internal error: generated map is not an isometry")
     return t
 

@@ -17,27 +17,24 @@ its own output by direct matrix identities before returning:
 * :func:`bd_phi` realizes the isomorphism between the maximal orthogonal
   grassmannian of an odd space and one Lagrangian component of the
   even space one dimension up, together with the commuting exhaustion square
-  checked by :func:`bd_square_check`.  The pair works with
-  ``split_form("D", 2n)``, and the keep of that form (:meth:`Form.keep`) is
-  its one test of total singularity, in :func:`bd_phi` as in the enumerated
-  and sampled sources, which test in coefficients through the form's
-  restriction (:meth:`Form.restrict`).  :func:`bd_phi` solves no quadratic:
-  its Lagrangian over M is M + (M^perp ∩ R) for R = <e_1..e_n> or for the
-  reflection of R in e_1 - e_2n, two nullspaces and one component test.
+  checked by :func:`bd_square_check`.  The pair works with points of
+  ``split_form("D", 2n)``, whose members :func:`flag_point` has found
+  totally singular; the sources grow their rows with the keep of that form
+  (:meth:`Form.keep`), in coefficients (:meth:`Form.restrict`).
+  :func:`bd_phi` solves no quadratic: its Lagrangian over M is M + (M^perp
+  ∩ R) for R = <e_1..e_n> or for the reflection of R in e_1 - e_2n, two
+  nullspaces and one component test.
 
-Work done once per value.  A form is a :class:`Form`: the tuple of its
-rows, which also carries its field, Lie type, kernel matrix and quadratic
-terms.  Only :func:`split_form` builds one for a point, once per (Lie type,
-ambient, field), and every caller shares the value; :meth:`Form.restrict`
-builds the form on a subspace, in coefficients.  :func:`flag_point`,
-:func:`rebase_automorphism` and :func:`standard_extension` take a
-:class:`Form` over their field and refuse anything else, a plain matrix
-included.  :func:`flag_point` checks the form's size and the isotropy of
-every member on every call, and :func:`bd_phi` checks total singularity
-under Q.  B on row sets and perp go through the kernel; Q and the polar
-functional are read from the terms.  A value's keep computes Q and the
-polar functional of a candidate row once, in a dict of its own, so the test
-of the row against each row above it is one dot product.
+One gate for forms, one for members.  A form is a :class:`Form`: the tuple
+of its rows, which also carries its field, Lie type, kernel matrix and
+quadratic terms.  :func:`split_form` builds one per (Lie type, ambient,
+field), shared by every caller, and :meth:`Form.restrict` the form on a
+subspace, for the keeps.  :func:`flag_point`, :func:`rebase_automorphism`
+and :func:`standard_extension` take only the split form of their ambient
+(``_as_form``), and :func:`flag_point` alone tests a member.  B on row sets
+and perp go through the kernel; Q and the polar functional are read from
+the terms.  A keep computes Q and the polar functional of a candidate row
+once, so the test of the row against each row above it is one dot product.
 
 Slot maps are allowed one value past the proper source members: kappa(j) =
 k + 1 denotes the full image alpha(V).  Such slots arise when compositions
@@ -92,8 +89,8 @@ class Form(tuple):
       as its polar form: a nonzero diagonal entry in characteristic 2.
 
     Built only by :func:`split_form` and :meth:`restrict`, which know its
-    rows, type and terms, so it is never checked; anything else offered as
-    a point's form is refused.  It is frozen: :func:`split_form` hands the
+    rows, type and terms, so it is never checked; only a split form is
+    taken as a point's form.  It is frozen: :func:`split_form` hands the
     same value to every caller.  It pickles and copies as itself through
     ``__reduce__``."""
 
@@ -183,11 +180,15 @@ class Form(tuple):
         return Form(gram, self.field, self.lie_type, tuple(terms))
 
 
-def _as_form(form, field):
-    """``form`` when it is a :class:`Form` over ``field``, else WitnessError."""
-    if not (isinstance(form, Form) and form.field == field):
-        raise WitnessError(f"form must be a Form over {field!r}, as split_form builds it")
-    return form
+def _as_form(form, field, n):
+    """The shared ``split_form(form.lie_type, n, field)`` when ``form`` equals
+    it, else WitnessError.  ``is`` goes before ``==``, never alone: the memo
+    may evict the value, and an unpickled form is an equal copy."""
+    if isinstance(form, Form) and form.field == field and not (form.lie_type == "C" and n % 2):
+        split = split_form(form.lie_type, n, field)
+        if form is split or form == split:
+            return split
+    raise WitnessError(f"form must be the split form of ambient {n} over {field!r}")
 
 
 @lru_cache(maxsize=64)
@@ -234,17 +235,17 @@ class FiniteFlagPoint:
     field: object
     ambient_dim: int
     subspaces: tuple
-    form: tuple = None
+    form: Form = None
 
 
 def flag_point(field, ambient_dim, subspaces, form=None) -> FiniteFlagPoint:
     """A flag point with canonical members, checked to be a proper chain and,
     with a form, to consist of isotropic members.
 
-    The form must be a :class:`Form` over the field, of size
-    ``ambient_dim``; anything else is refused.  The members, their
-    containments and their isotropy under the form are checked on every
-    call."""
+    The form must equal ``split_form(lie_type, ambient_dim, field)``.  B
+    must vanish on each member; over F_2, where B(x, x) = 2Q(x) = 0, so
+    must the Q of an orthogonal form on each member row, which is enough
+    as Q(x + y) = Q(x) + Q(y) + B(x, y)."""
     canon = tuple(la.rowspace(la.mat(s, field), field) for s in subspaces)
     if not canon:
         raise WitnessError("a flag point needs at least one member")
@@ -259,11 +260,10 @@ def flag_point(field, ambient_dim, subspaces, form=None) -> FiniteFlagPoint:
         if not la.rowspace_contains(canon[i + 1], canon[i], field):
             raise WitnessError(f"member {i} is not contained in member {i + 1}")
     if form is not None:
-        form = _as_form(form, field)
-        if len(form) != ambient_dim:
-            raise WitnessError("form must be square, matching the ambient, nondegenerate")
+        form = _as_form(form, field, ambient_dim)
+        singular = form.terms and form.lie_type != "C" and not field.reduce(2)
         for i, s in enumerate(canon):
-            if any(map(any, form.pair(s, s))):
+            if any(map(any, form.pair(s, s))) or (singular and any(map(form.quadratic, s))):
                 raise WitnessError(f"member {i} is not isotropic", certificate=s)
     return FiniteFlagPoint(field, ambient_dim, canon, form)
 
@@ -274,7 +274,8 @@ def flag_point(field, ambient_dim, subspaces, form=None) -> FiniteFlagPoint:
 
 def _basis_involution(basis, form):
     """(partner, Gram matrix) of a basis: partner[i] = j with form(basis_i,
-    basis_j) != 0; it must be an involution with at most one fixed point."""
+    basis_j) != 0, with at most one fixed point; a split form's Gram matrix
+    is (anti)symmetric, so partner is an involution."""
     vals = form.pair(basis, basis)
     partner = []
     for i, row in enumerate(vals):
@@ -285,8 +286,6 @@ def _basis_involution(basis, form):
                 "basis pairs each vector with exactly one"
             )
         partner.append(hits[0])
-    if any(partner[partner[i]] != i for i in range(len(partner))):
-        raise WitnessError("basis pairing is not an involution")
     if sum(1 for i, j in enumerate(partner) if i == j) > 1:
         raise WitnessError("basis pairing has more than one fixed point")
     return partner, vals
@@ -367,7 +366,7 @@ def rebase_automorphism(chain, basis_e, basis_e2, form=None):
         raise WitnessError("bases must be invertible matrices")
 
     if form is not None:
-        form = _as_form(form, field)
+        form = _as_form(form, field, n)
         members = _closed_chain(members, form, field, n)
     gaps_e = _gap_classes(members, E, field, "E")
     gaps_e2 = _gap_classes(members, E2, field, "E'")
@@ -515,8 +514,8 @@ def standard_extension(
     if source_form is not None:
         if not strict:
             raise WitnessError("modified extensions are general-type only")
-        source_form = _as_form(source_form, field)
-        target_form = _as_form(target_form, field)
+        source_form = _as_form(source_form, field, v)
+        target_form = _as_form(target_form, field, w)
         if not la.mat_eq(target_form.pair(alpha, alpha), source_form):
             raise WitnessError("alpha is not compatible with the forms")
         if any(map(any, target_form.pair(alpha, complement))):
@@ -552,7 +551,7 @@ def apply_standard_extension(d: StandardExtensionData, p: FiniteFlagPoint) -> Fi
             f"{d.source_dim}, point has {len(p.subspaces)} in {p.ambient_dim}"
         )
     if d.source_form is not None:
-        if p.form is None or not la.mat_eq(p.form, d.source_form):
+        if p.form != d.source_form:
             raise WitnessError("point must carry the extension's source form")
     elif p.form is not None:
         raise WitnessError("a general-type extension applies to form-free points")
@@ -571,8 +570,6 @@ def _dual_conjugate(d: StandardExtensionData) -> StandardExtensionData:
     """Data for the duality-conjugated map: reverse-annihilate, apply, then
     reverse-annihilate again.  Strict in the extended normal form."""
     field = d.field
-    if d.source_form is not None:
-        raise WitnessError("duality conjugation is general-type only")
     w = d.target_dim
     k, m = d.source_members, d.slots
     alpha_d = la.transpose(_projection_onto_source(d))  # alpha . proj = identity
@@ -632,7 +629,7 @@ def compose_standard_extensions(
     if d1.source_form is not None or d2.source_form is not None:
         if d1.source_form is None or d2.source_form is None:
             raise WitnessError("cannot compose a form-compatible extension with a bare one")
-        if not la.mat_eq(d1.target_form, d2.source_form):
+        if d1.target_form != d2.source_form:
             raise WitnessError("the intermediate forms disagree")
         forms = dict(source_form=d1.source_form, target_form=d2.target_form)
     inner = d2 if d1.strict else _dual_conjugate(d2)
@@ -813,13 +810,6 @@ def check_triangle(phi, psi, chi) -> TriangleReport:
 # its pair partner coordinate 2n-i; the split symmetric form pairs them.
 
 
-def is_totally_singular(rows, field) -> bool:
-    """Whether the split quadratic form vanishes on the span of ``rows``: each
-    row singular and orthogonal to the rows above it."""
-    keep = split_form("D", len(rows[0]) if rows else 0, field).keep()
-    return all(keep(row, rows[:i]) for i, row in enumerate(rows))
-
-
 def _unit_row(n, field, *ones):
     """The row of length n with one at the coordinates ``ones``, zero elsewhere."""
     return tuple([field.one() if j in ones else field.zero() for j in range(n)])
@@ -856,20 +846,22 @@ def bd_phi(n: int, m_point: FiniteFlagPoint) -> FiniteFlagPoint:
     fixes M and carries the first candidate to the second; being a
     reflection, it swaps the two components (in every characteristic), so
     exactly one candidate lies in the reference component.  No quadratic is
-    solved."""
+    solved.  Only a point of ``split_form("D", 2n, field)`` is taken, so
+    :func:`flag_point` has found M totally singular, and it checks L."""
     if n < 2:
         raise WitnessError("needs n >= 2")
     field = m_point.field
     N = 2 * n
-    if m_point.ambient_dim != N or len(m_point.subspaces) != 1:
+    form = split_form("D", N, field)
+    if m_point.form is not form and m_point.form != form:
+        raise WitnessError(f"the point must carry the split form of type D in ambient {N}")
+    if len(m_point.subspaces) != 1:
         raise WitnessError(f"expected one subspace in ambient {N}")
     m_rows = m_point.subspaces[0]
     if len(m_rows) != n - 1:
         raise WitnessError(f"expected an ({n - 1})-dimensional subspace")
     if any(row[0] != row[-1] for row in m_rows):
         raise WitnessError("the subspace does not lie in the odd hyperplane")
-    if not is_totally_singular(m_rows, field):
-        raise WitnessError("the subspace is not isotropic")
     zero = field.zero()
     for coords in (range(n), (*range(1, n), N - 1)):
         # x on these coordinates is orthogonal to a row when the sum of
@@ -886,11 +878,11 @@ def bd_phi(n: int, m_point: FiniteFlagPoint) -> FiniteFlagPoint:
             break
     else:
         raise WitnessError("internal error: neither Lagrangian is in the reference component")
-    if len(lag) != n or not is_totally_singular(lag, field):
+    if len(lag) != n:
         raise WitnessError("internal error: the output is not a Lagrangian")
     if not la.rowspace_contains(lag, m_rows, field):
         raise WitnessError("internal error: output does not contain the input")
-    return flag_point(field, N, [lag], form=split_form("D", N, field))
+    return flag_point(field, N, [lag], form=form)
 
 
 def _embed_coords(vec, n, field):

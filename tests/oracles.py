@@ -1042,7 +1042,7 @@ def rebase_automorphism_by_greedy(chain, basis_e, basis_e2, form=None):
 
     value = None
     if form is not None:
-        value = W._as_form(form, field)
+        value = W._as_form(form, field, n)
         form = la.mat(form, field)
         members = W._closed_chain(members, value, field, n)
     gaps_e = W._gap_classes(members, E, field, "E")

@@ -118,6 +118,29 @@ def test_witness_rebase_at_a_61_bit_prime_finishes(capsys):
     assert capsys.readouterr().out.startswith("rebase automorphism constructed and verified")
 
 
+def test_witness_rebase_failure_exits_one_with_the_detail(monkeypatch, capsys):
+    from flagiso import witness as W
+
+    def refuse(*args):
+        raise W.WitnessError("no automorphism here")
+
+    monkeypatch.setattr(W, "rebase_automorphism", refuse)
+    assert cli.main(["witness-rebase", "--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "rebase failed: no automorphism here\n" and err == ""
+    assert cli.main(["witness-rebase", "--seed", "1", "--isotropic", "--json"]) == 1
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert err == "" and payload["ok"] is False and payload["automorphism"] is None
+    assert payload["transcript"] == [
+        {
+            "check": "construction-and-verification",
+            "detail": "no automorphism here",
+            "pass": False,
+        }
+    ]
+
+
 def test_witness_bd_rank_cap_exits_two_before_building(capsys):
     # the pair at n lives in D_n; a huge n must not reach the 2n x 2n identity
     assert cli.main(["witness-bd", "--n", "97"]) == 2

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import pickle
 import random
 import re
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from flagiso import cli
 from flagiso import linalg as la
 from flagiso import witness as W
 from flagiso.generate import (
@@ -23,7 +25,11 @@ from flagiso.descriptors import finite_flag_variety, min_truncation_width, parse
 from flagiso.errors import ResourceLimitError, ValidationError
 
 import oracles
-from oracles import enumerate_subspaces_by_product, lagrangian_component_count
+from oracles import (
+    enumerate_subspaces_by_product,
+    is_totally_singular_by_form,
+    lagrangian_component_count,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -39,10 +45,18 @@ def unit_rows(indices, n):
 
 
 def test_flag_point_validates_chain():
-    with pytest.raises(W.WitnessError):
-        W.flag_point(QQ, 3, [unit_rows([0, 1], 3), unit_rows([2], 3)])
-    with pytest.raises(W.WitnessError):
-        W.flag_point(QQ, 3, [unit_rows([0], 3), unit_rows([0], 3)])
+    cases = [
+        ([], "a flag point needs at least one member"),
+        ([()], "members must be proper nonzero subspaces"),
+        ([unit_rows([0, 1, 2], 3)], "members must be proper nonzero subspaces"),
+        ([unit_rows([0, 1], 3), unit_rows([2], 3)], "member dimensions must strictly increase"),
+        ([unit_rows([0], 3), unit_rows([0], 3)], "member dimensions must strictly increase"),
+        ([unit_rows([0], 3), unit_rows([1, 2], 3)], "member 0 is not contained in member 1"),
+    ]
+    for members, message in cases:
+        with pytest.raises(W.WitnessError) as err:
+            W.flag_point(QQ, 3, members)
+        assert str(err.value) == message
 
 
 def test_flag_point_rejects_rows_of_the_wrong_length():
@@ -76,24 +90,40 @@ def test_flag_point_validates_isotropy():
         W.flag_point(QQ, 4, [unit_rows([0, 3], 4)], form=form)
 
 
-@pytest.mark.parametrize("field", [QQ, F3])
+def _not_the_split_form(n, field):
+    return f"form must be the split form of ambient {n} over {field!r}"
+
+
+@pytest.mark.parametrize("field", [QQ, F3, F2])
 def test_flag_point_refuses_every_form_but_a_split_form_of_its_size(field):
     line = [unit_rows([0], 4)]
     split = W.split_form("D", 4, field)
-    W.flag_point(field, 4, line, form=split)
+    assert W.flag_point(field, 4, line, form=split).form is split
     other = F5 if field == QQ else QQ
-    not_a_form = re.escape(f"form must be a Form over {field!r}, as split_form builds it")
     bad = [
-        (((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)), not_a_form),
-        (tuple(row + (0,) for row in split), not_a_form),  # 4 x 5
-        ([list(row) for row in split], not_a_form),  # the split form's own entries
-        (W.split_form("D", 4, other), not_a_form),
-        (W.split_form("D", 6, field), "square, matching the ambient, nondegenerate"),
+        ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+        tuple(row + (0,) for row in split),  # 4 x 5
+        [list(row) for row in split],  # the split form's own entries
+        W.split_form("D", 4, other),
+        W.split_form("D", 6, field),
     ]
-    for form, match in bad:
-        with pytest.raises(W.WitnessError, match=match):
+    for form in bad:
+        with pytest.raises(W.WitnessError) as err:
             W.flag_point(field, 4, line, form=form)
-    # a member that is not isotropic under the split form
+        assert str(err.value) == _not_the_split_form(4, field)
+    # restrictions, which may be degenerate, are refused with the same
+    # message: the form on the odd hyperplane (rank 4 of 5 over F_2), and a
+    # symplectic form on an odd-dimensional subspace, which has no split form
+    restricted = [
+        (5, W.split_form("D", 6, field).restrict(W.bd_hyperplane_basis(3, field))),
+        (3, W.split_form("C", 4, field).restrict(unit_rows([0, 1, 2], 4))),
+    ]
+    for n, form in restricted:
+        with pytest.raises(W.WitnessError) as err:
+            W.flag_point(field, n, [unit_rows([n - 1], n)], form=form)
+        assert str(err.value) == _not_the_split_form(n, field)
+    # a member that is not isotropic under the split form: over F_2, B
+    # vanishes on the line, but Q(e_1 + e_4) = 1
     with pytest.raises(W.WitnessError, match="member 0 is not isotropic"):
         W.flag_point(field, 4, [((1, 0, 0, 1),)], form=split)
 
@@ -213,7 +243,7 @@ def test_only_a_form_over_the_field_is_taken(field):
     # form over another field, are refused
     form = W.split_form("D", 4, field)
     other = F5 if field == QQ else QQ
-    message = re.escape(f"form must be a Form over {field!r}, as split_form builds it")
+    message = re.escape(_not_the_split_form(4, field))
     line = [unit_rows([0], 4)]
     chain = W.flag_point(field, 4, line)
     e = la.identity(4, field)
@@ -334,6 +364,24 @@ def test_rebase_orthogonal_fixed_point_scaling():
         alpha = W.rebase_automorphism(chain, e, la.mat(e2, QQ), form=form)
         lhs = la.mat_mul(la.mat_mul(alpha, form, QQ), la.transpose(alpha), QQ)
         assert la.mat_eq(lhs, form)
+
+
+def test_rebase_refusals_name_their_reason():
+    # a chain that is not a point, and, in D:4 over QQ, a basis E' with two
+    # self-paired vectors, e_1 + e_4 and e_1 - e_4, which is compatible with
+    # the chain <e_2> and its perp <e_1, e_2, e_4>
+    form = W.split_form("D", 4, QQ)
+    e = la.identity(4, QQ)
+    chain = W.flag_point(QQ, 4, [unit_rows([1], 4)], form=form)
+    e2 = la.mat([(1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, -1)], QQ)
+    cases = [
+        ((chain.subspaces, e, e), "chain must be a FiniteFlagPoint"),
+        ((chain, e, e2), "basis pairing has more than one fixed point"),
+    ]
+    for args, message in cases:
+        with pytest.raises(W.WitnessError) as err:
+            W.rebase_automorphism(*args)
+        assert str(err.value) == message
 
 
 def test_rebase_generated_instances():
@@ -522,7 +570,6 @@ _D2, _D4 = W.split_form("D", 2, QQ), W.split_form("D", 4, QQ)
             ),
             "a general-type extension applies to form-free points",
         ),
-        (lambda: W._dual_conjugate(_with("D")), "duality conjugation is general-type only"),
         (
             lambda: W.compose_standard_extensions(
                 _plain(), _ext(1, la.identity(3, QQ), (), [()], (1,))
@@ -561,7 +608,7 @@ _D2, _D4 = W.split_form("D", 2, QQ), W.split_form("D", 4, QQ)
         "filtration-decreasing", "kappa-range", "kappa-decreasing", "kappa-misses-a-member",
         "constant-step", "top-slot", "forms-on-one-side", "modified-with-forms",
         "alpha-incompatible", "splitting-not-orthogonal", "apply-field", "apply-shape",
-        "apply-formless-point", "apply-formed-point", "dual-conjugate-forms",
+        "apply-formless-point", "apply-formed-point",
         "compose-shapes", "compose-one-side-forms", "compose-intermediate-forms",
         "triangle-modified", "triangle-members", "triangle-slots",
     ],
@@ -651,6 +698,23 @@ def test_is_linear_rejects_sums():
     assert not W.is_linear(m)
 
 
+def test_pullback_refusals_name_their_reason():
+    cases = [
+        (
+            lambda: W.PicPullback(((1, 0), (0, -1))),
+            "pullback entries must be nonnegative integers",
+        ),
+        (
+            lambda: W.compose_pullbacks(W.PicPullback(((1, 0),)), W.PicPullback(((1,),))),
+            "pullback shapes do not compose",
+        ),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Triangle checks.
 
@@ -695,6 +759,56 @@ def test_triangle_reports_a_row_that_is_not_the_scalar():
     )
 
 
+def _unit_triangle():
+    """phi: F^2 -> F^4 and psi: F^4 -> F^6, coordinate embeddings, and their
+    composite chi, whose one slot is M_1 = <e_3, e_5>."""
+    phi = W.standard_extension(
+        QQ, 1, _units([0, 1], 4), _units([2, 3], 4), [_units([2], 4)], (1,)
+    )
+    psi = W.standard_extension(
+        QQ, 1, _units([0, 1, 2, 3], 6), _units([4, 5], 6), [_units([4], 6)], (1,)
+    )
+    return phi, psi, W.compose_standard_extensions(phi, psi)
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (
+            lambda psi, chi: (psi, dataclasses.replace(chi, filtration=(_units([2, 5], 6),))),
+            "filtration mismatch at slot 1",
+        ),
+        (
+            lambda psi, chi: (
+                psi, dataclasses.replace(chi, alpha=(chi.alpha[0], _units([5], 6)[0]))
+            ),
+            "gamma does not land in image(beta.alpha) + M_1; the triangle cannot commute",
+        ),
+        (
+            lambda psi, chi: (psi, dataclasses.replace(chi, alpha=la.mat([(0,) * 6] * 2, QQ))),
+            "gamma collapses into the complement; not an embedding match",
+        ),
+        # psi sends e_4 where it sends e_3, so beta = 2 psi is not injective,
+        # though beta . alpha = 2 gamma is
+        (
+            lambda psi, chi: (
+                dataclasses.replace(psi, alpha=_units([0, 1, 2, 2], 6)),
+                dataclasses.replace(chi, alpha=la.mat_scale(2, chi.alpha, QQ)),
+            ),
+            "adjusted beta is not injective",
+        ),
+    ],
+    ids=["filtration", "gamma-outside", "zero-scalar", "beta-not-injective"],
+)
+def test_triangle_reports_each_failure(tamper, message):
+    phi, psi, chi = _unit_triangle()
+    assert W.check_triangle(phi, psi, chi).ok
+    rep = W.check_triangle(phi, *tamper(psi, chi))
+    assert not rep.ok and rep.slot_map_ok
+    assert rep.filtration_ok == (message != "filtration mismatch at slot 1")
+    assert rep.messages == (message,)
+
+
 def test_triangle_tampered_slot_map_reports_index():
     d1 = _simple_data()
     alpha2 = la.mat(unit_rows([0, 1, 2, 3], 6), QQ)
@@ -730,11 +844,33 @@ def test_bd_phi_reference_flag_when_parity_admits():
 
 
 def test_bd_phi_rejects_bad_input():
-    form = W.split_form("D", 4, QQ)
-    with pytest.raises(W.WitnessError):  # not inside the odd hyperplane
-        W.bd_phi(2, W.flag_point(QQ, 4, [unit_rows([0], 4)], form=form))
-    with pytest.raises(W.WitnessError):  # wrong dimension
-        W.bd_phi(2, W.flag_point(QQ, 4, [unit_rows([1, 2], 4)], form=form))
+    d4, d6 = W.split_form("D", 4, QQ), W.split_form("D", 6, QQ)
+    line = unit_rows([1], 6)
+    not_d6 = "the point must carry the split form of type D in ambient 6"
+    cases = [
+        (1, W.flag_point(QQ, 4, [unit_rows([1], 4)], form=d4), "needs n >= 2"),
+        (
+            2,
+            W.flag_point(QQ, 4, [unit_rows([0], 4)], form=d4),
+            "the subspace does not lie in the odd hyperplane",
+        ),
+        # an isotropic line of the odd hyperplane, at n = 3
+        (3, W.flag_point(QQ, 6, [line], form=d6), "expected an (2)-dimensional subspace"),
+        (
+            3,
+            W.flag_point(QQ, 6, [line, unit_rows([1, 2], 6)], form=d6),
+            "expected one subspace in ambient 6",
+        ),
+        # only a point of the split D form of ambient 2n: no form, another
+        # ambient, another Lie type
+        (3, W.flag_point(QQ, 6, [line]), not_d6),
+        (3, W.flag_point(QQ, 4, [unit_rows([1], 4)], form=d4), not_d6),
+        (3, W.flag_point(QQ, 6, [line], form=W.split_form("C", 6, QQ)), not_d6),
+    ]
+    for n, point, message in cases:
+        with pytest.raises(W.WitnessError) as err:
+            W.bd_phi(n, point)
+        assert str(err.value) == message
     for n in (-1, 0, 1):  # the sources share bd_phi's bound
         with pytest.raises(W.WitnessError, match="needs n >= 2"):
             list(W.enumerate_bd_sources(n, F3))
@@ -750,7 +886,7 @@ def test_reference_component_matches_intersection_definition(field, n):
     ref = la.identity(2 * n, field)[:n]
     sizes = {True: 0, False: 0}
     for rows in la.enumerate_subspaces(2 * n, n, field):
-        if not W.is_totally_singular(rows, field):
+        if not is_totally_singular_by_form(rows, field):
             continue
         meet = oracles.intersect_rowspaces(rows, ref, field, 2 * n)
         got = W.in_reference_component(rows, n, field)
@@ -768,7 +904,7 @@ def test_component_lagrangians_match_filtered_oracle(field, n):
     want = {
         rows
         for rows in enumerate_subspaces_by_product(2 * n, n, field)
-        if W.is_totally_singular(rows, field) and W.in_reference_component(rows, n, field)
+        if is_totally_singular_by_form(rows, field) and W.in_reference_component(rows, n, field)
     }
     got = [p.subspaces[0] for p in W.enumerate_component_lagrangians(n, field)]
     assert len(got) == len(want) == lagrangian_component_count(n, field.p)
@@ -819,7 +955,7 @@ def test_reflection_fixes_the_odd_hyperplane_and_swaps_the_components(field, n):
     assert len(lagrangians) == 2 * lagrangian_component_count(n, field.p)
     for rows in lagrangians:
         image = la.rowspace(tuple(_reflect(row, field) for row in rows), field)
-        assert len(image) == n and W.is_totally_singular(image, field)
+        assert len(image) == n and is_totally_singular_by_form(image, field)
         assert W.in_reference_component(image, n, field) != W.in_reference_component(
             rows, n, field
         )
@@ -837,7 +973,7 @@ def test_source_plus_its_perp_in_the_reference_is_lagrangian(field, n):
         meet = oracles.intersect_rowspaces(form.perp(m), ref, field, N)
         assert len(meet) == 1 + len(oracles.intersect_rowspaces(m, ref, field, N))
         lag = la.rowspace(la.stack(m, meet), field)
-        assert len(lag) == n and W.is_totally_singular(lag, field)
+        assert len(lag) == n and is_totally_singular_by_form(lag, field)
 
 
 def test_bd_square_exhaustive_small():
@@ -845,6 +981,33 @@ def test_bd_square_exhaustive_small():
     assert rep.ok and rep.checked == 4
     rep = W.bd_square_check(2, W.enumerate_bd_sources(2, F2))
     assert rep.ok and rep.checked == 3
+
+
+def test_bd_square_reports_every_point_whose_square_fails(monkeypatch, capsys):
+    # bd_phi answering in the other component at width n + 1 only, by
+    # reflecting its Lagrangian in e_1 - e_2n: no square commutes
+    n, field = 2, F2
+    real_phi = W.bd_phi
+
+    def other_component_above(k, point):
+        lift = real_phi(k, point)
+        if k != n + 1:
+            return lift
+        rows = la.rowspace(tuple(_reflect(row, field) for row in lift.subspaces[0]), field)
+        return W.flag_point(field, 2 * k, [rows], form=lift.form)
+
+    monkeypatch.setattr(W, "bd_phi", other_component_above)
+    sample = tuple(W.enumerate_bd_sources(n, field))
+    rep = W.bd_square_check(n, sample)
+    assert rep.failures == sample and not rep.ok and rep.checked == 3
+    assert cli.main(["witness-bd", "--n", str(n), "--all", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["square_failures"] == payload["sources"] == 3 and not payload["ok"]
+    assert payload["transcript"][1] == {
+        "check": "exhaustion-square",
+        "detail": "3 squares checked, 3 failures",
+        "pass": False,
+    }
 
 
 def test_bd_square_random_f5():
@@ -882,7 +1045,8 @@ def test_enumerate_bd_sources_cap(n, p, refused):
         with pytest.raises(ResourceLimitError, match=f"there are {count} isotropic"):
             next(W.enumerate_bd_sources(n, field))
     else:
-        assert W.is_totally_singular(next(W.enumerate_bd_sources(n, field)).subspaces[0], field)
+        first = next(W.enumerate_bd_sources(n, field))
+        assert is_totally_singular_by_form(first.subspaces[0], field)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -896,7 +1060,7 @@ def test_random_bd_source_matches_the_retry_oracle(n, p):
         for _ in range(2):
             point = W.random_bd_source(rng, n, field)
             assert point == oracles.random_bd_source_with_retries(ref, n, field)
-            assert W.is_totally_singular(point.subspaces[0], field)
+            assert is_totally_singular_by_form(point.subspaces[0], field)
         assert rng.random() == ref.random()
 
 
@@ -907,11 +1071,20 @@ def test_total_singularity_tests_the_quadratic_form_in_char_2():
     form = W.split_form("D", 4, F2)
     line = ((1, 0, 0, 1),)
     assert not any(map(any, form.pair(line, line)))
-    assert not W.is_totally_singular(line, F2)
-    assert not oracles.is_totally_singular_by_form(line, F2)
+    assert not is_totally_singular_by_form(line, F2)
     pair = ((1, 0, 0, 0), (0, 0, 0, 1))
-    assert not W.is_totally_singular(pair, F2)
-    assert W.is_totally_singular(((1, 0, 0, 0), (0, 1, 0, 0)), F2)
+    assert not is_totally_singular_by_form(pair, F2)
+    plane = ((1, 0, 0, 0), (0, 1, 0, 0))
+    assert is_totally_singular_by_form(plane, F2)
+    # flag_point is the one test of a member, and it agrees
+    for member in (line, pair):
+        with pytest.raises(W.WitnessError, match="member 0 is not isotropic"):
+            W.flag_point(F2, 4, [member], form=form)
+    W.flag_point(F2, 4, [plane], form=form)
+    # nothing more is asked under a symplectic form, or under the odd
+    # orthogonal form over F_2, which polarizes no quadratic form
+    W.flag_point(F2, 4, [line], form=W.split_form("C", 4, F2))
+    W.flag_point(F2, 5, [((1, 0, 0, 0, 1),)], form=W.split_form("B", 5, F2))
 
 
 def test_bd_over_rationals():
@@ -923,7 +1096,7 @@ def test_bd_over_rationals():
     )
     lag = W.bd_phi(3, m)
     assert len(lag.subspaces[0]) == 3
-    assert W.is_totally_singular(lag.subspaces[0], QQ)
+    assert is_totally_singular_by_form(lag.subspaces[0], QQ)
     assert lag == oracles.bd_phi_by_quadratic(3, m)
 
 
