@@ -20,17 +20,18 @@ fractions into the field, ``zero()``/``one()`` are its constants, ``inv``
 inverts (division is multiplication by ``inv``), and ``sqrt`` returns a
 square root or None.
 
-The two kernels, ``rref`` and ``mat_mul``, have one body each for both fields
-and do their arithmetic on Python ints, without building a field element
-until the output.  ``rref`` finishes the rows of ``_eliminate``, which is
-Gauss-Jordan elimination without division: a row is updated as ``lead *
-row - f * top`` for the pivot row ``top``, its pivot ``lead``, and the
-row's entry ``f`` in the pivot column.  This is the
+The two kernels, ``rref`` and ``product``, have one body each for both
+fields and do their arithmetic on Python ints, without building a field
+element until the output.  ``rref`` finishes the rows of ``_eliminate``,
+which is Gauss-Jordan elimination without division: a row is updated as
+``lead * row - f * top`` for the pivot row ``top``, its pivot ``lead``, and
+the row's entry ``f`` in the pivot column.  This is the
 fraction-free elimination of Bareiss (Math. Comp. 22 (1968)), except that
-the row's content is divided out instead of the previous pivot.  ``mat_mul``
+the row's content is divided out instead of the previous pivot.  ``product``
 brings the int rows of its right operand to one denominator (one lcm per
 call) and adds int multiples of them, one for each nonzero entry of a left
-row.  The field supplies the steps where QQ and F_p differ:
+row; ``mat_mul`` is ``product`` finished into field elements.  The field
+supplies the steps where QQ and F_p differ:
 
 * ``clear(row)`` returns ``(ints, den)`` with ``row == ints / den``.  QQ
   multiplies by the lcm of the row's denominators; F_p returns the row and 1.
@@ -40,12 +41,12 @@ row.  The field supplies the steps where QQ and F_p differ:
 * ``pivot(ints, c)`` prepares a pivot row.  F_p scales it by ``inv`` so the
   pivot is 1: updates then keep every earlier pivot at 1, and ``finish`` has
   nothing to divide.  QQ leaves it.
-* ``finish(ints, c)`` turns a reduced row into field elements: QQ divides by
-  the pivot, ``Fraction(x, pivot)`` once per entry; F_p returns the row.
-* ``divide(rows)`` turns the ``(nums, den)`` rows of a ``mat_mul`` into its
-  output.  QQ divides each row by gcd(den, *nums), which leaves the ints
-  that ``clear`` would give, and returns a ``Cleared``; F_p reduces ``nums``
-  mod p (every ``den`` is 1).
+* ``finish(ints, den)`` turns an int row over ``den`` into field elements:
+  QQ builds ``Fraction(x, den)`` once per entry; F_p returns the row.
+* ``divide(rows)`` turns the ``(nums, den)`` rows of a ``product`` into its
+  value.  QQ divides each row by gcd(den, *nums), signed so that den > 0,
+  and returns an ``IntRows``; F_p reduces ``nums`` mod p (every ``den`` is
+  1), and the reduced rows are already field elements.
 
 F_p keeps every intermediate entry in 0..p-1 because elimination tests
 entries against zero to find pivots: an unreduced multiple of p is a nonzero
@@ -63,44 +64,68 @@ GF(3))`` is False), and a pivot entry that is a nonzero multiple of p makes
 ``pivot`` raise ``ValidationError``.  Reducing every row in ``clear`` made
 a pass over the seed-1 ``fp-enumerate`` benchmark inputs about 6 % slower
 (CPython 3.11, one core of a shared 2-core machine), and every library
-caller converts with ``mat`` first.  The outputs are field elements (``Fraction`` in lowest terms on QQ, reduced
-ints on F_p), and since the reduced row echelon form is unique they are the
+caller converts with ``mat`` first.  The outputs, ``product``'s over QQ
+apart, are field elements (``Fraction`` in lowest terms on QQ, reduced ints
+on F_p), and since the reduced row echelon form is unique they are the
 same as those of elimination on field elements, which ``tests/oracles.py``
 keeps as the reference.
 
-Cleared values.  Over QQ a matrix that the kernel builds keeps the int rows
-it came from: it is a ``Cleared``, a tuple of rows that also carries the
-field, ``ints`` and ``dens``, with row i equal to ``ints[i]`` divided by
-``dens[i]`` entry by entry.  ``mat`` clears each row once, ``mat_mul``
-returns one through ``divide``, ``inverse`` slices the int rows of its
-``Echelon``, ``stack`` joins the int rows when every part is a ``Cleared``
-over QQ, and ``transpose`` of one brings its int rows to one denominator
-(one lcm) and transposes them.  ``_cleared`` hands these int rows over
-instead of clearing, so ``rref``, ``rank``, ``rowspace_contains`` and both
-operands of ``mat_mul`` clear only rows that arrive as plain tuples.  Slices
-of a ``Cleared`` and the results of ``mat_add`` and ``mat_scale`` are plain
-tuples: they build their entries one by one, and their callers read
-entries.  Int rows are never changed in place, so values may share them.
-Over F_p a row is its own int row over 1, so these functions return plain
-tuples and keep no second copy; the only ``Cleared`` over F_p is an
-``Echelon``, whose ``ints`` is the value itself.  Only ``linalg`` reads
-``ints`` and ``dens``.
+Int values.  Over QQ a ``Fraction`` is dear to build (``Fraction(7, 3)``
+takes 0.5 to 0.9 us under ``timeit``, CPython 3.11 on a shared 2-core
+Xeon), so a product that only feeds the next kernel call is not finished:
+``product`` returns an ``IntRows``, a tuple of int rows that also carries
+``dens``, row i standing for ``self[i]`` divided by ``dens[i]``.
+``divide`` leaves its rows canonical (gcd(den, *ints) = 1 and den > 0),
+which equal rows share.  ``rref``, ``rank``, ``rowspace_contains``,
+``rowspace_eq``, ``nullspace``, ``mat_mul`` and ``stack`` take one where
+they take a matrix; ``stack`` returns one when any part is one, and
+``mat_eq`` compares one with a QQ matrix by canonical int rows (``clear``
+of Fraction rows is canonical too, since it takes the lcm of reduced
+denominators).  ``nullspace`` and ``inverse`` also hand their int rows to
+elimination as an ``IntRows``, in either field.  Only ``linalg`` reads an
+``IntRows``, and no function returns one but ``product`` and ``stack``: its
+rows are not field elements, so any other reader would take them for some.
+Callers keep it only between kernel calls; ``witness`` does so where a
+product only spans, is eliminated or is compared.
+
+Cleared values.  Over QQ a matrix of field elements that the kernel builds
+keeps the int rows it came from: it is a ``Cleared``, a tuple of rows that
+also carries the field, ``ints`` and ``dens``, with row i equal to
+``ints[i]`` divided by ``dens[i]`` entry by entry.  ``mat`` clears each row
+once, ``mat_mul`` finishes a ``product`` into one, ``inverse`` finishes only
+the right block of its eliminated [a | I] and keeps that block's int rows,
+``columns`` slices the int rows of one, ``stack`` joins the int rows when
+every part is a ``Cleared`` over QQ, and ``transpose`` of one brings its int
+rows to one denominator (one lcm) and transposes them.  ``_cleared`` hands
+these int rows over instead of clearing, so the kernels clear only rows
+that arrive as plain tuples.  Slices of a ``Cleared`` and the results of
+``mat_add`` and ``mat_scale`` are plain tuples: they build their entries one
+by one, and their callers read entries.  Int rows are never changed in
+place, so values may share them.  Over F_p a row is its own int row over 1,
+so these functions return plain tuples and keep no second copy; the only
+``Cleared`` over F_p is an ``Echelon``, whose ``ints`` is the value itself.
+Only ``linalg`` reads ``ints`` and ``dens``.
 
 Canonical values.  ``rref`` returns its reduced rows as an ``Echelon``, a
 ``Cleared`` that also carries the pivot columns, and nothing else builds
 one.  Its ``ints`` are the int rows that ``_eliminate`` left before
-``finish``, each over its pivot entry.  ``rowspace_contains`` reduces
-against them, and ``rank`` of an ``Echelon`` is its length, so no
-``Fraction`` of a canonical subspace is cleared twice.  ``rref`` returns an
-``Echelon`` over the field it is asked for as it is, and ``mat`` returns any
-``Cleared`` over its field unchanged, so ``rowspace``, ``rank``,
-``rowspace_contains`` and ``nullspace`` never reduce or convert a subspace
-twice.  The field is compared because rows reduced over one field are not
-canonical over another: over QQ their entries must become ``Fraction``, and
-over F_3 an entry 4 of an F_5 form is not even an element, so ``mat``
-converts them and ``rref`` eliminates again.  Slices and sums of an
-``Echelon`` are plain tuples and are not trusted, and no other ``Cleared``
-is: ``stack`` and ``inverse`` return a ``Cleared``, never an ``Echelon``.
+``finish``, each over its pivot entry, which may be negative: they are not
+canonical int rows.  ``rank``, ``rowspace_contains``, ``rowspace_eq`` and
+``nullspace`` read an ``Echelon`` through ``_reduced``, which hands over
+these rows and pivots, and eliminate anything else without finishing it;
+``rowspace_eq`` compares two reduced forms row by row as x * q == y * p for
+rows x and y over pivot entries p and q.  So no ``Fraction`` of a canonical
+subspace is cleared twice, and only ``rref`` builds the ``Fraction`` rows of
+one.  ``rref`` returns an ``Echelon`` over the field it is asked for as it
+is, and ``mat`` returns any ``Cleared`` over its field unchanged, so no
+function reduces or converts a subspace twice.  The field is compared
+because rows reduced over one field are not canonical over another: over QQ
+their entries must become ``Fraction``, and over F_3 an entry 4 of an F_5
+form is not even an element, so ``mat`` converts them and ``rref``
+eliminates again.  Slices and sums of an ``Echelon`` are plain tuples and
+are not trusted, and no other ``Cleared`` is: ``stack`` of two or more
+nonempty parts and ``inverse`` return a ``Cleared``, never an ``Echelon``
+(``stack`` returns a lone nonempty part as it is).
 
 A ``Cleared`` compares, hashes, prints and encodes as JSON like its rows.
 It pickles and copies as itself through ``__reduce__``, which hands
@@ -199,7 +224,7 @@ class PrimeField:
             ) from None
         return [x * inv % p for x in row]
 
-    finish = staticmethod(lambda row, c: tuple(row))
+    finish = staticmethod(lambda row, den: tuple(row))
 
     def divide(self, rows):
         p = self.p
@@ -282,22 +307,22 @@ class Rationals:
     pivot = staticmethod(lambda row, c: row)
 
     @staticmethod
-    def finish(row, c):
-        den = row[c]
+    def finish(row, den):
         return tuple([Fraction(x, den) if x else _ZERO for x in row])
 
     @staticmethod
     def divide(rows):
-        out, ints, dens = [], [], []
+        ints, dens = [], []
         for nums, den in rows:
             g = math.gcd(den, *nums)
-            if g > 1:
+            if den < 0:
+                g = -g
+            if g != 1:
                 nums = [x // g for x in nums]
                 den //= g
-            out.append(tuple([Fraction(x, den) if x else _ZERO for x in nums]))
             ints.append(nums)
             dens.append(den)
-        return Cleared(out, QQ, ints, dens)
+        return IntRows(ints, dens)
 
     @staticmethod
     def inv(a):
@@ -354,7 +379,9 @@ def transpose(a):
     return Cleared(rows, a.field, list(zip(*ints)), [den] * len(rows))
 
 
-def mat_mul(a, b, field):
+def product(a, b, field):
+    """a . b for the next kernel call: an :class:`IntRows` over QQ, the
+    reduced rows over F_p (see the module docstring)."""
     if not a:
         return ()
     if len(a[0]) != len(b):
@@ -371,6 +398,15 @@ def mat_mul(a, b, field):
     return field.divide(out)
 
 
+def mat_mul(a, b, field):
+    """a . b in field elements: :func:`product`, finished over QQ."""
+    m = product(a, b, field)
+    if type(m) is not IntRows:
+        return m
+    rows = [QQ.finish(ints, den) for ints, den in zip(m, m.dens)]
+    return Cleared(rows, QQ, list(m), m.dens)  # a list: an IntRows does not pickle
+
+
 def mat_add(a, b, field):
     return tuple(
         tuple(field.reduce(x + y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
@@ -382,6 +418,12 @@ def mat_scale(c, a, field):
 
 
 def stack(*mats):
+    mats = [m for m in mats if m]
+    if len(mats) == 1:
+        return mats[0]
+    if IntRows in map(type, mats):
+        pairs = [pair for m in mats for pair in _cleared(m, QQ)]
+        return IntRows([ints for ints, _ in pairs], [den for _, den in pairs])
     rows = []
     for m in mats:
         rows.extend(m)
@@ -395,7 +437,31 @@ def stack(*mats):
 
 
 def mat_eq(a, b):
+    """Entrywise equality; a product's :class:`IntRows` is compared by its
+    canonical int rows, the other side cleared from its entries."""
+    if type(a) is IntRows or type(b) is IntRows:
+        return _canonical(a) == _canonical(b)
     return tuple(map(tuple, a)) == tuple(map(tuple, b))
+
+
+def _canonical(a):
+    """(ints, den) per row of a QQ matrix with gcd(den, *ints) = 1 and den >
+    0, which equal rows share: ``divide`` leaves a product's so, and
+    ``clear`` gives them, since it takes the lcm of reduced denominators."""
+    if type(a) is IntRows:
+        return list(zip(a, a.dens))
+    return [QQ.clear(row) for row in a]
+
+
+class IntRows(tuple):
+    """Int rows over denominators: row i stands for ``self[i]`` divided by
+    ``dens[i]``, entry by entry.  Only ``linalg`` reads one (see the module
+    docstring)."""
+
+    def __new__(cls, ints, dens):
+        self = super().__new__(cls, ints)
+        self.dens = dens
+        return self
 
 
 class Cleared(tuple):
@@ -439,9 +505,11 @@ def _carries(a):
 
 def _cleared(a, field):
     """(ints, den) with row == ints / den for each row of ``a``.  A Cleared
-    over ``field`` hands over its own."""
+    over ``field`` and an IntRows hand over their own."""
     if isinstance(a, Cleared) and a.field == field:
         return list(zip(a.ints, a.dens))
+    if type(a) is IntRows:
+        return list(zip(a, a.dens))
     return [field.clear(row) for row in a]
 
 
@@ -478,6 +546,14 @@ def _eliminate(a, field):
     return rows[:r], tuple(pivots)
 
 
+def _reduced(a, field):
+    """(reduced int rows, pivot columns) of ``a``: an Echelon over ``field``
+    hands over its own, anything else is eliminated."""
+    if type(a) is Echelon and a.field == field:
+        return a.ints, a.pivots
+    return _eliminate(a, field)
+
+
 def rref(a, field):
     """(reduced row echelon form with zero rows dropped, pivot columns).  The
     form is an :class:`Echelon`; one over ``field`` is returned as it is.
@@ -485,8 +561,8 @@ def rref(a, field):
     if type(a) is Echelon and a.field == field:
         return a, a.pivots
     ints, pivots = _eliminate(a, field)
-    reduced = [field.finish(row, c) for row, c in zip(ints, pivots)]
     dens = [row[c] for row, c in zip(ints, pivots)]
+    reduced = [field.finish(row, den) for row, den in zip(ints, dens)]
     if isinstance(field, PrimeField):
         ints = None  # the finished rows are their own int rows
     return Echelon(reduced, field, ints, dens, pivots), pivots
@@ -500,22 +576,28 @@ def rowspace(a, field):
 def rank(a, field):
     """The rank of ``a``; F_p entries must lie in 0..p-1, as :func:`mat`
     makes them."""
-    if type(a) is Echelon and a.field == field:
-        return len(a)
-    return len(_eliminate(a, field)[1])
+    return len(_reduced(a, field)[1])
 
 
 def rowspace_eq(a, b, field):
-    return rowspace(a, field) == rowspace(b, field)
+    """Whether a and b span the same row space: their reduced forms agree,
+    compared in ints, row x over pivot entry p against row y over q as x * q
+    == y * p."""
+    ints_a, pivots = _reduced(a, field)
+    ints_b, pivots_b = _reduced(b, field)
+    return pivots == pivots_b and all(
+        [u * y[c] for u in x] == [v * x[c] for v in y]
+        for x, y, c in zip(ints_a, ints_b, pivots)
+    )
 
 
 def rowspace_contains(a, b, field):
     """Whether rowspace(b) is contained in rowspace(a): each row of b reduces
-    to zero against the int rows of a's canonical form.  F_p entries of both
-    must lie in 0..p-1, as :func:`mat` makes them."""
-    e = rref(a, field)[0]
+    to zero against the reduced int rows of a.  F_p entries of both must lie
+    in 0..p-1, as :func:`mat` makes them."""
+    ints, pivots = _reduced(a, field)
     for row, _ in _cleared(b, field):
-        for top, c in zip(e.ints, e.pivots):
+        for top, c in zip(ints, pivots):
             f = row[c]
             if f:
                 row = field.shrink([top[c] * x - f * y for x, y in zip(row, top)])
@@ -526,58 +608,78 @@ def rowspace_contains(a, b, field):
 
 def nullspace(a, field, ncols=None):
     """Canonical basis of { x : a . x^T = 0 } (x a row vector).  F_p entries
-    must lie in 0..p-1, as :func:`mat` makes them."""
+    must lie in 0..p-1, as :func:`mat` makes them.
+
+    Row i of the reduced form is ints[i] over its pivot entry d_i, so with
+    den the lcm of the d_i the basis vector of a free column fc is den at fc
+    and -ints[i][fc] * (den / d_i) at each pivot column: int rows, which
+    ``rowspace`` takes as an IntRows."""
     if not a:
         if ncols is None:
             raise ValidationError("nullspace of an empty matrix needs ncols")
         return identity(ncols, field)
-    reduced, pivots = rref(a, field)
+    ints, pivots = _reduced(a, field)
     n = len(a[0])
-    free = [c for c in range(n) if c not in pivots]
+    dens = [row[c] for row, c in zip(ints, pivots)]
+    den = math.lcm(*dens)
+    scales = [den // d for d in dens]
     basis = []
-    zero, one = field.zero(), field.one()
-    for fc in free:
-        vec = [zero] * n
-        vec[fc] = one
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = field.reduce(-row[fc])
-        basis.append(tuple(vec))
-    return rowspace(tuple(basis), field)
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        vec = [0] * n
+        vec[fc] = den
+        for row, pc, s in zip(ints, pivots, scales):
+            vec[pc] = field.reduce(-row[fc] * s)
+        basis.append(vec)
+    return rowspace(IntRows(basis, [1] * len(basis)), field)
 
 
 def inverse(a, field):
+    """The inverse of a square ``a``: elimination of the int rows of [a | I]
+    (row i cleared as [ints | den e_i]), finishing only the right block."""
     n = len(a)
-    aug = tuple(row + irow for row, irow in zip(a, identity(n, field)))
-    reduced, pivots = rref(aug, field)
+    pairs = _cleared(a, field)
+    aug = [
+        [*ints, *[den if j == i else 0 for j in range(n)]] for i, (ints, den) in enumerate(pairs)
+    ]
+    ints, pivots = _eliminate(IntRows(aug, [den for _, den in pairs]), field)
     if pivots != tuple(range(n)):
         raise ValidationError("matrix is singular")
-    rows = tuple([row[n:] for row in reduced])
-    if not _carries(reduced):
+    right = [row[n:] for row in ints]
+    dens = [row[i] for i, row in enumerate(ints)]
+    rows = [field.finish(row, den) for row, den in zip(right, dens)]
+    if isinstance(field, PrimeField):
+        return tuple(rows)
+    return Cleared(rows, field, right, dens)
+
+
+def columns(a, stop):
+    """The first ``stop`` columns of ``a``; a Cleared over QQ keeps its int
+    rows."""
+    rows = tuple([row[:stop] for row in a])
+    if not _carries(a):
         return rows
-    return Cleared(rows, field, [ints[n:] for ints in reduced.ints], reduced.dens)
+    return Cleared(rows, a.field, [ints[:stop] for ints in a.ints], a.dens)
 
 
 def solve_left(m, b, field):
-    """X with X . m = b, or None when inconsistent (any one solution)."""
+    """X with X . m = b, or None when inconsistent: the solution whose free
+    unknowns are 0.  Column c of b is X times column c of m, so the
+    equations are the rows of [m^T | b^T], one per column."""
     if not b:
         return ()
-    mt = transpose(m)
-    bt = transpose(b)
-    nrows_m = len(m)
-    aug = tuple(row + brow for row, brow in zip(mt, bt))
-    reduced, pivots = rref(aug, field)
-    ncols_b = len(b)
-    zero = field.zero()
+    k = len(m)
+    reduced, pivots = rref(tuple(zip(*m, *b)), field)
     # inconsistent when a pivot falls in the augmented block
+    if any(p >= k for p in pivots):
+        return None
+    zero = field.zero()
+    x = [[zero] * k for _ in b]
     for row, p in zip(reduced, pivots):
-        if p >= nrows_m:
-            return None
-    # back-substitute: unknown matrix X^T is (nrows_m x ncols_b)
-    xt = [[zero] * ncols_b for _ in range(nrows_m)]
-    for row, p in zip(reduced, pivots):
-        for j in range(ncols_b):
-            xt[p][j] = row[nrows_m + j]
-    return transpose(tuple(tuple(r) for r in xt))
+        for j, xrow in enumerate(x):
+            xrow[p] = row[k + j]
+    return tuple([tuple(xrow) for xrow in x])
 
 
 def random_matrix(rng, rows, cols, field):

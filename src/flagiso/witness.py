@@ -125,16 +125,21 @@ class Form(tuple):
         return lin
 
     def pair(self, rows_a, rows_b):
-        """B(a, b) for a in ``rows_a`` (rows) and b in ``rows_b`` (columns)."""
+        """B(a, b) for a in ``rows_a`` (rows) and b in ``rows_b`` (columns),
+        in field elements.  The inner product ``rows_a . matrix`` stays an
+        int value of the kernel (:func:`flagiso.linalg.product`); only the
+        outer one is finished."""
         if not rows_b:  # transpose(()) has lost the column count
             return tuple([() for _ in rows_a])
         field = self.field
-        return la.mat_mul(la.mat_mul(rows_a, self.matrix, field), la.transpose(rows_b), field)
+        return la.mat_mul(la.product(rows_a, self.matrix, field), la.transpose(rows_b), field)
 
     def perp(self, rows):
-        """The orthogonal complement of the row space of ``rows``."""
+        """The orthogonal complement of the row space of ``rows``, canonical:
+        the null space of ``rows . matrix``, which the kernel takes as its
+        int value and never finishes."""
         field = self.field
-        return la.nullspace(la.mat_mul(la.mat(rows, field), self.matrix, field), field, len(self))
+        return la.nullspace(la.product(la.mat(rows, field), self.matrix, field), field, len(self))
 
     def keep(self):
         """A fresh ``keep`` of :func:`flagiso.linalg.enumerate_subspaces` that
@@ -341,6 +346,15 @@ def _listed_by_signature(gaps, partner):
     return groups
 
 
+# Both bases pass _gap_classes and, with a form, _basis_involution, so every
+# signature lists as many indices of E as of E' (each gap class has dim C_g -
+# dim C_(g-1) vectors, perp fixes a partner's gap by its own, and at most one
+# vector pairs with itself), and a self-paired ratio is a square (both Gram
+# matrices are hyperbolic planes plus that one value, with determinant
+# det(basis)^2 det(form)).  A row left unset breaks that argument.
+_UNMATCHED = "internal error: the bases do not match signature by signature"
+
+
 def rebase_automorphism(chain, basis_e, basis_e2, form=None):
     """An invertible matrix alpha with alpha(E) = E' (up to the isotropic
     scalar corrections), alpha(F) = F for every chain member, and, with a
@@ -378,25 +392,16 @@ def rebase_automorphism(chain, basis_e, basis_e2, form=None):
 
     rows = [None] * n
     for sig, src in _listed_by_signature(gaps_e, part_e).items():
-        dst = listed_e2.get(sig, ())
-        if len(src) != len(dst):
-            raise WitnessError(f"gap class {sig[0]} has mismatched sizes between bases")
-        for i, j in zip(src, dst):
+        for i, j in zip(src, listed_e2.get(sig, ())):
             rows[i] = E2[j]
             if part_e is None:
                 continue
             pi, pj = part_e[i], part_e2[j]
             ratio = field.reduce(vals_e[i][pi] * field.inv(vals_e2[j][pj]))
-            if pi != i:
-                rows[pi] = la.mat_scale(ratio, (E2[pj],), field)[0]
-                continue
-            s = field.sqrt(ratio)
-            if s is None:
-                raise WitnessError(
-                    "scalar correction at the self-paired basis vector needs "
-                    f"a square root of {ratio!r}, which does not exist in the field"
-                )
-            rows[i] = la.mat_scale(s, (E2[j],), field)[0]
+            s = ratio if pi != i else field.sqrt(ratio)
+            rows[pi] = None if s is None else la.mat_scale(s, (E2[pj],), field)[0]
+    if any(row is None for row in rows):
+        raise WitnessError(_UNMATCHED)
     alpha = la.mat_mul(la.inverse(E, field), tuple(rows), field)
 
     _verify_rebase(alpha, members, E, E2, form, field, n)
@@ -407,7 +412,7 @@ def _verify_rebase(alpha, members, E, E2, form, field, n):
     if la.rank(alpha, field) != n:
         raise WitnessError("constructed map is not invertible")
     # alpha(E) = E' as sets up to scalars
-    coords = la.mat_mul(la.mat_mul(E, alpha, field), la.inverse(E2, field), field)
+    coords = la.mat_mul(la.product(E, alpha, field), la.inverse(E2, field), field)
     seen = set()
     for row in coords:
         hits = [j for j, x in enumerate(row) if x]
@@ -415,7 +420,7 @@ def _verify_rebase(alpha, members, E, E2, form, field, n):
             raise WitnessError("alpha does not map E bijectively onto scalar multiples of E'")
         seen.add(hits[0])
     for k, s in enumerate(members):
-        if not la.rowspace_eq(la.mat_mul(s, alpha, field), s, field):
+        if not la.rowspace_eq(la.product(s, alpha, field), s, field):
             raise WitnessError(f"alpha moves chain member {k}", certificate=s)
     if form is not None:
         if not la.mat_eq(form.pair(alpha, alpha), form):
@@ -538,7 +543,7 @@ def _source_slice(d: StandardExtensionData, p: FiniteFlagPoint, c: int):
         return ()
     if c == d.source_members + 1:
         return d.alpha
-    return la.mat_mul(p.subspaces[c - 1], d.alpha, d.field)
+    return la.product(p.subspaces[c - 1], d.alpha, d.field)
 
 
 def apply_standard_extension(d: StandardExtensionData, p: FiniteFlagPoint) -> FiniteFlagPoint:
@@ -585,14 +590,15 @@ def _dual_conjugate(d: StandardExtensionData) -> StandardExtensionData:
 
 
 def _compose_strict(d1: StandardExtensionData, d2: StandardExtensionData) -> dict:
+    """The parts of d1 followed by d2 read as strict data.  The complement
+    and each filtration member are spanning rows, not reduced: composing
+    reduces them, the triangle check compares them."""
     field = d1.field
     if d2.source_members != d1.slots or d2.source_dim != d1.target_dim:
         raise WitnessError("extensions do not compose: shapes disagree")
     l1 = d1.slots
     alpha = la.mat_mul(d1.alpha, d2.alpha, field)
-    complement = la.rowspace(
-        la.stack(la.mat_mul(d1.complement, d2.alpha, field), d2.complement), field
-    )
+    complement = la.stack(la.product(d1.complement, d2.alpha, field), d2.complement)
     filtration = []
     kappa = []
     for lj, c in zip(d2.filtration, d2.kappa):
@@ -603,16 +609,13 @@ def _compose_strict(d1: StandardExtensionData, d2: StandardExtensionData) -> dic
         else:
             inner = d1.filtration[c - 1]
             kc = d1.kappa[c - 1]
-        filtration.append(
-            la.rowspace(la.stack(la.mat_mul(inner, d2.alpha, field), lj), field)
-        )
+        filtration.append(la.stack(la.product(inner, d2.alpha, field), lj))
         kappa.append(kc)
     return dict(
-        field=field,
         source_members=d1.source_members,
         alpha=alpha,
         complement=complement,
-        filtration=tuple(filtration),
+        filtration=filtration,
         kappa=tuple(kappa),
     )
 
@@ -632,10 +635,11 @@ def compose_standard_extensions(
         if d1.target_form != d2.source_form:
             raise WitnessError("the intermediate forms disagree")
         forms = dict(source_form=d1.source_form, target_form=d2.target_form)
-    inner = d2 if d1.strict else _dual_conjugate(d2)
-    return standard_extension(
-        strict=d1.strict == d2.strict, **_compose_strict(d1, inner), **forms
-    )
+    field = d1.field
+    parts = _compose_strict(d1, d2 if d1.strict else _dual_conjugate(d2))
+    parts["complement"] = la.rowspace(parts["complement"], field)
+    parts["filtration"] = [la.rowspace(m, field) for m in parts["filtration"]]
+    return standard_extension(field, strict=d1.strict == d2.strict, **parts, **forms)
 
 
 # ---------------------------------------------------------------------------
@@ -714,8 +718,7 @@ class TriangleReport:
 
 def _projection_onto_source(d: StandardExtensionData):
     square = la.stack(d.alpha, d.complement)
-    inv = la.inverse(square, d.field)
-    return tuple(row[: d.source_dim] for row in inv)
+    return la.columns(la.inverse(square, d.field), d.source_dim)
 
 
 def check_triangle(phi, psi, chi) -> TriangleReport:
@@ -793,7 +796,7 @@ def check_triangle(phi, psi, chi) -> TriangleReport:
         la.mat_mul(proj, correction, field),
         field,
     )
-    if not la.mat_eq(la.mat_mul(phi.alpha, beta, field), gamma):
+    if not la.mat_eq(la.product(phi.alpha, beta, field), gamma):
         raise WitnessError("internal error: adjusted beta fails gamma = beta . alpha")
     if la.rank(beta, field) != len(beta):
         messages.append("adjusted beta is not injective")

@@ -748,6 +748,52 @@ def rref_by_fractions(a, field):
     return tuple(tuple(row) for row in mat_[:r]), tuple(pivots)
 
 
+def inverse_by_fractions(a, field):
+    """The right block of the reduced [a | I]; ValidationError when a is
+    singular."""
+    n = len(a)
+    unit = [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
+    reduced, pivots = rref_by_fractions([[*row, *e] for row, e in zip(a, unit)], field)
+    if pivots != tuple(range(n)):
+        raise ValidationError("matrix is singular")
+    return tuple(row[n:] for row in reduced)
+
+
+def nullspace_by_fractions(a, field, ncols):
+    """The reduced basis of { x : a . x^T = 0 }: for each free column of the
+    reduced form, x is 1 there and minus that column's entry of each row at
+    the row's pivot."""
+    reduced, pivots = rref_by_fractions(a, field)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = [field.zero()] * ncols
+            vec[fc] = field.one()
+            for row, pc in zip(reduced, pivots):
+                vec[pc] = field.reduce(-row[fc])
+            basis.append(vec)
+    return rref_by_fractions(basis, field)[0]
+
+
+def solve_left_by_fractions(m, b, field):
+    """X with X . m = b whose free unknowns are 0, or None: column c of b is
+    X times column c of m, so each column is one equation in the entries of
+    a row of X, reduced in [m^T | b^T]."""
+    if not b:
+        return ()
+    k = len(m)
+    ncols = len(b[0])
+    aug = [[row[c] for row in m] + [brow[c] for brow in b] for c in range(ncols)]
+    reduced, pivots = rref_by_fractions(aug, field)
+    if any(p >= k for p in pivots):
+        return None
+    x = [[field.zero()] * k for _ in b]
+    for row, p in zip(reduced, pivots):
+        for j in range(len(b)):
+            x[j][p] = row[k + j]
+    return tuple(tuple(row) for row in x)
+
+
 def in_rowspace(v, canonical, field):
     """Membership test against a canonical (rref) basis, by eliminating v
     with each basis row in turn."""
@@ -1059,7 +1105,7 @@ def rebase_automorphism_by_greedy(chain, basis_e, basis_e2, form=None):
             src = class_indices(gaps_e, g)
             dst = class_indices(gaps_e2, g)
             if len(src) != len(dst):
-                raise W.WitnessError(f"gap class {g} has mismatched sizes between bases")
+                raise W.WitnessError(W._UNMATCHED)
             one = field.one()
             for i, j in zip(src, dst):
                 assigned[i] = (j, one)
@@ -1090,10 +1136,7 @@ def rebase_automorphism_by_greedy(chain, basis_e, basis_e2, form=None):
                     ratio = field.reduce(vals_e[i][i] * field.inv(vals_e2[j][j]))
                     s = field.sqrt(ratio)
                     if s is None:
-                        raise W.WitnessError(
-                            "scalar correction at the self-paired basis vector needs "
-                            f"a square root of {ratio!r}, which does not exist in the field"
-                        )
+                        raise W.WitnessError(W._UNMATCHED)
                     assigned[i] = (j, s)
                     taken[j] = True
                     continue

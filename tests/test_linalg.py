@@ -275,12 +275,6 @@ def _field_and_product(draw):
     return field, a, draw(_matrix(field, rows=len(a[0]), cols=k)) if a[0] else ()
 
 
-def _fraction_kernel():
-    return mock.patch.multiple(
-        la, rref=oracles.rref_by_fractions, mat_mul=oracles.mat_mul_by_fractions
-    )
-
-
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -415,14 +409,27 @@ def test_echelon_over_another_field_is_reduced_again():
 @example((QQ, _ROW[1], ((),) * 4))
 def test_mat_mul_matches_fraction_oracle(case):
     field, a, b = case
-    got = la.mat_mul(a, b, field)
-    assert got == oracles.mat_mul_by_fractions(a, b, field)
-    _assert_elements(got, field)
-    # a canonical left operand is read through its int rows
-    e = la.rowspace(a, field)
-    got = la.mat_mul(e, b, field)
-    assert got == oracles.mat_mul_by_fractions(e, b, field)
-    _assert_elements(got, field)
+    # a canonical left operand is read through its int rows, whose
+    # denominators (its pivot entries) may be negative
+    for left in (a, la.rowspace(a, field)):
+        want = oracles.mat_mul_by_fractions(left, b, field)
+        got = la.mat_mul(left, b, field)
+        assert got == want
+        _assert_elements(got, field)
+        _assert_product(la.product(left, b, field), want, field)
+
+
+def _assert_product(p, want, field):
+    """An int product: over QQ an IntRows whose rows are canonical (gcd 1,
+    den > 0) and equal want entry by entry; over F_p the reduced rows."""
+    if field != QQ or not want:
+        assert type(p) is tuple and p == want
+        return
+    assert type(p) is la.IntRows and len(p) == len(p.dens) == len(want)
+    for ints, den, row in zip(p, p.dens, want):
+        assert all(type(x) is int for x in ints) and type(den) is int and den > 0
+        assert math.gcd(den, *ints) == 1
+        assert tuple(Fraction(x, den) for x in ints) == row
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(3)])
@@ -443,10 +450,8 @@ def test_mat_mul_refuses_mismatched_shapes(field):
 def test_inverse_matches_fraction_oracle(case):
     field, a = case
     got = _outcome(la.inverse, a, field)
-    with _fraction_kernel():
-        want = _outcome(la.inverse, a, field)
-    assert got == want
-    if want[0] != "ValidationError":
+    assert got == _outcome(oracles.inverse_by_fractions, a, field)
+    if got[0] != "ValidationError":
         _assert_elements(got, field)
 
 
@@ -460,11 +465,12 @@ def test_inverse_matches_fraction_oracle(case):
 def test_nullspace_matches_fraction_oracle(case):
     field, a = case
     ncols = len(a[0])
-    got = la.nullspace(a, field, ncols)
-    with _fraction_kernel():
-        want = la.nullspace(a, field, ncols)
-    assert got == want
-    _assert_elements(got, field)
+    want = oracles.nullspace_by_fractions(a, field, ncols)
+    # a canonical operand hands over its int rows, over negative pivots
+    for m in (a, la.rowspace(a, field)):
+        got = la.nullspace(m, field, ncols)
+        assert got == want
+        _assert_elements(got, field)
 
 
 @_PROPERTY
@@ -475,16 +481,14 @@ def test_nullspace_matches_fraction_oracle(case):
 def test_solve_left_matches_fraction_oracle(case, perturb):
     # b = x . m is consistent; moving one entry of b may make it inconsistent
     field, x, m = case
-    with _fraction_kernel():
-        b = la.mat_mul(x, m, field)
+    b = oracles.mat_mul_by_fractions(x, m, field)
     if perturb and b[0]:
         b = ((field.reduce(b[0][0] + field.one()),) + b[0][1:],) + b[1:]
     got = la.solve_left(m, b, field)
-    with _fraction_kernel():
-        want = la.solve_left(m, b, field)
-    assert got == want
-    if want is not None:
+    assert got == oracles.solve_left_by_fractions(m, b, field)
+    if got is not None:
         _assert_elements(got, field)
+        assert len(got) == len(b)
 
 
 @st.composite
@@ -535,6 +539,69 @@ def test_rowspace_contains_matches_elimination_oracle(case, as_echelon):
     got = la.rowspace_contains(a, b, field)
     assert got == oracles.rowspace_contains_by_elimination(a, b, field)
     assert got == oracles.rowspace_contains_by_rank(a, b, field)
+
+
+@_PROPERTY
+@given(_field_and_pair())
+@example((QQ, _DEPENDENT_ROWS[1], _DEPENDENT_ROWS[1][1:2]))
+@example((QQ, _DEPENDENT_ROWS[1][:2], _DEPENDENT_ROWS[1][2:]))
+@example((PrimeField(7), _COLUMN[1], ((5,),)))
+@example((QQ, (), _ZERO_ROWS[1]))
+def test_rowspace_eq_matches_the_fraction_oracle(case):
+    # a against a with b's rows added: equal exactly when b lies inside;
+    # either side plain, canonical (negative pivots) or an int product
+    field, a, b = case
+    if not (a or b):
+        return
+    ab = la.stack(a, b)
+    unit = la.identity(len(ab[0]), field)
+    for x, y in ((a, ab), (ab, a), (ab, ab)):
+        want = oracles.rref_by_fractions(_plain(x), field)[0] == oracles.rref_by_fractions(
+            _plain(y), field
+        )[0]
+        for f in (x, la.rowspace(x, field), la.product(x, unit, field)):
+            for g in (y, la.rowspace(y, field), la.product(y, unit, field)):
+                assert la.rowspace_eq(f, g, field) == want
+
+
+@_PROPERTY
+@given(_field_and_product())
+@example((QQ, _DEPENDENT_ROWS[1], _DEPENDENT_ROWS[1]))
+@example((QQ, _ROW[1], tuple((x,) for x in _ROW[1][0])))
+@example((PrimeField(7), _COLUMN[1], ((4, 0, 5),)))
+@example((QQ, _ROW[1], ((),) * 4))
+def test_int_products_feed_every_kernel_that_takes_them(case):
+    # the int value of a product, over QQ an IntRows, goes where a matrix
+    # goes in rref, rank, nullspace, rowspace_contains, rowspace_eq, stack,
+    # mat_mul and mat_eq, and gives what its Fraction rows give
+    field, a, b = case
+    if not (b and b[0]):
+        return
+    ncols = len(b[0])
+    for left in (a, la.rowspace(a, field)):
+        want = oracles.mat_mul_by_fractions(left, b, field)
+        if not want:
+            continue
+        p = la.product(left, b, field)
+        assert la.rref(p, field) == oracles.rref_by_fractions(want, field)
+        assert la.rank(p, field) == len(oracles.rref_by_fractions(want, field)[0])
+        assert la.nullspace(p, field, ncols) == oracles.nullspace_by_fractions(want, field, ncols)
+        for x, y in ((p, b), (b, p), (p, p)):
+            assert la.rowspace_contains(x, y, field) == oracles.rowspace_contains_by_elimination(
+                want if x is p else x, want if y is p else y, field
+            )
+        assert la.rowspace_eq(p, want, field) and la.rowspace_eq(want, p, field)
+        unit = la.identity(ncols, field)
+        assert la.mat_mul(p, unit, field) == want
+        stacked = la.stack(p, la.mat(b, field), ())
+        assert la.rref(stacked, field) == oracles.rref_by_fractions(want + tuple(b), field)
+        assert la.mat_mul(stacked, unit, field) == want + tuple(b)
+        assert la.stack((), p) is p
+        for other in (want, la.mat(want, field), la.mat_mul(left, b, field)):
+            assert la.mat_eq(p, other) and la.mat_eq(other, p)
+        moved = ((field.reduce(want[0][0] + field.one()),) + want[0][1:],) + want[1:]
+        assert not la.mat_eq(p, moved) and not la.mat_eq(moved, p)
+        assert not la.mat_eq(p, want[:-1]) and not la.mat_eq(p, want + want[:1])
 
 
 @_PROPERTY
@@ -613,8 +680,7 @@ def test_kernels_match_the_fraction_oracles_on_every_form(case):
             for x, y in ((g, got), (got, g)):
                 want = oracles.rowspace_contains_by_elimination(_plain(x), _plain(y), field)
                 assert la.rowspace_contains(x, y, field) == want
-            with _fraction_kernel():
-                want = la.solve_left(_plain(g), _plain(got), field)
+            want = oracles.solve_left_by_fractions(_plain(g), _plain(got), field)
             assert la.solve_left(g, got, field) == want
 
 
@@ -629,8 +695,7 @@ def test_inverse_matches_the_fraction_oracle_on_every_form(case):
         if len(f) != len(a):
             continue
         got = _outcome(la.inverse, f, field)
-        with _fraction_kernel():
-            want = _outcome(la.inverse, _plain(f), field)
+        want = _outcome(oracles.inverse_by_fractions, _plain(f), field)
         assert got == want
         if want[0] != "ValidationError":
             _assert_elements(got, field)

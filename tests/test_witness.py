@@ -435,6 +435,132 @@ def test_rebase_matches_the_greedy_reference():
     assert len(outcomes) == 4  # both outcomes, with and without a form
 
 
+def _isotropic_rebase(rng, field, lie_type):
+    while True:
+        chain, e, e2, form = random_rebase_instance(rng, field, isotropic=True)
+        if form.lie_type == lie_type:
+            return chain, e, e2, form
+
+
+@pytest.mark.parametrize("drop", [0, 1])
+def test_rebase_refuses_bases_that_do_not_match_signature_by_signature(monkeypatch, drop):
+    # no input reaches the check (see the comment at W._UNMATCHED): here the
+    # grouping lists one index fewer, of E' on its first call (drop 0) or of
+    # E on its second (drop 1), so some row of the automorphism stays unset
+    listed = W._listed_by_signature
+    calls = []
+
+    def fewer(gaps, partner):
+        groups = listed(gaps, partner)
+        if len(calls) == drop:
+            key = next(iter(groups))
+            groups[key] = groups[key][:-1]
+        calls.append(partner)
+        return groups
+
+    rng = random.Random(26)
+    for field in (QQ, F5):
+        for chain, e, e2, form in (
+            random_rebase_instance(rng, field),
+            _isotropic_rebase(rng, field, "D"),
+        ):
+            calls.clear()
+            monkeypatch.setattr(W, "_listed_by_signature", fewer)
+            with pytest.raises(W.WitnessError) as err:
+                W.rebase_automorphism(chain, e, e2, form)
+            monkeypatch.undo()
+            assert str(err.value) == W._UNMATCHED and len(calls) == 2
+            W.rebase_automorphism(chain, e, e2, form)
+
+
+def test_rebase_refuses_a_self_paired_ratio_without_a_square_root(monkeypatch):
+    # the ratio at the self-paired vector of a type-B basis is always a
+    # square; a field that finds no root reaches the same check, in the
+    # greedy reference too
+    chain, e, e2, form = _isotropic_rebase(random.Random(26), QQ, "B")
+    monkeypatch.setattr(la.Rationals, "sqrt", staticmethod(lambda a: None))
+    for rebase in (W.rebase_automorphism, oracles.rebase_automorphism_by_greedy):
+        with pytest.raises(W.WitnessError) as err:
+            rebase(chain, e, e2, form)
+        assert str(err.value) == W._UNMATCHED
+
+
+# ---------------------------------------------------------------------------
+# What the witness functions return: plain tuples, Cleared and Echelon values
+# and forms of field elements, never the kernel's int rows.
+
+
+def _is_element(x, field):
+    return type(x) is Fraction if field == QQ else type(x) is int and 0 <= x < field.p
+
+
+def _assert_matrix(m, field):
+    assert type(m) in (tuple, la.Cleared, la.Echelon, W.Form), type(m)
+    assert all(type(row) is tuple for row in m)
+    assert all(_is_element(x, field) for row in m for x in row)
+    plain = tuple(map(tuple, m))
+    assert m == plain
+    for back in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+        assert type(back) is type(m) and back == m and back == plain
+
+
+def _assert_values(x, field):
+    """Every matrix in a returned value (a tuple subclass, or a tuple of
+    plain tuples of non-tuples) passes _assert_matrix; dataclasses, lists
+    and other tuples are walked."""
+    if isinstance(x, W.PicPullback):
+        assert type(x.entries) is tuple and all(type(row) is tuple for row in x.entries)
+    elif dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            _assert_values(getattr(x, f.name), field)
+    elif isinstance(x, (tuple, list)):
+        rows = all(type(r) is tuple and not any(isinstance(y, tuple) for y in r) for r in x)
+        if type(x) not in (tuple, list) or x and rows:  # an empty Echelon too
+            _assert_matrix(x, field)
+            return
+        for y in x:
+            _assert_values(y, field)
+
+
+def _witness_results(rng, field):
+    """The results of one round of witness ops over ``field``."""
+    out = []
+    for isotropic in (False, True):
+        out.append(W.rebase_automorphism(*random_rebase_instance(rng, field, isotropic)))
+    for with_forms in (False, True):
+        d1, d2 = composable_pair(rng, field, with_forms=with_forms)
+        c = W.compose_standard_extensions(d1, d2)
+        p = random_source_point(rng, d1)
+        out += [d1, d2, c, W.apply_standard_extension(c, p)]
+        out.append(W.apply_standard_extension(d2, W.apply_standard_extension(d1, p)))
+        out.append(W.compose_pullbacks(W.pic_pullback(d1), W.pic_pullback(d2)))
+    d1 = random_strict_extension(rng, field)
+    d2 = random_strict_extension(rng, field, source_members=d1.slots, source_dim=d1.target_dim)
+    chi = W.compose_standard_extensions(d1, d2)
+    out += [W.check_triangle(d1, d2, chi)]
+    top = perturb_triangle_top(rng, chi)
+    if top is not None:
+        out.append(W.check_triangle(d1, d2, top))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_witness_results_hold_only_field_elements(field):
+    rng = random.Random(f"no-int-rows/{field!r}")
+    adjusted = 0
+    for _ in range(12):
+        for x in _witness_results(rng, field):
+            _assert_values(x, field)
+            adjusted += isinstance(x, W.TriangleReport) and x.adjusted
+    assert adjusted  # the adjusted beta, built from a projection, was walked
+    if field == QQ:  # the exhaustion steps are over QQ
+        for text in ("gen: seq[1] + omega(2)", "orth: half=seq[1] + omega(1); middle=3"):
+            d = parse_descriptor(text)
+            n = min_truncation_width(d)
+            step = W.exhaustion_step(d, n)
+            _assert_values([step, W.apply_standard_extension(step, W.standard_point(d, n))], field)
+
+
 # ---------------------------------------------------------------------------
 # Standard extensions.
 
