@@ -387,11 +387,12 @@ def perturb_triangle_top(rng, chi: StandardExtensionData):
     m0 = chi.filtration[i0]
     if not m0:
         return None
-    rows = []
-    for _ in range(len(chi.alpha)):
-        coeffs = [field.of(rng.randint(-2, 2)) for _ in m0]
-        rows.append(la.mat_mul((coeffs,), m0, field)[0])
-    gamma = la.mat_add(chi.alpha, tuple(rows), field)
+    # gamma = [I | c] . [alpha; m0] for coefficients c drawn row by row
+    shift = [
+        (*e, *[field.of(rng.randint(-2, 2)) for _ in m0])
+        for e in la.identity(len(chi.alpha), field)
+    ]
+    gamma = la.mat_mul(shift, la.stack(chi.alpha, m0), field)
     if la.rank(gamma, field) != len(gamma):
         return None
     scale = _random_unit(rng, field)

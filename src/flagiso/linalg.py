@@ -94,13 +94,14 @@ also carries the field, ``ints`` and ``dens``, with row i equal to
 ``ints[i]`` divided by ``dens[i]`` entry by entry.  ``mat`` clears each row
 once, ``mat_mul`` finishes a ``product`` into one, ``inverse`` finishes only
 the right block of its eliminated [a | I] and keeps that block's int rows,
-``columns`` slices the int rows of one, ``stack`` joins the int rows when
-every part is a ``Cleared`` over QQ, and ``transpose`` of one brings its int
-rows to one denominator (one lcm) and transposes them.  ``_cleared`` hands
-these int rows over instead of clearing, so the kernels clear only rows
-that arrive as plain tuples.  Slices of a ``Cleared`` and the results of
-``mat_add`` and ``mat_scale`` are plain tuples: they build their entries one
-by one, and their callers read entries.  Int rows are never changed in
+``stack`` joins the int rows when every part is a ``Cleared`` over QQ, and
+``transpose`` of one brings its int rows to one denominator (one lcm) and
+transposes them.  ``_cleared`` hands these int rows over instead of
+clearing, so the kernels clear only rows that arrive as plain tuples.
+Slices of a ``Cleared`` and the results of ``mat_scale`` are plain tuples:
+``mat_scale`` builds its entries one by one, and a slice that feeds a
+kernel is cleared again from its entries (``witness`` slices one inverse
+into the two blocks of the dual data).  Int rows are never changed in
 place, so values may share them.  Over F_p a row is its own int row over 1,
 so these functions return plain tuples and keep no second copy; the only
 ``Cleared`` over F_p is an ``Echelon``, whose ``ints`` is the value itself.
@@ -122,10 +123,10 @@ function reduces or converts a subspace twice.  The field is compared
 because rows reduced over one field are not canonical over another: over QQ
 their entries must become ``Fraction``, and over F_3 an entry 4 of an F_5
 form is not even an element, so ``mat`` converts them and ``rref``
-eliminates again.  Slices and sums of an ``Echelon`` are plain tuples and
-are not trusted, and no other ``Cleared`` is: ``stack`` of two or more
-nonempty parts and ``inverse`` return a ``Cleared``, never an ``Echelon``
-(``stack`` returns a lone nonempty part as it is).
+eliminates again.  Slices and multiples of an ``Echelon`` are plain
+tuples and are not trusted, and no other ``Cleared`` is: ``stack`` of two
+or more nonempty parts and ``inverse`` return a ``Cleared``, never an
+``Echelon`` (``stack`` returns a lone nonempty part as it is).
 
 A ``Cleared`` compares, hashes, prints and encodes as JSON like its rows.
 It pickles and copies as itself through ``__reduce__``, which hands
@@ -407,12 +408,6 @@ def mat_mul(a, b, field):
     return Cleared(rows, QQ, list(m), m.dens)  # a list: an IntRows does not pickle
 
 
-def mat_add(a, b, field):
-    return tuple(
-        tuple(field.reduce(x + y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
 def mat_scale(c, a, field):
     return tuple(tuple(field.reduce(c * x) for x in row) for row in a)
 
@@ -637,8 +632,13 @@ def nullspace(a, field, ncols=None):
 
 def inverse(a, field):
     """The inverse of a square ``a``: elimination of the int rows of [a | I]
-    (row i cleared as [ints | den e_i]), finishing only the right block."""
+    (row i cleared as [ints | den e_i]), finishing only the right block.  A
+    matrix that is not square is refused, since its elimination may still
+    reach a pivot in every column of the left block."""
     n = len(a)
+    for row in a:
+        if len(row) != n:
+            raise ValidationError(f"cannot invert {n} rows: a row has length {len(row)}, not {n}")
     pairs = _cleared(a, field)
     aug = [
         [*ints, *[den if j == i else 0 for j in range(n)]] for i, (ints, den) in enumerate(pairs)
@@ -652,15 +652,6 @@ def inverse(a, field):
     if isinstance(field, PrimeField):
         return tuple(rows)
     return Cleared(rows, field, right, dens)
-
-
-def columns(a, stop):
-    """The first ``stop`` columns of ``a``; a Cleared over QQ keeps its int
-    rows."""
-    rows = tuple([row[:stop] for row in a])
-    if not _carries(a):
-        return rows
-    return Cleared(rows, a.field, [ints[:stop] for ints in a.ints], a.dens)
 
 
 def solve_left(m, b, field):

@@ -13,7 +13,8 @@ its own output by direct matrix identities before returning:
   as F |-> alpha(F_kappa(j)) + K_j, with a modified variant that post-composes
   with the annihilator duality; these compose, pull back Picard generators,
   and satisfy the commuting-triangle normalization implemented by
-  :func:`check_triangle`;
+  :func:`check_triangle`.  Both the triangle's adjusted beta and the data
+  of the duality conjugate are read off one inverse of [alpha; complement];
 * :func:`bd_phi` realizes the isomorphism between the maximal orthogonal
   grassmannian of an odd space and one Lagrangian component of the
   even space one dimension up, together with the commuting exhaustion square
@@ -31,10 +32,11 @@ quadratic terms.  :func:`split_form` builds one per (Lie type, ambient,
 field), shared by every caller, and :meth:`Form.restrict` the form on a
 subspace, for the keeps.  :func:`flag_point`, :func:`rebase_automorphism`
 and :func:`standard_extension` take only the split form of their ambient
-(``_as_form``), and :func:`flag_point` alone tests a member.  B on row sets
-and perp go through the kernel; Q and the polar functional are read from
-the terms.  A keep computes Q and the polar functional of a candidate row
-once, so the test of the row against each row above it is one dot product.
+(``_as_form``), :func:`rebase_automorphism` only its chain's, and
+:func:`flag_point` alone tests a member.  B on row sets and perp go through
+the kernel; Q and the polar functional are read from the terms.  A keep
+computes Q and the polar functional of a candidate row once, so the test of
+the row against each row above it is one dot product.
 
 Slot maps are allowed one value past the proper source members: kappa(j) =
 k + 1 denotes the full image alpha(V).  Such slots arise when compositions
@@ -357,8 +359,10 @@ _UNMATCHED = "internal error: the bases do not match signature by signature"
 
 def rebase_automorphism(chain, basis_e, basis_e2, form=None):
     """An invertible matrix alpha with alpha(E) = E' (up to the isotropic
-    scalar corrections), alpha(F) = F for every chain member, and, with a
-    form, alpha form-preserving.  Output is verified before returning.
+    scalar corrections), alpha(F) = F for every chain member, and alpha
+    preserving the chain's form, which is the only ``form`` taken: the
+    members were tested isotropic under it.  The bases must be n x n for the
+    chain's ambient n.  Output is verified before returning.
 
     A basis index has a signature: its gap (the least chain member holding
     the vector) and, with a form, its partner's gap and whether it pairs
@@ -366,19 +370,22 @@ def rebase_automorphism(chain, basis_e, basis_e2, form=None):
     (gap, index) order, and the listed indices of E and E' are zipped
     signature by signature.  A partner's row takes the ratio of the pairing
     values, a self-paired row its square root."""
-    if isinstance(chain, FiniteFlagPoint):
-        field = chain.field
-        members = list(chain.subspaces)
-        if form is None:
-            form = chain.form
-        n = chain.ambient_dim
-    else:
+    if not isinstance(chain, FiniteFlagPoint):
         raise WitnessError("chain must be a FiniteFlagPoint")
+    field, n = chain.field, chain.ambient_dim
+    members = list(chain.subspaces)
     E = la.mat(basis_e, field)
     E2 = la.mat(basis_e2, field)
+    if any(len(b) != n or any(len(row) != n for row in b) for b in (E, E2)):
+        raise WitnessError(f"bases must be {n}x{n} matrices")
     if la.rank(E, field) != n or la.rank(E2, field) != n:
         raise WitnessError("bases must be invertible matrices")
 
+    # the chain's form is a split form too, so the Lie types tell them apart
+    own = getattr(chain.form, "lie_type", None)
+    if form is not None and _as_form(form, field, n).lie_type != own:
+        raise WitnessError("form must be the chain's form")
+    form = chain.form
     if form is not None:
         form = _as_form(form, field, n)
         members = _closed_chain(members, form, field, n)
@@ -575,10 +582,12 @@ def _dual_conjugate(d: StandardExtensionData) -> StandardExtensionData:
     """Data for the duality-conjugated map: reverse-annihilate, apply, then
     reverse-annihilate again.  Strict in the extended normal form."""
     field = d.field
-    w = d.target_dim
+    v, w = d.source_dim, d.target_dim
     k, m = d.source_members, d.slots
-    alpha_d = la.transpose(_projection_onto_source(d))  # alpha . proj = identity
-    complement_d = la.nullspace(d.alpha, field, w)
+    # The rows of (S^T)^-1 for S = [alpha; complement]: the first v pair with
+    # alpha to the identity, and the rest span {x : alpha . x^T = 0}.
+    dual = la.inverse(la.transpose(la.stack(d.alpha, d.complement)), field)
+    alpha_d, complement_d = dual[:v], dual[v:]
     filtration_d = tuple(
         la.nullspace(la.stack(d.alpha, d.filtration[m - j]), field, w)
         for j in range(1, m + 1)
@@ -716,16 +725,16 @@ class TriangleReport:
     messages: tuple = ()
 
 
-def _projection_onto_source(d: StandardExtensionData):
-    square = la.stack(d.alpha, d.complement)
-    return la.columns(la.inverse(square, d.field), d.source_dim)
-
-
 def check_triangle(phi, psi, chi) -> TriangleReport:
     """Verify that chi matches psi after phi: slot maps compose, filtrations
     split as M_j = beta(K_lambda(j)) + L_j, and, up to the allowed adjustment
     of beta (a correction into M_{i0} plus one scalar), gamma = beta . alpha.
-    Returns a report rather than raising on mismatch."""
+    Returns a report rather than raising on mismatch.
+
+    The adjusted beta is s psi.alpha + P (gamma - s alpha . psi.alpha) for
+    [P | Q] the inverse of S = [alpha; K], K = phi.complement.  As alpha . P
+    = I and K . P = 0, S . beta = [gamma; s K . psi.alpha]: beta is S^-1
+    times that, for every gamma."""
     field = phi.field
     for d in (phi, psi, chi):
         if not d.strict:
@@ -776,8 +785,9 @@ def check_triangle(phi, psi, chi) -> TriangleReport:
         return TriangleReport(False, True, True, messages=tuple(messages))
     v = len(gamma)
     scalar = coeffs[0][0]
-    want = la.mat_scale(scalar, la.identity(v, field), field)
-    bad = next((i for i in range(v) if coeffs[i][:v] != want[i]), None)
+    # row i of the coefficients on beta.alpha must be scalar * e_i
+    off = (i for i, row in enumerate(coeffs) if row[i] != scalar or any(row[:i] + row[i + 1 : v]))
+    bad = next(off, None)
     if bad is not None:
         messages.append(
             "gamma is not a scalar multiple of beta.alpha modulo "
@@ -787,15 +797,9 @@ def check_triangle(phi, psi, chi) -> TriangleReport:
     if scalar == field.zero():
         messages.append("gamma collapses into the complement; not an embedding match")
         return TriangleReport(False, True, True, messages=tuple(messages))
-    correction = la.mat_add(
-        gamma, la.mat_scale(field.reduce(-scalar), ab, field), field
-    )  # = gamma - scalar * alpha.beta, rows inside M_{i0}
-    proj = _projection_onto_source(phi)
-    beta = la.mat_add(
-        la.mat_scale(scalar, psi.alpha, field),
-        la.mat_mul(proj, correction, field),
-        field,
-    )
+    lower = la.product(la.mat_scale(scalar, phi.complement, field), psi.alpha, field)
+    square = la.stack(phi.alpha, phi.complement)
+    beta = la.mat_mul(la.inverse(square, field), la.stack(gamma, lower), field)
     if not la.mat_eq(la.product(phi.alpha, beta, field), gamma):
         raise WitnessError("internal error: adjusted beta fails gamma = beta . alpha")
     if la.rank(beta, field) != len(beta):

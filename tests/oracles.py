@@ -750,8 +750,11 @@ def rref_by_fractions(a, field):
 
 def inverse_by_fractions(a, field):
     """The right block of the reduced [a | I]; ValidationError when a is
-    singular."""
+    not square or is singular."""
     n = len(a)
+    for row in a:
+        if len(row) != n:
+            raise ValidationError(f"cannot invert {n} rows: a row has length {len(row)}, not {n}")
     unit = [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
     reduced, pivots = rref_by_fractions([[*row, *e] for row, e in zip(a, unit)], field)
     if pivots != tuple(range(n)):
@@ -996,7 +999,7 @@ def _singular_lines_in_plane(u1, u2, field):
     """The isotropic lines of the split quadratic restricted to <u1, u2>."""
     a = split_quadratic_by_formula(u1, field)
     b = split_quadratic_by_formula(u2, field)
-    usum = la.mat_add((u1,), (u2,), field)[0]
+    usum = tuple(field.reduce(x + y) for x, y in zip(u1, u2))
     c = field.reduce(split_quadratic_by_formula(usum, field) - a - b)
     # Q(x u1 + y u2) = a x^2 + c xy + b y^2
     zero, one = field.zero(), field.one()
@@ -1163,3 +1166,58 @@ def rebase_automorphism_by_greedy(chain, basis_e, basis_e2, form=None):
 
     W._verify_rebase(alpha, members, E, E2, value, field, n)
     return alpha
+
+
+# ---------------------------------------------------------------------------
+# The triangle's adjusted beta and the data of the duality conjugate as they
+# were first built, from the projection onto the source (the first v columns
+# of the inverse of [alpha; complement]) and from null spaces, in Fraction
+# (or F_p) arithmetic.
+
+
+def triangle_beta_by_correction(phi, psi, chi):
+    """(s, beta) of the triangle check's adjustment, or None when gamma is
+    not s (alpha . psi.alpha) modulo M_{i0} for a nonzero s: beta is s
+    psi.alpha plus the correction gamma - s (alpha . psi.alpha) carried
+    back through the projection onto phi's source.  beta need not be
+    injective."""
+    field = phi.field
+    ab = mat_mul_by_fractions(phi.alpha, psi.alpha, field)
+    gamma = chi.alpha
+    i0 = next(i for i, c in enumerate(chi.kappa) if c != 0)
+    coeffs = solve_left_by_fractions(ab + tuple(chi.filtration[i0]), gamma, field)
+    if coeffs is None:
+        return None
+    v = len(gamma)
+    s = coeffs[0][0]
+    zero = field.zero()
+    want = [tuple(s if j == i else zero for j in range(v)) for i in range(v)]
+    if s == zero or any(row[:v] != w for row, w in zip(coeffs, want)):
+        return None
+    correction = [
+        [field.reduce(g - s * x) for g, x in zip(grow, arow)] for grow, arow in zip(gamma, ab)
+    ]
+    inv = inverse_by_fractions(tuple(phi.alpha) + tuple(phi.complement), field)
+    moved = mat_mul_by_fractions([row[:v] for row in inv], correction, field)
+    beta = tuple(
+        tuple(field.reduce(s * x + y) for x, y in zip(prow, mrow))
+        for prow, mrow in zip(psi.alpha, moved)
+    )
+    return s, beta
+
+
+def dual_data_by_nullspace(d):
+    """(alpha, complement, filtration) of the duality conjugate of ``d``:
+    alpha the transpose of the projection onto the source, the complement
+    the null space of alpha, and slot j of the filtration the null space of
+    [alpha; K_(m+1-j)]."""
+    field = d.field
+    v, w, m = d.source_dim, d.target_dim, d.slots
+    inv = inverse_by_fractions(tuple(d.alpha) + tuple(d.complement), field)
+    alpha = transpose([row[:v] for row in inv])
+    complement = nullspace_by_fractions(d.alpha, field, w)
+    filtration = tuple(
+        nullspace_by_fractions(tuple(d.alpha) + tuple(d.filtration[m - j]), field, w)
+        for j in range(1, m + 1)
+    )
+    return alpha, complement, filtration

@@ -384,6 +384,41 @@ def test_rebase_refusals_name_their_reason():
         assert str(err.value) == message
 
 
+def test_rebase_refuses_bases_that_are_not_square_of_the_ambient():
+    # a 4x5 and a 5x4 basis both have rank 4 = n, so the rank test alone
+    # would pass them on to rows of unequal length
+    chain = W.flag_point(QQ, 4, [unit_rows([0], 4)])
+    e = la.identity(4, QQ)
+    for bad in (unit_rows([0, 1, 2, 3], 5), unit_rows([0, 1, 2, 3, 0], 4), unit_rows([0, 1], 4)):
+        for bases in ((bad, e), (e, bad)):
+            with pytest.raises(W.WitnessError) as err:
+                W.rebase_automorphism(chain, *bases)
+            assert str(err.value) == "bases must be 4x4 matrices"
+
+
+def test_rebase_takes_only_its_chains_form():
+    # the members were tested isotropic under the chain's form alone, so
+    # another split form of the same ambient, or a form for a form-free
+    # chain, is refused; the chain's own form, given or not, is taken
+    swapped = 0
+    for seed in range(40):
+        chain, e, e2, form = random_rebase_instance(random.Random(seed), QQ, isotropic=True)
+        n = chain.ambient_dim
+        others = [(W.flag_point(QQ, n, chain.subspaces), form)]
+        if form.lie_type != "B":
+            other = W.split_form("D" if form.lie_type == "C" else "C", n, QQ)
+            others.append((chain, other))
+            swapped += 1
+        for bad_chain, bad_form in others:
+            with pytest.raises(W.WitnessError) as err:
+                W.rebase_automorphism(bad_chain, e, e2, bad_form)
+            assert str(err.value) == "form must be the chain's form"
+        assert la.mat_eq(
+            W.rebase_automorphism(chain, e, e2, form), W.rebase_automorphism(chain, e, e2)
+        )
+    assert swapped == 22
+
+
 def test_rebase_generated_instances():
     rng = random.Random(52)
     for i in range(40):
@@ -599,8 +634,8 @@ def test_modified_extension_is_annihilator_chain():
     assert all(x == 0 for row in prods for x in row)
 
 
-def _units(indices, n):
-    return la.mat(unit_rows(indices, n), QQ)
+def _units(indices, n, field=QQ):
+    return la.mat(unit_rows(indices, n), field)
 
 
 def _ext(k, alpha, complement, filtration, kappa, strict=True, forms=(None, None)):
@@ -885,14 +920,24 @@ def test_triangle_reports_a_row_that_is_not_the_scalar():
     )
 
 
-def _unit_triangle():
+def _unit_triangle(field=QQ):
     """phi: F^2 -> F^4 and psi: F^4 -> F^6, coordinate embeddings, and their
     composite chi, whose one slot is M_1 = <e_3, e_5>."""
     phi = W.standard_extension(
-        QQ, 1, _units([0, 1], 4), _units([2, 3], 4), [_units([2], 4)], (1,)
+        field,
+        1,
+        _units([0, 1], 4, field),
+        _units([2, 3], 4, field),
+        [_units([2], 4, field)],
+        (1,),
     )
     psi = W.standard_extension(
-        QQ, 1, _units([0, 1, 2, 3], 6), _units([4, 5], 6), [_units([4], 6)], (1,)
+        field,
+        1,
+        _units([0, 1, 2, 3], 6, field),
+        _units([4, 5], 6, field),
+        [_units([4], 6, field)],
+        (1,),
     )
     return phi, psi, W.compose_standard_extensions(phi, psi)
 
@@ -949,6 +994,42 @@ def test_triangle_tampered_slot_map_reports_index():
     rep = W.check_triangle(d1, d2, tampered)
     assert not rep.ok and not rep.slot_map_ok
     assert any("slot 2" in m for m in rep.messages)
+
+
+@pytest.mark.parametrize("field", [QQ, F5, PrimeField(7)])
+def test_triangle_beta_and_dual_data_match_the_correction_oracles(monkeypatch, field):
+    # beta = S^-1 . [gamma; s K . psi.alpha] and the rows of (S^T)^-1, for S
+    # = [alpha; complement], against the correction through the projection
+    # onto the source and the null spaces that they replaced
+    rng = random.Random(27)
+    adjusted = 0
+    for _ in range(40):
+        d1 = random_strict_extension(rng, field)
+        d2 = random_strict_extension(rng, field, source_members=d1.slots, source_dim=d1.target_dim)
+        for d in (d1, d2):
+            dual = W._dual_conjugate(d)
+            want = oracles.dual_data_by_nullspace(d)
+            assert (dual.alpha, dual.complement, dual.filtration) == want
+        chi = perturb_triangle_top(rng, W.compose_standard_extensions(d1, d2))
+        if chi is None:
+            continue
+        rep = W.check_triangle(d1, d2, chi)
+        assert rep.ok, rep.messages
+        assert (rep.scalar, rep.beta) == oracles.triangle_beta_by_correction(d1, d2, chi)
+        adjusted += rep.adjusted
+    assert adjusted >= 10
+    # psi sends e_4 where it sends e_3, so the adjusted beta = 2 psi.alpha is
+    # not injective and is not reported: the last rank check sees it
+    phi, psi, chi = _unit_triangle(field)
+    psi = dataclasses.replace(psi, alpha=_units([0, 1, 2, 2], 6, field))
+    chi = dataclasses.replace(chi, alpha=la.mat_scale(field.of(2), chi.alpha, field))
+    ranked = []
+    rank = la.rank
+    monkeypatch.setattr(la, "rank", lambda a, f: ranked.append(a) or rank(a, f))
+    rep = W.check_triangle(phi, psi, chi)
+    monkeypatch.undo()
+    assert rep.messages == ("adjusted beta is not injective",)
+    assert (field.of(2), ranked[-1]) == oracles.triangle_beta_by_correction(phi, psi, chi)
 
 
 # ---------------------------------------------------------------------------
