@@ -10,7 +10,10 @@ the rows of a's form at their pivot columns, leaves nothing (a vector's
 membership is the case of one row).  One pass suffices because each row of
 a reduced form is zero in every other pivot column, so a later step never
 refills a column that an earlier one cleared.  Dimensions are ranks, as in
-dim(A ∩ B) = dim A + dim B - rank(A + B).
+dim(A ∩ B) = dim A + dim B - rank(A + B).  ``rank`` eliminates forward
+only: it updates the rows below each pivot and not those above, which finds
+the same pivots with fewer row updates.  Those rows are not reduced, so it
+only counts them; none is stored or returned.
 
 A field has elements, ``Fraction`` on QQ and ``int`` in 0..p-1 on F_p.  Code
 combines them with Python's ``+ - *`` and passes the result of each operator
@@ -27,7 +30,9 @@ which is Gauss-Jordan elimination without division: a row is updated as
 ``lead * row - f * top`` for the pivot row ``top``, its pivot ``lead``, and
 the row's entry ``f`` in the pivot column.  This is the
 fraction-free elimination of Bareiss (Math. Comp. 22 (1968)), except that
-the row's content is divided out instead of the previous pivot.  ``product``
+the row's content is divided out instead of the previous pivot.  The pivot
+search is a plain loop over the rows, and each update builds its row once.
+``product``
 brings the int rows of its right operand to one denominator (one lcm per
 call) and adds int multiples of them, one for each nonzero entry of a left
 row; ``mat_mul`` is ``product`` finished into field elements.  The field
@@ -35,9 +40,13 @@ supplies the steps where QQ and F_p differ:
 
 * ``clear(row)`` returns ``(ints, den)`` with ``row == ints / den``.  QQ
   multiplies by the lcm of the row's denominators; F_p returns the row and 1.
-* ``shrink(ints)`` keeps the entries of an updated row small.  QQ divides by
-  the row's content (the gcd of its entries; an all-zero row is left alone);
-  F_p reduces mod p.
+* ``update(row, top, lead, f)`` is the row update, in one pass over the
+  row.  QQ builds ``lead * row - f * top`` and divides it by its content
+  (the gcd of its entries; an all-zero row is left alone).  F_p builds
+  ``(row - f * top) % p`` and drops ``lead``: every pivot row it meets has
+  pivot entry 1, since ``pivot`` scales the pivot rows of ``_eliminate``
+  and ``rowspace_contains`` reduces against the rows of a reduced form,
+  whose pivots are 1 over F_p.
 * ``pivot(ints, c)`` prepares a pivot row.  F_p scales it by ``inv`` so the
   pivot is 1: updates then keep every earlier pivot at 1, and ``finish`` has
   nothing to divide.  QQ leaves it.
@@ -56,7 +65,10 @@ generators: a tuple built from a generator grows by resizing, and the
 over-sized blocks that this leaves in the allocator raised the peak RSS of
 the ``witness-qq`` benchmark workload by about 1.3 MB (5 %).
 
-The kernels take field elements, as ``mat`` makes them.  That is a
+The kernels take field elements, as ``mat`` makes them.  Their shape is
+checked: ``mat`` and elimination refuse rows of unequal length, and
+``rowspace_contains`` a row of ``b`` of another length than a's rows, since
+``zip`` would cut the longer row short without a word.  The entries are a
 contract, not a check: ``rref``, ``rank``, ``rowspace_contains`` and
 ``nullspace`` do not reduce their F_p input, so an entry outside 0..p-1 may
 give a wrong answer (``rowspace_contains(((0, 1, 0),), ((3, 0, 0),),
@@ -111,9 +123,10 @@ Canonical values.  ``rref`` returns its reduced rows as an ``Echelon``, a
 ``Cleared`` that also carries the pivot columns, and nothing else builds
 one.  Its ``ints`` are the int rows that ``_eliminate`` left before
 ``finish``, each over its pivot entry, which may be negative: they are not
-canonical int rows.  ``rank``, ``rowspace_contains``, ``rowspace_eq`` and
+canonical int rows.  ``rowspace_contains``, ``rowspace_eq`` and
 ``nullspace`` read an ``Echelon`` through ``_reduced``, which hands over
 these rows and pivots, and eliminate anything else without finishing it;
+``rank`` reads one by its length and eliminates anything else forward only.
 ``rowspace_eq`` compares two reduced forms row by row as x * q == y * p for
 rows x and y over pivot entries p and q.  So no ``Fraction`` of a canonical
 subspace is cleared twice, and only ``rref`` builds the ``Fraction`` rows of
@@ -195,7 +208,9 @@ class PrimeField:
             if x.denominator % self.p == 0:
                 raise ValidationError(f"denominator of {x} vanishes mod {self.p}")
             return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
-        return int(x) % self.p
+        if isinstance(x, int):  # bool
+            return x % self.p
+        raise ValidationError(f"{x!r} is not an integer or a fraction")
 
     zero = staticmethod(lambda: 0)
 
@@ -209,9 +224,10 @@ class PrimeField:
 
     clear = staticmethod(lambda row: (row, 1))
 
-    def shrink(self, row):
+    def update(self, row, top, lead, f):
+        # lead is 1: pivot scaled top, and every pivot row it meets is such
         p = self.p
-        return [x % p for x in row]
+        return [(x - f * y) % p for x, y in zip(row, top)]
 
     def pivot(self, row, c):
         if row[c] == 1:
@@ -301,7 +317,8 @@ class Rationals:
         return [x.numerator * (den // x.denominator) for x in row], den
 
     @staticmethod
-    def shrink(row):
+    def update(row, top, lead, f):
+        row = [lead * x - f * y for x, y in zip(row, top)]
         g = math.gcd(*row)
         return [x // g for x in row] if g > 1 else row
 
@@ -359,6 +376,7 @@ def mat(rows, field):
     if isinstance(rows, Cleared) and rows.field == field:
         return rows
     rows = tuple([tuple([field.of(x) for x in row]) for row in rows])
+    _check_width(rows)
     if isinstance(field, PrimeField):
         return rows
     pairs = [field.clear(row) for row in rows]
@@ -515,28 +533,43 @@ def _common(pairs):
     return [ints if d == den else [x * (den // d) for x in ints] for ints, d in pairs], den
 
 
-def _eliminate(a, field):
+def _check_width(rows):
+    """ValidationError unless every row has the length of the first: the
+    kernels zip rows, which would cut a longer one short silently."""
+    if len(set(map(len, rows))) > 1:
+        raise ValidationError(f"rows of unequal length {sorted(set(map(len, rows)))}")
+
+
+def _eliminate(a, field, forward=False):
     """Fraction-free Gauss-Jordan elimination of the rows of ``a``: (reduced
-    int rows with zero rows dropped, pivot columns)."""
+    int rows with zero rows dropped, pivot columns).  With ``forward`` only
+    the rows below each pivot are updated, which finds the same pivots; the
+    rows are then in echelon form but not reduced, and only :func:`rank`
+    asks for them, to count them."""
     rows = [ints for ints, _ in _cleared(a, field)]
     if not rows:
         return [], ()
+    _check_width(rows)
+    update = field.update
+    n = len(rows)
     pivots = []
     r = 0
     for c in range(len(rows[0])):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
+        for i in range(r, n):
+            if rows[i][c]:
+                break
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        rows[r], rows[i] = rows[i], rows[r]
         top = rows[r] = field.pivot(rows[r], c)
         lead = top[c]
-        for i, row in enumerate(rows):
-            f = row[c]
+        for i in range(r + 1 if forward else 0, n):
+            f = rows[i][c]
             if f and i != r:
-                rows[i] = field.shrink([lead * x - f * y for x, y in zip(row, top)])
+                rows[i] = update(rows[i], top, lead, f)
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == n:
             break
     return rows[:r], tuple(pivots)
 
@@ -569,9 +602,12 @@ def rowspace(a, field):
 
 
 def rank(a, field):
-    """The rank of ``a``; F_p entries must lie in 0..p-1, as :func:`mat`
-    makes them."""
-    return len(_reduced(a, field)[1])
+    """The rank of ``a``: the length of an Echelon over ``field``, else the
+    pivot count of forward elimination.  F_p entries must lie in 0..p-1, as
+    :func:`mat` makes them."""
+    if type(a) is Echelon and a.field == field:
+        return len(a)
+    return len(_eliminate(a, field, forward=True)[1])
 
 
 def rowspace_eq(a, b, field):
@@ -589,13 +625,19 @@ def rowspace_eq(a, b, field):
 def rowspace_contains(a, b, field):
     """Whether rowspace(b) is contained in rowspace(a): each row of b reduces
     to zero against the reduced int rows of a.  F_p entries of both must lie
-    in 0..p-1, as :func:`mat` makes them."""
+    in 0..p-1, as :func:`mat` makes them, and when a has rows, b's must have
+    their length.  Over F_p each pivot entry ``top[c]`` of a reduced row is 1,
+    which ``update`` assumes."""
     ints, pivots = _reduced(a, field)
+    width = len(a[0]) if a else None
+    update = field.update
     for row, _ in _cleared(b, field):
+        if width is not None and len(row) != width:
+            raise ValidationError(f"cannot test a row of length {len(row)} against {width}")
         for top, c in zip(ints, pivots):
             f = row[c]
             if f:
-                row = field.shrink([top[c] * x - f * y for x, y in zip(row, top)])
+                row = update(row, top, top[c], f)
         if any(row):
             return False
     return True
@@ -717,10 +759,24 @@ def enumerate_subspaces(n, d, field, keep=None, base=(), cache=None):
     columns, and are kept in ``cache`` by (n, d, pivot columns): a caller
     that enumerates over many bases in one field and passes one dict builds
     them once per pivot set.
+
+    ``d`` below ``len(base)``, a zero base row and a base row of another
+    length than ``n`` are refused with ValidationError, at the first
+    subspace asked for.
     """
     if not isinstance(field, PrimeField):
         raise ValidationError("subspace enumeration needs a finite field")
-    taken = frozenset([next(itertools.compress(itertools.count(), row)) for row in base])
+    if d < len(base):
+        raise ValidationError(f"cannot grow {len(base)} base rows to dimension {d}")
+    taken = []
+    for row in base:
+        if len(row) != n:
+            raise ValidationError(f"base rows must have {n} entries, not {len(row)}")
+        c = next(itertools.compress(itertools.count(), row), None)
+        if c is None:
+            raise ValidationError("base rows must be nonzero")
+        taken.append(c)
+    taken = frozenset(taken)
     cache = {} if cache is None else cache
     key = (n, d, taken)
     if key not in cache:

@@ -151,7 +151,9 @@ class Form(tuple):
         The keep holds a dict of its own from candidate row to the row's
         polar functional, or None when Q(row) is not 0 (B and D).  Both are
         computed on the first call with that row; every call still tests the
-        row against every row above it, by one dot product each.  The dict
+        row against the rows above it, in a plain loop of one dot product
+        each, reduced through the field (so a keep over QQ answers too), and
+        returns False at the first that pairs to a nonzero value.  The dict
         lives as long as the keep, so it holds no more than the candidate
         rows that one caller asks about.  A form without terms is refused
         here, before the first row."""
@@ -167,7 +169,10 @@ class Form(tuple):
                 lin = polar[row] = None if singular and self.quadratic(row) else self.polar(row)
             if lin is None:
                 return False
-            return not any(reduce(sum(map(mul, lin, u))) for u in rows)
+            for u in rows:
+                if reduce(sum(map(mul, lin, u))):
+                    return False
+            return True
 
         return keep
 
@@ -253,14 +258,14 @@ def flag_point(field, ambient_dim, subspaces, form=None) -> FiniteFlagPoint:
     must vanish on each member; over F_2, where B(x, x) = 2Q(x) = 0, so
     must the Q of an orthogonal form on each member row, which is enough
     as Q(x + y) = Q(x) + Q(y) + B(x, y)."""
+    if any(len(row) != ambient_dim for s in subspaces for row in s):
+        raise WitnessError(f"member rows must have {ambient_dim} entries")
     canon = tuple(la.rowspace(la.mat(s, field), field) for s in subspaces)
     if not canon:
         raise WitnessError("a flag point needs at least one member")
     dims = [len(s) for s in canon]
     if any(d < 1 or d >= ambient_dim for d in dims):
         raise WitnessError("members must be proper nonzero subspaces")
-    if any(len(row) != ambient_dim for s in canon for row in s):
-        raise WitnessError(f"member rows must have {ambient_dim} entries")
     if any(dims[i] >= dims[i + 1] for i in range(len(dims) - 1)):
         raise WitnessError("member dimensions must strictly increase")
     for i in range(len(canon) - 1):

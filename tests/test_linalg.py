@@ -83,6 +83,15 @@ def test_prime_field_sqrt_at_large_primes(p):
         assert (f.sqrt(y) is None) == (pow(y, (p - 1) // 2, p) == p - 1)
 
 
+def test_prime_field_takes_only_integers_and_fractions():
+    f = PrimeField(5)
+    assert f.of(True) == 1 and type(f.of(True)) is int and f.of(False) == 0
+    assert f.of(-7) == 3 and f.of(Fraction(7, 2)) == 1
+    for x in (2.5, "3", 1e30, 1.0, None):
+        with pytest.raises(ValidationError, match="is not an integer or a fraction"):
+            f.of(x)
+
+
 def test_rationals_sqrt():
     assert QQ.sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert QQ.sqrt(Fraction(2)) is None
@@ -270,8 +279,8 @@ _field = st.sampled_from(_KERNEL_FIELDS)
 
 
 @st.composite
-def _field_and_matrix(draw, square=False):
-    field = draw(_field)
+def _field_and_matrix(draw, square=False, fields=_field):
+    field = draw(fields)
     n = draw(st.integers(1, 5)) if square else None
     return field, draw(_matrix(field, rows=n, cols=n))
 
@@ -502,11 +511,11 @@ def test_solve_left_matches_fraction_oracle(case, perturb):
 
 
 @st.composite
-def _field_and_pair(draw):
+def _field_and_pair(draw, fields=_field):
     """(field, a, b) where each row of b is a combination of the rows of a
     (inside) or drawn freely (mostly outside); now and then a or b has no
     rows."""
-    field, a = draw(_field_and_matrix())
+    field, a = draw(_field_and_matrix(fields=fields))
     entry = _entries(field)
     b = []
     # sampled_from sets the odds: integer ranges draw their ends too often
@@ -623,6 +632,88 @@ def test_int_products_feed_every_kernel_that_takes_them(case):
 def test_rank_matches_fraction_oracle(case):
     field, a = case
     assert la.rank(a, field) == len(oracles.rref_by_fractions(a, field)[0])
+
+
+# ---------------------------------------------------------------------------
+# The kernels over F_2 and F_3, where the brute-force counts and the BD
+# witness run: pivot entries p - 1, which pivot scales to 1, and rows that
+# vanish mod p as they are updated.  A field strategy of their own, so the
+# draws over _KERNEL_FIELDS stay as they are.
+
+_small_field = st.sampled_from((PrimeField(2), PrimeField(3)))
+
+# the pivot of column 0 is 2; row 1 is -row 0 and vanishes; column 1's pivot
+# is 2 again, and updating row 0 by it leaves -4 before the reduction mod 3
+_PIVOTS_OF_P_MINUS_1 = (PrimeField(3), ((2, 1, 0, 1), (1, 2, 0, 2), (0, 2, 1, 2)))
+# row 1 equals row 0, and row 3 is row 0 + row 2: both vanish mod 2
+_ROWS_VANISHING_MOD_2 = (PrimeField(2), ((1, 1, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)))
+
+
+@_PROPERTY
+@given(_field_and_matrix(fields=_small_field))
+@example(_PIVOTS_OF_P_MINUS_1)
+@example(_ROWS_VANISHING_MOD_2)
+@example((PrimeField(3), ((2,), (1,))))
+@example((PrimeField(2), ((), ())))
+def test_kernels_over_f2_and_f3_match_the_fraction_oracles(case):
+    # rank eliminates forward only; an Echelon answers with its length
+    field, a = case
+    want = oracles.rref_by_fractions(a, field)
+    got = la.rref(a, field)
+    assert got == want
+    _assert_elements(got[0], field)
+    for m in (a, la.mat(a, field), got[0]):
+        assert la.rank(m, field) == len(want[0])
+        assert la.nullspace(m, field, len(a[0])) == oracles.nullspace_by_fractions(
+            a, field, len(a[0])
+        )
+
+
+@_PROPERTY
+@given(_field_and_pair(fields=_small_field), st.tuples(st.booleans(), st.booleans()))
+@example((*_PIVOTS_OF_P_MINUS_1, ((1, 2, 0, 2), (0, 1, 2, 1))), _PLAIN)  # inside
+@example((*_PIVOTS_OF_P_MINUS_1, ((1, 2, 0, 2), (0, 1, 2, 1))), (True, True))
+@example((*_PIVOTS_OF_P_MINUS_1, ((0, 0, 1, 0),)), _PLAIN)  # outside
+@example((*_ROWS_VANISHING_MOD_2, ((0, 1, 1), (1, 0, 1))), (True, False))
+@example((*_ROWS_VANISHING_MOD_2, ((1, 1, 1),)), _PLAIN)
+def test_rowspace_contains_over_f2_and_f3_matches_the_oracles(case, as_echelon):
+    field, a, b = case
+    a, b = [la.rowspace(m, field) if e else m for m, e in zip((a, b), as_echelon)]
+    got = la.rowspace_contains(a, b, field)
+    assert got == oracles.rowspace_contains_by_elimination(a, b, field)
+    assert got == oracles.rowspace_contains_by_rank(a, b, field)
+
+
+# ---------------------------------------------------------------------------
+# Rows of unequal length: the kernels zip rows, so they refuse them.
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_mat_refuses_rows_of_unequal_length(field):
+    with pytest.raises(ValidationError, match=r"rows of unequal length \[2, 3\]"):
+        la.mat(((1, 0), (1, 0, 3)), field)
+    assert la.mat(((1, 0), (0, 3)), field) == ((1, 0), (0, 3))
+
+
+def test_rank_refuses_rows_of_unequal_length():
+    # the tail 3 of the longer row was cut off: rank 1
+    f5 = PrimeField(5)
+    with pytest.raises(ValidationError, match=r"rows of unequal length \[4, 5\]"):
+        la.rank(((1, 0, 0, 0), (1, 0, 0, 0, 3)), f5)
+    with pytest.raises(ValidationError, match="unequal length"):
+        la.rref(((1, 0, 0, 0, 3), (1, 0, 0, 0)), f5)
+
+
+def test_rowspace_contains_refuses_rows_of_another_width():
+    # (1, 0, 3) was compared on its first two entries: contained
+    f5 = PrimeField(5)
+    with pytest.raises(ValidationError, match="a row of length 3 against 2"):
+        la.rowspace_contains(((1, 0),), ((1, 0, 3),), f5)
+    with pytest.raises(ValidationError, match="a row of length 1 against 2"):
+        la.rowspace_contains(la.rowspace(((1, 0),), QQ), ((0,),), QQ)
+    # a has no rows and so no width: only zero rows lie in its span
+    assert la.rowspace_contains((), ((0, 0, 0),), f5)
+    assert not la.rowspace_contains((), ((0, 1),), f5)
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +860,31 @@ def test_enumerate_subspaces_counts():
 
 
 _SMALL = [(n, d, p) for p in (2, 3) for n in range(1, 6) for d in range(n + 1)]
+
+
+@pytest.mark.parametrize(
+    "n,d,base,message",
+    [
+        (3, -1, (), "cannot grow 0 base rows to dimension -1"),
+        (3, 0, ((1, 0, 0),), "cannot grow 1 base rows to dimension 0"),
+        (4, 1, ((1, 0, 0, 0), (0, 1, 0, 0)), "cannot grow 2 base rows to dimension 1"),
+        (3, 2, ((0, 0, 0),), "base rows must be nonzero"),
+        (3, 2, ((1, 0, 0), (0, 0, 0)), "base rows must be nonzero"),
+        (3, 2, ((1, 0),), "base rows must have 3 entries, not 2"),
+        (3, 2, ((1, 0, 0, 0),), "base rows must have 3 entries, not 4"),
+    ],
+)
+def test_enumerate_subspaces_refuses_bad_arguments(n, d, base, message):
+    with pytest.raises(ValidationError, match=message):
+        list(la.enumerate_subspaces(n, d, PrimeField(3), base=base))
+
+
+def test_enumerate_subspaces_grows_a_base_to_its_own_dimension_once():
+    f3 = PrimeField(3)
+    base = ((1, 0, 2),)
+    assert list(la.enumerate_subspaces(3, 1, f3, base=base)) == [base]
+    assert list(la.enumerate_subspaces(3, 4, f3, base=base)) == []
+    assert sum(1 for _ in la.enumerate_subspaces(3, 2, f3, base=base)) == 4
 
 
 @pytest.mark.parametrize("n,d,p", _SMALL)

@@ -59,6 +59,14 @@ def test_flag_point_validates_chain():
         assert str(err.value) == message
 
 
+def test_flag_point_checks_row_lengths_before_it_reduces():
+    # the 3 in the longer row was dropped by the reduction: the line <e1>
+    with pytest.raises(W.WitnessError, match="member rows must have 4 entries"):
+        W.flag_point(F5, 4, [((1, 0, 0, 0), (1, 0, 0, 0, 3))])
+    with pytest.raises(W.WitnessError, match="member rows must have 4 entries"):
+        W.flag_point(QQ, 4, [unit_rows([0], 4), ((1, 0, 0, 0), (0, 1, 0))])
+
+
 def test_flag_point_rejects_rows_of_the_wrong_length():
     with pytest.raises(W.WitnessError, match="4 entries"):
         W.flag_point(QQ, 4, [((1, 0, 0),)])
