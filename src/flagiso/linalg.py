@@ -748,9 +748,10 @@ def enumerate_subspaces(n, d, field, keep=None, base=(), cache=None):
     tests a new row against each row above it meets every pair of rows once,
     when the lower row is added.
 
-    ``base`` must be invertible on its pivot columns (the first nonzero column
-    of each row).  Then the other coordinates span a complement of its row
-    space, and the subspaces of that span of dimension d - len(base) give
+    The rows of ``base`` must have distinct pivot columns (the first nonzero
+    column of each row), which makes ``base`` invertible on them: sorted by
+    pivot, it is triangular there.  Then the other coordinates span a
+    complement of its row space, and the subspaces of that span of dimension d - len(base) give
     each superspace once.  A yielded basis is again invertible on its pivot
     columns (on the old and new ones together it is block triangular with
     identity blocks), so it can be the next ``base`` without reduction.
@@ -760,9 +761,9 @@ def enumerate_subspaces(n, d, field, keep=None, base=(), cache=None):
     that enumerates over many bases in one field and passes one dict builds
     them once per pivot set.
 
-    ``d`` below ``len(base)``, a zero base row and a base row of another
-    length than ``n`` are refused with ValidationError, at the first
-    subspace asked for.
+    ``d`` below ``len(base)``, a base row of another length than ``n``, a
+    zero base row and two base rows with one pivot column are refused with
+    ValidationError, at the first subspace asked for.
     """
     if not isinstance(field, PrimeField):
         raise ValidationError("subspace enumeration needs a finite field")
@@ -777,6 +778,8 @@ def enumerate_subspaces(n, d, field, keep=None, base=(), cache=None):
             raise ValidationError("base rows must be nonzero")
         taken.append(c)
     taken = frozenset(taken)
+    if len(taken) < len(base):
+        raise ValidationError("base rows must have distinct pivot columns")
     cache = {} if cache is None else cache
     key = (n, d, taken)
     if key not in cache:

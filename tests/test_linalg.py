@@ -872,6 +872,8 @@ _SMALL = [(n, d, p) for p in (2, 3) for n in range(1, 6) for d in range(n + 1)]
         (3, 2, ((1, 0, 0), (0, 0, 0)), "base rows must be nonzero"),
         (3, 2, ((1, 0),), "base rows must have 3 entries, not 2"),
         (3, 2, ((1, 0, 0, 0),), "base rows must have 3 entries, not 4"),
+        # rank 2: it yielded ((1, 0, 0), (1, 1, 0), (0, 1, 0)) among three
+        (3, 3, ((1, 0, 0), (1, 1, 0)), "base rows must have distinct pivot columns"),
     ],
 )
 def test_enumerate_subspaces_refuses_bad_arguments(n, d, base, message):
