@@ -225,7 +225,8 @@ class PrimeField:
     clear = staticmethod(lambda row: (row, 1))
 
     def update(self, row, top, lead, f):
-        # lead is 1: pivot scaled top, and every pivot row it meets is such
+        # lead is 1: pivot scales the pivot rows of _eliminate, and the
+        # reduced rows that rowspace_contains reads have pivot entry 1 too
         p = self.p
         return [(x - f * y) % p for x, y in zip(row, top)]
 
@@ -534,8 +535,8 @@ def _common(pairs):
 
 
 def _check_width(rows):
-    """ValidationError unless every row has the length of the first: the
-    kernels zip rows, which would cut a longer one short silently."""
+    """ValidationError unless all rows have one length: the kernels zip
+    rows, which would cut a longer one short silently."""
     if len(set(map(len, rows))) > 1:
         raise ValidationError(f"rows of unequal length {sorted(set(map(len, rows)))}")
 
