@@ -11,9 +11,9 @@ membership is the case of one row).  One pass suffices because each row of
 a reduced form is zero in every other pivot column, so a later step never
 refills a column that an earlier one cleared.  Dimensions are ranks, as in
 dim(A ∩ B) = dim A + dim B - rank(A + B).  ``rank`` eliminates forward
-only: it updates the rows below each pivot and not those above, which finds
-the same pivots with fewer row updates.  Those rows are not reduced, so it
-only counts them; none is stored or returned.
+only: a new row is not cleared from the rows above it, which finds the same
+pivots with fewer row updates.  Those rows are not reduced, so it only
+counts them; none is stored or returned.
 
 A field has elements, ``Fraction`` on QQ and ``int`` in 0..p-1 on F_p.  Code
 combines them with Python's ``+ - *`` and passes the result of each operator
@@ -23,16 +23,20 @@ fractions into the field, ``zero()``/``one()`` are its constants, ``inv``
 inverts (division is multiplication by ``inv``), and ``sqrt`` returns a
 square root or None.
 
-The two kernels, ``rref`` and ``product``, have one body each for both
+The two kernels, elimination and ``product``, have one body each for both
 fields and do their arithmetic on Python ints, without building a field
-element until the output.  ``rref`` finishes the rows of ``_eliminate``,
-which is Gauss-Jordan elimination without division: a row is updated as
-``lead * row - f * top`` for the pivot row ``top``, its pivot ``lead``, and
-the row's entry ``f`` in the pivot column.  This is the
-fraction-free elimination of Bareiss (Math. Comp. 22 (1968)), except that
-the row's content is divided out instead of the previous pivot.  The pivot
-search is a plain loop over the rows, and each update builds its row once.
-``product``
+element until the output.  ``_eliminate`` is Gauss-Jordan elimination
+without division, by row insertion: it keeps reduced int rows in the order
+of their pivot columns, and each incoming row is reduced by them, dropped
+when nothing is left, prepared by ``pivot`` at its leading column, cleared
+from the rows above it (the rows below are zero there) and inserted in
+its place.  A row is updated as ``lead * row - f * top`` for the pivot row
+``top``, its pivot ``lead``, and the row's entry ``f`` in the pivot column.
+This is the fraction-free elimination of Bareiss (Math. Comp. 22 (1968)),
+except that the row's content is divided out instead of the previous
+pivot; each update builds its row once.  ``rref`` finishes the rows that
+``_eliminate`` leaves from one matrix, and ``rowspace_chain`` the rows it
+holds after each of several blocks (see Chains below).  ``product``
 brings the int rows of its right operand to one denominator (one lcm per
 call) and adds int multiples of them, one for each nonzero entry of a left
 row; ``mat_mul`` is ``product`` finished into field elements.  The field
@@ -66,9 +70,11 @@ over-sized blocks that this leaves in the allocator raised the peak RSS of
 the ``witness-qq`` benchmark workload by about 1.3 MB (5 %).
 
 The kernels take field elements, as ``mat`` makes them.  Their shape is
-checked: ``mat`` and elimination refuse rows of unequal length, and
-``rowspace_contains`` a row of ``b`` of another length than a's rows, since
-``zip`` would cut the longer row short without a word.  The entries are a
+checked: ``mat``, elimination and ``product`` refuse rows of unequal length
+(``product`` checks each operand that is not a ``Cleared`` or an
+``IntRows``, which the kernel built), and ``rowspace_contains`` a row of
+``b`` of another length than a's rows, since ``zip`` would cut the longer
+row short without a word.  The entries are a
 contract, not a check: ``rref``, ``rank``, ``rowspace_contains`` and
 ``nullspace`` do not reduce their F_p input, so an entry outside 0..p-1 may
 give a wrong answer (``rowspace_contains(((0, 1, 0),), ((3, 0, 0),),
@@ -88,13 +94,14 @@ Xeon), so a product that only feeds the next kernel call is not finished:
 ``product`` returns an ``IntRows``, a tuple of int rows that also carries
 ``dens``, row i standing for ``self[i]`` divided by ``dens[i]``.
 ``divide`` leaves its rows canonical (gcd(den, *ints) = 1 and den > 0),
-which equal rows share.  ``rref``, ``rank``, ``rowspace_contains``,
-``rowspace_eq``, ``nullspace``, ``mat_mul`` and ``stack`` take one where
-they take a matrix; ``stack`` returns one when any part is one, and
+which equal rows share.  ``rref``, ``rowspace_chain`` (as a block),
+``rank``, ``rowspace_contains``, ``rowspace_eq``, ``nullspace``,
+``mat_mul`` and ``stack`` take one where they take a matrix; ``stack``
+returns one when any part is one, and
 ``mat_eq`` compares one with a QQ matrix by canonical int rows (``clear``
 of Fraction rows is canonical too, since it takes the lcm of reduced
-denominators).  ``nullspace`` and ``inverse`` also hand their int rows to
-elimination as an ``IntRows``, in either field.  Only ``linalg`` reads an
+denominators).  ``nullspace``, ``annihilator_chain`` and ``inverse`` also
+hand their int rows to elimination as an ``IntRows``, in either field.  Only ``linalg`` reads an
 ``IntRows``, and no function returns one but ``product`` and ``stack``: its
 rows are not field elements, so any other reader would take them for some.
 Callers keep it only between kernel calls; ``witness`` does so where a
@@ -106,27 +113,30 @@ also carries the field, ``ints`` and ``dens``, with row i equal to
 ``ints[i]`` divided by ``dens[i]`` entry by entry.  ``mat`` clears each row
 once, ``mat_mul`` finishes a ``product`` into one, ``inverse`` finishes only
 the right block of its eliminated [a | I] and keeps that block's int rows,
-``stack`` joins the int rows when every part is a ``Cleared`` over QQ, and
-``transpose`` of one brings its int rows to one denominator (one lcm) and
-transposes them.  ``_cleared`` hands these int rows over instead of
+``stack`` joins the int rows when every part is a ``Cleared`` over QQ,
+``pick`` keeps the int rows of the rows it picks, and ``transpose`` of one
+brings its int rows to one denominator (one lcm) and transposes them.
+``_cleared`` and ``_int_rows`` hand these int rows over instead of
 clearing, so the kernels clear only rows that arrive as plain tuples.
 Slices of a ``Cleared`` and the results of ``mat_scale`` are plain tuples:
 ``mat_scale`` builds its entries one by one, and a slice that feeds a
-kernel is cleared again from its entries (``witness`` slices one inverse
-into the two blocks of the dual data).  Int rows are never changed in
-place, so values may share them.  Over F_p a row is its own int row over 1,
+kernel is cleared again from its entries (``witness`` picks the two blocks
+of the dual data out of one inverse instead).  Int rows are never changed
+in place, so values may share them.  Over F_p a row is its own int row over 1,
 so these functions return plain tuples and keep no second copy; the only
 ``Cleared`` over F_p is an ``Echelon``, whose ``ints`` is the value itself.
 Only ``linalg`` reads ``ints`` and ``dens``.
 
-Canonical values.  ``rref`` returns its reduced rows as an ``Echelon``, a
-``Cleared`` that also carries the pivot columns, and nothing else builds
-one.  Its ``ints`` are the int rows that ``_eliminate`` left before
-``finish``, each over its pivot entry, which may be negative: they are not
-canonical int rows.  ``rowspace_contains``, ``rowspace_eq`` and
-``nullspace`` read an ``Echelon`` through ``_reduced``, which hands over
-these rows and pivots, and eliminate anything else without finishing it;
-``rank`` reads one by its length and eliminates anything else forward only.
+Canonical values.  ``rref`` and ``rowspace_chain`` return reduced rows as
+an ``Echelon``, a ``Cleared`` that also carries the pivot columns, and
+nothing else builds one (both build it in ``_form``).  Its ``ints`` are the
+int rows that ``_eliminate`` left before ``finish``, each over its pivot
+entry, which may be negative: they are not canonical int rows.
+``rowspace_contains``, ``rowspace_eq``, ``nullspace``, ``new_rows`` and
+``annihilator_chain`` read an ``Echelon`` through ``_reduced``, which hands
+over these rows and pivots, and eliminate anything else without finishing
+it; ``rank`` reads one by its length and eliminates anything else forward
+only.
 ``rowspace_eq`` compares two reduced forms row by row as x * q == y * p for
 rows x and y over pivot entries p and q.  So no ``Fraction`` of a canonical
 subspace is cleared twice, and only ``rref`` builds the ``Fraction`` rows of
@@ -138,8 +148,28 @@ their entries must become ``Fraction``, and over F_3 an entry 4 of an F_5
 form is not even an element, so ``mat`` converts them and ``rref``
 eliminates again.  Slices and multiples of an ``Echelon`` are plain
 tuples and are not trusted, and no other ``Cleared`` is: ``stack`` of two
-or more nonempty parts and ``inverse`` return a ``Cleared``, never an
-``Echelon`` (``stack`` returns a lone nonempty part as it is).
+or more nonempty parts, ``inverse`` and ``pick`` of some of an Echelon's
+rows return a ``Cleared``, never an ``Echelon`` (``stack`` returns a lone
+nonempty part as it is, and ``pick`` a value of which it picks every row).
+
+Chains.  Slots, filtrations and flag members are chains of subspaces, so
+one elimination serves a whole chain: ``rowspace_chain`` takes rows block
+by block and yields the reduced form after each block, and a caller feeds
+each member only its new rows.  That suffices because of pivots.  Let A
+lie in B, both in reduced form.  Every pivot column of A is one of B's (a
+row of A is a combination of B's rows, and its leading column is the
+leading column of one of them), so ``new_rows`` takes B's rows at the
+pivot columns that A lacks: with A's rows they are dim B independent rows
+of B, their leading columns being distinct, so they span it.  The
+annihilators { x : m . x^T = 0 } of a chain shrink as it grows, and
+``annihilator_chain`` builds them from the largest member down, one more
+elimination.  A null vector of B (``_null_vectors``) is built for each
+free column of B: it is den at that column and zero at B's other free
+columns.  Then ann(A) = ann(B) + the null vectors of A at its free columns
+that are pivot columns of B: those are zero at B's free columns, while a
+nonzero vector of ann(B) is not (it is fixed by its entries there), so
+they raise the dimension by dim B - dim A.  ``nullspace`` is the case
+of one member, with every free column.
 
 A ``Cleared`` compares, hashes, prints and encodes as JSON like its rows.
 It pickles and copies as itself through ``__reduce__``, which hands
@@ -153,6 +183,7 @@ would be the original and not the copy.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -404,6 +435,9 @@ def product(a, b, field):
     reduced rows over F_p (see the module docstring)."""
     if not a:
         return ()
+    for m in (a, b):
+        if not isinstance(m, (Cleared, IntRows)):
+            _check_width(m)
     if len(a[0]) != len(b):
         raise ValidationError(f"cannot multiply rows of length {len(a[0])} by {len(b)} rows")
     ints, den = _common(_cleared(b, field))
@@ -527,6 +561,17 @@ def _cleared(a, field):
     return [field.clear(row) for row in a]
 
 
+def _int_rows(a, field):
+    """The int rows of ``a`` without their denominators, for elimination and
+    containment, which scale rows freely: a Cleared over ``field`` and an
+    IntRows hand over their own, and over F_p a row is its own."""
+    if isinstance(a, Cleared) and a.field == field:
+        return a.ints
+    if type(a) is IntRows or isinstance(field, PrimeField):
+        return a
+    return [field.clear(row)[0] for row in a]
+
+
 def _common(pairs):
     """(int rows, den) with row i == ints[i] / den, from a list of (ints, den)
     pairs: each row is brought to the lcm of their denominators."""
@@ -534,67 +579,103 @@ def _common(pairs):
     return [ints if d == den else [x * (den // d) for x in ints] for ints, d in pairs], den
 
 
-def _check_width(rows):
-    """ValidationError unless all rows have one length: the kernels zip
-    rows, which would cut a longer one short silently."""
-    if len(set(map(len, rows))) > 1:
-        raise ValidationError(f"rows of unequal length {sorted(set(map(len, rows)))}")
+def _check_width(rows, width=None):
+    """ValidationError unless all rows have one length, ``width`` when it is
+    given: the kernels zip rows, which would cut a longer one short
+    silently."""
+    lengths = set(map(len, rows))
+    if width is not None:
+        lengths.add(width)
+    if len(lengths) > 1:
+        raise ValidationError(f"rows of unequal length {sorted(lengths)}")
 
 
-def _eliminate(a, field, forward=False):
-    """Fraction-free Gauss-Jordan elimination of the rows of ``a``: (reduced
-    int rows with zero rows dropped, pivot columns).  With ``forward`` only
-    the rows below each pivot are updated, which finds the same pivots; the
-    rows are then in echelon form but not reduced, and only :func:`rank`
-    asks for them, to count them."""
-    rows = [ints for ints, _ in _cleared(a, field)]
-    if not rows:
-        return [], ()
-    _check_width(rows)
-    update = field.update
-    n = len(rows)
-    pivots = []
-    r = 0
-    for c in range(len(rows[0])):
-        for i in range(r, n):
-            if rows[i][c]:
+def _eliminate(new, field, rows, pivots, forward=False):
+    """Fraction-free elimination by row insertion: each int row of ``new``
+    is reduced by ``rows``, which are in echelon form, one per pivot column
+    of ``pivots`` in increasing order (both lists, changed in place).  A
+    row that reduces to zero is dropped; any other is prepared by ``pivot``
+    at its leading column, cleared from the rows above it (unless
+    ``forward``) and inserted in pivot order.  With ``forward`` the rows
+    stay in echelon form but are not reduced; only :func:`rank` asks for
+    that, to count them."""
+    update, pivot = field.update, field.pivot
+    n = len(new[0]) if new else 0
+    for row in new:
+        if len(rows) == n:
+            break  # full rank: every further row reduces to zero
+        for top, c in zip(rows, pivots):
+            f = row[c]
+            if f:
+                row = update(row, top, top[c], f)
+        for c, f in enumerate(row):
+            if f:
                 break
         else:
             continue
-        rows[r], rows[i] = rows[i], rows[r]
-        top = rows[r] = field.pivot(rows[r], c)
-        lead = top[c]
-        for i in range(r + 1 if forward else 0, n):
-            f = rows[i][c]
-            if f and i != r:
-                rows[i] = update(rows[i], top, lead, f)
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return rows[:r], tuple(pivots)
+        row = pivot(row, c)
+        i = bisect.bisect(pivots, c)
+        if i and not forward:
+            lead = row[c]
+            for j in range(i):
+                f = rows[j][c]
+                if f:
+                    rows[j] = update(rows[j], row, lead, f)
+        rows.insert(i, row)
+        pivots.insert(i, c)
 
 
-def _reduced(a, field):
-    """(reduced int rows, pivot columns) of ``a``: an Echelon over ``field``
-    hands over its own, anything else is eliminated."""
+def _reduced(a, field, forward=False):
+    """(int rows in echelon form, pivot columns) of ``a``: an Echelon over
+    ``field`` hands over its own, anything else is eliminated from no rows,
+    reduced unless ``forward``."""
     if type(a) is Echelon and a.field == field:
         return a.ints, a.pivots
-    return _eliminate(a, field)
+    new = _int_rows(a, field)
+    _check_width(new)
+    rows, pivots = [], []
+    _eliminate(new, field, rows, pivots, forward)
+    return rows, tuple(pivots)
+
+
+def _form(rows, pivots, field):
+    """The Echelon of reduced int rows, each finished over its pivot entry;
+    over QQ it keeps a list of the int rows of its own."""
+    dens = [row[c] for row, c in zip(rows, pivots)]
+    reduced = [field.finish(row, den) for row, den in zip(rows, dens)]
+    ints = None if isinstance(field, PrimeField) else list(rows)
+    return Echelon(reduced, field, ints, dens, tuple(pivots))
+
+
+def rowspace_chain(blocks, field):
+    """The reduced row echelon forms of the prefixes of ``blocks``: after the
+    rows of each block are inserted, the :class:`Echelon` of every row so
+    far, from one elimination for the whole chain.  A block that adds no
+    rank yields the previous form again.  Each form has its own list of int
+    rows, since the elimination replaces rows in its list.  F_p entries
+    must lie in 0..p-1, as :func:`mat` makes them."""
+    rows, pivots, width, form = [], [], None, None
+    for block in blocks:
+        new = _int_rows(block, field)
+        _check_width(new, width)
+        if new:
+            width = len(new[0])
+        count = len(rows)
+        _eliminate(new, field, rows, pivots)
+        if form is None or len(rows) != count:
+            form = _form(rows, pivots, field)
+        yield form
 
 
 def rref(a, field):
-    """(reduced row echelon form with zero rows dropped, pivot columns).  The
-    form is an :class:`Echelon`; one over ``field`` is returned as it is.
-    F_p entries must lie in 0..p-1, as :func:`mat` makes them."""
+    """(reduced row echelon form with zero rows dropped, pivot columns): the
+    form that :func:`rowspace_chain` yields for one block.  The form is an :class:`Echelon`; one over ``field``
+    is returned as it is.  F_p entries must lie in 0..p-1, as :func:`mat`
+    makes them."""
     if type(a) is Echelon and a.field == field:
         return a, a.pivots
-    ints, pivots = _eliminate(a, field)
-    dens = [row[c] for row, c in zip(ints, pivots)]
-    reduced = [field.finish(row, den) for row, den in zip(ints, dens)]
-    if isinstance(field, PrimeField):
-        ints = None  # the finished rows are their own int rows
-    return Echelon(reduced, field, ints, dens, pivots), pivots
+    form = _form(*_reduced(a, field), field)
+    return form, form.pivots
 
 
 def rowspace(a, field):
@@ -606,9 +687,7 @@ def rank(a, field):
     """The rank of ``a``: the length of an Echelon over ``field``, else the
     pivot count of forward elimination.  F_p entries must lie in 0..p-1, as
     :func:`mat` makes them."""
-    if type(a) is Echelon and a.field == field:
-        return len(a)
-    return len(_eliminate(a, field, forward=True)[1])
+    return len(_reduced(a, field, forward=True)[1])
 
 
 def rowspace_eq(a, b, field):
@@ -632,7 +711,7 @@ def rowspace_contains(a, b, field):
     ints, pivots = _reduced(a, field)
     width = len(a[0]) if a else None
     update = field.update
-    for row, _ in _cleared(b, field):
+    for row in _int_rows(b, field):
         if width is not None and len(row) != width:
             raise ValidationError(f"cannot test a row of length {len(row)} against {width}")
         for top, c in zip(ints, pivots):
@@ -644,33 +723,73 @@ def rowspace_contains(a, b, field):
     return True
 
 
-def nullspace(a, field, ncols=None):
-    """Canonical basis of { x : a . x^T = 0 } (x a row vector).  F_p entries
-    must lie in 0..p-1, as :func:`mat` makes them.
+def _null_vectors(ints, pivots, n, cols, field):
+    """The null vectors of reduced int rows ``ints`` (pivot columns
+    ``pivots``, width n) at the free columns ``cols``, as an IntRows.  Row i
+    is ints[i] over its pivot entry d_i, so with den the lcm of the d_i the
+    vector of a free column fc is den at fc, -ints[i][fc] * (den / d_i) at
+    each pivot column and 0 at every other free column."""
+    dens = [row[c] for row, c in zip(ints, pivots)]
+    den = math.lcm(*dens)
+    scales = [den // d for d in dens]
+    reduce = field.reduce
+    basis = []
+    for fc in cols:
+        vec = [0] * n
+        vec[fc] = den
+        for row, pc, s in zip(ints, pivots, scales):
+            vec[pc] = reduce(-row[fc] * s)
+        basis.append(vec)
+    return IntRows(basis, [1] * len(basis))
 
-    Row i of the reduced form is ints[i] over its pivot entry d_i, so with
-    den the lcm of the d_i the basis vector of a free column fc is den at fc
-    and -ints[i][fc] * (den / d_i) at each pivot column: int rows, which
-    ``rowspace`` takes as an IntRows."""
+
+def nullspace(a, field, ncols=None):
+    """Canonical basis of { x : a . x^T = 0 } (x a row vector): the reduced
+    form of the null vectors of ``a`` at its free columns.  F_p entries
+    must lie in 0..p-1, as :func:`mat` makes them."""
     if not a:
         if ncols is None:
             raise ValidationError("nullspace of an empty matrix needs ncols")
         return identity(ncols, field)
     ints, pivots = _reduced(a, field)
     n = len(a[0])
-    dens = [row[c] for row, c in zip(ints, pivots)]
-    den = math.lcm(*dens)
-    scales = [den // d for d in dens]
-    basis = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        vec = [0] * n
-        vec[fc] = den
-        for row, pc, s in zip(ints, pivots, scales):
-            vec[pc] = field.reduce(-row[fc] * s)
-        basis.append(vec)
-    return rowspace(IntRows(basis, [1] * len(basis)), field)
+    free = [c for c in range(n) if c not in pivots]
+    return rowspace(_null_vectors(ints, pivots, n, free, field), field)
+
+
+def annihilator_chain(members, field, ncols):
+    """The annihilators { x : m . x^T = 0 } of a chain of nested subspaces,
+    the largest member first, so the annihilators grow: one elimination for
+    the chain (see "Chains" in the module docstring).  Each member is read
+    through its reduced form, an Echelon over ``field`` as it is; the chain
+    must be nested, as the forms of :func:`rowspace_chain` are."""
+    blocks, above = [], range(ncols)
+    for m in reversed(members):
+        ints, pivots = _reduced(m, field)
+        cols = [c for c in above if c not in pivots]
+        blocks.append(_null_vectors(ints, pivots, ncols, cols, field))
+        above = pivots
+    return list(rowspace_chain(blocks, field))
+
+
+def pick(a, indices):
+    """The rows of ``a`` at ``indices``; a Cleared over QQ keeps their int
+    rows, and ``a`` is returned as it is when every row is picked."""
+    if len(indices) == len(a):
+        return a
+    rows = [a[i] for i in indices]
+    if not _carries(a):
+        return tuple(rows)
+    return Cleared(rows, QQ, [a.ints[i] for i in indices], [a.dens[i] for i in indices])
+
+
+def new_rows(a, b, field):
+    """The rows of b's reduced form at the pivot columns that a's lacks: for
+    rowspace(a) inside rowspace(b), a's rows and these span b, and each of
+    them raises the rank (see "Chains" in the module docstring)."""
+    taken = _reduced(a, field)[1] if a else ()
+    form = rowspace(b, field)
+    return pick(form, [i for i, c in enumerate(form.pivots) if c not in taken])
 
 
 def inverse(a, field):
@@ -686,7 +805,7 @@ def inverse(a, field):
     aug = [
         [*ints, *[den if j == i else 0 for j in range(n)]] for i, (ints, den) in enumerate(pairs)
     ]
-    ints, pivots = _eliminate(IntRows(aug, [den for _, den in pairs]), field)
+    ints, pivots = _reduced(IntRows(aug, [den for _, den in pairs]), field)
     if pivots != tuple(range(n)):
         raise ValidationError("matrix is singular")
     right = [row[n:] for row in ints]

@@ -46,6 +46,7 @@ generators to zero exactly like constant slots.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -550,15 +551,25 @@ def standard_extension(
     )
 
 
-def _source_slice(d: StandardExtensionData, p: FiniteFlagPoint, c: int):
-    if c == 0:
-        return ()
-    if c == d.source_members + 1:
-        return d.alpha
-    return la.product(p.subspaces[c - 1], d.alpha, d.field)
+def _image_rows(d: StandardExtensionData, before, member):
+    """alpha applied to the rows of the source member ``member`` at the pivot
+    columns that ``before`` lacks, ``before`` inside ``member``.  None is the
+    whole source space, whose new rows are unit rows: alpha sends them to its
+    own rows."""
+    field = d.field
+    if member is None:
+        taken = la.rref(before, field)[1]
+        return la.pick(d.alpha, [i for i in range(d.source_dim) if i not in taken])
+    return la.product(la.new_rows(before, member, field), d.alpha, field)
 
 
 def apply_standard_extension(d: StandardExtensionData, p: FiniteFlagPoint) -> FiniteFlagPoint:
+    """The image of ``p``: slot j is alpha(F_kappa(j)) + K_j, and modified
+    data take the annihilators of the slots in reverse order.  The slots
+    are one chain (:func:`flagiso.linalg.rowspace_chain`): slot j is fed
+    alpha applied to the new rows of its source member and the new rows of
+    K_j, and their annihilators are one annihilator chain.
+    :func:`flag_point` checks the image."""
     field = d.field
     if p.field != field:
         raise WitnessError("field mismatch")
@@ -573,64 +584,87 @@ def apply_standard_extension(d: StandardExtensionData, p: FiniteFlagPoint) -> Fi
     elif p.form is not None:
         raise WitnessError("a general-type extension applies to form-free points")
     w = d.target_dim
-    slots = []
+    members = ((), *p.subspaces, None)
+    blocks, c_before, k_before = [], 0, ()
     for kj, c in zip(d.filtration, d.kappa):
-        rows = la.stack(_source_slice(d, p, c), kj)
-        slots.append(la.rowspace(rows, field))
+        fed = la.new_rows(k_before, kj, field)
+        if c != c_before:
+            fed = la.stack(_image_rows(d, members[c_before], members[c]), fed)
+        blocks.append(fed)
+        c_before, k_before = c, kj
+    slots = list(la.rowspace_chain(blocks, field))
     if d.strict:
         return flag_point(field, w, slots, form=d.target_form)
-    duals = [la.nullspace(s, field, w) for s in reversed(slots)]
-    return flag_point(field, w, duals)
+    return flag_point(field, w, la.annihilator_chain(slots, field, w))
 
 
 def _dual_conjugate(d: StandardExtensionData) -> StandardExtensionData:
     """Data for the duality-conjugated map: reverse-annihilate, apply, then
-    reverse-annihilate again.  Strict in the extended normal form."""
+    reverse-annihilate again.  Strict in the extended normal form.
+
+    Everything is read off D = (S^T)^-1 for S = [alpha; C], C the reduced
+    complement: S . D^T = I, so the first v rows of D pair with alpha to
+    the identity and the rest, D_C, span the annihilator of alpha and pair
+    with C to the identity.  Slot j of the filtration is the annihilator of
+    alpha + K_(m+1-j).  A row x = z . D_C of ann(alpha) meets a row of K_j
+    in z . X_j^T, where X_j holds that row's coordinates over C, its entries
+    at C's pivot columns; so the slot is ann(X_(m+1-j)) . D_C.  The X_j grow
+    with j, so their annihilators are one annihilator chain, and D_C, which
+    is injective, carries that chain's new rows into one chain of slots."""
     field = d.field
     v, w = d.source_dim, d.target_dim
     k, m = d.source_members, d.slots
-    # The rows of (S^T)^-1 for S = [alpha; complement]: the first v pair with
-    # alpha to the identity, and the rest span {x : alpha . x^T = 0}.
-    dual = la.inverse(la.transpose(la.stack(d.alpha, d.complement)), field)
-    alpha_d, complement_d = dual[:v], dual[v:]
-    filtration_d = tuple(
-        la.nullspace(la.stack(d.alpha, d.filtration[m - j]), field, w)
-        for j in range(1, m + 1)
-    )
+    complement = la.rowspace(d.complement, field)
+    dual = la.inverse(la.transpose(la.stack(d.alpha, complement)), field)
+    alpha_d, complement_d = la.pick(dual, range(v)), la.pick(dual, range(v, w))
+    pivots = complement.pivots
+    coords = [tuple([tuple([row[c] for c in pivots]) for row in kj]) for kj in d.filtration]
+    anns = la.annihilator_chain(coords, field, w - v)
+    blocks = [anns[0]] + [la.new_rows(a, b, field) for a, b in zip(anns, anns[1:])]
+    filtration_d = la.rowspace_chain([la.product(z, complement_d, field) for z in blocks], field)
     kappa_d = tuple(k + 1 - d.kappa[m - j] for j in range(1, m + 1))
     return standard_extension(
-        field, k, alpha_d, complement_d, filtration_d, kappa_d, strict=True
+        field, k, alpha_d, complement_d, list(filtration_d), kappa_d, strict=True
     )
 
 
 def _compose_strict(d1: StandardExtensionData, d2: StandardExtensionData) -> dict:
-    """The parts of d1 followed by d2 read as strict data.  The complement
-    and each filtration member are spanning rows, not reduced: composing
-    reduces them, the triangle check compares them."""
+    """The parts of d1 followed by d2 read as strict data.  Filtration member
+    j is d2.alpha(I_j) + L_j for the inner member I_j of d1 (the zero space,
+    a filtration member or d1's complement, by d2's kappa) and d2's member
+    L_j, and the complement is d2.alpha(d1's complement) + d2's complement.
+    Both grow, so they are one chain of reduced forms, each fed d2.alpha
+    applied to the new rows of I_j and the new rows of L_j.  ``complement``
+    is the chain itself, left after the filtration: composing takes its
+    next form, and the triangle check, which compares the filtration
+    alone, leaves it."""
     field = d1.field
     if d2.source_members != d1.slots or d2.source_dim != d1.target_dim:
         raise WitnessError("extensions do not compose: shapes disagree")
     l1 = d1.slots
-    alpha = la.mat_mul(d1.alpha, d2.alpha, field)
-    complement = la.stack(la.product(d1.complement, d2.alpha, field), d2.complement)
-    filtration = []
-    kappa = []
-    for lj, c in zip(d2.filtration, d2.kappa):
-        if c == 0:
-            inner, kc = (), 0
-        elif c == l1 + 1:
-            inner, kc = d1.complement, d1.source_members + 1
-        else:
-            inner = d1.filtration[c - 1]
-            kc = d1.kappa[c - 1]
-        filtration.append(la.stack(la.product(inner, d2.alpha, field), lj))
-        kappa.append(kc)
+    inners = ((), *d1.filtration, d1.complement)
+    members = zip((*d2.filtration, d2.complement), (*d2.kappa, l1 + 1))
+
+    def blocks():
+        c_before, l_before = 0, ()
+        for lj, c in members:
+            fed = la.new_rows(l_before, lj, field)
+            if c != c_before:
+                inner = la.new_rows(inners[c_before], inners[c], field)
+                fed = la.stack(la.product(inner, d2.alpha, field), fed)
+            yield fed
+            c_before, l_before = c, lj
+
+    chain = la.rowspace_chain(blocks(), field)
     return dict(
         source_members=d1.source_members,
-        alpha=alpha,
-        complement=complement,
-        filtration=filtration,
-        kappa=tuple(kappa),
+        alpha=la.mat_mul(d1.alpha, d2.alpha, field),
+        complement=chain,
+        filtration=list(itertools.islice(chain, d2.slots)),
+        kappa=tuple(
+            0 if c == 0 else d1.source_members + 1 if c == l1 + 1 else d1.kappa[c - 1]
+            for c in d2.kappa
+        ),
     )
 
 
@@ -651,8 +685,7 @@ def compose_standard_extensions(
         forms = dict(source_form=d1.source_form, target_form=d2.target_form)
     field = d1.field
     parts = _compose_strict(d1, d2 if d1.strict else _dual_conjugate(d2))
-    parts["complement"] = la.rowspace(parts["complement"], field)
-    parts["filtration"] = [la.rowspace(m, field) for m in parts["filtration"]]
+    parts["complement"] = next(parts["complement"])
     return standard_extension(field, strict=d1.strict == d2.strict, **parts, **forms)
 
 

@@ -15,8 +15,11 @@ the subspaces of F_p^n from one product over all free entries of an echelon
 form at once, the sources of the odd/even orthogonal pair by filtering
 every subspace of the odd hyperplane with the split form built out in full,
 that pair's Lagrangian over a source from the singular lines of a
-quadratic on perp(M)/M, and rebasing automorphisms from the greedy search
-that the signature match of ``rebase_automorphism`` replaced.
+quadratic on perp(M)/M, rebasing automorphisms from the greedy search
+that the signature match of ``rebase_automorphism`` replaced, and the
+slots, annihilators and composed filtrations of standard extensions
+reduced one member at a time, as they were before one elimination served
+each chain.
 """
 
 import itertools
@@ -1221,3 +1224,49 @@ def dual_data_by_nullspace(d):
         for j in range(1, m + 1)
     )
     return alpha, complement, filtration
+
+
+# ---------------------------------------------------------------------------
+# Standard extensions one member at a time: each slot, annihilator and
+# composed filtration member reduced on its own from all of its spanning
+# rows, as they were built before one elimination served each chain.
+
+
+def apply_by_slots(d, p):
+    """The image of ``p`` under ``d``: slot j the reduced form of
+    alpha(F_kappa(j)) stacked with K_j, alpha applied to the whole member,
+    and for modified data the null space of each slot, in reverse order."""
+    field, w = d.field, d.target_dim
+    slots = []
+    for kj, c in zip(d.filtration, d.kappa):
+        if c == 0:
+            image = ()
+        elif c == d.source_members + 1:
+            image = d.alpha
+        else:
+            image = la.product(p.subspaces[c - 1], d.alpha, field)
+        slots.append(la.rowspace(stack(image, kj), field))
+    if d.strict:
+        return W.flag_point(field, w, slots, form=d.target_form)
+    return W.flag_point(field, w, [la.nullspace(s, field, w) for s in reversed(slots)])
+
+
+def compose_parts_by_members(d1, d2):
+    """(complement, filtration) of d1 followed by the strict data d2, each
+    the reduced form of its spanning rows: d2.alpha of d1's complement with
+    d2's complement, and d2.alpha of the inner member (nothing, a filtration
+    member of d1 or its complement) with d2's filtration member."""
+    field, l1 = d1.field, d1.slots
+    complement = stack(la.product(d1.complement, d2.alpha, field), d2.complement)
+    filtration = []
+    for lj, c in zip(d2.filtration, d2.kappa):
+        inner = () if c == 0 else d1.complement if c == l1 + 1 else d1.filtration[c - 1]
+        filtration.append(la.rowspace(stack(la.product(inner, d2.alpha, field), lj), field))
+    return la.rowspace(complement, field), filtration
+
+
+def dual_filtration_by_members(d):
+    """Slot j of the duality conjugate's filtration, the null space of
+    [alpha; K_(m+1-j)], one null space per slot."""
+    m, w = d.slots, d.target_dim
+    return [la.nullspace(stack(d.alpha, d.filtration[m - j]), d.field, w) for j in range(1, m + 1)]

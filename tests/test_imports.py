@@ -208,10 +208,11 @@ def _library_benchmark_and_tests():
     return _MODULES + sorted((root / "perfbench").rglob("*.py")) + sorted(root.glob("tests/*.py"))
 
 
-def test_only_rref_builds_an_echelon():
-    # rref trusts an Echelon over its field without reducing it, so nothing
-    # but rref's own output may be one
-    assert set(_builders(_library_benchmark_and_tests(), "Echelon")) == {("linalg.py", "rref")}
+def test_only_eliminated_rows_become_an_echelon():
+    # the kernel trusts an Echelon over its field without reducing it, so
+    # nothing but the rows of elimination (rref and rowspace_chain finish
+    # them in _form) may be one
+    assert set(_builders(_library_benchmark_and_tests(), "Echelon")) == {("linalg.py", "_form")}
 
 
 def test_echelon_scan_finds_a_builder(tmp_path):

@@ -996,3 +996,139 @@ def test_enumerate_subspaces_with_a_cache_keeps_the_order(n, p):
                 want = list(la.enumerate_subspaces(n, d, field, base=base))
                 assert list(la.enumerate_subspaces(n, d, field, base=base, cache=cache)) == want
     assert len(cache) == sum(math.comb(n, k) * (n - k + 1) for k in range(n))
+
+
+# ---------------------------------------------------------------------------
+# Chains: one elimination, by row insertion, serves every prefix of a list of
+# blocks, and the annihilators of a nested chain are one more.  A field
+# strategy of their own, so no draw above moves.
+
+_chain_field = st.sampled_from((QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)))
+
+
+@st.composite
+def _field_and_blocks(draw):
+    """(field, blocks): the rows of one matrix, with its zero rows and rows
+    that combine earlier ones, cut into blocks, some of them empty."""
+    field = draw(_chain_field)
+    a = draw(_matrix(field, rows=draw(st.integers(1, 7))))
+    cuts = sorted(draw(st.lists(st.integers(0, len(a)), max_size=4)))
+    bounds = [0, *cuts, len(a)]
+    return field, [a[i:j] for i, j in zip(bounds, bounds[1:])]
+
+
+_F3 = PrimeField(3)
+# row 1 is twice row 0 and vanishes; the empty block adds nothing; the last
+# row combines rows of the first and third blocks
+_CHAIN_OF_DEPENDENT_ROWS = (_F3, [((1, 2, 0), (2, 1, 0)), (), ((0, 0, 1),), ((1, 2, 2),)])
+# the second block's pivot column 0 lies left of the first block's, so the
+# row is inserted above it and clears it from above nothing
+_CHAIN_INSERTED_ABOVE = (
+    QQ,
+    [((Fraction(0), Fraction(2), Fraction(3)),), ((Fraction(5), Fraction(1), Fraction(0)),)],
+)
+_CHAIN_OF_ZERO_ROWS = (PrimeField(2), [((0, 0),), ((0, 0), (1, 1)), ((0, 0),)])
+
+
+def _prefixes(blocks):
+    """The stacked rows of each prefix of the blocks, as plain tuples."""
+    out, rows = [], ()
+    for block in blocks:
+        rows += tuple(block)
+        out.append(rows)
+    return out
+
+
+@_PROPERTY
+@given(_field_and_blocks())
+@example(_CHAIN_OF_DEPENDENT_ROWS)
+@example(_CHAIN_INSERTED_ABOVE)
+@example(_CHAIN_OF_ZERO_ROWS)
+@example((PrimeField(7), [(), ()]))
+def test_each_chain_form_is_the_rowspace_of_its_prefix(case):
+    field, blocks = case
+    forms = list(la.rowspace_chain(blocks, field))
+    assert len(forms) == len(blocks)
+    for form, prefix in zip(forms, _prefixes(blocks)):
+        reduced, pivots = oracles.rref_by_fractions(prefix, field)
+        assert type(form) is la.Echelon and form.field == field
+        assert (form, form.pivots) == (reduced, pivots)
+        assert la.rref(prefix, field) == (form, pivots)
+        _assert_elements(form, field)
+        _assert_cleared(form, field)
+    # a block that adds no rank yields the form before it again
+    for before, form in zip(forms, forms[1:]):
+        assert (form is before) == (len(form) == len(before))
+
+
+@_PROPERTY
+@given(_field_and_blocks())
+@example(_CHAIN_OF_DEPENDENT_ROWS)
+@example(_CHAIN_INSERTED_ABOVE)
+@example(_CHAIN_OF_ZERO_ROWS)
+def test_the_annihilator_chain_is_the_null_space_of_each_member(case):
+    field, blocks = case
+    n = len(_prefixes(blocks)[-1][0])
+    forms = list(la.rowspace_chain(blocks, field))
+    got = la.annihilator_chain(forms, field, n)
+    assert len(got) == len(forms)
+    for ann, form, prefix in zip(got, reversed(forms), reversed(_prefixes(blocks))):
+        want = oracles.nullspace_by_fractions(prefix, field, n)
+        assert ann == want == la.nullspace(form, field, n)
+        assert ann.pivots == oracles.rref_by_fractions(want, field)[1]
+        _assert_cleared(ann, field)
+    for smaller, larger in zip(got, got[1:]):
+        assert la.rowspace_contains(larger, smaller, field)
+
+
+@_PROPERTY
+@given(_field_and_blocks())
+@example(_CHAIN_OF_DEPENDENT_ROWS)
+@example(_CHAIN_INSERTED_ABOVE)
+def test_chain_forms_answer_as_a_fresh_rref(case):
+    # the forms are read after the whole chain is built, so a form whose
+    # int rows were shared with a later one would answer for the later one
+    field, blocks = case
+    rows = _prefixes(blocks)[-1]
+    n = len(rows[0])
+    forms = list(la.rowspace_chain(blocks, field))
+    for form, prefix in zip(forms, _prefixes(blocks)):
+        fresh = la.rref(prefix, field)[0]
+        assert la.rank(form, field) == len(fresh)
+        assert la.rowspace_eq(form, fresh, field) and la.rowspace_eq(fresh, form, field)
+        assert la.rowspace_eq(form, rows, field) == la.rowspace_eq(fresh, rows, field)
+        assert la.nullspace(form, field, n) == la.nullspace(fresh, field, n)
+        for other in (rows, *blocks, *forms):
+            if other:
+                assert la.rowspace_contains(form, other, field) == la.rowspace_contains(
+                    fresh, other, field
+                )
+                assert la.rowspace_contains(other, form, field) == la.rowspace_contains(
+                    other, fresh, field
+                )
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_new_rows_with_the_smaller_member_span_the_larger(field):
+    rng = random.Random(f"new-rows/{field}")
+    for _ in range(30):
+        a = la.random_matrix(rng, 5, 6, field)
+        small, large = la.rowspace(a[:2], field), la.rowspace(a, field)
+        new = la.new_rows(small, large, field)
+        assert len(small) + len(new) == len(large)
+        assert la.rowspace(la.stack(small, new), field) == large
+        _assert_cleared(new, field)
+        assert la.new_rows((), large, field) is large
+    # a plain tuple is reduced before its pivots are read
+    assert la.new_rows(((0, 2, 0),), ((1, 0, 0), (0, 1, 0)), field) == ((1, 0, 0),)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)])
+def test_product_refuses_ragged_operands(field):
+    # zip cut the longer rows short: ((1,), (1,)) and ((1,),)
+    with pytest.raises(ValidationError, match=r"rows of unequal length \[1, 2\]"):
+        la.mat_mul(((1, 0), (1,)), ((1,), (1,)), field)
+    with pytest.raises(ValidationError, match=r"rows of unequal length \[1, 2\]"):
+        la.product(((1, 0),), ((1,), (1, 0)), field)
+    # a kernel-built operand is not checked again, and is never ragged
+    assert la.mat_mul(la.mat(((1, 0), (0, 1)), field), ((1,), (1,)), field) == ((1,), (1,))

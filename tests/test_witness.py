@@ -1040,6 +1040,44 @@ def test_triangle_beta_and_dual_data_match_the_correction_oracles(monkeypatch, f
     assert (field.of(2), ranked[-1]) == oracles.triangle_beta_by_correction(phi, psi, chi)
 
 
+def _assert_same_members(got, want):
+    # rows and pivot columns: the chain's forms against forms reduced alone
+    assert tuple(got) == tuple(want)
+    assert [m.pivots for m in got] == [m.pivots for m in want]
+
+
+def _flipped(d):
+    """The bare data of d read the other way, strict or modified."""
+    return W.standard_extension(
+        d.field, d.source_members, d.alpha, d.complement, d.filtration, d.kappa, strict=not d.strict
+    )
+
+
+@pytest.mark.parametrize("field", [QQ, F5, PrimeField(7)])
+def test_chains_match_the_member_by_member_oracles(field):
+    # the slots, their annihilators and the composed and dual filtrations,
+    # each one chain, against each member reduced on its own
+    rng = random.Random(f"chains/{field}")
+    seen = {"strict": 0, "modified": 0, "forms": 0}
+    for i in range(24):
+        d1, d2 = composable_pair(rng, field, with_forms=i % 3 == 0)
+        for d in (d1, d2):
+            for e in (d,) if d.source_form is not None else (d, _flipped(d)):
+                kind = "strict" if e.strict else "modified"
+                seen["forms" if e.source_form is not None else kind] += 1
+                p = random_source_point(rng, e)
+                got = W.apply_standard_extension(e, p)
+                _assert_same_members(got.subspaces, oracles.apply_by_slots(e, p).subspaces)
+                dual = W._dual_conjugate(e)
+                _assert_same_members(dual.filtration, oracles.dual_filtration_by_members(e))
+        c = W.compose_standard_extensions(d1, d2)
+        d2s = d2 if d1.strict else W._dual_conjugate(d2)
+        complement, filtration = oracles.compose_parts_by_members(d1, d2s)
+        _assert_same_members((c.complement, *c.filtration), (complement, *filtration))
+        _assert_same_members(W._compose_strict(d1, d2s)["filtration"], filtration)
+    assert min(seen.values()) >= 10, seen
+
+
 # ---------------------------------------------------------------------------
 # The odd/even orthogonal pair.
 
