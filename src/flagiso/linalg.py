@@ -42,8 +42,9 @@ call) and adds int multiples of them, one for each nonzero entry of a left
 row; ``mat_mul`` is ``product`` finished into field elements.  The field
 supplies the steps where QQ and F_p differ:
 
-* ``clear(row)`` returns ``(ints, den)`` with ``row == ints / den``.  QQ
-  multiplies by the lcm of the row's denominators; F_p returns the row and 1.
+* ``clear(row)`` returns ``(ints, den)`` with ``row == ints / den``: QQ
+  multiplies by the lcm of the row's denominators.  F_p has no ``clear``:
+  there a row is its own int row over 1, and the kernels take it as it is.
 * ``update(row, top, lead, f)`` is the row update, in one pass over the
   row.  QQ builds ``lead * row - f * top`` and divides it by its content
   (the gcd of its entries; an all-zero row is left alone).  F_p builds
@@ -71,22 +72,22 @@ the ``witness-qq`` benchmark workload by about 1.3 MB (5 %).
 
 The kernels take field elements, as ``mat`` makes them.  Their shape is
 checked: ``mat``, elimination and ``product`` refuse rows of unequal length
-(``product`` checks each operand that is not a ``Cleared`` or an
-``IntRows``, which the kernel built), and ``rowspace_contains`` a row of
-``b`` of another length than a's rows, since ``zip`` would cut the longer
-row short without a word.  The entries are a
-contract, not a check: ``rref``, ``rank``, ``rowspace_contains`` and
+(``_cleared`` checks each plain operand of ``product`` as it clears it; a
+``Cleared`` or an ``IntRows`` was built by the kernel), and
+``rowspace_contains`` a row of ``b`` of another length than a's rows,
+since ``zip`` would cut the longer row short without a word.  The entries
+are a contract, not a check: ``rref``, ``rank``, ``rowspace_contains`` and
 ``nullspace`` do not reduce their F_p input, so an entry outside 0..p-1 may
 give a wrong answer (``rowspace_contains(((0, 1, 0),), ((3, 0, 0),),
 GF(3))`` is False), and a pivot entry that is a nonzero multiple of p makes
-``pivot`` raise ``ValidationError``.  Reducing every row in ``clear`` made
-a pass over the seed-1 ``fp-enumerate`` benchmark inputs about 6 % slower
-(CPython 3.11, one core of a shared 2-core machine), and every library
-caller converts with ``mat`` first.  The outputs, ``product``'s over QQ
-apart, are field elements (``Fraction`` in lowest terms on QQ, reduced ints
-on F_p), and since the reduced row echelon form is unique they are the
-same as those of elimination on field elements, which ``tests/oracles.py``
-keeps as the reference.
+``pivot`` raise ``ValidationError``.  Reducing every row as it is
+cleared made a pass over the seed-1 ``fp-enumerate`` benchmark inputs about
+6 % slower (CPython 3.11, one core of a shared 2-core machine), and every
+library caller converts with ``mat`` first.  The outputs, ``product``'s
+over QQ apart, are field elements (``Fraction`` in lowest terms on QQ,
+reduced ints on F_p), and since the reduced row echelon form is unique they
+are the same as those of elimination on field elements, which
+``tests/oracles.py`` keeps as the reference.
 
 Int values.  Over QQ a ``Fraction`` is dear to build (``Fraction(7, 3)``
 takes 0.5 to 0.9 us under ``timeit``, CPython 3.11 on a shared 2-core
@@ -97,11 +98,11 @@ Xeon), so a product that only feeds the next kernel call is not finished:
 which equal rows share.  ``rref``, ``rowspace_chain`` (as a block),
 ``rank``, ``rowspace_contains``, ``rowspace_eq``, ``nullspace``,
 ``mat_mul`` and ``stack`` take one where they take a matrix; ``stack``
-returns one when any part is one, and
-``mat_eq`` compares one with a QQ matrix by canonical int rows (``clear``
-of Fraction rows is canonical too, since it takes the lcm of reduced
-denominators).  ``nullspace``, ``annihilator_chain`` and ``inverse`` also
-hand their int rows to elimination as an ``IntRows``, in either field.  Only ``linalg`` reads an
+returns one when any part is one, and ``mat_eq`` compares one with a QQ
+matrix by canonical int rows (``clear`` of Fraction rows is canonical too,
+since it takes the lcm of reduced denominators).  ``nullspace``,
+``annihilator_chain`` and ``inverse`` also hand their int rows to
+elimination as an ``IntRows``, in either field.  Only ``linalg`` reads an
 ``IntRows``, and no function returns one but ``product`` and ``stack``: its
 rows are not field elements, so any other reader would take them for some.
 Callers keep it only between kernel calls; ``witness`` does so where a
@@ -122,9 +123,10 @@ Slices of a ``Cleared`` and the results of ``mat_scale`` are plain tuples:
 ``mat_scale`` builds its entries one by one, and a slice that feeds a
 kernel is cleared again from its entries (``witness`` picks the two blocks
 of the dual data out of one inverse instead).  Int rows are never changed
-in place, so values may share them.  Over F_p a row is its own int row over 1,
-so these functions return plain tuples and keep no second copy; the only
-``Cleared`` over F_p is an ``Echelon``, whose ``ints`` is the value itself.
+in place, so values may share them.  Over F_p a row is its own int row
+over 1, so these functions return plain tuples and keep no second copy;
+the only ``Cleared`` over F_p is an ``Echelon``, whose ``ints`` is the
+value itself.
 Only ``linalg`` reads ``ints`` and ``dens``.
 
 Canonical values.  ``rref`` and ``rowspace_chain`` return reduced rows as
@@ -136,21 +138,21 @@ entry, which may be negative: they are not canonical int rows.
 ``annihilator_chain`` read an ``Echelon`` through ``_reduced``, which hands
 over these rows and pivots, and eliminate anything else without finishing
 it; ``rank`` reads one by its length and eliminates anything else forward
-only.
-``rowspace_eq`` compares two reduced forms row by row as x * q == y * p for
-rows x and y over pivot entries p and q.  So no ``Fraction`` of a canonical
-subspace is cleared twice, and only ``rref`` builds the ``Fraction`` rows of
-one.  ``rref`` returns an ``Echelon`` over the field it is asked for as it
-is, and ``mat`` returns any ``Cleared`` over its field unchanged, so no
-function reduces or converts a subspace twice.  The field is compared
-because rows reduced over one field are not canonical over another: over QQ
-their entries must become ``Fraction``, and over F_3 an entry 4 of an F_5
-form is not even an element, so ``mat`` converts them and ``rref``
-eliminates again.  Slices and multiples of an ``Echelon`` are plain
-tuples and are not trusted, and no other ``Cleared`` is: ``stack`` of two
-or more nonempty parts, ``inverse`` and ``pick`` of some of an Echelon's
-rows return a ``Cleared``, never an ``Echelon`` (``stack`` returns a lone
-nonempty part as it is, and ``pick`` a value of which it picks every row).
+only.  ``rowspace_eq`` compares two reduced forms row by row as x * q == y
+* p for rows x and y over pivot entries p and q.  So no ``Fraction`` of a
+canonical subspace is cleared twice, and only ``_form`` builds the
+``Fraction`` rows of one.  ``rref`` returns an ``Echelon`` over the field
+it is asked for as it is, and ``mat`` returns any ``Cleared`` over its
+field unchanged, so no function reduces or converts a subspace twice.  The
+field is compared because rows reduced over one field are not canonical
+over another: over QQ their entries must become ``Fraction``, and over F_3
+an entry 4 of an F_5 form is not even an element, so ``mat`` converts them
+and ``rref`` eliminates again.  Slices and multiples of an ``Echelon``
+are plain tuples and are not trusted, and no other ``Cleared`` is:
+``stack`` of two or more nonempty parts, ``inverse`` and ``pick`` of some
+of an Echelon's rows return a ``Cleared``, never an ``Echelon`` (``stack``
+returns a lone nonempty part as it is, and ``pick`` a value of which it
+picks every row).
 
 Chains.  Slots, filtrations and flag members are chains of subspaces, so
 one elimination serves a whole chain: ``rowspace_chain`` takes rows block
@@ -252,8 +254,6 @@ class PrimeField:
         return x % self.p
 
     # Hooks of the fraction-free kernel (see the module docstring).
-
-    clear = staticmethod(lambda row: (row, 1))
 
     def update(self, row, top, lead, f):
         # lead is 1: pivot scales the pivot rows of _eliminate, and the
@@ -435,9 +435,6 @@ def product(a, b, field):
     reduced rows over F_p (see the module docstring)."""
     if not a:
         return ()
-    for m in (a, b):
-        if not isinstance(m, (Cleared, IntRows)):
-            _check_width(m)
     if len(a[0]) != len(b):
         raise ValidationError(f"cannot multiply rows of length {len(a[0])} by {len(b)} rows")
     ints, den = _common(_cleared(b, field))
@@ -553,11 +550,15 @@ def _carries(a):
 
 def _cleared(a, field):
     """(ints, den) with row == ints / den for each row of ``a``.  A Cleared
-    over ``field`` and an IntRows hand over their own."""
+    over ``field`` and an IntRows hand over their own; plain rows must have
+    one length, and over F_p each is its own int row over 1."""
     if isinstance(a, Cleared) and a.field == field:
         return list(zip(a.ints, a.dens))
     if type(a) is IntRows:
         return list(zip(a, a.dens))
+    _check_width(a)
+    if isinstance(field, PrimeField):
+        return [(row, 1) for row in a]
     return [field.clear(row) for row in a]
 
 
