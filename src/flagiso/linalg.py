@@ -759,9 +759,10 @@ def nullspace(a, field, ncols=None):
 
 
 def annihilator_chain(members, field, ncols):
-    """The annihilators { x : m . x^T = 0 } of a chain of nested subspaces,
-    the largest member first, so the annihilators grow: one elimination for
-    the chain (see "Chains" in the module docstring).  Each member is read
+    """The annihilators { x : m . x^T = 0 } of the members of a chain of
+    nested subspaces, smallest member first, in reverse order, so that they
+    grow: one elimination for the chain (see "Chains" in the module
+    docstring).  Each member is read
     through its reduced form, an Echelon over ``field`` as it is; the chain
     must be nested, as the forms of :func:`rowspace_chain` are."""
     blocks, above = [], range(ncols)
