@@ -117,12 +117,12 @@ the right block of its eliminated [a | I] and keeps that block's int rows,
 ``stack`` joins the int rows when every part is a ``Cleared`` over QQ,
 ``pick`` keeps the int rows of the rows it picks, and ``transpose`` of one
 brings its int rows to one denominator (one lcm) and transposes them.
-``_cleared`` and ``_int_rows`` hand these int rows over instead of
-clearing, so the kernels clear only rows that arrive as plain tuples.
-Slices of a ``Cleared`` and the results of ``mat_scale`` are plain tuples:
-``mat_scale`` builds its entries one by one, and a slice that feeds a
-kernel is cleared again from its entries (``witness`` picks the two blocks
-of the dual data out of one inverse instead).  Int rows are never changed
+``_cleared`` hands these int rows over instead of clearing, so the kernels
+clear only rows that arrive as plain tuples.  Slices of a ``Cleared`` and
+the results of ``mat_scale`` are plain tuples: ``mat_scale`` builds its
+entries one by one, and a slice that feeds a kernel is cleared again from
+its entries (``witness`` picks the two blocks of the dual data out of one
+inverse instead).  Int rows are never changed
 in place, so values may share them.  Over F_p a row is its own int row
 over 1, so these functions return plain tuples and keep no second copy;
 the only ``Cleared`` over F_p is an ``Echelon``, whose ``ints`` is the
@@ -562,17 +562,6 @@ def _cleared(a, field):
     return [field.clear(row) for row in a]
 
 
-def _int_rows(a, field):
-    """The int rows of ``a`` without their denominators, for elimination and
-    containment, which scale rows freely: a Cleared over ``field`` and an
-    IntRows hand over their own, and over F_p a row is its own."""
-    if isinstance(a, Cleared) and a.field == field:
-        return a.ints
-    if type(a) is IntRows or isinstance(field, PrimeField):
-        return a
-    return [field.clear(row)[0] for row in a]
-
-
 def _common(pairs):
     """(int rows, den) with row i == ints[i] / den, from a list of (ints, den)
     pairs: each row is brought to the lcm of their denominators."""
@@ -632,8 +621,7 @@ def _reduced(a, field, forward=False):
     reduced unless ``forward``."""
     if type(a) is Echelon and a.field == field:
         return a.ints, a.pivots
-    new = _int_rows(a, field)
-    _check_width(new)
+    new = [ints for ints, _ in _cleared(a, field)]
     rows, pivots = [], []
     _eliminate(new, field, rows, pivots, forward)
     return rows, tuple(pivots)
@@ -657,7 +645,7 @@ def rowspace_chain(blocks, field):
     must lie in 0..p-1, as :func:`mat` makes them."""
     rows, pivots, width, form = [], [], None, None
     for block in blocks:
-        new = _int_rows(block, field)
+        new = [ints for ints, _ in _cleared(block, field)]
         _check_width(new, width)
         if new:
             width = len(new[0])
@@ -670,9 +658,9 @@ def rowspace_chain(blocks, field):
 
 def rref(a, field):
     """(reduced row echelon form with zero rows dropped, pivot columns): the
-    form that :func:`rowspace_chain` yields for one block.  The form is an :class:`Echelon`; one over ``field``
-    is returned as it is.  F_p entries must lie in 0..p-1, as :func:`mat`
-    makes them."""
+    form that :func:`rowspace_chain` yields for one block.  The form is an
+    :class:`Echelon`; one over ``field`` is returned as it is.  F_p entries
+    must lie in 0..p-1, as :func:`mat` makes them."""
     if type(a) is Echelon and a.field == field:
         return a, a.pivots
     form = _form(*_reduced(a, field), field)
@@ -712,7 +700,7 @@ def rowspace_contains(a, b, field):
     ints, pivots = _reduced(a, field)
     width = len(a[0]) if a else None
     update = field.update
-    for row in _int_rows(b, field):
+    for row, _ in _cleared(b, field):
         if width is not None and len(row) != width:
             raise ValidationError(f"cannot test a row of length {len(row)} against {width}")
         for top, c in zip(ints, pivots):
@@ -761,10 +749,11 @@ def nullspace(a, field, ncols=None):
 def annihilator_chain(members, field, ncols):
     """The annihilators { x : m . x^T = 0 } of the members of a chain of
     nested subspaces, smallest member first, in reverse order, so that they
-    grow: one elimination for the chain (see "Chains" in the module
-    docstring).  Each member is read
-    through its reduced form, an Echelon over ``field`` as it is; the chain
-    must be nested, as the forms of :func:`rowspace_chain` are."""
+    grow (see "Chains" in the module docstring).  Each member is read
+    through its reduced form: an Echelon over ``field`` as it is, anything
+    else after an elimination of its own.  Their null vectors are then one
+    elimination for the whole chain.  The chain must be nested, as the
+    forms of :func:`rowspace_chain` are."""
     blocks, above = [], range(ncols)
     for m in reversed(members):
         ints, pivots = _reduced(m, field)

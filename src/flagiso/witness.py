@@ -46,7 +46,6 @@ generators to zero exactly like constant slots.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -269,9 +268,7 @@ def flag_point(field, ambient_dim, subspaces, form=None) -> FiniteFlagPoint:
         raise WitnessError("members must be proper nonzero subspaces")
     if any(dims[i] >= dims[i + 1] for i in range(len(dims) - 1)):
         raise WitnessError("member dimensions must strictly increase")
-    for i in range(len(canon) - 1):
-        if not la.rowspace_contains(canon[i + 1], canon[i], field):
-            raise WitnessError(f"member {i} is not contained in member {i + 1}")
+    _require_nested(canon, field)
     if form is not None:
         form = _as_form(form, field, ambient_dim)
         singular = form.terms and form.lie_type != "C" and not field.reduce(2)
@@ -279,6 +276,13 @@ def flag_point(field, ambient_dim, subspaces, form=None) -> FiniteFlagPoint:
             if any(map(any, form.pair(s, s))) or (singular and any(map(form.quadratic, s))):
                 raise WitnessError(f"member {i} is not isotropic", certificate=s)
     return FiniteFlagPoint(field, ambient_dim, canon, form)
+
+
+def _require_nested(members, field):
+    """WitnessError unless each member lies in the next."""
+    for i in range(len(members) - 1):
+        if not la.rowspace_contains(members[i + 1], members[i], field):
+            raise WitnessError(f"member {i} is not contained in member {i + 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +572,10 @@ def apply_standard_extension(d: StandardExtensionData, p: FiniteFlagPoint) -> Fi
     data take the annihilators of the slots in reverse order.  The slots
     are one chain (:func:`flagiso.linalg.rowspace_chain`): slot j is fed
     alpha applied to the new rows of its source member and the new rows of
-    K_j, and their annihilators are one annihilator chain.
-    :func:`flag_point` checks the image."""
+    K_j, and their annihilators are one annihilator chain.  New rows span a
+    member only over the one before it, so the point's members are checked
+    to be nested first, as a point built without :func:`flag_point` may not
+    be.  :func:`flag_point` checks the image."""
     field = d.field
     if p.field != field:
         raise WitnessError("field mismatch")
@@ -583,6 +589,7 @@ def apply_standard_extension(d: StandardExtensionData, p: FiniteFlagPoint) -> Fi
             raise WitnessError("point must carry the extension's source form")
     elif p.form is not None:
         raise WitnessError("a general-type extension applies to form-free points")
+    _require_nested(p.subspaces, field)
     w = d.target_dim
     members = ((), *p.subspaces, None)
     blocks, c_before, k_before = [], 0, ()
@@ -634,33 +641,26 @@ def _compose_strict(d1: StandardExtensionData, d2: StandardExtensionData) -> dic
     a filtration member or d1's complement, by d2's kappa) and d2's member
     L_j, and the complement is d2.alpha(d1's complement) + d2's complement.
     Both grow, so they are one chain of reduced forms, each fed d2.alpha
-    applied to the new rows of I_j and the new rows of L_j.  ``complement``
-    is the chain itself, left after the filtration: composing takes its
-    next form, and the triangle check, which compares the filtration
-    alone, leaves it."""
+    applied to the new rows of I_j and the new rows of L_j."""
     field = d1.field
     if d2.source_members != d1.slots or d2.source_dim != d1.target_dim:
         raise WitnessError("extensions do not compose: shapes disagree")
     l1 = d1.slots
     inners = ((), *d1.filtration, d1.complement)
-    members = zip((*d2.filtration, d2.complement), (*d2.kappa, l1 + 1))
-
-    def blocks():
-        c_before, l_before = 0, ()
-        for lj, c in members:
-            fed = la.new_rows(l_before, lj, field)
-            if c != c_before:
-                inner = la.new_rows(inners[c_before], inners[c], field)
-                fed = la.stack(la.product(inner, d2.alpha, field), fed)
-            yield fed
-            c_before, l_before = c, lj
-
-    chain = la.rowspace_chain(blocks(), field)
+    blocks, c_before, l_before = [], 0, ()
+    for lj, c in zip((*d2.filtration, d2.complement), (*d2.kappa, l1 + 1)):
+        fed = la.new_rows(l_before, lj, field)
+        if c != c_before:
+            inner = la.new_rows(inners[c_before], inners[c], field)
+            fed = la.stack(la.product(inner, d2.alpha, field), fed)
+        blocks.append(fed)
+        c_before, l_before = c, lj
+    forms = list(la.rowspace_chain(blocks, field))
     return dict(
         source_members=d1.source_members,
         alpha=la.mat_mul(d1.alpha, d2.alpha, field),
-        complement=chain,
-        filtration=list(itertools.islice(chain, d2.slots)),
+        complement=forms[-1],
+        filtration=forms[:-1],
         kappa=tuple(
             0 if c == 0 else d1.source_members + 1 if c == l1 + 1 else d1.kappa[c - 1]
             for c in d2.kappa
@@ -685,7 +685,6 @@ def compose_standard_extensions(
         forms = dict(source_form=d1.source_form, target_form=d2.target_form)
     field = d1.field
     parts = _compose_strict(d1, d2 if d1.strict else _dual_conjugate(d2))
-    parts["complement"] = next(parts["complement"])
     return standard_extension(field, strict=d1.strict == d2.strict, **parts, **forms)
 
 

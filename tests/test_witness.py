@@ -788,6 +788,27 @@ def test_extension_refusals_name_their_reason(build, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("field", [QQ, F5])
+@pytest.mark.parametrize("strict", [True, False])
+def test_apply_refuses_a_point_whose_members_are_not_nested(field, strict):
+    # a point built around flag_point: <e1> does not lie in <e2, e3>.  Fed
+    # only the new rows of each member, the slots would be nested all the
+    # same, (<e1>, <e1, e2, e3, e4>); a slot reduced on its own is not.
+    d = W.standard_extension(
+        field, 2, _units([0, 1, 2], 5, field), _units([3, 4], 5, field),
+        [(), _units([3], 5, field)], (1, 2), strict,
+    )
+    bad = W.FiniteFlagPoint(field, 3, (_units([0], 3, field), _units([1, 2], 3, field)))
+    with pytest.raises(W.WitnessError) as err:
+        W.apply_standard_extension(d, bad)
+    assert str(err.value) == "member 0 is not contained in member 1"
+    with pytest.raises(W.WitnessError, match="member 0 is not contained in member 1"):
+        oracles.apply_by_slots(d, bad)
+    # plain rows that are nested pass, and map as the slot-by-slot oracle does
+    good = W.FiniteFlagPoint(field, 3, (((1, 1, 0),), ((0, 1, 0), (1, 0, 0))))
+    assert W.apply_standard_extension(d, good) == oracles.apply_by_slots(d, good)
+
+
 def test_strictness_rule_table():
     rng = random.Random(53)
     seen = set()
