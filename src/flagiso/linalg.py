@@ -426,7 +426,7 @@ def transpose(a):
     rows = tuple(zip(*a))
     if not _carries(a):
         return rows
-    ints, den = _common(_cleared(a, a.field))
+    ints, den = _common(*_cleared(a, a.field))
     return Cleared(rows, a.field, list(zip(*ints)), [den] * len(rows))
 
 
@@ -437,10 +437,10 @@ def product(a, b, field):
         return ()
     if len(a[0]) != len(b):
         raise ValidationError(f"cannot multiply rows of length {len(a[0])} by {len(b)} rows")
-    ints, den = _common(_cleared(b, field))
+    ints, den = _common(*_cleared(b, field))
     zero = [0] * (len(b[0]) if b else 0)
     out = []
-    for row, row_den in _cleared(a, field):
+    for row, row_den in zip(*_cleared(a, field)):
         acc = zero
         for x, brow in zip(row, ints):
             if x:
@@ -467,8 +467,12 @@ def stack(*mats):
     if len(mats) == 1:
         return mats[0]
     if IntRows in map(type, mats):
-        pairs = [pair for m in mats for pair in _cleared(m, QQ)]
-        return IntRows([ints for ints, _ in pairs], [den for _, den in pairs])
+        ints, dens = [], []
+        for m in mats:
+            m_ints, m_dens = _cleared(m, QQ)
+            ints.extend(m_ints)
+            dens.extend(m_dens)
+        return IntRows(ints, dens)
     rows = []
     for m in mats:
         rows.extend(m)
@@ -549,24 +553,26 @@ def _carries(a):
 
 
 def _cleared(a, field):
-    """(ints, den) with row == ints / den for each row of ``a``.  A Cleared
-    over ``field`` and an IntRows hand over their own; plain rows must have
-    one length, and over F_p each is its own int row over 1."""
+    """(ints, dens) with row i of ``a`` == ints[i] / dens[i].  A Cleared over
+    ``field`` and an IntRows hand over their own; plain rows must have one
+    length, and over F_p each is its own int row over 1.  Elimination and
+    containment scale rows freely and read ``ints`` alone."""
     if isinstance(a, Cleared) and a.field == field:
-        return list(zip(a.ints, a.dens))
+        return a.ints, a.dens
     if type(a) is IntRows:
-        return list(zip(a, a.dens))
+        return a, a.dens
     _check_width(a)
     if isinstance(field, PrimeField):
-        return [(row, 1) for row in a]
-    return [field.clear(row) for row in a]
+        return a, [1] * len(a)
+    pairs = [field.clear(row) for row in a]
+    return [ints for ints, _ in pairs], [den for _, den in pairs]
 
 
-def _common(pairs):
-    """(int rows, den) with row i == ints[i] / den, from a list of (ints, den)
-    pairs: each row is brought to the lcm of their denominators."""
-    den = math.lcm(*[d for _, d in pairs])
-    return [ints if d == den else [x * (den // d) for x in ints] for ints, d in pairs], den
+def _common(ints, dens):
+    """(int rows, den) with row i == ints[i] / den for int rows ``ints`` over
+    ``dens``: each row is brought to the lcm of the denominators."""
+    den = math.lcm(*dens)
+    return [row if d == den else [x * (den // d) for x in row] for row, d in zip(ints, dens)], den
 
 
 def _check_width(rows, width=None):
@@ -621,7 +627,7 @@ def _reduced(a, field, forward=False):
     reduced unless ``forward``."""
     if type(a) is Echelon and a.field == field:
         return a.ints, a.pivots
-    new = [ints for ints, _ in _cleared(a, field)]
+    new = _cleared(a, field)[0]
     rows, pivots = [], []
     _eliminate(new, field, rows, pivots, forward)
     return rows, tuple(pivots)
@@ -645,7 +651,7 @@ def rowspace_chain(blocks, field):
     must lie in 0..p-1, as :func:`mat` makes them."""
     rows, pivots, width, form = [], [], None, None
     for block in blocks:
-        new = [ints for ints, _ in _cleared(block, field)]
+        new = _cleared(block, field)[0]
         _check_width(new, width)
         if new:
             width = len(new[0])
@@ -700,7 +706,7 @@ def rowspace_contains(a, b, field):
     ints, pivots = _reduced(a, field)
     width = len(a[0]) if a else None
     update = field.update
-    for row, _ in _cleared(b, field):
+    for row in _cleared(b, field)[0]:
         if width is not None and len(row) != width:
             raise ValidationError(f"cannot test a row of length {len(row)} against {width}")
         for top, c in zip(ints, pivots):
@@ -792,11 +798,12 @@ def inverse(a, field):
     for row in a:
         if len(row) != n:
             raise ValidationError(f"cannot invert {n} rows: a row has length {len(row)}, not {n}")
-    pairs = _cleared(a, field)
+    ints, dens = _cleared(a, field)
     aug = [
-        [*ints, *[den if j == i else 0 for j in range(n)]] for i, (ints, den) in enumerate(pairs)
+        [*row, *[den if j == i else 0 for j in range(n)]]
+        for i, (row, den) in enumerate(zip(ints, dens))
     ]
-    ints, pivots = _reduced(IntRows(aug, [den for _, den in pairs]), field)
+    ints, pivots = _reduced(IntRows(aug, dens), field)
     if pivots != tuple(range(n)):
         raise ValidationError("matrix is singular")
     right = [row[n:] for row in ints]
