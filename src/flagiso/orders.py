@@ -21,9 +21,14 @@ computes its fixed point in one pass, and :func:`is_normalized` tests for it.
 
 :func:`parse_order` splits the text at ``+``, which no atom contains, strips
 each piece, and reads each distinct piece once with one single-atom pattern,
-``_PIECE``.  Long texts repeat a few atoms many times, so the per-atom work
-runs once per distinct piece, and equal atom texts share one frozen atom
-object.  A text whose pieces all parse is valid; otherwise ``_ATOM``
+``_PIECE``.  Texts repeat a few atoms many times, within one text and across
+the texts a process reads, so a bounded per-process memo, ``_read_atom``,
+keeps the atoms of the last ``_MEMO_SIZE`` distinct pieces it read: the
+per-atom work runs once per distinct piece while it stays in the memo, and
+equal atom texts share one frozen atom object.  A piece of
+``_MEMO_MAX_LEN`` characters or more is read afresh each time, because
+whether ``int()`` accepts its sizes depends on a digit limit that can change
+at run time.  A text whose pieces all parse is valid; otherwise ``_ATOM``
 reads its first piece that does not parse, only to locate the error and
 its column (see "Text format" below).
 
@@ -40,7 +45,9 @@ never emit an empty seq.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ValidationError
 
@@ -326,7 +333,16 @@ def truncate(x: WeightedOrder, n: int):
 # (str.strip strips exactly the `\s` characters), is one atom, which _PIECE
 # matches whole.  parse_order reads each distinct stripped piece once and
 # looks the rest up, so atom texts that are equal once stripped share one
-# frozen atom object in the returned order.
+# frozen atom object in the returned order.  It reads a piece through
+# _read_atom, an lru_cache of _MEMO_SIZE pieces kept for the whole process,
+# so a piece seen in an earlier text is not matched or converted again.  The
+# memo holds atoms only: a piece that does not parse raises, and lru_cache
+# keeps no exception.  A piece of _MEMO_MAX_LEN characters or more bypasses
+# the memo.  Whether int() refuses a size depends on
+# sys.get_int_max_str_digits(), which a program may lower at run time, so an
+# atom read under one limit may not be valid under the next; but the limit is
+# never below sys.int_info.str_digits_check_threshold (640) unless it is 0,
+# none at all, so a shorter piece holds no size that any limit refuses.
 #
 # _ATOM and _parse_error only locate errors.  When a piece does not match, or
 # int() refuses one of its sizes, _ATOM is matched once where the first such
@@ -378,23 +394,33 @@ _PIECE = re.compile(
 _WORD = re.compile(r"\s*([^\W_]*)")
 
 
+_MEMO_SIZE = 1024  # pieces; one seed of perfbench ind-decide holds 203-219 distinct
+_MEMO_MAX_LEN = sys.int_info.str_digits_check_threshold
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _read_atom(piece: str):
+    """The atom that the stripped ``piece`` is; ValueError if it is none."""
+    m = _PIECE.fullmatch(piece)
+    if m is None:
+        raise ValueError(piece)
+    sizes, name, size = m.groups()
+    # a matched size is `inf` or decimal digits, with spaces around it;
+    # int() refuses more digits than sys.get_int_max_str_digits()
+    if sizes is not None:
+        return _build(Seq, tuple([INF if "inf" in w else int(w) for w in sizes.split(",")]))
+    size = INF if "inf" in size else int(size)
+    return _build(Omega if name == "omega" else OmegaStar, size)
+
+
 def parse_order(text: str) -> WeightedOrder:
     raw = text.split("+")
     parts = list(map(str.strip, raw))
     table = dict.fromkeys(parts)
     for piece in table:
-        m = _PIECE.fullmatch(piece)
-        if m is None:
-            raise _piece_error(text, raw, parts.index(piece))
-        sizes, name, size = m.groups()
-        # a matched size is `inf` or decimal digits, with spaces around it
-        try:  # int() refuses more digits than sys.get_int_max_str_digits()
-            if sizes is not None:
-                sizes = tuple([INF if "inf" in w else int(w) for w in sizes.split(",")])
-                table[piece] = _build(Seq, sizes)
-            else:
-                size = INF if "inf" in size else int(size)
-                table[piece] = _build(Omega if name == "omega" else OmegaStar, size)
+        read = _read_atom if len(piece) < _MEMO_MAX_LEN else _read_atom.__wrapped__
+        try:
+            table[piece] = read(piece)
         except ValueError:
             raise _piece_error(text, raw, parts.index(piece)) from None
     return _build(WeightedOrder, tuple(map(table.__getitem__, parts)))

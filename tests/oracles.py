@@ -19,20 +19,23 @@ quadratic on perp(M)/M, rebasing automorphisms from the greedy search
 that the signature match of ``rebase_automorphism`` replaced, and the
 slots, annihilators and composed filtrations of standard extensions
 reduced one member at a time, as they were before one elimination served
-each chain.
+each chain, and the Betti numbers of an ind-variety from the Poincare
+polynomials of its truncations, which never go through ``normalize``.
 """
 
 import itertools
 from functools import lru_cache
 
-from flagiso.counting import QPolynomial
+from flagiso.counting import QPolynomial, poincare_polynomial
 from flagiso.decide import DecisionResult, Reason, _no, _yes
 from flagiso.descriptors import (
     FORM_OF_LIE_TYPE,
     FlagDescriptor,
     FormType,
+    min_truncation_width,
     pic_rank,
     require_valid,
+    truncate_to_variety,
 )
 from flagiso import linalg as la
 from flagiso import witness as W
@@ -704,6 +707,44 @@ def decide_ind_by_branches(x: FlagDescriptor, y: FlagDescriptor) -> DecisionResu
         return _no("general and symplectic descriptors match no exceptional pair")
 
     return _no("orthogonal descriptors are never isomorphic to the other types")
+
+
+# Widths past the smallest admissible one at which stable Betti numbers are
+# read; at these widths they agreed on every isomorphic pair tried, while at
+# n0 + 4 to n0 + 8 the q^6 coefficient of P^n (0 until n >= 6) still moved.
+_BETTI_WIDTHS = (8, 9, 10)
+
+
+def stable_betti(d: FlagDescriptor, degree: int) -> tuple:
+    """(b_0, b_2, ..., b_2*degree) of the ind-variety of ``d``.
+
+    b_2j is the q^j coefficient of the Poincare polynomial of the truncation,
+    read at widths n0 + 8, n0 + 9 and n0 + 10.  A coefficient equal at all
+    three has settled and is its value; one that rises at each width is
+    growing, and the Betti number of the limit is INF.  Anything else fails:
+    the oracle cannot read such a coefficient.  Raises ResourceLimitError
+    when a truncation passes the rank cap.  A descriptor with no proper
+    member is a point."""
+    require_valid(d)
+    try:
+        n0 = min_truncation_width(d)
+    except ValidationError:  # no proper member to truncate at
+        return (1,) + (0,) * degree
+    # the widest first: past the rank cap it raises before any work is done
+    polys = [
+        poincare_polynomial(truncate_to_variety(d, n0 + w)).coefficients
+        for w in reversed(_BETTI_WIDTHS)
+    ][::-1]
+    out = []
+    for j in range(degree + 1):
+        a, b, c = (p[j] if j < len(p) else 0 for p in polys)
+        if a == b == c:
+            out.append(a)
+        elif a < b < c:
+            out.append(INF)
+        else:
+            raise AssertionError(f"b_{2 * j} of {d} neither settles nor grows: {a}, {b}, {c}")
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

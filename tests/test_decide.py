@@ -22,7 +22,7 @@ from flagiso.descriptors import (
     symplectic_flags,
     truncate_to_variety,
 )
-from flagiso.errors import ValidationError
+from flagiso.errors import ResourceLimitError, ValidationError
 from flagiso.generate import random_descriptor
 from flagiso.orders import INF, omega, seq
 from flagiso.selftest import _decision_universe
@@ -32,6 +32,7 @@ from oracles import (
     decide_ind_grassmannian,
     marked_cartan,
     marked_cartan_isomorphic,
+    stable_betti,
 )
 
 
@@ -266,6 +267,42 @@ def test_decide_ind_matches_branches_on_random_pairs():
 def test_decide_ind_matches_branches_near_the_exceptions():
     descriptors = [parse_descriptor(text) for text in _NEAR_EXCEPTIONS]
     _assert_same_payloads((x, y) for x in descriptors for y in descriptors)
+
+
+def test_isomorphic_verdicts_keep_stable_betti_numbers_and_b2_is_pic_rank():
+    # Independent of normalize: isomorphic ind-varieties have equal b_0..b_6,
+    # and b_2 is the Picard rank (INF exactly when it keeps growing).  The
+    # pairs of the two tests above; the sides of every Isomorphic pair and of
+    # the first 30 random pairs are read, and a side past the rank cap is
+    # skipped.
+    rng = random.Random(33)
+    pairs = [(random_descriptor(rng), random_descriptor(rng)) for _ in range(20_000)]
+    near = [parse_descriptor(text) for text in _NEAR_EXCEPTIONS]
+    pairs += [(x, y) for x in near for y in near]
+    vectors = {}
+
+    def betti(d):
+        if d not in vectors:
+            try:
+                vectors[d] = stable_betti(d, 3)
+            except ResourceLimitError:
+                vectors[d] = None
+        return vectors[d]
+
+    compared = 0
+    for i, (x, y) in enumerate(pairs):
+        isomorphic = decide_ind(x, y).verdict is Verdict.ISOMORPHIC
+        if isomorphic or i < 30:
+            bx, by = betti(x), betti(y)
+            if isomorphic and bx is not None and by is not None:
+                assert bx == by, (x, y)
+                compared += 1
+    read = {d: b for d, b in vectors.items() if b is not None}
+    for d, b in read.items():
+        assert b[1] == pic_rank(d), d
+    finite = sum(b[1] is not INF for b in read.values())
+    # 44 compared pairs, 26 finite and 39 infinite b_2 read
+    assert compared >= 40 and finite >= 20 and len(read) - finite >= 30
 
 
 def test_ind_invalid_descriptor_propagates():

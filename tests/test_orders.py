@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from flagiso.errors import ValidationError
 from flagiso.generate import insert_absorbable, random_order, random_size
 from flagiso.orders import (
+    _MEMO_SIZE,
     INF,
     Omega,
     OmegaStar,
@@ -24,6 +26,7 @@ from flagiso.orders import (
     rewrite_step,
     seq,
     total_dimension,
+    _read_atom,
     truncate,
 )
 
@@ -340,21 +343,21 @@ def test_parse_agrees_with_scanning_oracle(text):
     assert _parse_outcome(parse_order, text) == _parse_outcome(parse_order_by_scanning, text)
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("seq[inf2]", "bad block size 'inf2' (column 9)"),
-        ("seq[1, 0]", "bad block size '0' (column 9)"),
-        ("seq[1,,2]", "expected a name or number (column 7)"),
-        ("seq[1 2]", "expected ']' (column 7)"),
-        ("omega(1,2)", "expected ')' (column 8)"),
-        ("seqx[1]", "unknown atom 'seqx' (column 5)"),
-        ("seq(1)", "expected '[' (column 4)"),
-        ("seq[1] omega(1)", "expected '+' (column 8)"),
-        ("seq[1] +", "expected a name or number (column 9)"),
-        ("seq[%s, x]" % ("1" * 4301), "block size has too many digits (4301) (column 4306)"),
-    ],
-)
+_ERROR_MESSAGES = [
+    ("seq[inf2]", "bad block size 'inf2' (column 9)"),
+    ("seq[1, 0]", "bad block size '0' (column 9)"),
+    ("seq[1,,2]", "expected a name or number (column 7)"),
+    ("seq[1 2]", "expected ']' (column 7)"),
+    ("omega(1,2)", "expected ')' (column 8)"),
+    ("seqx[1]", "unknown atom 'seqx' (column 5)"),
+    ("seq(1)", "expected '[' (column 4)"),
+    ("seq[1] omega(1)", "expected '+' (column 8)"),
+    ("seq[1] +", "expected a name or number (column 9)"),
+    ("seq[%s, x]" % ("1" * 4301), "block size has too many digits (4301) (column 4306)"),
+]
+
+
+@pytest.mark.parametrize("text, message", _ERROR_MESSAGES)
 def test_parse_error_messages(text, message):
     with pytest.raises(OrderParseError) as err:
         parse_order(text)
@@ -405,10 +408,16 @@ def test_long_text_of_repeated_atoms_parses_as_the_oracle():
 
 
 def test_long_text_of_distinct_atoms_parses_as_the_oracle():
-    text = _join(random.Random(43), _distinct_pieces(4000))
+    rng = random.Random(43)
+    text = _join(rng, _distinct_pieces(4000))
     x = parse_order(text)
     assert len({id(a) for a in x.atoms}) == 4000
     assert _parse_outcome(parse_order, text) == _parse_outcome(parse_order_by_scanning, text)
+    # the piece memo keeps to its bound, and what it dropped reads as before
+    assert _read_atom.cache_info().currsize <= _MEMO_SIZE
+    for count in (5, 4000):  # evicted pieces, then the last ones read
+        text = _join(rng, _distinct_pieces(count)[-40:])
+        assert _parse_outcome(parse_order, text) == _parse_outcome(parse_order_by_scanning, text)
 
 
 @pytest.mark.parametrize(
@@ -440,6 +449,71 @@ def test_first_fault_of_a_long_text_is_reported_as_the_oracle_reports_it(
     start = sum(len(p) + 1 for p in parts[:2998])
     assert start < err.value.column <= start + len(parts[2998]) + 1
     assert _parse_outcome(parse_order, text) == _parse_outcome(parse_order_by_scanning, text)
+
+
+# parse_order reads pieces through a memo kept for the whole process.
+
+
+def _memo_texts():
+    """The texts of the parse tests above: valid and faulty, short and long."""
+    rng = random.Random(53)
+    texts = ["seq[1] + omega(2) + seq[inf]", "omegastar(inf)", "seq[1] + bogus(2)"]
+    texts += ["seq[²]", "seq[٣]", "omega(١)"]
+    texts += [render_order(random_order(rng)) for _ in range(20)]
+    texts += [text for text, _ in _ERROR_MESSAGES]
+    texts.append("seq[1]+ seq[1] + seq[1]+" + _join(rng, _repeated_pieces(rng, 2997)))
+    texts.append(_join(rng, _distinct_pieces(500)))
+    for fault in ("seq[1, x]", "bogus(2)", "", "omega(%s)" % ("1" * 4301)):
+        pieces = _repeated_pieces(rng, 300)
+        pieces[200] = fault
+        texts.append(_join(rng, pieces))
+    return texts
+
+
+def _sharing(outcome):
+    """For a parsed order, the first position holding each atom object."""
+    if not isinstance(outcome, WeightedOrder):
+        return None
+    first = {}
+    return [first.setdefault(id(a), i) for i, a in enumerate(outcome.atoms)]
+
+
+def test_memo_changes_no_outcome_cold_or_warm():
+    texts = _memo_texts()
+    cold = []
+    for text in texts:
+        _read_atom.cache_clear()
+        cold.append(_parse_outcome(parse_order, text))
+    for text in texts:  # the memo now holds the pieces of every text
+        _parse_outcome(parse_order, text)
+    for text, before in zip(texts, cold, strict=True):
+        after = _parse_outcome(parse_order, text)
+        assert after == before
+        assert _sharing(after) == _sharing(before)
+        assert after == _parse_outcome(parse_order_by_scanning, text)
+    assert _read_atom.cache_info().hits > 0
+
+
+def test_texts_that_share_a_piece_share_its_atom():
+    x = parse_order("seq[1, 2] + omega(3)")
+    y = parse_order("omegastar(1)+   seq[1, 2]")
+    assert x.atoms[0] is y.atoms[1]
+    assert parse_order("seq[1,2]").atoms[0] == x.atoms[0]
+
+
+def test_memo_reads_a_long_piece_under_the_digit_limit_of_the_moment():
+    # a piece that int() may refuse is read afresh: the limit can be lowered
+    text = "omega(%s)" % ("1" * 700)
+    assert parse_order(text).atoms[0].size == int("1" * 700)
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(OrderParseError) as err:
+            parse_order(text)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert err.value.message == "block size has too many digits (700)"
+    assert parse_order(text).atoms[0].size == int("1" * 700)
 
 
 def test_parse_examples():
