@@ -5,8 +5,10 @@ Descriptors are quoted strings in the grammar ``gen: <order>``,
 from ``seq[d1,d2,...]``, ``omega(d)``, ``omegastar(d)`` joined by ``+``.
 Finite varieties are ``TYPE:AMBIENT:d1,d2,...`` literals or the
 ``--type/--ambient/--dims`` flags.  ``--json`` switches any subcommand to a
-stable JSON object on stdout.  ``selftest`` runs the acceptance criteria and
-compares the oracle-derived values with those pinned in
+stable JSON object on stdout; the payload format is this module's own,
+witness matrices, fields and flag points included (``matrix_to_json``,
+``field_to_json``, ``point_to_json``).  ``selftest`` runs the acceptance
+criteria and compares the oracle-derived values with those pinned in
 :mod:`flagiso.selftest`; it reads and writes no file.
 
 Exit codes: 0 success (including a NotIsomorphic verdict), 1 validation or
@@ -193,6 +195,38 @@ def _cmd_truncate(args) -> int:
     return _emit(args, payload, text)
 
 
+def matrix_to_json(m) -> dict:
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    return {
+        "rows": rows,
+        "cols": cols,
+        "entries": [[str(x) for x in row] for row in m],
+    }
+
+
+def field_to_json(field) -> str:
+    from .linalg import QQ
+
+    return "Q" if field == QQ else f"GF({field.p})"
+
+
+def point_to_json(p) -> dict:
+    """A :class:`flagiso.witness.FiniteFlagPoint` as JSON."""
+    out = {
+        "field": field_to_json(p.field),
+        "ambient_dim": p.ambient_dim,
+        "subspaces": [matrix_to_json(s) for s in p.subspaces],
+    }
+    if p.form is not None:
+        out["form"] = matrix_to_json(p.form)
+    return out
+
+
+def transcript_entry(check: str, passed: bool, detail: str = "") -> dict:
+    return {"check": check, "pass": passed, "detail": detail}
+
+
 def _cmd_witness_rebase(args) -> int:
     import random
 
@@ -206,29 +240,29 @@ def _cmd_witness_rebase(args) -> int:
     transcript = []
     try:
         alpha = W.rebase_automorphism(chain, e, e2, form)
-        transcript.append(W.transcript_entry("construction-and-verification", True))
+        transcript.append(transcript_entry("construction-and-verification", True))
         ok = True
     except W.WitnessError as exc:
-        transcript.append(W.transcript_entry("construction-and-verification", False, str(exc)))
+        transcript.append(transcript_entry("construction-and-verification", False, str(exc)))
         alpha = None
         ok = False
     payload = {
         "seed": args.seed,
-        "field": W.field_to_json(field),
+        "field": field_to_json(field),
         "isotropic": bool(args.isotropic),
-        "chain": W.point_to_json(chain),
-        "basis_e": W.matrix_to_json(e),
-        "basis_e2": W.matrix_to_json(e2),
-        "automorphism": None if alpha is None else W.matrix_to_json(alpha),
+        "chain": point_to_json(chain),
+        "basis_e": matrix_to_json(e),
+        "basis_e2": matrix_to_json(e2),
+        "automorphism": None if alpha is None else matrix_to_json(alpha),
         "transcript": transcript,
         "ok": ok,
     }
     if form is not None:
-        payload["form"] = W.matrix_to_json(form)
+        payload["form"] = matrix_to_json(form)
     text = (
         "rebase automorphism constructed and verified "
         f"(ambient {chain.ambient_dim}, {'isotropic' if args.isotropic else 'general'}, "
-        f"field {W.field_to_json(field)})"
+        f"field {field_to_json(field)})"
         if ok
         else "rebase failed: " + transcript[-1]["detail"]
     )
@@ -263,10 +297,10 @@ def _cmd_witness_bd(args) -> int:
     if len(sources) != len(sample):
         detail += f" ({len(sources)} distinct)"
     transcript.append(
-        W.transcript_entry("lagrangian-lift", len(images) == len(sources), detail)
+        transcript_entry("lagrangian-lift", len(images) == len(sources), detail)
     )
     transcript.append(
-        W.transcript_entry(
+        transcript_entry(
             "exhaustion-square",
             square.ok,
             f"{square.checked} squares checked, {len(square.failures)} failures",
@@ -275,7 +309,7 @@ def _cmd_witness_bd(args) -> int:
     ok = all(t["pass"] for t in transcript)
     payload = {
         "n": n,
-        "field": W.field_to_json(field),
+        "field": field_to_json(field),
         "sample": sample_kind,
         "sources": len(sample),
         "distinct_images": len(images),
@@ -284,7 +318,7 @@ def _cmd_witness_bd(args) -> int:
         "ok": ok,
     }
     text = (
-        f"n={n} over {W.field_to_json(field)}: {sample_kind}; "
+        f"n={n} over {field_to_json(field)}: {sample_kind}; "
         f"{len(images)} distinct Lagrangian lifts; exhaustion square "
         f"{'commutes' if square.ok else 'FAILS'} on {square.checked} points"
     )

@@ -739,17 +739,13 @@ def _null_vectors(ints, pivots, n, cols, field):
 
 
 def nullspace(a, field, ncols=None):
-    """Canonical basis of { x : a . x^T = 0 } (x a row vector): the reduced
-    form of the null vectors of ``a`` at its free columns.  F_p entries
-    must lie in 0..p-1, as :func:`mat` makes them."""
-    if not a:
-        if ncols is None:
-            raise ValidationError("nullspace of an empty matrix needs ncols")
-        return identity(ncols, field)
-    ints, pivots = _reduced(a, field)
-    n = len(a[0])
-    free = [c for c in range(n) if c not in pivots]
-    return rowspace(_null_vectors(ints, pivots, n, free, field), field)
+    """Canonical basis of { x : a . x^T = 0 } (x a row vector): the
+    annihilator chain of the one member ``a``, whose width is ``ncols``
+    only when ``a`` has no rows.  F_p entries must lie in 0..p-1, as
+    :func:`mat` makes them."""
+    if not a and ncols is None:
+        raise ValidationError("nullspace of an empty matrix needs ncols")
+    return annihilator_chain([a], field, len(a[0]) if a else ncols)[0]
 
 
 def annihilator_chain(members, field, ncols):

@@ -20,8 +20,8 @@ each a block deletion or an identity on every truncation.  :func:`normalize`
 computes its fixed point in one pass, and :func:`is_normalized` tests for it.
 
 :func:`parse_order` splits the text at ``+``, which no atom contains, strips
-each piece, and reads each distinct piece once with one single-atom pattern,
-``_PIECE``.  Texts repeat a few atoms many times, within one text and across
+each piece, and reads each distinct piece once with the atom pattern,
+``_ATOM``.  Texts repeat a few atoms many times, within one text and across
 the texts a process reads, so a bounded per-process memo, ``_read_atom``,
 keeps the atoms of the last ``_MEMO_SIZE`` distinct pieces it read: the
 per-atom work runs once per distinct piece while it stays in the memo, and
@@ -29,8 +29,8 @@ equal atom texts share one frozen atom object.  A piece of
 ``_MEMO_MAX_LEN`` characters or more is read afresh each time, because
 whether ``int()`` accepts its sizes depends on a digit limit that can change
 at run time.  A text whose pieces all parse is valid; otherwise ``_ATOM``
-reads its first piece that does not parse, only to locate the error and
-its column (see "Text format" below).
+is matched again where its first piece that does not parse starts in the
+text, to locate the error and its column (see "Text format" below).
 
 Validation happens at the public boundary.  ``Seq``, ``Omega``, ``OmegaStar``
 and ``WeightedOrder`` built by callers check their fields in
@@ -73,8 +73,6 @@ class _Infinity:
 
 
 INF = _Infinity()
-
-Size = "int | _Infinity"
 
 
 def is_size(value) -> bool:
@@ -330,32 +328,35 @@ def truncate(x: WeightedOrder, n: int):
 # Splitting at `+` is safe: `+` is punctuation of the concatenation only, and
 # no atom contains it.  So a text is valid exactly when each piece between
 # `+`s (and the ends of the text), stripped of the whitespace around it
-# (str.strip strips exactly the `\s` characters), is one atom, which _PIECE
-# matches whole.  parse_order reads each distinct stripped piece once and
-# looks the rest up, so atom texts that are equal once stripped share one
-# frozen atom object in the returned order.  It reads a piece through
-# _read_atom, an lru_cache of _MEMO_SIZE pieces kept for the whole process,
-# so a piece seen in an earlier text is not matched or converted again.  The
-# memo holds atoms only: a piece that does not parse raises, and lru_cache
-# keeps no exception.  A piece of _MEMO_MAX_LEN characters or more bypasses
-# the memo.  Whether int() refuses a size depends on
-# sys.get_int_max_str_digits(), which a program may lower at run time, so an
-# atom read under one limit may not be valid under the next; but the limit is
-# never below sys.int_info.str_digits_check_threshold (640) unless it is 0,
-# none at all, so a shorter piece holds no size that any limit refuses.
+# (str.strip strips exactly the `\s` characters), is one atom.  _ATOM is the
+# one grammar of an atom.  Each piece of it after the atom name (opening
+# bracket, sizes, closing bracket, `+` or end) is optional and nested in the
+# one before, so a match always succeeds and stops where the text stops
+# fitting the grammar.  The atom is complete when the group `end` took part:
+# `+` to go on, empty at the end of the text; in a stripped piece, which
+# holds no `+`, that means the match reached the end of the piece.
 #
-# _ATOM and _parse_error only locate errors.  When a piece does not match, or
-# int() refuses one of its sizes, _ATOM is matched once where the first such
-# piece starts in the text, which is the first error in the text, since every
-# piece before it parses.  Each piece of _ATOM after the atom
-# name (opening bracket, sizes, closing bracket, `+` or end) is optional and
-# nested in the one before, so a match always succeeds and stops where the
-# text stops fitting the grammar.  The atom is complete when the group `end`
-# took part: `+` to go on, empty at the end of the text.  Otherwise the groups
-# that took part (`seq` or `omega`, `sizes`) and whether the match went past
-# the last of them tell what the text lacks next, and the error is reported
-# at the token after the stop: a bad name or size at the end of its word, a
-# missing word, bracket or `+` where the next token starts.
+# parse_order reads each distinct stripped piece once and looks the rest up,
+# so atom texts that are equal once stripped share one frozen atom object in
+# the returned order.  It reads a piece through _read_atom, an lru_cache of
+# _MEMO_SIZE pieces kept for the whole process, so a piece seen in an earlier
+# text is not matched or converted again.  The memo holds atoms only: a piece
+# that does not parse raises, and lru_cache keeps no exception.  A piece of
+# _MEMO_MAX_LEN characters or more bypasses the memo.  Whether int() refuses a
+# size depends on sys.get_int_max_str_digits(), which a program may lower at
+# run time, so an atom read under one limit may not be valid under the next;
+# but the limit is never below sys.int_info.str_digits_check_threshold (640)
+# unless it is 0, none at all, so a shorter piece holds no size that any limit
+# refuses.
+#
+# Errors are located in the text.  When a piece does not parse, or int()
+# refuses one of its sizes, _ATOM is matched once where the first such piece
+# starts in the text, which is the first error in the text, since every piece
+# before it parses.  The groups that took part (`seq` or `omega`, `sizes`) and
+# whether the match went past the last of them tell what the text lacks next,
+# and _parse_error reports the error at the token after the stop: a bad name
+# or size at the end of its word, a missing word, bracket or `+` where the
+# next token starts.
 
 
 class OrderParseError(ValidationError):
@@ -367,8 +368,7 @@ class OrderParseError(ValidationError):
         self.column = column
 
 
-_NUMBER = r"(?:inf|0*[1-9][0-9]*)"
-_SIZE = _NUMBER + r"(?![^\W_])"  # and its word ends there
+_SIZE = r"(?:inf|0*[1-9][0-9]*)(?![^\W_])"  # and its word ends there
 # Each optional piece is written `(?: ... |)` rather than `(?: ... )?`: the
 # same match, but sre runs a branch faster than a repeat.
 _ATOM = re.compile(
@@ -384,13 +384,6 @@ _ATOM = re.compile(
     |)""",
     re.VERBOSE,
 )
-# A piece is matched whole, so each size in it is followed by spacing and `,`,
-# `]` or `)`, and _PIECE needs no check that the word ends.
-_PIECE = re.compile(
-    rf"""seq\s*\[ (\s*{_NUMBER} (?:\s*,\s*{_NUMBER})*) \s*\]
-    | (omega(?:star)?)\s*\( \s*({_NUMBER}) \s*\)""",
-    re.VERBOSE,
-)
 _WORD = re.compile(r"\s*([^\W_]*)")
 
 
@@ -401,16 +394,15 @@ _MEMO_MAX_LEN = sys.int_info.str_digits_check_threshold
 @lru_cache(maxsize=_MEMO_SIZE)
 def _read_atom(piece: str):
     """The atom that the stripped ``piece`` is; ValueError if it is none."""
-    m = _PIECE.fullmatch(piece)
-    if m is None:
+    m = _ATOM.match(piece)
+    if m["end"] is None:
         raise ValueError(piece)
-    sizes, name, size = m.groups()
     # a matched size is `inf` or decimal digits, with spaces around it;
     # int() refuses more digits than sys.get_int_max_str_digits()
-    if sizes is not None:
-        return _build(Seq, tuple([INF if "inf" in w else int(w) for w in sizes.split(",")]))
-    size = INF if "inf" in size else int(size)
-    return _build(Omega if name == "omega" else OmegaStar, size)
+    sizes = tuple([INF if "inf" in w else int(w) for w in m["sizes"].split(",")])
+    if m["seq"]:
+        return _build(Seq, sizes)
+    return _build(Omega if m["omega"] == "omega" else OmegaStar, sizes[0])
 
 
 def parse_order(text: str) -> WeightedOrder:

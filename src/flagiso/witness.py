@@ -13,8 +13,11 @@ its own output by direct matrix identities before returning:
   as F |-> alpha(F_kappa(j)) + K_j, with a modified variant that post-composes
   with the annihilator duality; these compose, pull back Picard generators,
   and satisfy the commuting-triangle normalization implemented by
-  :func:`check_triangle`.  Both the triangle's adjusted beta and the data
-  of the duality conjugate are read off one inverse of [alpha; complement];
+  :func:`check_triangle`.  One builder, ``_chain_image``, makes the chain
+  alpha(F_kappa(j)) + K_j in one elimination, for the image of a point, for
+  a composite and for the filtration of the duality conjugate.  Both the
+  triangle's adjusted beta and the data of the duality conjugate are read
+  off one inverse of [alpha; complement];
 * :func:`bd_phi` realizes the isomorphism between the maximal orthogonal
   grassmannian of an odd space and one Lagrangian component of the
   even space one dimension up, together with the commuting exhaustion square
@@ -555,27 +558,40 @@ def standard_extension(
     )
 
 
-def _image_rows(d: StandardExtensionData, before, member):
-    """alpha applied to the rows of the source member ``member`` at the pivot
-    columns that ``before`` lacks, ``before`` inside ``member``.  None is the
-    whole source space, whose new rows are unit rows: alpha sends them to its
-    own rows."""
-    field = d.field
-    if member is None:
-        taken = la.rref(before, field)[1]
-        return la.pick(d.alpha, [i for i in range(d.source_dim) if i not in taken])
-    return la.product(la.new_rows(before, member, field), d.alpha, field)
+def _chain_image(alpha, members, tops, kappa, field):
+    """The reduced forms of alpha(members[c]) + tops[j] for slot j and c =
+    kappa[j], from one :func:`flagiso.linalg.rowspace_chain`: slot j is fed
+    alpha applied to the new rows of its member over the member before it,
+    and the new rows of its top over the top before it.  members[0] must
+    be the zero space, the members and tops must grow, and kappa must not
+    decrease.  A member of None is the whole source, whose new rows are
+    unit rows at the pivot columns that the member before it lacks, so
+    alpha sends them to its own rows there."""
+    blocks, c_before, top_before = [], 0, ()
+    for top, c in zip(tops, kappa):
+        fed = la.new_rows(top_before, top, field)
+        if c != c_before:
+            before, member = members[c_before], members[c]
+            if member is None:
+                taken = la.rref(before, field)[1]
+                image = la.pick(alpha, [i for i in range(len(alpha)) if i not in taken])
+            else:
+                image = la.product(la.new_rows(before, member, field), alpha, field)
+            fed = la.stack(image, fed)
+        blocks.append(fed)
+        c_before, top_before = c, top
+    return list(la.rowspace_chain(blocks, field))
 
 
 def apply_standard_extension(d: StandardExtensionData, p: FiniteFlagPoint) -> FiniteFlagPoint:
     """The image of ``p``: slot j is alpha(F_kappa(j)) + K_j, and modified
     data take the annihilators of the slots in reverse order.  The slots
-    are one chain (:func:`flagiso.linalg.rowspace_chain`): slot j is fed
-    alpha applied to the new rows of its source member and the new rows of
-    K_j, and their annihilators are one annihilator chain.  New rows span a
-    member only over the one before it, so the point's members are checked
-    to be nested first, as a point built without :func:`flag_point` may not
-    be.  :func:`flag_point` checks the image."""
+    are one chain (:func:`_chain_image`, the point's members between the
+    zero space and the whole source), and their annihilators are one
+    annihilator chain.  New rows span a member only over the one before it,
+    so the point's members are checked to be nested first, as a point built
+    without :func:`flag_point` may not be.  :func:`flag_point` checks the
+    image."""
     field = d.field
     if p.field != field:
         raise WitnessError("field mismatch")
@@ -591,15 +607,7 @@ def apply_standard_extension(d: StandardExtensionData, p: FiniteFlagPoint) -> Fi
         raise WitnessError("a general-type extension applies to form-free points")
     _require_nested(p.subspaces, field)
     w = d.target_dim
-    members = ((), *p.subspaces, None)
-    blocks, c_before, k_before = [], 0, ()
-    for kj, c in zip(d.filtration, d.kappa):
-        fed = la.new_rows(k_before, kj, field)
-        if c != c_before:
-            fed = la.stack(_image_rows(d, members[c_before], members[c]), fed)
-        blocks.append(fed)
-        c_before, k_before = c, kj
-    slots = list(la.rowspace_chain(blocks, field))
+    slots = _chain_image(d.alpha, ((), *p.subspaces, None), d.filtration, d.kappa, field)
     if d.strict:
         return flag_point(field, w, slots, form=d.target_form)
     return flag_point(field, w, la.annihilator_chain(slots, field, w))
@@ -617,7 +625,8 @@ def _dual_conjugate(d: StandardExtensionData) -> StandardExtensionData:
     in z . X_j^T, where X_j holds that row's coordinates over C, its entries
     at C's pivot columns; so the slot is ann(X_(m+1-j)) . D_C.  The X_j grow
     with j, so their annihilators are one annihilator chain, and D_C, which
-    is injective, carries that chain's new rows into one chain of slots."""
+    is injective, carries it into the slots by :func:`_chain_image`, with
+    slot j fed by the j-th annihilator and a zero top."""
     field = d.field
     v, w = d.source_dim, d.target_dim
     k, m = d.source_members, d.slots
@@ -627,12 +636,9 @@ def _dual_conjugate(d: StandardExtensionData) -> StandardExtensionData:
     pivots = complement.pivots
     coords = [tuple([tuple([row[c] for c in pivots]) for row in kj]) for kj in d.filtration]
     anns = la.annihilator_chain(coords, field, w - v)
-    blocks = [anns[0]] + [la.new_rows(a, b, field) for a, b in zip(anns, anns[1:])]
-    filtration_d = la.rowspace_chain([la.product(z, complement_d, field) for z in blocks], field)
-    kappa_d = tuple(k + 1 - d.kappa[m - j] for j in range(1, m + 1))
-    return standard_extension(
-        field, k, alpha_d, complement_d, list(filtration_d), kappa_d, strict=True
-    )
+    filtration_d = _chain_image(complement_d, ((), *anns), ((),) * m, range(1, m + 1), field)
+    kappa_d = tuple(k + 1 - c for c in reversed(d.kappa))
+    return standard_extension(field, k, alpha_d, complement_d, filtration_d, kappa_d, strict=True)
 
 
 def _compose_strict(d1: StandardExtensionData, d2: StandardExtensionData) -> dict:
@@ -640,31 +646,25 @@ def _compose_strict(d1: StandardExtensionData, d2: StandardExtensionData) -> dic
     j is d2.alpha(I_j) + L_j for the inner member I_j of d1 (the zero space,
     a filtration member or d1's complement, by d2's kappa) and d2's member
     L_j, and the complement is d2.alpha(d1's complement) + d2's complement.
-    Both grow, so they are one chain of reduced forms, each fed d2.alpha
-    applied to the new rows of I_j and the new rows of L_j."""
+    Both grow, so they are one chain (:func:`_chain_image`, with d2's
+    complement as the top of one more slot, fed d1's complement)."""
     field = d1.field
     if d2.source_members != d1.slots or d2.source_dim != d1.target_dim:
         raise WitnessError("extensions do not compose: shapes disagree")
-    l1 = d1.slots
-    inners = ((), *d1.filtration, d1.complement)
-    blocks, c_before, l_before = [], 0, ()
-    for lj, c in zip((*d2.filtration, d2.complement), (*d2.kappa, l1 + 1)):
-        fed = la.new_rows(l_before, lj, field)
-        if c != c_before:
-            inner = la.new_rows(inners[c_before], inners[c], field)
-            fed = la.stack(la.product(inner, d2.alpha, field), fed)
-        blocks.append(fed)
-        c_before, l_before = c, lj
-    forms = list(la.rowspace_chain(blocks, field))
+    forms = _chain_image(
+        d2.alpha,
+        ((), *d1.filtration, d1.complement),
+        (*d2.filtration, d2.complement),
+        (*d2.kappa, d1.slots + 1),
+        field,
+    )
+    inner_kappa = (0, *d1.kappa, d1.source_members + 1)
     return dict(
         source_members=d1.source_members,
         alpha=la.mat_mul(d1.alpha, d2.alpha, field),
         complement=forms[-1],
         filtration=forms[:-1],
-        kappa=tuple(
-            0 if c == 0 else d1.source_members + 1 if c == l1 + 1 else d1.kappa[c - 1]
-            for c in d2.kappa
-        ),
+        kappa=tuple([inner_kappa[c] for c in d2.kappa]),
     )
 
 
@@ -717,8 +717,7 @@ def pic_pullback(d: StandardExtensionData) -> PicPullback:
     k, l = d.source_members, d.slots
     entries = [[0] * (l + 1) for _ in range(k + 1)]
     entries[0][0] = 1
-    for j in range(1, l + 1):
-        c = d.kappa[j - 1] if d.strict else d.kappa[l - j]
+    for j, c in enumerate(d.kappa if d.strict else reversed(d.kappa), 1):
         row = c if 1 <= c <= k else 0
         entries[row][j] = 1
     return PicPullback(tuple(tuple(r) for r in entries))
@@ -1114,36 +1113,3 @@ def standard_point(descriptor, n: int) -> FiniteFlagPoint:
     unit = la.identity(layout.ambient, QQ)
     form = split_form(layout.lie_type, layout.ambient, QQ)
     return flag_point(QQ, layout.ambient, [unit[:d] for d in layout.dims], form=form)
-
-
-# ---------------------------------------------------------------------------
-# JSON witness bundles.
-
-
-def matrix_to_json(m) -> dict:
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    return {
-        "rows": rows,
-        "cols": cols,
-        "entries": [[str(x) for x in row] for row in m],
-    }
-
-
-def field_to_json(field) -> str:
-    return "Q" if field == QQ else f"GF({field.p})"
-
-
-def point_to_json(p: FiniteFlagPoint) -> dict:
-    out = {
-        "field": field_to_json(p.field),
-        "ambient_dim": p.ambient_dim,
-        "subspaces": [matrix_to_json(s) for s in p.subspaces],
-    }
-    if p.form is not None:
-        out["form"] = matrix_to_json(p.form)
-    return out
-
-
-def transcript_entry(check: str, passed: bool, detail: str = "") -> dict:
-    return {"check": check, "pass": passed, "detail": detail}

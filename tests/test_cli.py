@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as hs
 import flagiso
 from flagiso import cli
 from flagiso import selftest as st
+from flagiso import witness as W
 from flagiso.descriptors import (
     general_flags,
     orthogonal_flags,
@@ -20,6 +22,7 @@ from flagiso.descriptors import (
     symplectic_flags,
     validate,
 )
+from flagiso.linalg import QQ
 from flagiso.orders import INF, render_order
 
 from strategies import order_text, orders
@@ -440,3 +443,10 @@ def test_argv_fuzz_exits_zero_one_or_two_without_traceback(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+def test_point_json_round():
+    p = W.flag_point(QQ, 3, [((Fraction(1, 2), 0, 1),)])
+    obj = cli.point_to_json(p)
+    assert obj["ambient_dim"] == 3
+    assert obj["subspaces"][0]["entries"][0] == ["1", "0", "2"]

@@ -239,6 +239,22 @@ def test_form_scan_finds_a_builder(tmp_path):
     assert _builders([path], "Form") == [("m.py", "f"), ("m.py", "K.g")]
 
 
+def test_one_builder_makes_the_chains_of_standard_extensions():
+    # applying data, composing them and the duality conjugate all build
+    # alpha(F_kappa(j)) + K_j, through one builder
+    witness = [p for p in _MODULES if p.name == "witness.py"]
+    assert _builders(witness, "rowspace_chain") == [("witness.py", "_chain_image")]
+
+
+def test_chain_scan_finds_a_caller(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "from flagiso import linalg as la\ndef f(b, k):\n    return list(la.rowspace_chain(b, k))\n"
+        "def g(b, k):\n    return rowspace_chain(b, k)\nh = la.rowspace_chain\n"
+    )
+    assert _builders([path], "rowspace_chain") == [("m.py", "f"), ("m.py", "g")]
+
+
 def _attribute_readers(paths, attrs):
     """(file, enclosing top-level definition) of every attribute read whose
     name is in ``attrs``."""

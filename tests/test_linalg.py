@@ -147,6 +147,12 @@ def test_nullspace_and_perp_dimensions(field):
         for v in null:
             prods = la.mat_mul(a, la.transpose((v,)), field)
             assert all(x == zero for row in prods for x in row)
+    # no rows: the whole space, as the canonical form that perp(()) hands on
+    whole = la.nullspace((), field, 3)
+    assert type(whole) is la.Echelon and whole.pivots == (0, 1, 2)
+    assert whole == la.identity(3, field)
+    with pytest.raises(ValidationError, match="nullspace of an empty matrix needs ncols"):
+        la.nullspace((), field)
 
 
 @pytest.mark.parametrize("field", FIELDS)

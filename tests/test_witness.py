@@ -1432,10 +1432,3 @@ def test_exhaustion_steps_compose():
     out = W.apply_standard_extension(c, src)
     assert out.subspaces == W.standard_point(d, n0 + 2).subspaces
     assert c.strict
-
-
-def test_point_json_round():
-    p = W.flag_point(QQ, 3, [((Fraction(1, 2), 0, 1),)])
-    obj = W.point_to_json(p)
-    assert obj["ambient_dim"] == 3
-    assert obj["subspaces"][0]["entries"][0] == ["1", "0", "2"]
