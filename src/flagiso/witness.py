@@ -22,24 +22,28 @@ its own output by direct matrix identities before returning:
   grassmannian of an odd space and one Lagrangian component of the
   even space one dimension up, together with the commuting exhaustion square
   checked by :func:`bd_square_check`.  The pair works with points of
-  ``split_form("D", 2n)``, whose members :func:`flag_point` has found
-  totally singular; the sources grow their rows with the keep of that form
+  ``split_form("D", 2n)``, whose members the point has found totally
+  singular; the sources grow their rows with the keep of that form
   (:meth:`Form.keep`), in coefficients (:meth:`Form.restrict`).
   :func:`bd_phi` solves no quadratic: its Lagrangian over M is M + (M^perp
   ∩ R) for R = <e_1..e_n> or for the reflection of R in e_1 - e_2n, two
   nullspaces and one component test.
 
-One gate for forms, one for members.  A form is a :class:`Form`: the tuple
-of its rows, which also carries its field, Lie type, kernel matrix and
-quadratic terms.  :func:`split_form` builds one per (Lie type, ambient,
-field), shared by every caller, and :meth:`Form.restrict` the form on a
-subspace, for the keeps.  :func:`flag_point`, :func:`rebase_automorphism`
-and :func:`standard_extension` take only the split form of their ambient
-(``_as_form``), :func:`rebase_automorphism` only its chain's, and
-:func:`flag_point` alone tests a member.  B on row sets and perp go through
-the kernel; Q and the polar functional are read from the terms.  A keep
-computes Q and the polar functional of a candidate row once, so the test of
-the row against each row above it is one dot product.
+One gate for forms, and values that check themselves.  A form is a
+:class:`Form`: the tuple of its rows, which also carries its field, Lie
+type, kernel matrix and quadratic terms.  :func:`split_form` builds one per
+(Lie type, ambient, field), shared by every caller, and
+:meth:`Form.restrict` the form on a subspace, for the keeps.  A flag point
+and extension data take only the split form of their ambient
+(``_as_form``), and :func:`rebase_automorphism` only its chain's.  A
+:class:`FiniteFlagPoint` and a :class:`StandardExtensionData` check
+themselves when built, however they are built, so every value is valid and
+no consumer tests its members, nesting or forms again;
+:func:`flag_point` and :func:`standard_extension` are their builders in
+the library.  B on row sets and perp go through the kernel; Q and the polar
+functional are read from the terms.  A keep computes Q and the polar
+functional of a candidate row once, so the test of the row against each
+row above it is one dot product.
 
 Slot maps are allowed one value past the proper source members: kappa(j) =
 k + 1 denotes the full image alpha(V).  Such slots arise when compositions
@@ -245,6 +249,16 @@ class FiniteFlagPoint:
 
     With a form, the listed members are the isotropic ones (the rest of the
     chain is recovered by taking perps).
+
+    A value is checked when it is built, by :func:`flag_point` or by the
+    class itself (``dataclasses.replace`` included): its members are
+    canonical (:func:`flagiso.linalg.rowspace`), proper, nonzero, of
+    strictly increasing dimension and each inside the next, and its form is
+    None or the shared ``split_form(lie_type, ambient_dim, field)``, under
+    which every member is isotropic.  B must vanish on each member; over
+    F_2, where B(x, x) = 2Q(x) = 0, so must the Q of an orthogonal form on
+    each member row, which is enough as Q(x + y) = Q(x) + Q(y) + B(x, y).
+    Unpickling and copying restore a value without checking it again.
     """
 
     field: object
@@ -252,40 +266,36 @@ class FiniteFlagPoint:
     subspaces: tuple
     form: Form = None
 
+    def __post_init__(self):
+        field, n = self.field, self.ambient_dim
+        if any(len(row) != n for s in self.subspaces for row in s):
+            raise WitnessError(f"member rows must have {n} entries")
+        canon = tuple(la.rowspace(la.mat(s, field), field) for s in self.subspaces)
+        if not canon:
+            raise WitnessError("a flag point needs at least one member")
+        dims = [len(s) for s in canon]
+        if any(d < 1 or d >= n for d in dims):
+            raise WitnessError("members must be proper nonzero subspaces")
+        if any(dims[i] >= dims[i + 1] for i in range(len(dims) - 1)):
+            raise WitnessError("member dimensions must strictly increase")
+        for i in range(len(canon) - 1):
+            if not la.rowspace_contains(canon[i + 1], canon[i], field):
+                raise WitnessError(f"member {i} is not contained in member {i + 1}")
+        form = self.form
+        if form is not None:
+            form = _as_form(form, field, n)
+            singular = form.terms and form.lie_type != "C" and not field.reduce(2)
+            for i, s in enumerate(canon):
+                if any(map(any, form.pair(s, s))) or (singular and any(map(form.quadratic, s))):
+                    raise WitnessError(f"member {i} is not isotropic", certificate=s)
+        object.__setattr__(self, "subspaces", canon)
+        object.__setattr__(self, "form", form)
+
 
 def flag_point(field, ambient_dim, subspaces, form=None) -> FiniteFlagPoint:
-    """A flag point with canonical members, checked to be a proper chain and,
-    with a form, to consist of isotropic members.
-
-    The form must equal ``split_form(lie_type, ambient_dim, field)``.  B
-    must vanish on each member; over F_2, where B(x, x) = 2Q(x) = 0, so
-    must the Q of an orthogonal form on each member row, which is enough
-    as Q(x + y) = Q(x) + Q(y) + B(x, y)."""
-    if any(len(row) != ambient_dim for s in subspaces for row in s):
-        raise WitnessError(f"member rows must have {ambient_dim} entries")
-    canon = tuple(la.rowspace(la.mat(s, field), field) for s in subspaces)
-    if not canon:
-        raise WitnessError("a flag point needs at least one member")
-    dims = [len(s) for s in canon]
-    if any(d < 1 or d >= ambient_dim for d in dims):
-        raise WitnessError("members must be proper nonzero subspaces")
-    if any(dims[i] >= dims[i + 1] for i in range(len(dims) - 1)):
-        raise WitnessError("member dimensions must strictly increase")
-    _require_nested(canon, field)
-    if form is not None:
-        form = _as_form(form, field, ambient_dim)
-        singular = form.terms and form.lie_type != "C" and not field.reduce(2)
-        for i, s in enumerate(canon):
-            if any(map(any, form.pair(s, s))) or (singular and any(map(form.quadratic, s))):
-                raise WitnessError(f"member {i} is not isotropic", certificate=s)
-    return FiniteFlagPoint(field, ambient_dim, canon, form)
-
-
-def _require_nested(members, field):
-    """WitnessError unless each member lies in the next."""
-    for i in range(len(members) - 1):
-        if not la.rowspace_contains(members[i + 1], members[i], field):
-            raise WitnessError(f"member {i} is not contained in member {i + 1}")
+    """A flag point with canonical members, checked as the class checks every
+    value: a proper chain and, with a form, isotropic members."""
+    return FiniteFlagPoint(field, ambient_dim, subspaces, form)
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +322,16 @@ def _basis_involution(basis, form):
 
 
 def _closed_chain(members, form, field, n):
-    """Sorted proper members of the perp-closure, which must stay a chain."""
-    spaces = {s: None for s in members}
-    for s in members:
-        p = form.perp(s)
-        if 0 < len(p) < n:
-            spaces[p] = None
-    chain = sorted(spaces, key=len)
-    for i in range(len(chain) - 1):
-        if not la.rowspace_contains(chain[i + 1], chain[i], field):
-            raise WitnessError(
-                "the perp-closure of the chain is not totally ordered by inclusion"
-            )
-    return chain
+    """The perp-closure of an isotropic chain, smallest member first: the
+    members, then their perps, one annihilator chain of member . B.  For
+    members s_i <= s_k, isotropy gives s_i <= s_k <= s_k^perp <= s_i^perp,
+    so the closure is a chain, and a split form, +-1 on the antidiagonal,
+    is nondegenerate in every characteristic, so dim s^perp = n - dim s.
+    Only a Lagrangian top member equals its own perp, which is dropped."""
+    perps = la.annihilator_chain([la.product(s, form.matrix, field) for s in members], field, n)
+    if 2 * len(members[-1]) == n:
+        perps = perps[1:]
+    return [*members, *perps]
 
 
 def _gap_classes(chain, basis, field, label):
@@ -400,7 +407,6 @@ def rebase_automorphism(chain, basis_e, basis_e2, form=None):
         raise WitnessError("form must be the chain's form")
     form = chain.form
     if form is not None:
-        form = _as_form(form, field, n)
         members = _closed_chain(members, form, field, n)
     gaps_e = _gap_classes(members, E, field, "E")
     gaps_e2 = _gap_classes(members, E2, field, "E'")
@@ -464,6 +470,17 @@ class StandardExtensionData:
     the same formula into dual coordinates followed by the annihilator
     reversal.  Forms, when present, certify a form-compatible alpha with an
     orthogonal splitting; modified data carry no forms.
+
+    A value is checked when it is built, by :func:`standard_extension` or by
+    the class itself (``dataclasses.replace`` included): alpha has at least
+    one row and is injective, the complement (canonical) completes its
+    image, the filtration members (canonical) lie in the complement and do
+    not decrease, kappa (a tuple) does not decrease, uses every proper
+    source member, and rises strictly wherever the filtration stays, the
+    top slot is not the whole target, and the forms are both None or the
+    shared split forms of the two ambients, with alpha compatible and the
+    splitting orthogonal.  Unpickling and copying restore a value without
+    checking it again.
     """
 
     field: object
@@ -475,6 +492,62 @@ class StandardExtensionData:
     strict: bool = True
     source_form: tuple = None
     target_form: tuple = None
+
+    def __post_init__(self):
+        field, k = self.field, self.source_members
+        alpha = la.mat(self.alpha, field)
+        complement = la.rowspace(la.mat(self.complement, field), field)
+        filtration = tuple(la.rowspace(la.mat(kj, field), field) for kj in self.filtration)
+        kappa = tuple(self.kappa)
+        if not alpha:
+            raise WitnessError("alpha must have at least one row")
+        v, w = len(alpha), len(alpha[0])
+        if la.rank(alpha, field) != v:
+            raise WitnessError("alpha must be injective")
+        if len(complement) != w - v or la.rank(la.stack(alpha, complement), field) != w:
+            raise WitnessError("complement must complete the image of alpha")
+        if len(filtration) != len(kappa) or not kappa:
+            raise WitnessError("filtration and kappa must have equal positive length")
+        for kj in filtration:
+            if not la.rowspace_contains(complement, kj, field):
+                raise WitnessError("filtration must lie inside the complement")
+        for a, b in zip(filtration, filtration[1:]):
+            if not la.rowspace_contains(b, a, field):
+                raise WitnessError("filtration must be nondecreasing")
+        if any(not (0 <= c <= k + 1) for c in kappa):
+            raise WitnessError("kappa values must lie in 0..source_members+1")
+        if any(a > b for a, b in zip(kappa, kappa[1:])):
+            raise WitnessError("kappa must be nondecreasing")
+        if set(range(1, k + 1)) - set(kappa):
+            raise WitnessError("kappa must use every proper source member")
+        prev = ()
+        prev_c = 0
+        for kj, c in zip(filtration, kappa):
+            if len(kj) == len(prev) and not (prev_c < c):
+                raise WitnessError(
+                    "a constant filtration step needs a strictly increasing kappa"
+                )
+            prev, prev_c = kj, c
+        if kappa[-1] == k + 1 and len(filtration[-1]) == w - v:
+            raise WitnessError("the top slot would be the whole target space")
+        source_form, target_form = self.source_form, self.target_form
+        if (source_form is None) != (target_form is None):
+            raise WitnessError("forms must be given on both sides or neither")
+        if source_form is not None:
+            if not self.strict:
+                raise WitnessError("modified extensions are general-type only")
+            source_form = _as_form(source_form, field, v)
+            target_form = _as_form(target_form, field, w)
+            if not la.mat_eq(target_form.pair(alpha, alpha), source_form):
+                raise WitnessError("alpha is not compatible with the forms")
+            if any(map(any, target_form.pair(alpha, complement))):
+                raise WitnessError("the splitting is not orthogonal")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "complement", complement)
+        object.__setattr__(self, "filtration", filtration)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "source_form", source_form)
+        object.__setattr__(self, "target_form", target_form)
 
     @property
     def slots(self) -> int:
@@ -500,61 +573,9 @@ def standard_extension(
     source_form=None,
     target_form=None,
 ) -> StandardExtensionData:
-    alpha = la.mat(alpha, field)
-    complement = la.rowspace(la.mat(complement, field), field)
-    filtration = tuple(la.rowspace(la.mat(kj, field), field) for kj in filtration)
-    kappa = tuple(kappa)
-    k = source_members
-    v, w = len(alpha), len(alpha[0])
-    if la.rank(alpha, field) != v:
-        raise WitnessError("alpha must be injective")
-    if len(complement) != w - v or la.rank(la.stack(alpha, complement), field) != w:
-        raise WitnessError("complement must complete the image of alpha")
-    if len(filtration) != len(kappa) or not kappa:
-        raise WitnessError("filtration and kappa must have equal positive length")
-    for kj in filtration:
-        if not la.rowspace_contains(complement, kj, field):
-            raise WitnessError("filtration must lie inside the complement")
-    for a, b in zip(filtration, filtration[1:]):
-        if not la.rowspace_contains(b, a, field):
-            raise WitnessError("filtration must be nondecreasing")
-    if any(not (0 <= c <= k + 1) for c in kappa):
-        raise WitnessError("kappa values must lie in 0..source_members+1")
-    if any(a > b for a, b in zip(kappa, kappa[1:])):
-        raise WitnessError("kappa must be nondecreasing")
-    if set(range(1, k + 1)) - set(kappa):
-        raise WitnessError("kappa must use every proper source member")
-    prev = ()
-    prev_c = 0
-    for kj, c in zip(filtration, kappa):
-        if len(kj) == len(prev) and not (prev_c < c):
-            raise WitnessError(
-                "a constant filtration step needs a strictly increasing kappa"
-            )
-        prev, prev_c = kj, c
-    if kappa[-1] == k + 1 and len(filtration[-1]) == w - v:
-        raise WitnessError("the top slot would be the whole target space")
-    if (source_form is None) != (target_form is None):
-        raise WitnessError("forms must be given on both sides or neither")
-    if source_form is not None:
-        if not strict:
-            raise WitnessError("modified extensions are general-type only")
-        source_form = _as_form(source_form, field, v)
-        target_form = _as_form(target_form, field, w)
-        if not la.mat_eq(target_form.pair(alpha, alpha), source_form):
-            raise WitnessError("alpha is not compatible with the forms")
-        if any(map(any, target_form.pair(alpha, complement))):
-            raise WitnessError("the splitting is not orthogonal")
+    """Data checked as the class checks every value."""
     return StandardExtensionData(
-        field,
-        k,
-        alpha,
-        complement,
-        filtration,
-        kappa,
-        strict,
-        source_form,
-        target_form,
+        field, source_members, alpha, complement, filtration, kappa, strict, source_form, target_form
     )
 
 
@@ -588,10 +609,7 @@ def apply_standard_extension(d: StandardExtensionData, p: FiniteFlagPoint) -> Fi
     data take the annihilators of the slots in reverse order.  The slots
     are one chain (:func:`_chain_image`, the point's members between the
     zero space and the whole source), and their annihilators are one
-    annihilator chain.  New rows span a member only over the one before it,
-    so the point's members are checked to be nested first, as a point built
-    without :func:`flag_point` may not be.  :func:`flag_point` checks the
-    image."""
+    annihilator chain.  :func:`flag_point` checks the image."""
     field = d.field
     if p.field != field:
         raise WitnessError("field mismatch")
@@ -605,7 +623,6 @@ def apply_standard_extension(d: StandardExtensionData, p: FiniteFlagPoint) -> Fi
             raise WitnessError("point must carry the extension's source form")
     elif p.form is not None:
         raise WitnessError("a general-type extension applies to form-free points")
-    _require_nested(p.subspaces, field)
     w = d.target_dim
     slots = _chain_image(d.alpha, ((), *p.subspaces, None), d.filtration, d.kappa, field)
     if d.strict:
@@ -630,10 +647,9 @@ def _dual_conjugate(d: StandardExtensionData) -> StandardExtensionData:
     field = d.field
     v, w = d.source_dim, d.target_dim
     k, m = d.source_members, d.slots
-    complement = la.rowspace(d.complement, field)
-    dual = la.inverse(la.transpose(la.stack(d.alpha, complement)), field)
+    dual = la.inverse(la.transpose(la.stack(d.alpha, d.complement)), field)
     alpha_d, complement_d = la.pick(dual, range(v)), la.pick(dual, range(v, w))
-    pivots = complement.pivots
+    pivots = d.complement.pivots
     coords = [tuple([tuple([row[c] for c in pivots]) for row in kj]) for kj in d.filtration]
     anns = la.annihilator_chain(coords, field, w - v)
     filtration_d = _chain_image(complement_d, ((), *anns), ((),) * m, range(1, m + 1), field)
@@ -770,7 +786,17 @@ def check_triangle(phi, psi, chi) -> TriangleReport:
     The adjusted beta is s psi.alpha + P (gamma - s alpha . psi.alpha) for
     [P | Q] the inverse of S = [alpha; K], K = phi.complement.  As alpha . P
     = I and K . P = 0, S . beta = [gamma; s K . psi.alpha]: beta is S^-1
-    times that, for every gamma."""
+    times that, for every gamma.
+
+    Checked data need no test of s or of beta.  With s = 0 every row of
+    gamma = chi.alpha would lie in M_{i0}, inside chi.complement, which
+    checked data forbid, as alpha has a row and meets its complement in
+    zero.  And beta is injective: as the slot maps compose, psi.kappa(i0)
+    >= 1, so M_{i0} = psi.alpha(I) + L with I inside K and L inside
+    psi.complement.  Projecting [gamma; s K . psi.alpha] along
+    psi.complement into psi's source gives [s alpha + Y; s K] with Y in
+    the span of K, which reduces to s S, invertible; so [gamma; s K .
+    psi.alpha] has full rank, and so has beta."""
     field = phi.field
     for d in (phi, psi, chi):
         if not d.strict:
@@ -830,17 +856,11 @@ def check_triangle(phi, psi, chi) -> TriangleReport:
             f"M_{i0 + 1} (source basis vector {bad})"
         )
         return TriangleReport(False, True, True, messages=tuple(messages))
-    if scalar == field.zero():
-        messages.append("gamma collapses into the complement; not an embedding match")
-        return TriangleReport(False, True, True, messages=tuple(messages))
     lower = la.product(la.mat_scale(scalar, phi.complement, field), psi.alpha, field)
     square = la.stack(phi.alpha, phi.complement)
     beta = la.mat_mul(la.inverse(square, field), la.stack(gamma, lower), field)
     if not la.mat_eq(la.product(phi.alpha, beta, field), gamma):
         raise WitnessError("internal error: adjusted beta fails gamma = beta . alpha")
-    if la.rank(beta, field) != len(beta):
-        messages.append("adjusted beta is not injective")
-        return TriangleReport(False, True, True, messages=tuple(messages))
     return TriangleReport(
         True, True, True, adjusted=True, scalar=scalar, beta=beta
     )
@@ -890,7 +910,8 @@ def bd_phi(n: int, m_point: FiniteFlagPoint) -> FiniteFlagPoint:
     reflection, it swaps the two components (in every characteristic), so
     exactly one candidate lies in the reference component.  No quadratic is
     solved.  Only a point of ``split_form("D", 2n, field)`` is taken, so
-    :func:`flag_point` has found M totally singular, and it checks L."""
+    the point has found M totally singular, and :func:`flag_point` checks
+    L."""
     if n < 2:
         raise WitnessError("needs n >= 2")
     field = m_point.field

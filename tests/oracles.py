@@ -1115,6 +1115,24 @@ def bd_phi_by_quadratic(n, m_point):
 # automorphism and every error message.
 
 
+def closed_chain_by_perps(members, form, field, n):
+    """The perp-closure of a chain, sorted by dimension: the members and
+    their proper nonzero perps, each space once, each one tested to lie in
+    the next."""
+    spaces = {s: None for s in members}
+    for s in members:
+        p = perp_by_form(s, form, field)
+        if 0 < len(p) < n:
+            spaces[p] = None
+    chain = sorted(spaces, key=len)
+    for i in range(len(chain) - 1):
+        if not la.rowspace_contains(chain[i + 1], chain[i], field):
+            raise W.WitnessError(
+                "the perp-closure of the chain is not totally ordered by inclusion"
+            )
+    return chain
+
+
 def rebase_automorphism_by_greedy(chain, basis_e, basis_e2, form=None):
     """Each E vector, in (gap, index) order, takes the first untaken E' vector
     of its gap class whose partner lies in the same gap class as its own
@@ -1137,7 +1155,7 @@ def rebase_automorphism_by_greedy(chain, basis_e, basis_e2, form=None):
     if form is not None:
         value = W._as_form(form, field, n)
         form = la.mat(form, field)
-        members = W._closed_chain(members, value, field, n)
+        members = closed_chain_by_perps(members, value, field, n)
     gaps_e = W._gap_classes(members, E, field, "E")
     gaps_e2 = W._gap_classes(members, E2, field, "E'")
 

@@ -255,6 +255,28 @@ def test_chain_scan_finds_a_caller(tmp_path):
     assert _builders([path], "rowspace_chain") == [("m.py", "f"), ("m.py", "g")]
 
 
+def test_only_the_builders_make_points_and_extension_data():
+    # the benchmark's tracer times witness.flag_point and
+    # witness.standard_extension by name, so a library call that built the
+    # class directly would drop out of those spans
+    assert set(_builders(_MODULES, "FiniteFlagPoint")) == {("witness.py", "flag_point")}
+    assert set(_builders(_MODULES, "StandardExtensionData")) == {
+        ("witness.py", "standard_extension")
+    }
+
+
+def test_only_values_and_bases_are_tested_for_containment():
+    # a point and extension data check their nesting when built, so no
+    # consumer tests it again; the gap classes and bd_phi test other spaces
+    witness = [p for p in _MODULES if p.name == "witness.py"]
+    assert set(_builders(witness, "rowspace_contains")) == {
+        ("witness.py", "FiniteFlagPoint.__post_init__"),
+        ("witness.py", "StandardExtensionData.__post_init__"),
+        ("witness.py", "_gap_classes"),
+        ("witness.py", "bd_phi"),
+    }
+
+
 def _attribute_readers(paths, attrs):
     """(file, enclosing top-level definition) of every attribute read whose
     name is in ``attrs``."""

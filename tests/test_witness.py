@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import json
 import pickle
 import random
@@ -15,6 +16,7 @@ from flagiso.generate import (
     composable_pair,
     perturb_triangle_top,
     random_descriptor,
+    random_isotropic_flag_point,
     random_rebase_instance,
     random_source_point,
     random_strict_extension,
@@ -44,7 +46,9 @@ def unit_rows(indices, n):
 # Flag points and perp.
 
 
-def test_flag_point_validates_chain():
+@pytest.mark.parametrize("build", [W.flag_point, W.FiniteFlagPoint])
+def test_flag_point_validates_chain(build):
+    # the builder and the class refuse alike
     cases = [
         ([], "a flag point needs at least one member"),
         ([()], "members must be proper nonzero subspaces"),
@@ -55,7 +59,7 @@ def test_flag_point_validates_chain():
     ]
     for members, message in cases:
         with pytest.raises(W.WitnessError) as err:
-            W.flag_point(QQ, 3, members)
+            build(QQ, 3, members)
         assert str(err.value) == message
 
 
@@ -72,10 +76,9 @@ def test_flag_point_rejects_rows_of_the_wrong_length():
         W.flag_point(QQ, 4, [((1, 0, 0),)])
     with pytest.raises(W.WitnessError, match="4 entries"):
         W.flag_point(F3, 4, [unit_rows([0], 4), ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))])
-    # a point built around flag_point: bd_step refuses it at once
-    short = W.FiniteFlagPoint(QQ, 4, (((0, 1, 0),),), W.split_form("D", 4, QQ))
-    with pytest.raises(W.WitnessError, match="6 entries"):
-        W.bd_step(2, short)
+    # a point built around flag_point is refused by the class itself
+    with pytest.raises(W.WitnessError, match="member rows must have 4 entries"):
+        W.FiniteFlagPoint(QQ, 4, (((0, 1, 0),),), W.split_form("D", 4, QQ))
 
 
 @pytest.mark.parametrize("field", [QQ, F2, F3])
@@ -478,6 +481,28 @@ def test_rebase_matches_the_greedy_reference():
     assert len(outcomes) == 4  # both outcomes, with and without a form
 
 
+@pytest.mark.parametrize("field", [QQ, F3, F5])
+@pytest.mark.parametrize("lie_type", ["B", "C", "D"])
+def test_closed_chain_matches_the_perp_oracle(field, lie_type):
+    # one annihilator chain after the members, against each perp taken on
+    # its own, sorted, deduplicated and tested pairwise; a Lagrangian top
+    # member (C and D) is its own perp, listed once
+    rng = random.Random(f"closure/{lie_type}/{field}")
+    lagrangian = 0
+    for _ in range(12):
+        m = rng.randint(1, 4)
+        n = 2 * m + (lie_type == "B")
+        form = W.split_form(lie_type, n, field)
+        dims = sorted(rng.sample(range(1, m + 1), rng.randint(1, m)))
+        p = random_isotropic_flag_point(rng, field, form, dims)
+        got = W._closed_chain(list(p.subspaces), p.form, field, n)
+        assert got == oracles.closed_chain_by_perps(list(p.subspaces), p.form, field, n)
+        top = 2 * dims[-1] == n
+        assert len(got) == 2 * len(dims) - top
+        lagrangian += top
+    assert lagrangian >= (0 if lie_type == "B" else 3)
+
+
 def _isotropic_rebase(rng, field, lie_type):
     while True:
         chain, e, e2, form = random_rebase_instance(rng, field, isotropic=True)
@@ -646,8 +671,11 @@ def _units(indices, n, field=QQ):
     return la.mat(unit_rows(indices, n), field)
 
 
-def _ext(k, alpha, complement, filtration, kappa, strict=True, forms=(None, None)):
-    return W.standard_extension(QQ, k, alpha, complement, filtration, kappa, strict, *forms)
+def _ext(
+    k, alpha, complement, filtration, kappa, strict=True, forms=(None, None),
+    make=W.standard_extension,
+):
+    return make(QQ, k, alpha, complement, filtration, kappa, strict, *forms)
 
 
 def _plain(strict=True):
@@ -664,122 +692,150 @@ def _with(lie_type):
 _D2, _D4 = W.split_form("D", 2, QQ), W.split_form("D", 4, QQ)
 
 
+# (id, arguments of _ext, message): data that neither standard_extension
+# nor the class takes
+_REFUSED_DATA = [
+    ("no-rows", (0, (), ((1, 0), (0, 1)), [((1, 0),)], (0,)), "alpha must have at least one row"),
+    ("not-injective", (1, ((1, 0, 0), (2, 0, 0)), (), [()], (1,)), "alpha must be injective"),
+    (
+        "incomplete-complement",
+        (1, _units([0], 3), _units([1], 3), [()], (1,)),
+        "complement must complete the image of alpha",
+    ),
+    (
+        "lengths",
+        (1, la.identity(2, QQ), (), [(), ()], (1,)),
+        "filtration and kappa must have equal positive length",
+    ),
+    (
+        "filtration-outside",
+        (1, _units([0], 2), _units([1], 2), [_units([0], 2)], (1,)),
+        "filtration must lie inside the complement",
+    ),
+    (
+        "filtration-decreasing",
+        (1, _units([0], 3), _units([1, 2], 3), [_units([1], 3), _units([2], 3)], (1, 1)),
+        "filtration must be nondecreasing",
+    ),
+    (
+        "kappa-range",
+        (1, la.identity(2, QQ), (), [()], (3,)),
+        "kappa values must lie in 0..source_members+1",
+    ),
+    (
+        "kappa-decreasing",
+        (2, la.identity(3, QQ), (), [(), ()], (2, 1)),
+        "kappa must be nondecreasing",
+    ),
+    (
+        "kappa-misses-a-member",
+        (2, la.identity(3, QQ), (), [()], (1,)),
+        "kappa must use every proper source member",
+    ),
+    (
+        "constant-step",
+        (1, la.identity(2, QQ), (), [(), ()], (1, 1)),
+        "a constant filtration step needs a strictly increasing kappa",
+    ),
+    (
+        "top-slot",
+        (1, _units([0], 2), _units([1], 2), [(), _units([1], 2)], (1, 2)),
+        "the top slot would be the whole target space",
+    ),
+    (
+        "forms-on-one-side",
+        (1, la.identity(2, QQ), (), [()], (1,), True, (_D2, None)),
+        "forms must be given on both sides or neither",
+    ),
+    (
+        "modified-with-forms",
+        (1, la.identity(2, QQ), (), [()], (1,), False, (_D2, _D2)),
+        "modified extensions are general-type only",
+    ),
+    (
+        "alpha-incompatible",
+        (1, _units([0, 1], 4), _units([2, 3], 4), [()], (1,), True, (_D2, _D4)),
+        "alpha is not compatible with the forms",
+    ),
+    (
+        "splitting-not-orthogonal",
+        (1, _units([0, 3], 4), ((1, 1, 0, 0), (0, 0, 1, 0)), [()], (1,), True, (_D2, _D4)),
+        "the splitting is not orthogonal",
+    ),
+]
+
+
+_MAKERS = [("builder", W.standard_extension), ("class", W.StandardExtensionData)]
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: _ext(1, ((1, 0, 0), (2, 0, 0)), (), [()], (1,)), "alpha must be injective"),
-        (
-            lambda: _ext(1, _units([0], 3), _units([1], 3), [()], (1,)),
-            "complement must complete the image of alpha",
-        ),
-        (
-            lambda: _ext(1, la.identity(2, QQ), (), [(), ()], (1,)),
-            "filtration and kappa must have equal positive length",
-        ),
-        (
-            lambda: _ext(1, _units([0], 2), _units([1], 2), [_units([0], 2)], (1,)),
-            "filtration must lie inside the complement",
-        ),
-        (
-            lambda: _ext(
-                1, _units([0], 3), _units([1, 2], 3), [_units([1], 3), _units([2], 3)], (1, 1)
-            ),
-            "filtration must be nondecreasing",
-        ),
-        (
-            lambda: _ext(1, la.identity(2, QQ), (), [()], (3,)),
-            "kappa values must lie in 0..source_members+1",
-        ),
-        (lambda: _ext(2, la.identity(3, QQ), (), [(), ()], (2, 1)), "kappa must be nondecreasing"),
-        (
-            lambda: _ext(2, la.identity(3, QQ), (), [()], (1,)),
-            "kappa must use every proper source member",
-        ),
-        (
-            lambda: _ext(1, la.identity(2, QQ), (), [(), ()], (1, 1)),
-            "a constant filtration step needs a strictly increasing kappa",
-        ),
-        (
-            lambda: _ext(1, _units([0], 2), _units([1], 2), [(), _units([1], 2)], (1, 2)),
-            "the top slot would be the whole target space",
-        ),
-        (
-            lambda: _ext(1, la.identity(2, QQ), (), [()], (1,), forms=(_D2, None)),
-            "forms must be given on both sides or neither",
-        ),
-        (
-            lambda: _ext(1, la.identity(2, QQ), (), [()], (1,), False, (_D2, _D2)),
-            "modified extensions are general-type only",
-        ),
-        (
-            lambda: _ext(1, _units([0, 1], 4), _units([2, 3], 4), [()], (1,), forms=(_D2, _D4)),
-            "alpha is not compatible with the forms",
-        ),
-        (
-            lambda: _ext(
-                1, _units([0, 3], 4), ((1, 1, 0, 0), (0, 0, 1, 0)), [()], (1,), forms=(_D2, _D4)
-            ),
-            "the splitting is not orthogonal",
-        ),
-        (
+        *[
+            pytest.param(functools.partial(_ext, *args, make=make), message, id=f"{name}-{label}")
+            for name, args, message in _REFUSED_DATA
+            for label, make in _MAKERS
+        ],
+        pytest.param(
             lambda: W.apply_standard_extension(_plain(), W.flag_point(F3, 2, [((1, 0),)])),
             "field mismatch",
+            id="apply-field",
         ),
-        (
+        pytest.param(
             lambda: W.apply_standard_extension(_plain(), W.flag_point(QQ, 3, [unit_rows([0], 3)])),
             "shape mismatch: data expects 1 members in ambient 2, point has 1 in 3",
+            id="apply-shape",
         ),
-        (
+        pytest.param(
             lambda: W.apply_standard_extension(_with("D"), W.flag_point(QQ, 2, [((1, 0),)])),
             "point must carry the extension's source form",
+            id="apply-formless-point",
         ),
-        (
+        pytest.param(
             lambda: W.apply_standard_extension(
                 _plain(), W.flag_point(QQ, 2, [((1, 0),)], form=_D2)
             ),
             "a general-type extension applies to form-free points",
+            id="apply-formed-point",
         ),
-        (
+        pytest.param(
             lambda: W.compose_standard_extensions(
                 _plain(), _ext(1, la.identity(3, QQ), (), [()], (1,))
             ),
             "extensions do not compose: shapes disagree",
+            id="compose-shapes",
         ),
-        (
+        pytest.param(
             lambda: W.compose_standard_extensions(_with("D"), _plain()),
             "cannot compose a form-compatible extension with a bare one",
+            id="compose-one-side-forms",
         ),
-        (
+        pytest.param(
             lambda: W.compose_standard_extensions(_with("D"), _with("C")),
             "the intermediate forms disagree",
+            id="compose-intermediate-forms",
         ),
-        (
+        pytest.param(
             lambda: W.check_triangle(_plain(strict=False), _plain(), _plain()),
             "the triangle check applies to strict data",
+            id="triangle-modified",
         ),
-        (
+        pytest.param(
             lambda: W.check_triangle(
                 _plain(), _ext(2, la.identity(3, QQ), (), [(), ()], (1, 2)), _plain()
             ),
             "triangle shapes disagree",
+            id="triangle-members",
         ),
-        (
+        pytest.param(
             lambda: W.check_triangle(
                 _plain(),
                 _plain(),
                 _ext(1, _units([0], 2), _units([1], 2), [(), _units([1], 2)], (1, 1)),
             ),
             "triangle shapes disagree",
+            id="triangle-slots",
         ),
-    ],
-    ids=[
-        "not-injective", "incomplete-complement", "lengths", "filtration-outside",
-        "filtration-decreasing", "kappa-range", "kappa-decreasing", "kappa-misses-a-member",
-        "constant-step", "top-slot", "forms-on-one-side", "modified-with-forms",
-        "alpha-incompatible", "splitting-not-orthogonal", "apply-field", "apply-shape",
-        "apply-formless-point", "apply-formed-point",
-        "compose-shapes", "compose-one-side-forms", "compose-intermediate-forms",
-        "triangle-modified", "triangle-members", "triangle-slots",
     ],
 )
 def test_extension_refusals_name_their_reason(build, message):
@@ -790,20 +846,17 @@ def test_extension_refusals_name_their_reason(build, message):
 
 @pytest.mark.parametrize("field", [QQ, F5])
 @pytest.mark.parametrize("strict", [True, False])
-def test_apply_refuses_a_point_whose_members_are_not_nested(field, strict):
-    # a point built around flag_point: <e1> does not lie in <e2, e3>.  Fed
-    # only the new rows of each member, the slots would be nested all the
-    # same, (<e1>, <e1, e2, e3, e4>); a slot reduced on its own is not.
+def test_no_unnested_point_reaches_apply(field, strict):
+    # <e1> does not lie in <e2, e3>.  Fed only the new rows of each member,
+    # apply would map it to the nested slots (<e1>, <e1, e2, e3, e4>), but
+    # no such point can be built.
     d = W.standard_extension(
         field, 2, _units([0, 1, 2], 5, field), _units([3, 4], 5, field),
         [(), _units([3], 5, field)], (1, 2), strict,
     )
-    bad = W.FiniteFlagPoint(field, 3, (_units([0], 3, field), _units([1, 2], 3, field)))
     with pytest.raises(W.WitnessError) as err:
-        W.apply_standard_extension(d, bad)
+        W.FiniteFlagPoint(field, 3, (_units([0], 3, field), _units([1, 2], 3, field)))
     assert str(err.value) == "member 0 is not contained in member 1"
-    with pytest.raises(W.WitnessError, match="member 0 is not contained in member 1"):
-        oracles.apply_by_slots(d, bad)
     # plain rows that are nested pass, and map as the slot-by-slot oracle does
     good = W.FiniteFlagPoint(field, 3, (((1, 1, 0),), ((0, 1, 0), (1, 0, 0))))
     assert W.apply_standard_extension(d, good) == oracles.apply_by_slots(d, good)
@@ -871,6 +924,23 @@ def test_points_and_extensions_pickle_with_echelon_members(field):
         assert la.rowspace_contains(big, small, field)
         assert not la.rowspace_contains(small, big, field)
     assert W.apply_standard_extension(d2, p2) == W.apply_standard_extension(d, p)
+
+
+def test_unpickling_and_copying_run_no_check(monkeypatch):
+    # the benchmark worker unpickles its inputs in every repetition; a value
+    # was checked when it was built and comes back as it is
+    p = W.flag_point(QQ, 3, [unit_rows([0], 3), unit_rows([0, 1], 3)])
+    d = _simple_data()
+    calls = []
+    contains = la.rowspace_contains
+    monkeypatch.setattr(la, "rowspace_contains", lambda *a: calls.append(a) or contains(*a))
+    for value in (p, d):
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.copy(value) == value
+    assert calls == []
+    # the count sees the checks of a value built again
+    assert dataclasses.replace(p) == p and dataclasses.replace(d) == d
+    assert len(calls) >= 2
 
 
 def test_pullback_functorial_and_linear():
@@ -978,27 +1048,16 @@ def _unit_triangle(field=QQ):
             lambda psi, chi: (psi, dataclasses.replace(chi, filtration=(_units([2, 5], 6),))),
             "filtration mismatch at slot 1",
         ),
+        # e_2 + e_4 completes chi's complement <e_3..e_6> but lies outside
+        # <e_1, e_2> + M_1 = <e_1, e_2, e_3, e_5>
         (
             lambda psi, chi: (
-                psi, dataclasses.replace(chi, alpha=(chi.alpha[0], _units([5], 6)[0]))
+                psi, dataclasses.replace(chi, alpha=(chi.alpha[0], (0, 1, 0, 1, 0, 0)))
             ),
             "gamma does not land in image(beta.alpha) + M_1; the triangle cannot commute",
         ),
-        (
-            lambda psi, chi: (psi, dataclasses.replace(chi, alpha=la.mat([(0,) * 6] * 2, QQ))),
-            "gamma collapses into the complement; not an embedding match",
-        ),
-        # psi sends e_4 where it sends e_3, so beta = 2 psi is not injective,
-        # though beta . alpha = 2 gamma is
-        (
-            lambda psi, chi: (
-                dataclasses.replace(psi, alpha=_units([0, 1, 2, 2], 6)),
-                dataclasses.replace(chi, alpha=la.mat_scale(2, chi.alpha, QQ)),
-            ),
-            "adjusted beta is not injective",
-        ),
     ],
-    ids=["filtration", "gamma-outside", "zero-scalar", "beta-not-injective"],
+    ids=["filtration", "gamma-outside"],
 )
 def test_triangle_reports_each_failure(tamper, message):
     phi, psi, chi = _unit_triangle()
@@ -1007,6 +1066,24 @@ def test_triangle_reports_each_failure(tamper, message):
     assert not rep.ok and rep.slot_map_ok
     assert rep.filtration_ok == (message != "filtration mismatch at slot 1")
     assert rep.messages == (message,)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        # s = 0: gamma collapses into the complement
+        lambda psi, chi: dataclasses.replace(chi, alpha=la.mat([(0,) * 6] * 2, QQ)),
+        # psi sends e_4 where it sends e_3, so beta = 2 psi would not be
+        # injective, though beta . alpha = 2 gamma is
+        lambda psi, chi: dataclasses.replace(psi, alpha=_units([0, 1, 2, 2], 6)),
+    ],
+    ids=["zero-scalar", "beta-not-injective"],
+)
+def test_triangle_inputs_that_would_fail_its_scalar_or_rank_are_not_data(tamper):
+    phi, psi, chi = _unit_triangle()
+    with pytest.raises(W.WitnessError) as err:
+        tamper(psi, chi)
+    assert str(err.value) == "alpha must be injective"
 
 
 def test_triangle_tampered_slot_map_reports_index():
@@ -1026,7 +1103,7 @@ def test_triangle_tampered_slot_map_reports_index():
 
 
 @pytest.mark.parametrize("field", [QQ, F5, PrimeField(7)])
-def test_triangle_beta_and_dual_data_match_the_correction_oracles(monkeypatch, field):
+def test_triangle_beta_and_dual_data_match_the_correction_oracles(field):
     # beta = S^-1 . [gamma; s K . psi.alpha] and the rows of (S^T)^-1, for S
     # = [alpha; complement], against the correction through the projection
     # onto the source and the null spaces that they replaced
@@ -1045,20 +1122,10 @@ def test_triangle_beta_and_dual_data_match_the_correction_oracles(monkeypatch, f
         rep = W.check_triangle(d1, d2, chi)
         assert rep.ok, rep.messages
         assert (rep.scalar, rep.beta) == oracles.triangle_beta_by_correction(d1, d2, chi)
+        # checked data need no test of s or of beta (see check_triangle)
+        assert rep.scalar != 0 and la.rank(rep.beta, field) == len(rep.beta)
         adjusted += rep.adjusted
     assert adjusted >= 10
-    # psi sends e_4 where it sends e_3, so the adjusted beta = 2 psi.alpha is
-    # not injective and is not reported: the last rank check sees it
-    phi, psi, chi = _unit_triangle(field)
-    psi = dataclasses.replace(psi, alpha=_units([0, 1, 2, 2], 6, field))
-    chi = dataclasses.replace(chi, alpha=la.mat_scale(field.of(2), chi.alpha, field))
-    ranked = []
-    rank = la.rank
-    monkeypatch.setattr(la, "rank", lambda a, f: ranked.append(a) or rank(a, f))
-    rep = W.check_triangle(phi, psi, chi)
-    monkeypatch.undo()
-    assert rep.messages == ("adjusted beta is not injective",)
-    assert (field.of(2), ranked[-1]) == oracles.triangle_beta_by_correction(phi, psi, chi)
 
 
 def _assert_same_members(got, want):
