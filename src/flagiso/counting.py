@@ -28,6 +28,11 @@ its Levi is the type-A part alone (the group is D_m, not B_m), and the
 brute-force route filters Lagrangians by the parity of their intersection with
 that reference (``witness.in_reference_component``).
 
+Polynomials are memoized per process for the last ``_POINCARE_MEMO_SIZE``
+(1,024) distinct varieties.  A polynomial of rank 96 takes about 170 KB, so
+the bound keeps the memo within about 175 MB however many varieties a
+process reads; an evicted polynomial is recomputed equal.
+
 The enumeration is the only user of ``linalg`` and ``witness`` here, so
 :func:`brute_force_count` imports them itself: a point count, Poincare
 polynomial or dimension loads neither.
@@ -137,7 +142,10 @@ def check_rank(r: int):
         raise ResourceLimitError(f"rank {r} exceeds the rank cap {MAX_RANK}")
 
 
-@lru_cache(maxsize=None)
+_POINCARE_MEMO_SIZE = 1024  # varieties; finite-count reads 213, selftest 295
+
+
+@lru_cache(maxsize=_POINCARE_MEMO_SIZE)
 def _poincare_cached(lie_type, ambient_dim, dims):
     """W(q) / W_P(q), with W_P the Weyl group of the Levi: type-A blocks of the
     gaps between members, and for B/C/D the group of the same type on the

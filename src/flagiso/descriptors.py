@@ -25,17 +25,30 @@ Text format (an empty half is written as nothing)::
     symp: half=<order>; middle=<empty|d|inf>
 
 with the order grammar of :mod:`flagiso.orders`.
+
+Reading texts.  A process tends to read the same few texts many times, so
+:func:`parse_descriptor` keeps a bounded per-process memo,
+``_read_descriptor``, under the rule of the atom memo of
+:mod:`flagiso.orders`: a text shorter than ``_MEMO_MAX_LEN`` (640)
+characters is read, checked and validated once while it is among the last
+``_MEMO_SIZE`` (1,024) distinct texts read, and equal texts share that one
+frozen, validated value.  A longer text is read afresh each time, as it may
+hold a middle or size that ``int()`` refuses under a digit limit lowered at
+run time.  Refusals are never cached: an invalid text raises each time.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import ValidationError
 from .orders import (
+    _MEMO_MAX_LEN,
+    _MEMO_SIZE,
     EMPTY,
     INF,
     OrderParseError,
@@ -409,6 +422,13 @@ _FORM_TAGS = {
 
 
 def parse_descriptor(text: str) -> FlagDescriptor:
+    """The valid descriptor ``text`` denotes, read as "Reading texts" above says."""
+    read = _read_descriptor if len(text) < _MEMO_MAX_LEN else _read_descriptor.__wrapped__
+    return read(text)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _read_descriptor(text: str) -> FlagDescriptor:
     head, _, body = text.partition(":")
     tag = head.strip()
     if tag not in _FORM_TAGS:

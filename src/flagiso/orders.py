@@ -28,7 +28,9 @@ per-atom work runs once per distinct piece while it stays in the memo, and
 equal atom texts share one frozen atom object.  A piece of
 ``_MEMO_MAX_LEN`` characters or more is read afresh each time, because
 whether ``int()`` accepts its sizes depends on a digit limit that can change
-at run time.  A text whose pieces all parse is valid; otherwise ``_ATOM``
+at run time.  :func:`flagiso.descriptors.parse_descriptor` memoizes whole
+descriptor texts by the same rule, with the same two bounds.  A text whose
+pieces all parse is valid; otherwise ``_ATOM``
 is matched again where its first piece that does not parse starts in the
 text, to locate the error and its column (see "Text format" below).
 
@@ -387,7 +389,9 @@ _ATOM = re.compile(
 _WORD = re.compile(r"\s*([^\W_]*)")
 
 
-_MEMO_SIZE = 1024  # pieces; one seed of perfbench ind-decide holds 203-219 distinct
+# The one rule of the atom memo here and the text memo of descriptors: at
+# most _MEMO_SIZE entries, each key shorter than _MEMO_MAX_LEN characters.
+_MEMO_SIZE = 1024  # one seed of perfbench ind-decide holds 203-219 distinct pieces
 _MEMO_MAX_LEN = sys.int_info.str_digits_check_threshold
 
 

@@ -796,7 +796,11 @@ def check_triangle(phi, psi, chi) -> TriangleReport:
     psi.complement.  Projecting [gamma; s K . psi.alpha] along
     psi.complement into psi's source gives [s alpha + Y; s K] with Y in
     the span of K, which reduces to s S, invertible; so [gamma; s K .
-    psi.alpha] has full rank, and so has beta."""
+    psi.alpha] has full rank, and so has beta.
+
+    When every slot of chi sits on the zero member (kappa all 0) there is no
+    i0: M_{i0} is read as the zero space, so only the scalar adjusts beta,
+    to s psi.alpha."""
     field = phi.field
     for d in (phi, psi, chi):
         if not d.strict:
@@ -836,12 +840,16 @@ def check_triangle(phi, psi, chi) -> TriangleReport:
             True, True, True, adjusted=False, scalar=field.one(), beta=psi.alpha
         )
 
-    i0 = next(i for i, c in enumerate(chi.kappa) if c != 0)
-    m0 = chi.filtration[i0]
+    i0 = next((i for i, c in enumerate(chi.kappa) if c != 0), None)
+    if i0 is None:  # every slot reads the zero member
+        m0, plus, modulo = (), "", ""
+    else:
+        m0 = chi.filtration[i0]
+        plus, modulo = f" + M_{i0 + 1}", f" modulo M_{i0 + 1}"
     coeffs = la.solve_left(la.stack(ab, m0), gamma, field)
     if coeffs is None:
         messages.append(
-            f"gamma does not land in image(beta.alpha) + M_{i0 + 1}; "
+            f"gamma does not land in image(beta.alpha){plus}; "
             "the triangle cannot commute"
         )
         return TriangleReport(False, True, True, messages=tuple(messages))
@@ -852,8 +860,8 @@ def check_triangle(phi, psi, chi) -> TriangleReport:
     bad = next(off, None)
     if bad is not None:
         messages.append(
-            "gamma is not a scalar multiple of beta.alpha modulo "
-            f"M_{i0 + 1} (source basis vector {bad})"
+            f"gamma is not a scalar multiple of beta.alpha{modulo} "
+            f"(source basis vector {bad})"
         )
         return TriangleReport(False, True, True, messages=tuple(messages))
     lower = la.product(la.mat_scale(scalar, phi.complement, field), psi.alpha, field)

@@ -6,6 +6,7 @@ import pytest
 from flagiso.counting import (
     QPolynomial,
     _over_bracket,
+    _poincare_cached,
     _times_bracket,
     brute_force_count,
     dimension,
@@ -356,6 +357,20 @@ def test_rank_cap():
     assert poincare_polynomial(V("A", 97, (1,)))(1) == 97
     with pytest.raises(ResourceLimitError, match="rank 97 exceeds the rank cap 96"):
         poincare_polynomial(V("A", 98, (1,)))
+
+
+def test_poincare_memo_is_bounded_and_evicted_polynomials_recompute_equal():
+    _poincare_cached.cache_clear()
+    varieties = [
+        V("A", n, dims) for n in range(3, 21) for dims in itertools.combinations(range(1, n), 2)
+    ]
+    assert len(varieties) > 1024
+    first = [poincare_polynomial(v) for v in varieties]
+    assert _poincare_cached.cache_info().currsize <= 1024
+    again = poincare_polynomial(varieties[0])  # the oldest variety was evicted
+    assert again is not first[0] and again == first[0]
+    assert again.coefficients == coset_poincare(varieties[0]).coefficients
+    assert [poincare_polynomial(v) for v in varieties] == first
 
 
 def test_gaussian_binomial_oracle_self_check():

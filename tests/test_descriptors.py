@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -16,6 +17,7 @@ from flagiso.descriptors import (
     FlagDescriptor,
     FormType,
     TruncationWidthError,
+    _read_descriptor,
     descriptor_from_json,
     descriptor_to_json,
     dual,
@@ -41,6 +43,7 @@ from flagiso.orders import (
     normalize,
     omega,
     omegastar,
+    _read_atom,
     parse_order,
     reverse,
     seq,
@@ -70,12 +73,16 @@ def test_validate_requires_infinite_total():
 
 
 def test_parsed_descriptor_is_validated_once():
+    _read_descriptor.cache_clear()
     with mock.patch.object(D, "validate", wraps=D.validate) as spy:
         x = parse_descriptor("gen: seq[1,2] + omega(1)")
         y = parse_descriptor("gen: seq[1,2] + omega(1)")
-        decide_ind(x, y)
+        assert y is x and spy.call_count == 1
+        z = parse_descriptor("gen: omega(1) + seq[3]")
+        assert spy.call_count == 2
+        decide_ind(x, z)
         dual(x), pic_rank(x), truncate_to_variety(x, 2)
-        full_chain(y), min_truncation_width(y)
+        full_chain(z), min_truncation_width(z)
     assert spy.call_count == 2
 
 
@@ -277,6 +284,109 @@ def test_order_error_column_counts_in_the_descriptor_text(prefix, suffix, order)
 def test_parse_rejects_non_ascii_middle(middle):
     with pytest.raises(ValidationError):
         parse_descriptor(f"symp: half=seq[1]; middle={middle}")
+
+
+# parse_descriptor reads texts through a memo kept for the whole process.
+
+_VALID_TEXTS = [
+    "gen: seq[1,inf]",
+    "symp: half=seq[1]; middle=inf",
+    "orth: half=seq[1] + omega(2); middle=3",
+    "orth:middle=1 ;  half =omega(1)",
+    "symp: half=; middle=inf",
+]
+_REFUSED_TEXTS = [
+    "weird: seq[1]",
+    "orth half=seq[1]",
+    "symp: half=seq[1]",
+    "orth: half=seq[inf]; middle=maybe",
+    "orth: half=seq[1]; half=seq[2]; middle=inf",
+    "orth: half=seq[1]; bogus=2",
+    "orth: half=seq[inf]; middle=2",
+    "symp: half=seq[1]; middle=3",
+    "orth: half=seq[1]; middle=0",
+    "symp: half=seq[1]; middle=²",
+    "gen: seq[1, 2]",
+    "gen: seq[1] + bogus(2)",
+    "gen: omega(1) ++ seq[1]",
+    "symp: half= omega(1) +seq[1, 0]; middle=inf",
+    "symp: middle = inf; half=seq[1",
+]
+
+
+def _padded(text, length):
+    """``text`` with spaces after its tag, ``length`` characters long."""
+    head, sep, body = text.partition(":")
+    padded = head + sep + " " * (length - len(text)) + body
+    assert len(padded) == length
+    return padded
+
+
+def _memo_texts():
+    rng = random.Random(61)
+    texts = _VALID_TEXTS + _REFUSED_TEXTS + [render_descriptor(random_descriptor(rng)) for _ in range(20)]
+    # 639 characters go through the memo, 640 are read afresh
+    return texts + [_padded(t, n) for t in texts for n in (639, 640)]
+
+
+def _descriptor_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValidationError as exc:
+        return type(exc), str(exc), getattr(exc, "column", None)
+
+
+def test_descriptor_memo_changes_no_outcome_cold_or_warm():
+    texts = _memo_texts()
+    cold = []
+    for text in texts:
+        _read_descriptor.cache_clear()
+        _read_atom.cache_clear()
+        cold.append(_descriptor_outcome(parse_descriptor, text))
+    for text in texts:  # the memo now holds every valid text
+        _descriptor_outcome(parse_descriptor, text)
+    for text, before in zip(texts, cold, strict=True):
+        after = _descriptor_outcome(parse_descriptor, text)
+        assert after == before
+        assert after == _descriptor_outcome(_read_descriptor.__wrapped__, text)
+        if isinstance(after, FlagDescriptor):  # equal short texts share one value
+            assert (parse_descriptor(text) is after) == (len(text) < 640)
+    assert _read_descriptor.cache_info().hits > 0
+
+
+def test_descriptor_memo_keeps_no_refusal():
+    _read_descriptor.cache_clear()
+    for _ in range(2):
+        for text in _REFUSED_TEXTS:
+            with pytest.raises(ValidationError):
+                parse_descriptor(text)
+    assert _read_descriptor.cache_info().currsize == 0
+
+
+def test_descriptor_memo_is_bounded_and_evicted_texts_parse_as_before():
+    _read_descriptor.cache_clear()
+    texts = [f"gen: seq[{i}] + omega(1)" for i in range(1, 1026)]
+    first = [parse_descriptor(t) for t in texts]
+    assert _read_descriptor.cache_info().currsize <= 1024
+    again = parse_descriptor(texts[0])  # the oldest text was evicted
+    assert again is not first[0] and again == first[0] == general_flags(seq(1) + omega(1))
+    assert [parse_descriptor(t) for t in texts] == first
+
+
+def test_descriptor_memo_reads_a_long_text_under_the_digit_limit_of_the_moment():
+    # a middle that int() may refuse is read afresh: the limit can be lowered
+    text = "symp: half=omega(1); middle=" + "2" * 700
+    assert len(text) >= 640
+    assert parse_descriptor(text).middle == int("2" * 700)
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(ValidationError) as err:
+            parse_descriptor(text)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert str(err.value) == "middle has too many digits (700)"
+    assert parse_descriptor(text).middle == int("2" * 700)
 
 
 def test_json_round_trip():

@@ -70,6 +70,61 @@ def test_scan_finds_an_environment_read():
     assert _environment_reads(source) == [2, 3, 4, 5]
 
 
+_CACHES = {"cache", "lru_cache"}
+
+
+def _unbounded_caches(source):
+    """Sorted line numbers of every ``functools`` cache with no finite
+    ``maxsize``: ``cache``, ``lru_cache`` used bare, and ``lru_cache`` called
+    without a maxsize or with ``maxsize=None``."""
+    tree = ast.parse(source)
+    names = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in _CACHES
+    }
+
+    def cache_name(node):
+        if isinstance(node, ast.Name):
+            return names.get(node.id)
+        if isinstance(node, ast.Attribute) and node.attr in _CACHES:
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                return node.attr
+        return None
+
+    lines, called = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and cache_name(node.func) == "lru_cache":
+            called.add(node.func)
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if not sizes or (isinstance(sizes[0], ast.Constant) and sizes[0].value is None):
+                lines.add(node.lineno)
+    for node in ast.walk(tree):
+        if cache_name(node) and node not in called:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_every_cache_is_bounded(path):
+    # a per-process memo keyed by what a caller passes grows with every
+    # distinct key unless its size is bounded
+    assert _unbounded_caches(path.read_text()) == []
+
+
+def test_scan_finds_an_unbounded_cache():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache as lru\n"
+        "@lru\ndef a(): pass\n@lru(maxsize=None)\ndef b(): pass\n"
+        "@functools.cache\ndef c(): pass\n@lru(None)\ndef d(): pass\n"
+        "@lru(maxsize=64)\ndef e(): pass\nf = functools.lru_cache(8)(e)\n"
+        "g = lru()(e)\n"
+    )
+    assert _unbounded_caches(source) == [3, 5, 7, 9, 14]
+
+
 def _unread_locals(source):
     """Sorted (function, name) of every name a function stores (nested
     functions included) but never reads; ``_`` is exempt."""

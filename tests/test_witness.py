@@ -1068,6 +1068,46 @@ def test_triangle_reports_each_failure(tamper, message):
     assert rep.messages == (message,)
 
 
+def test_triangle_on_slots_fed_by_the_zero_member_adjusts_the_scalar_only():
+    # chi's one slot reads the zero member (kappa (0,)), so there is no i0
+    # and M_{i0} is the zero space
+    phi = W.standard_extension(QQ, 0, [(1, 0)], [(0, 1)], [[(0, 1)]], (0,))
+    psi = W.standard_extension(
+        QQ, 1, [(1, 0, 0), (0, 1, 0)], [(0, 0, 1)], [[(0, 0, 1)]], (1,)
+    )
+    chi = W.compose_standard_extensions(phi, psi)
+    assert chi.kappa == (0,)
+    rep = W.check_triangle(phi, psi, dataclasses.replace(chi, alpha=la.mat_scale(2, chi.alpha, QQ)))
+    assert rep.ok and rep.adjusted and rep.scalar == 2 and rep.messages == ()
+    assert la.mat_eq(rep.beta, la.mat_scale(2, psi.alpha, QQ))
+
+
+@pytest.mark.parametrize(
+    "gamma, message",
+    [
+        (
+            _units([1, 0], 4),
+            "gamma is not a scalar multiple of beta.alpha (source basis vector 0)",
+        ),
+        (
+            la.mat([(1, 0, 0, 0), (0, 1, 1, 0)], QQ),
+            "gamma does not land in image(beta.alpha); the triangle cannot commute",
+        ),
+    ],
+    ids=["not-scalar", "outside"],
+)
+def test_triangle_on_slots_fed_by_the_zero_member_reports_a_bad_gamma(gamma, message):
+    phi = W.standard_extension(QQ, 0, _units([0, 1], 3), _units([2], 3), [_units([2], 3)], (0,))
+    psi = W.standard_extension(
+        QQ, 1, _units([0, 1, 2], 4), _units([3], 4), [_units([3], 4)], (1,)
+    )
+    chi = W.compose_standard_extensions(phi, psi)
+    assert chi.kappa == (0,) and W.check_triangle(phi, psi, chi).ok
+    rep = W.check_triangle(phi, psi, dataclasses.replace(chi, alpha=gamma))
+    assert not rep.ok and rep.slot_map_ok and rep.filtration_ok
+    assert rep.messages == (message,)
+
+
 @pytest.mark.parametrize(
     "tamper",
     [
